@@ -1,6 +1,5 @@
-// Infrastructure benchmark: the flat-arena simulator core (simcore.hpp)
-// against the retained map-based reference implementation
-// (reference_sim.hpp).
+// Infrastructure benchmark: throughput of the simulator core (simcore.hpp,
+// step_kernel.hpp).
 //
 // Not a paper experiment — this measures the simulator itself: steps/sec
 // and packet-hops/sec throughput of the store-and-forward core (serial and
@@ -8,8 +7,8 @@
 // workloads (the heaviest traffic the paper's tables run) and a bit-reversal
 // wormhole permutation.  Every simulation metric in the report is a
 // deterministic output (makespans, transmissions, active-set visits, trace
-// event counts) and is held to exact equality by the bench_compare CI gate;
-// wall-clock goes into the timings section only.
+// event counts, campaign digests) and is held to exact equality by the
+// bench_compare CI gate; wall-clock goes into the timings section only.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -24,7 +23,6 @@
 #include "sim/montecarlo.hpp"
 #include "sim/parallel_sim.hpp"
 #include "sim/phase.hpp"
-#include "sim/reference_sim.hpp"
 #include "sim/store_forward.hpp"
 #include "sim/workloads.hpp"
 #include "sim/wormhole.hpp"
@@ -54,16 +52,15 @@ MultiPathEmbedding phase_embedding(int n) {
 }
 
 void print_store_forward_table(bench::Report& report) {
-  // The acceptance workload of the flat-arena PR: Theorem-1 phases with
-  // p = n packets per guest edge on Q_12..Q_16.  Q_12 and Q_14 are not in
-  // theorem1_cycle_embedding's direct range (⌊n/4⌋ must be a power of two),
-  // so they run the Corollary-1 torus product — every axis embedded by
-  // Theorem 1 — at 64×64 and 128×128; Q_16 is the direct Theorem-1 cycle.
-  // "speedup" is map-reference seconds / flat seconds for the serial
-  // simulator; the parallel column uses 4 shards.
-  bench::Table t("S1: store-and-forward core — map reference vs flat arena",
-                 {"n", "packets", "makespan", "Mhops", "ref ms", "flat ms",
-                  "speedup", "ref Mhops/s", "flat Mhops/s", "par4 ms"});
+  // Theorem-1 phases with p = n packets per guest edge on Q_12..Q_16.
+  // Q_12 and Q_14 are not in theorem1_cycle_embedding's direct range
+  // (⌊n/4⌋ must be a power of two), so they run the Corollary-1 torus
+  // product — every axis embedded by Theorem 1 — at 64×64 and 128×128;
+  // Q_16 is the direct Theorem-1 cycle.  The parallel column uses 4
+  // shards and must agree with the serial run (FATAL otherwise).
+  bench::Table t("S1: store-and-forward core — serial vs 4 shards",
+                 {"n", "packets", "makespan", "Mhops", "flat ms",
+                  "flat Mhops/s", "par4 ms"});
   auto& reg = obs::MetricsRegistry::global();
   for (int n : {12, 14, 16}) {
     const auto emb = [&] {
@@ -71,28 +68,23 @@ void print_store_forward_table(bench::Report& report) {
       return phase_embedding(n);
     }();
     const auto packets = phase_packets(emb, n);
-    const refsim::RefStoreForwardSim ref(n);
     const StoreForwardSim flat(n);
     const ParallelStoreForwardSim par(n, 4);
 
-    SimResult rr, rf, rp;
+    SimResult rf, rp;
     obs::ScopedTimer timer("simulate");
-    const double s_ref = seconds_of([&] { rr = ref.run(packets); });
     const double s_flat = seconds_of([&] { rf = flat.run(packets); });
     const double s_par = seconds_of([&] { rp = par.run(packets); });
-    if (rr.makespan != rf.makespan || rr.makespan != rp.makespan ||
-        rr.total_transmissions != rf.total_transmissions) {
+    if (rf.makespan != rp.makespan ||
+        rf.total_transmissions != rp.total_transmissions) {
       std::fprintf(stderr, "FATAL: core variants disagree on n=%d\n", n);
       std::exit(1);
     }
     t.row(n, packets.size(), rf.makespan,
-          static_cast<double>(rf.total_transmissions) / 1e6, s_ref * 1e3,
-          s_flat * 1e3, s_ref / s_flat,
-          mhops_per_sec(rr.total_transmissions, s_ref),
+          static_cast<double>(rf.total_transmissions) / 1e6, s_flat * 1e3,
           mhops_per_sec(rf.total_transmissions, s_flat), s_par * 1e3);
 
     const std::string sn = std::to_string(n);
-    reg.record_span("ref_serial_n" + sn, s_ref);
     reg.record_span("flat_serial_n" + sn, s_flat);
     reg.record_span("flat_parallel4_n" + sn, s_par);
     report.metric("makespan_n" + sn, rf.makespan);
@@ -171,32 +163,22 @@ void print_tracing_table(bench::Report& report) {
 }
 
 void print_wormhole_table(bench::Report& report) {
-  // Wormhole core on the bit-reversal permutation (the classic hard
-  // pattern for dimension-ordered routes): map/set reference vs held-link
-  // bitmap + compacted worm worklists.
-  bench::Table t("S3: wormhole core — set reference vs bitmap worklists",
-                 {"n", "worms", "flits", "makespan", "ref ms", "flat ms",
-                  "speedup"});
+  // Wormhole core (held-link bitmap + compacted worm worklists) on the
+  // bit-reversal permutation, the classic hard pattern for
+  // dimension-ordered routes.
+  bench::Table t("S3: wormhole core — bitmap worklists",
+                 {"n", "worms", "flits", "makespan", "flat ms"});
   auto& reg = obs::MetricsRegistry::global();
   for (int n : {10, 12}) {
     const auto pattern = bit_reversal_pattern(n);
     const auto worms = ecube_worms(n, pattern, 32);
-    const refsim::RefWormholeSim ref(n);
     const WormholeSim flat(n);
 
-    WormResult rr, rf;
+    WormResult rf;
     obs::ScopedTimer timer("simulate");
-    const double s_ref = seconds_of([&] { rr = ref.run(worms); });
     const double s_flat = seconds_of([&] { rf = flat.run(worms); });
-    if (rr.makespan != rf.makespan ||
-        rr.total_flit_hops != rf.total_flit_hops) {
-      std::fprintf(stderr, "FATAL: wormhole variants disagree on n=%d\n", n);
-      std::exit(1);
-    }
-    t.row(n, worms.size(), 32, rf.makespan, s_ref * 1e3, s_flat * 1e3,
-          s_ref / s_flat);
+    t.row(n, worms.size(), 32, rf.makespan, s_flat * 1e3);
     const std::string sn = std::to_string(n);
-    reg.record_span("ref_wormhole_n" + sn, s_ref);
     reg.record_span("flat_wormhole_n" + sn, s_flat);
     report.metric("worm_makespan_n" + sn, rf.makespan);
     report.metric("worm_flit_hops_n" + sn, rf.total_flit_hops);
@@ -206,17 +188,14 @@ void print_wormhole_table(bench::Report& report) {
 }
 
 void print_engine_table(bench::Report& report) {
-  // S4: the retained flat-arena step loop (SimEngine::kFlatArena) against
-  // the SoA route-plan kernel (kSoa, the production default) — same
-  // Theorem-1 phase workloads as S1, untraced and fault-free, which is
-  // exactly the branch-light specialization step_sweep<false, false>.
-  // Every SimResult field must match bit-exactly (FATAL otherwise); the
-  // packet-steps/second columns are the first-class throughput metric
-  // (SimResult::packet_steps_per_sec) and land in the timings section as
-  // pps_* spans so bench_runner --history and bench_trend chart them.
-  bench::Table t("S4: step-sweep engine — flat arena vs SoA route plan",
-                 {"n", "packets", "makespan", "flat ms", "soa ms", "speedup",
-                  "flat Mpps", "soa Mpps"});
+  // S4: the serial step sweep on the same Theorem-1 phase workloads as S1,
+  // untraced and fault-free — exactly the branch-light specialization
+  // step_sweep<false, false>.  The packet-steps/second column is the
+  // first-class throughput metric (SimResult::packet_steps_per_sec) and
+  // lands in the timings section as pps_* spans so bench_runner --history
+  // and bench_trend chart it.
+  bench::Table t("S4: step sweep — SoA route plan throughput",
+                 {"n", "packets", "makespan", "soa ms", "soa Mpps"});
   auto& reg = obs::MetricsRegistry::global();
   for (int n : {12, 14, 16}) {
     const auto emb = [&] {
@@ -224,34 +203,19 @@ void print_engine_table(bench::Report& report) {
       return phase_embedding(n);
     }();
     const auto packets = phase_packets(emb, n);
-    const StoreForwardSim flat(n, SimEngine::kFlatArena);
-    const StoreForwardSim soa(n, SimEngine::kSoa);
+    const StoreForwardSim soa(n);
 
     obs::ScopedTimer timer("simulate");
-    // One warm-up pair so neither engine pays the cold-cache/page-fault
-    // toll, then the measured pair.
-    (void)flat.run(packets);
+    // One warm-up run so the measured one does not pay the
+    // cold-cache/page-fault toll.
     (void)soa.run(packets);
-    const SimResult rf = flat.run(packets);
     const SimResult rs = soa.run(packets);
-    if (rf.makespan != rs.makespan ||
-        rf.total_transmissions != rs.total_transmissions ||
-        rf.max_queue != rs.max_queue || rf.link_visits != rs.link_visits ||
-        rf.dim_transmissions != rs.dim_transmissions ||
-        rf.latency != rs.latency || rf.utilization != rs.utilization) {
-      std::fprintf(stderr, "FATAL: step-sweep engines disagree on n=%d\n", n);
-      std::exit(1);
-    }
-    const double pps_flat = rf.packet_steps_per_sec();
     const double pps_soa = rs.packet_steps_per_sec();
-    t.row(n, packets.size(), rs.makespan, rf.elapsed_seconds * 1e3,
-          rs.elapsed_seconds * 1e3, rf.elapsed_seconds / rs.elapsed_seconds,
-          pps_flat / 1e6, pps_soa / 1e6);
+    t.row(n, packets.size(), rs.makespan, rs.elapsed_seconds * 1e3,
+          pps_soa / 1e6);
 
     const std::string sn = std::to_string(n);
-    reg.record_span("flatengine_serial_n" + sn, rf.elapsed_seconds);
     reg.record_span("soa_serial_n" + sn, rs.elapsed_seconds);
-    reg.record_span("pps_flat_serial_n" + sn, pps_flat);
     reg.record_span("pps_soa_serial_n" + sn, pps_soa);
     report.metric("s4_makespan_n" + sn, rs.makespan);
     report.metric("s4_hops_n" + sn, rs.total_transmissions);
@@ -260,11 +224,11 @@ void print_engine_table(bench::Report& report) {
   t.print();
   report.table(t);
 
-  // The same comparison end-to-end: a 1000-trial Q_10 Monte-Carlo fault
-  // campaign per engine (serial transport, threshold w-1, moderate
-  // transient-heavy intensity).  The campaign digest folds every field of
-  // every trial, so any behavioural difference anywhere in recovery —
-  // fates, truncation steps, retransmit scheduling — trips the gate.
+  // End to end: a 1000-trial Q_10 Monte-Carlo fault campaign (serial
+  // transport, threshold w-1, moderate transient-heavy intensity).  The
+  // campaign digest folds every field of every trial, so any behavioural
+  // change anywhere in recovery — fates, truncation steps, retransmit
+  // scheduling — moves it; bench_compare holds it at tolerance 0.
   const auto emb10 = [&] {
     obs::ScopedTimer timer("construct");
     return theorem1_cycle_embedding(10);
@@ -284,39 +248,18 @@ void print_engine_table(bench::Report& report) {
   par::PoolScope scope(pool);
   const MonteCarloDriver driver(emb10);
   obs::ScopedTimer timer("simulate");
-  cfg.recovery.engine = SimEngine::kFlatArena;
-  double s_mc_flat = 0;
-  CampaignStats mc_flat;
-  s_mc_flat = seconds_of([&] { mc_flat = driver.run(cfg); });
-  cfg.recovery.engine = SimEngine::kSoa;
-  double s_mc_soa = 0;
-  CampaignStats mc_soa;
-  s_mc_soa = seconds_of([&] { mc_soa = driver.run(cfg); });
-  if (mc_flat.digest != mc_soa.digest ||
-      mc_flat.messages_complete != mc_soa.messages_complete ||
-      mc_flat.retransmissions != mc_soa.retransmissions ||
-      mc_flat.fragments_lost != mc_soa.fragments_lost ||
-      mc_flat.max_makespan != mc_soa.max_makespan) {
-    std::fprintf(stderr,
-                 "FATAL: Monte-Carlo campaign diverges across engines "
-                 "(digests %016llx / %016llx)\n",
-                 static_cast<unsigned long long>(mc_flat.digest),
-                 static_cast<unsigned long long>(mc_soa.digest));
-    std::exit(1);
-  }
-  std::printf("S4 Monte-Carlo gate: Q_10 x %u trials, digest %016llx on "
-              "both engines (flat %.2fs, soa %.2fs)\n\n",
-              cfg.trials, static_cast<unsigned long long>(mc_soa.digest),
-              s_mc_flat, s_mc_soa);
-  reg.record_span("mc_flatengine_q10", s_mc_flat);
-  reg.record_span("mc_soa_q10", s_mc_soa);
+  CampaignStats mc;
+  const double s_mc = seconds_of([&] { mc = driver.run(cfg); });
+  std::printf("S4 Monte-Carlo: Q_10 x %u trials, digest %016llx (%.2fs)\n\n",
+              cfg.trials, static_cast<unsigned long long>(mc.digest), s_mc);
+  reg.record_span("mc_soa_q10", s_mc);
   // uint64 digests do not survive a JSON double round-trip (> 2^53): carry
   // the gated value as two exact 32-bit halves.
-  report.metric("s4_mc_digest_hi", static_cast<std::uint64_t>(mc_soa.digest >> 32));
+  report.metric("s4_mc_digest_hi", static_cast<std::uint64_t>(mc.digest >> 32));
   report.metric("s4_mc_digest_lo",
-                static_cast<std::uint64_t>(mc_soa.digest & 0xffffffffull));
-  report.metric("s4_mc_messages_complete", mc_soa.messages_complete);
-  report.metric("s4_mc_retransmissions", mc_soa.retransmissions);
+                static_cast<std::uint64_t>(mc.digest & 0xffffffffull));
+  report.metric("s4_mc_messages_complete", mc.messages_complete);
+  report.metric("s4_mc_retransmissions", mc.retransmissions);
 }
 
 void BM_FlatSerialPhase(benchmark::State& state) {
@@ -334,22 +277,6 @@ void BM_FlatSerialPhase(benchmark::State& state) {
       static_cast<double>(hops), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_FlatSerialPhase)->Arg(12)->Arg(14)->Unit(benchmark::kMillisecond);
-
-void BM_RefSerialPhase(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto emb = phase_embedding(n);
-  const auto packets = phase_packets(emb, n);
-  const refsim::RefStoreForwardSim sim(n);
-  std::uint64_t hops = 0;
-  for (auto _ : state) {
-    const auto r = sim.run(packets);
-    benchmark::DoNotOptimize(r.makespan);
-    hops += r.total_transmissions;
-  }
-  state.counters["hops/s"] = benchmark::Counter(
-      static_cast<double>(hops), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_RefSerialPhase)->Arg(12)->Arg(14)->Unit(benchmark::kMillisecond);
 
 void BM_FlatParallelPhase(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

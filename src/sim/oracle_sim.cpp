@@ -6,7 +6,7 @@
 
 #include "base/error.hpp"
 #include "obs/profile.hpp"
-#include "sim/step_kernel.hpp"
+#include "sim/store_forward.hpp"
 
 namespace hyperpath {
 
@@ -94,112 +94,40 @@ OraclePhaseResult run_oracle_phase(const PathOracle& oracle,
     if (plan.route_offsets.empty()) plan.route_offsets.push_back(0);
   }
 
-  // Compact renumbering: sorted-unique global ids become the plan's local
-  // 32-bit link ids; the max static link load falls out of the sorted run
-  // lengths before deduplication.
-  std::vector<std::uint64_t> uniq;
   {
     HP_PROFILE_SPAN("renumber");
-    uniq = glinks;
-    std::sort(uniq.begin(), uniq.end());
-    std::uint64_t run = 0;
-    std::uint64_t prev = ~std::uint64_t{0};
-    for (const std::uint64_t g : uniq) {
-      run = (g == prev) ? run + 1 : 1;
-      prev = g;
-      if (run > result.peak_congestion) result.peak_congestion = run;
-    }
-    uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
-    plan.link_of_hop.reserve(glinks.size());
-    for (const std::uint64_t g : glinks) {
-      const auto it = std::lower_bound(uniq.begin(), uniq.end(), g);
-      plan.link_of_hop.push_back(
-          static_cast<std::uint32_t>(it - uniq.begin()));
-    }
+    result.peak_congestion = plan.compact_links(glinks, dims);
   }
 
   const std::uint32_t num_routes = plan.num_routes();
-  const std::uint64_t num_links = uniq.size();
+  const std::uint64_t num_links = plan.global_link.size();
   result.unique_links = num_links;
   result.route_nodes = plan.route_nodes.size();
-
-  // Per-local-link dimension for transmission accounting: a global id is
-  // tail·dims + dim, so the dimension survives renumbering as id mod dims.
-  std::vector<std::uint8_t> dim_of(num_links);
-  for (std::uint64_t l = 0; l < num_links; ++l) {
-    dim_of[l] = static_cast<std::uint8_t>(uniq[l] % dims);
-  }
-
-  simcore::LinkFifoArena arena(num_links, num_routes);
-  std::vector<std::uint32_t> active;
-  std::vector<std::uint32_t> hop(num_routes, 0);
-  std::vector<std::uint32_t> moved;
-  std::vector<std::uint64_t> moved_mask((num_routes + 63) / 64, 0);
-
   result.compiled_bytes =
       plan.route_nodes.size() * sizeof(Node) +
       plan.route_offsets.size() * sizeof(std::uint32_t) +
       plan.link_of_hop.size() * sizeof(std::uint32_t) +
       plan.route_len.size() * sizeof(std::uint32_t) +
       plan.release.size() * sizeof(std::uint32_t) +
-      uniq.size() * sizeof(std::uint64_t) + dim_of.size() +
+      plan.global_link.size() * sizeof(std::uint64_t) + plan.dim_of.size() +
       num_links * 3 * sizeof(std::uint32_t) +  // arena head/tail/depth
-      hop.size() * sizeof(std::uint32_t) + num_routes * sizeof(std::uint32_t);
+      num_routes * 2 * sizeof(std::uint32_t);  // hop + arena next
+  // Fault-free, so every route completes, zero-hop ones included.
+  result.delivered = num_routes;
 
-  const std::uint32_t* const route_len = plan.route_len.data();
-  const std::uint32_t* const route_off = plan.route_offsets.data();
-  const std::uint32_t* const link_of_hop = plan.link_of_hop.data();
-
-  std::size_t undelivered = 0;
-  const auto enqueue = [&](std::uint32_t id) {
-    arena.push_back(link_of_hop[route_off[id] + hop[id]], id, active);
-  };
-  for (std::uint32_t id = 0; id < num_routes; ++id) {
-    if (route_len[id] == 0) continue;  // direct self-edge; counts delivered
-    ++undelivered;
-    enqueue(id);
+  // A plan without hops has nothing to move (and would read as dense).
+  if (num_links > 0) {
+    SimResult r = run_plan<false, false>(plan, dims, Arbitration::kFifo,
+                                         spec.max_steps, nullptr, nullptr,
+                                         false, nullptr);
+    result.makespan = r.makespan;
+    result.total_transmissions = r.total_transmissions;
+    result.max_queue = static_cast<std::uint32_t>(r.max_queue);
+    result.dim_transmissions = std::move(r.dim_transmissions);
+    // Hand the phase-sized kernel state back rather than pin it in this
+    // thread's scratch after the phase is over.
+    simcore::step_scratch() = simcore::StepScratch{};
   }
-  result.delivered = num_routes - undelivered;
-
-  {
-    // The sweep: same visit order, FIFO arbitration, canonical ascending
-    // arrival order as the SoA engine (store_forward.cpp), minus faults,
-    // traces, and release staging (phase traffic all releases at step 0).
-    HP_PROFILE_SPAN("steps");
-    std::uint64_t* const dim_tx = result.dim_transmissions.data();
-    int step = 0;
-    while (undelivered > 0) {
-      HP_CHECK(step < spec.max_steps, "simulation exceeded max_steps");
-      moved.clear();
-      std::size_t keep = 0;
-      const std::size_t count = active.size();
-      for (std::size_t r = 0; r < count; ++r) {
-        const std::uint32_t link = active[r];
-        const std::uint32_t depth = arena.depth(link);
-        if (depth > result.max_queue) result.max_queue = depth;
-        const std::uint32_t pick = arena.pop_front(link);
-        ++result.total_transmissions;
-        ++dim_tx[dim_of[link]];
-        moved.push_back(pick);
-        if (!arena.empty(link)) active[keep++] = link;
-      }
-      active.resize(keep);
-
-      simcore::sort_moved(moved, moved_mask);
-      simcore::advance_hops(moved, hop.data());
-      for (const std::uint32_t id : moved) {
-        if (hop[id] == route_len[id]) {
-          --undelivered;
-          ++result.delivered;
-        } else {
-          enqueue(id);
-        }
-      }
-      ++step;
-    }
-    result.makespan = step;
-  }
-
   return result;
 }
 

@@ -13,14 +13,15 @@
 //      from the oracle straight into a RoutePlan (no HostPath, no Packet,
 //      no bundle vector), recording each hop's 64-bit *global* link id
 //      u·n + dim on the side.
-//   2. The global ids are sorted and deduplicated; each hop is rewritten
-//      to its rank — a plan-local 32-bit link id.  The arena is sized by
-//      the number of *distinct links the traffic touches* (≤ total hops),
-//      not by the host: memory is proportional to the active packet set,
-//      and hosts past the n = 27 dense-id ceiling work unchanged.
-//   3. A serial FIFO sweep (same visit order, arrival sorting, and
-//      one-transmission-per-link-per-step semantics as the SoA engine in
-//      store_forward.cpp) runs the plan to completion.
+//   2. RoutePlan::compact_links sorts and deduplicates the global ids and
+//      rewrites each hop to its rank — a plan-local 32-bit link id.  The
+//      arena is sized by the number of *distinct links the traffic
+//      touches* (≤ total hops), not by the host: memory is proportional to
+//      the active packet set, and hosts past the n = 27 dense-id ceiling
+//      work unchanged.
+//   3. run_plan (store_forward.hpp) — the kernel every serial
+//      store-and-forward simulation runs — steps the compact plan to
+//      completion under FIFO arbitration.
 //
 // Packet-per-edge scheduling matches phase_packets: the bundle indices
 // are stable-sorted by increasing path length and packet j of an edge
@@ -57,8 +58,8 @@ struct OraclePhaseResult {
 
 /// Streams path `path_index` of `edge` from the oracle into `plan` as one
 /// unlinked route (simcore::RoutePlan streaming API), appending each hop's
-/// 64-bit global link id (tail·dims + dim) to `glinks`.  The caller
-/// renumbers glinks into plan-local ids after deduplication.
+/// 64-bit global link id (tail·dims + dim) to `glinks` — the input of
+/// RoutePlan::compact_links.
 void add_oracle_route(const PathOracle& oracle, const OracleEdge& edge,
                       int path_index, std::uint32_t release_step,
                       simcore::RoutePlan& plan,

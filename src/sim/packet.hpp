@@ -16,19 +16,6 @@
 
 namespace hyperpath {
 
-/// Which step-sweep implementation a store-and-forward simulator runs.
-/// Both produce bit-identical SimResults and trace streams (the property
-/// suites enforce it); they differ only in speed.
-enum class SimEngine : std::uint8_t {
-  /// RoutePlan structure-of-arrays compilation + the templated branch-light
-  /// kernel (sim/step_kernel.hpp).  The default.
-  kSoa,
-  /// The retained flat-arena sweep that chases Packet routes and recomputes
-  /// edge ids per enqueue — kept selectable as the honest baseline for the
-  /// bench_simcore S4 speedup table.
-  kFlatArena,
-};
-
 /// One packet with a fixed route through the hypercube.
 struct Packet {
   HostPath route;     // node sequence; route.size() >= 1
@@ -85,8 +72,8 @@ struct SimResult {
   /// between the serial and parallel simulators (the shards partition the
   /// same worklist).  With the active set working, this is Σ_steps
   /// (currently nonempty links), NOT makespan × (links ever used) — the
-  /// regression tests pin that down.  The retained map-based reference
-  /// simulator leaves it 0.
+  /// regression tests pin that down.  The map-based test reference leaves
+  /// it 0.
   std::uint64_t link_visits = 0;
 
   /// Wall-clock seconds the run spent, stamped by the simulator around its

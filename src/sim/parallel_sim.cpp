@@ -251,8 +251,9 @@ SimResult run_parallel(const Hypercube& host, int shards,
       sh.events.clear();
       const auto emit = [&](const TraceEvent& e) { sh.events.push_back(e); };
       const simcore::SweepStats sweep = simcore::step_sweep<Traced, Faulted>(
-          arena, sh.active, sh.moved, sh.dim_tx.data(), dims, step, highwater,
-          simcore::FifoArbiter{}, emit);
+          arena, sh.active, sh.moved, sh.dim_tx.data(),
+          simcore::DenseDim{static_cast<std::uint64_t>(dims)}, step,
+          highwater, simcore::FifoArbiter{}, emit);
       sh.busy = sweep.busy;
       sh.link_visits += sweep.link_visits;
       if (sweep.max_queue > sh.max_queue) sh.max_queue = sweep.max_queue;

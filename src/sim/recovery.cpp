@@ -96,7 +96,7 @@ RecoveryResult run_recovery_impl(Ctx& ctx, const FaultSchedule& schedule,
     live_complete = &reg->counter("recovery.messages_complete");
   }
 
-  const StoreForwardSim serial(dims, config.engine);
+  const StoreForwardSim serial(dims);
   const ParallelStoreForwardSim parallel(dims, config.threads);
 
   // The engine's own trace recorder (kRetransmit events).  Events of one

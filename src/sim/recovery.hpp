@@ -60,11 +60,6 @@ struct RecoveryConfig {
   /// (bit-identical results either way; tests enforce it).
   bool parallel = false;
   int threads = 0;  // parallel transport only; 0 = hardware concurrency
-  /// Step-sweep engine of the serial transport (the parallel transport is
-  /// always SoA-kernel based).  kFlatArena keeps the retained baseline
-  /// selectable so whole recovery runs — and whole Monte-Carlo campaigns —
-  /// can be compared engine-vs-engine (bench_simcore S4).
-  SimEngine engine = SimEngine::kSoa;
   /// Publish the outcome into the process-wide obs::MetricsRegistry
   /// ("recovery.*").  The Monte-Carlo driver turns this off for its trials:
   /// registry histograms are single-writer, and thousands of concurrent

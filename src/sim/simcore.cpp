@@ -1,5 +1,6 @@
 #include "sim/simcore.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "base/bits.hpp"
@@ -27,6 +28,8 @@ void RoutePlan::clear() {
   link_of_hop.clear();
   route_len.clear();
   release.clear();
+  global_link.clear();
+  dim_of.clear();
 }
 
 void RoutePlan::reserve(std::size_t routes, std::size_t total_nodes) {
@@ -91,13 +94,46 @@ void RoutePlan::end_route_unlinked(int dims, const char* invalid_msg) {
              invalid_msg);
   }
   // Offsets still accumulate hop counts so nodes(r) indexing holds even
-  // though link_of_hop is filled by the caller after renumbering.
+  // though link_of_hop waits for compact_links.
   const std::uint64_t hops_total =
       static_cast<std::uint64_t>(route_offsets.back()) + (len - 1);
   HP_CHECK(hops_total <= 0xffffffffull, "route plan hop count overflow");
   route_offsets.push_back(static_cast<std::uint32_t>(hops_total));
   route_len.push_back(static_cast<std::uint32_t>(len - 1));
   release.push_back(stream_release_);
+}
+
+std::uint64_t RoutePlan::compact_links(
+    const std::vector<std::uint64_t>& glinks, int dims) {
+  HP_CHECK(link_of_hop.empty() && !route_offsets.empty() &&
+               glinks.size() == route_offsets.back(),
+           "compact_links needs an unlinked plan and one global id per hop");
+  // The max static link load falls out of the sorted run lengths before
+  // deduplication.
+  std::uint64_t peak = 0;
+  global_link = glinks;
+  std::sort(global_link.begin(), global_link.end());
+  std::uint64_t run = 0;
+  std::uint64_t prev = ~std::uint64_t{0};
+  for (const std::uint64_t g : global_link) {
+    run = (g == prev) ? run + 1 : 1;
+    prev = g;
+    if (run > peak) peak = run;
+  }
+  global_link.erase(std::unique(global_link.begin(), global_link.end()),
+                    global_link.end());
+  link_of_hop.reserve(glinks.size());
+  for (const std::uint64_t g : glinks) {
+    const auto it = std::lower_bound(global_link.begin(), global_link.end(), g);
+    link_of_hop.push_back(
+        static_cast<std::uint32_t>(it - global_link.begin()));
+  }
+  // A global id is tail·dims + dim, so the dimension survives renumbering.
+  dim_of.resize(global_link.size());
+  for (std::size_t l = 0; l < global_link.size(); ++l) {
+    dim_of[l] = static_cast<std::uint8_t>(global_link[l] % dims);
+  }
+  return peak;
 }
 
 void RoutePlan::rebuild(const Hypercube& host,
@@ -112,10 +148,9 @@ void RoutePlan::rebuild(const Hypercube& host,
   for (const Packet& p : packets) total_nodes += p.route.size();
   reserve(packets.size(), total_nodes);
   for (const Packet& p : packets) {
-    // Same per-packet check order as the legacy setup path: a packet with a
-    // broken route AND a negative release reports the route first.  The
-    // narrowing cast is harmless when release < 0 — the check right after
-    // throws and the half-built plan is discarded.
+    // A packet with a broken route AND a negative release reports the
+    // route first.  The narrowing cast is harmless when release < 0 — the
+    // check right after throws and the half-built plan is discarded.
     add_route(host, p.route, static_cast<std::uint32_t>(p.release));
     HP_CHECK(p.release >= 0, "negative release time");
   }

@@ -8,37 +8,26 @@
 //   * LinkFifoArena — intrusive per-link packet FIFOs.  A packet waits in at
 //     most one queue at a time, so a single `next[packet]` array plus dense
 //     `head[link]` / `tail[link]` / `depth[link]` arrays hold every queue of
-//     the run with zero per-enqueue allocation (the map-of-deques layout
-//     this replaces paid a hash probe plus deque node churn per enqueue).
+//     the run with zero per-enqueue allocation.
 //
 //   * Active-set scheduling — a step visits only links that currently hold
 //     packets.  Enqueueing into an empty queue appends the link to a caller
 //     owned worklist; the sweep compacts the worklist in place, dropping
 //     links whose queue drained.  Per-step cost is O(live links), not
-//     O(links that ever carried traffic): the old map was never erased, so
-//     its full scan grew monotonically over the run.
+//     O(links that ever carried traffic).
 //
 //   * LinkBitmap — one bit per directed link; the wormhole simulator's
-//     held-route set (replacing an unordered_set of link ids).
+//     held-route set.
 //
 //   * RoutePlan — the structure-of-arrays route compilation the step
-//     kernels run on.  Compiled once per run from the packet (or worm) set:
-//     every route's node sequence and per-hop dense link id live in flat
-//     arrays bracketed by route_offsets[], and route_len[]/release[] are
-//     parallel 32-bit arrays.  The step loop never touches a Packet again
-//     and never calls Hypercube::edge_id — the farthest-first key is the
-//     two-array read route_len[id] - hop[id], and an enqueue is the single
-//     load link_of_hop[route_offsets[id] + hop[id]].
+//     kernels run on, in a dense or compact link-id space.
 //
-//   * StepScratch — a thread-local, run-scoped scratch arena.  The hot
-//     setup path used to grow fresh std::vectors (moved, release lists,
-//     tracing high-water marks) on every run_impl call, which the
-//     Monte-Carlo campaign engine multiplies by thousands of trials; the
-//     scratch keeps the capacity across runs on the same thread.
+//   * StepScratch — thread-local run state that keeps vector capacity
+//     across the thousands of short runs of a Monte-Carlo campaign.
 //
-// Memory: the arena is O(n·2^n) words per run (three 32-bit words per link,
-// one per packet) — ~12 MiB for Q_16, allocated once per run() and reused
-// across every step.  The simulators' dims stay well inside that regime.
+// Memory: the arena is three 32-bit words per link plus one per packet —
+// ~12 MiB for a dense Q_16 plan, allocated once per run and reused across
+// every step.  A compact plan sizes it by the links its traffic touches.
 //
 // Width discipline: queue depths are uniformly std::uint32_t inside the
 // core (a queue can never hold more packets than the 32-bit packet ids that
@@ -50,9 +39,9 @@
 // preserves insertion order, so a sweep visits links in a deterministic
 // order for a fixed workload.  Nothing order-dependent escapes anyway —
 // per-step trace events are canonically sorted by obs::StepTrace and the
-// simulators sort arrivals by packet id — which is what keeps the flat core
-// bit-identical to the retained map-based reference implementation
-// (reference_sim.hpp; tests/property/simcore_equiv_test.cpp enforces it).
+// simulators sort arrivals by packet id — which is what keeps the core
+// bit-identical to the map-based differential reference in
+// tests/support/reference_sim.hpp (tests/property/simcore_equiv_test.cpp).
 #pragma once
 
 #include <cassert>
@@ -91,22 +80,20 @@ class LinkFifoArena {
 
   /// Appends packet `id` to `link`'s queue.  When the queue was empty the
   /// link is pushed onto `worklist` — the caller-owned active set (the
-  /// parallel simulator passes its shard's list; the SoA kernel passes a
-  /// 32-bit list, the retained flat-arena path a 64-bit one).  The caller
-  /// must keep the invariant that an empty link is never already on a live
-  /// worklist; the simulators get this for free because stale entries
-  /// (queues emptied by the fault-truncation pass) are compacted away by
-  /// the same step's sweep, before any enqueue runs.
-  template <typename Worklist>
-  void push_back(std::uint64_t link, std::uint32_t id, Worklist& worklist) {
+  /// parallel simulator passes its shard's list, the serial kernel its
+  /// own).  The caller must keep the invariant that an empty link is never
+  /// already on a live worklist; the simulators get this for free because
+  /// stale entries (queues emptied by the fault-truncation pass) are
+  /// compacted away by the same step's sweep, before any enqueue runs.
+  void push_back(std::uint64_t link, std::uint32_t id,
+                 std::vector<std::uint32_t>& worklist) {
     // A queue deeper than the 32-bit id space is impossible (each packet
     // waits in at most one queue); guard the wrap anyway in debug builds.
     assert(depth_[link] != 0xffffffffu && "link queue depth overflow");
     next_[id] = kNil;
     if (head_[link] == kNil) {
       head_[link] = id;
-      worklist.push_back(
-          static_cast<typename Worklist::value_type>(link));
+      worklist.push_back(static_cast<std::uint32_t>(link));
     } else {
       next_[tail_[link]] = id;
     }
@@ -167,8 +154,6 @@ class LinkFifoArena {
     depth_[link] = 0;
   }
 
-  std::uint64_t num_links() const { return static_cast<std::uint64_t>(head_.size()); }
-
  private:
   std::vector<std::uint32_t> head_;   // per link; kNil = empty
   std::vector<std::uint32_t> tail_;   // per link; kNil = empty
@@ -196,20 +181,25 @@ class LinkBitmap {
 
 /// Structure-of-arrays compilation of a route set, built once per run.
 ///
-/// Hops of route r are the dense 32-bit link ids
+/// Hops of route r are the 32-bit link ids
 ///     link_of_hop[route_offsets[r] ... route_offsets[r] + route_len[r])
 /// and its node sequence is nodes(r).  route_len[r] and release[r] are
 /// parallel 32-bit arrays.  After compilation the step kernel reads only
 /// these flat arrays — it never touches a Packet and never recomputes
 /// Hypercube::edge_id.
 ///
-/// Link ids are stored narrowed to 32 bits, which holds for every dimension
-/// this simulator targets (n·2^n < 2^32 up to n = 27); compile() checks it.
+/// A plan's link ids are in one of two spaces:
+///   * dense (dim_of empty) — host ids tail·n + dim, narrowed to 32 bits,
+///     which holds up to n = 27 (n·2^n < 2^32); compile() checks it.  The
+///     dimension of link l is l mod n.
+///   * compact (compact_links) — the rank of the host id among the distinct
+///     links the plan's routes touch.  global_link maps a compact id back to
+///     its 64-bit host id and dim_of gives its dimension, so per-link state
+///     scales with the traffic, not the host, and hosts past n = 27 work.
 class RoutePlan {
  public:
-  /// Compiles (and validates) a packet set's routes.  Throws exactly the
-  /// validation errors of the simulators' legacy setup path: "packet route
-  /// invalid" and "negative release time".
+  /// Compiles (and validates) a packet set's routes into a dense plan.
+  /// Throws "packet route invalid" and "negative release time".
   static RoutePlan compile(const Hypercube& host,
                            const std::vector<Packet>& packets);
 
@@ -233,16 +223,25 @@ class RoutePlan {
   /// then one of the end_route flavors.  end_route(host) computes global
   /// dense link ids exactly like add_route (checked 32-bit narrowing);
   /// end_route_unlinked(dims) validates the walk within Q_dims but leaves
-  /// link_of_hop for the caller — the compact-link oracle simulator
-  /// renumbers 64-bit global ids into plan-local ones after deduplication,
-  /// which is what lets plans address hosts past the n = 27 dense-id
-  /// ceiling.  Do not mix unlinked routes with linked ones in one plan.
+  /// link_of_hop empty until compact_links() fills it.  Do not mix unlinked
+  /// routes with linked ones in one plan.
   void begin_route(std::uint32_t release_step);
   void push_node(Node v);
   void end_route(const Hypercube& host,
                  const char* invalid_msg = "packet route invalid");
   void end_route_unlinked(int dims,
                           const char* invalid_msg = "packet route invalid");
+
+  /// Makes an unlinked plan compact.  `glinks` holds each hop's 64-bit host
+  /// id (tail·dims + dim) in hop order; the sorted distinct ids become
+  /// global_link, each hop's rank among them its link_of_hop entry, and
+  /// dim_of their dimensions.  Returns the peak static load — the most hops
+  /// any one link carries.
+  std::uint64_t compact_links(const std::vector<std::uint64_t>& glinks,
+                              int dims);
+
+  /// True for a compact plan (see above); a plan without hops reads dense.
+  bool compact() const { return !dim_of.empty(); }
 
   std::uint32_t num_routes() const {
     return static_cast<std::uint32_t>(route_len.size());
@@ -261,18 +260,18 @@ class RoutePlan {
   std::vector<std::uint32_t> link_of_hop;   // dense link id per hop
   std::vector<std::uint32_t> route_len;     // hops per route (nodes - 1)
   std::vector<std::uint32_t> release;       // earliest step a route may move
+  std::vector<std::uint64_t> global_link;   // compact id -> host link id
+  std::vector<std::uint8_t> dim_of;         // compact id -> dimension
 
  private:
   std::size_t stream_start_ = 0;      // route_nodes index of the open route
   std::uint32_t stream_release_ = 0;  // release step of the open route
 };
 
-/// Thread-local, run-scoped scratch arena for the SoA step path.  The hot
-/// setup path used to grow fresh vectors (moved, release lists, tracing
-/// high-water marks) on every run_impl call — the Monte-Carlo campaign
-/// engine and the recovery wave loop multiply that by thousands of short
-/// runs on the same pool thread.  Everything here is sized by prepare() and
-/// keeps its capacity across runs; correctness never depends on leftover
+/// Thread-local, run-scoped scratch arena for the serial step path.  The
+/// Monte-Carlo campaign engine and the recovery wave loop run thousands of
+/// short simulations on the same pool thread; everything here keeps its
+/// capacity across runs, and correctness never depends on leftover
 /// contents.
 struct StepScratch {
   RoutePlan plan;
@@ -283,16 +282,15 @@ struct StepScratch {
   /// step_kernel.hpp's sort_moved uses to order dense arrival batches.
   std::vector<std::uint64_t> moved_mask;
   std::vector<std::uint32_t> hop;     // per-route current hop index
-  /// Deferred releases as (release step, route id), sorted ascending — the
-  /// SoA replacement for the per-step bucket lists (release_at) of the
-  /// legacy path; a cursor walks it as steps advance.
+  /// Deferred releases as (release step, route id), sorted ascending; a
+  /// cursor walks it as steps advance.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pending;
   std::vector<std::uint32_t> highwater;  // per-link, tracing runs only
 };
 
 /// The calling thread's scratch arena.  Thread-local, so concurrent
 /// Monte-Carlo trials each reuse their own; a simulator run owns it only
-/// for the duration of run_impl (simulators never nest runs on one thread).
+/// for the duration of the run (simulators never nest runs on one thread).
 StepScratch& step_scratch();
 
 }  // namespace hyperpath::simcore

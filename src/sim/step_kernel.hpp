@@ -9,7 +9,7 @@
 //   Faulted=false   tight hot loop         + high-water / transmit / stall
 //                    (no stale check,        events emitted through `emit`
 //                     no event code)
-//   Faulted=true    + stale-entry skip     full legacy behaviour
+//   Faulted=true    + stale-entry skip     full behaviour
 //
 // * Traced compiles the event emission in or out.  With it out, the loop
 //   body is: depth read, running max, pop, dim counter, moved append,
@@ -19,22 +19,21 @@
 //   was on a worklist; a fault-free run can never produce one, so skipping
 //   the check is bit-identical there.  link_visits stays "entries visited,
 //   stale included" in both shapes — without faults every entry is live, so
-//   the hoisted `worklist.size()` is the same count the legacy per-entry
-//   increment produced.
+//   the hoisted `worklist.size()` is the same count a per-entry increment
+//   would produce.
 //
-// Arbitration is a functor so each policy instantiates its own loop:
-// FifoArbiter is a straight pop_front; FarthestFirstArbiter reads its key
-// from the RoutePlan's parallel arrays (route_len[id] - hop[id]) instead of
-// chasing Packet::route.
-//
-// The worklist element type is generic: the serial SoA path and the
-// parallel shards keep 32-bit link ids (RoutePlan guarantees links fit);
-// the retained flat-arena path keeps its original 64-bit lists.
+// Arbitration and the link → dimension map are functors, so each policy and
+// each link-id space instantiates its own loop: FifoArbiter is a straight
+// pop_front; FarthestFirstArbiter reads its key from the RoutePlan's
+// parallel arrays (route_len[id] - hop[id]) instead of chasing
+// Packet::route.  DenseDim is link mod n for host link ids; CompactDim reads
+// a compact plan's dim_of table.  The caller picks both once per run, so
+// the loop body carries no per-hop branch on either.
 //
 // Determinism: the sweep visits the worklist in order and emits events in
 // deterministic order per worklist; everything order-sensitive downstream
-// (trace streams, arrivals) is canonically sorted by the callers exactly as
-// before, so both engines and every shard count produce identical results.
+// (trace streams, arrivals) is canonically sorted by the callers, so every
+// shard count produces identical results.
 #pragma once
 
 #include <algorithm>
@@ -76,16 +75,30 @@ struct FarthestFirstArbiter {
   }
 };
 
+/// Dimension of a dense host link id tail·n + dim.
+struct DenseDim {
+  std::uint64_t dims;
+  std::uint64_t operator()(std::uint64_t link) const { return link % dims; }
+};
+
+/// Dimension of a compact plan-local link id (RoutePlan::dim_of).
+struct CompactDim {
+  const std::uint8_t* dim_of;
+  std::uint64_t operator()(std::uint64_t link) const { return dim_of[link]; }
+};
+
 /// Sweeps `worklist` once: per live link records queue statistics, emits
 /// trace events through `emit` (Traced only), pops one packet via
 /// `arbitrate`, appends it to `moved` and compacts the worklist in place so
 /// only still-nonempty links survive.  `highwater` (per-link, Traced only)
-/// and `dim_tx` (per-dimension transmission counters) are caller-owned.
-template <bool Traced, bool Faulted, typename Worklist, typename Arbiter,
+/// and `dim_tx` (per-dimension transmission counters, indexed through
+/// `dim_of`) are caller-owned.
+template <bool Traced, bool Faulted, typename DimOf, typename Arbiter,
           typename EmitFn>
-inline SweepStats step_sweep(LinkFifoArena& arena, Worklist& worklist,
+inline SweepStats step_sweep(LinkFifoArena& arena,
+                             std::vector<std::uint32_t>& worklist,
                              std::vector<std::uint32_t>& moved,
-                             std::uint64_t* dim_tx, int dims,
+                             std::uint64_t* dim_tx, DimOf dim_of,
                              [[maybe_unused]] int step,
                              [[maybe_unused]] std::uint32_t* highwater,
                              Arbiter&& arbitrate,
@@ -97,7 +110,7 @@ inline SweepStats step_sweep(LinkFifoArena& arena, Worklist& worklist,
   const std::size_t count = worklist.size();
   out.link_visits = static_cast<std::uint64_t>(count);
   for (std::size_t r = 0; r < count; ++r) {
-    const std::uint64_t link = worklist[r];
+    const std::uint32_t link = worklist[r];
     if constexpr (Faulted) {
       if (arena.empty(link)) continue;  // stale: emptied by the drop pass
     }
@@ -113,7 +126,7 @@ inline SweepStats step_sweep(LinkFifoArena& arena, Worklist& worklist,
     }
     const std::uint32_t pick = arbitrate(arena, link);
     ++out.busy;
-    ++dim_tx[link % static_cast<std::uint64_t>(dims)];
+    ++dim_tx[dim_of(link)];
     if constexpr (Traced) {
       emit(TraceEvent{step, TraceEventKind::kTransmit, pick, link, depth});
       if (depth > 1) {
@@ -123,7 +136,7 @@ inline SweepStats step_sweep(LinkFifoArena& arena, Worklist& worklist,
     }
     moved.push_back(pick);
     if (!arena.empty(link)) {
-      worklist[keep++] = static_cast<typename Worklist::value_type>(link);
+      worklist[keep++] = link;
     }
   }
   worklist.resize(keep);

@@ -29,16 +29,29 @@ enum class Arbitration { kFifo, kFarthestFirst };
 
 class FaultSchedule;
 
+namespace simcore {
+class RoutePlan;
+}
+
+/// Runs a compiled plan (simcore.hpp) to completion on a Q_dims host: the
+/// one serial store-and-forward kernel, behind StoreForwardSim and
+/// run_oracle_phase (oracle_sim.hpp).
+/// `Traced` requires `sink`, `Faulted` requires `schedule`; `fault_out`
+/// (optional) receives per-route fates.  A compact plan (RoutePlan::compact)
+/// takes neither a sink nor a schedule — its link ids are not host link
+/// ids — and is rejected with an Error if given one; its utilization is
+/// relative to the links the plan touches.  The returned elapsed_seconds
+/// is 0; callers stamp their own wall time.
+template <bool Traced, bool Faulted>
+SimResult run_plan(const simcore::RoutePlan& plan, int dims,
+                   Arbitration policy, int max_steps, obs::TraceSink* sink,
+                   const FaultSchedule* schedule, bool announce_faults,
+                   FaultRunResult* fault_out);
+
 class StoreForwardSim {
  public:
-  /// Simulates on Q_dims.  `engine` selects the step-sweep implementation:
-  /// the default SoA route-plan kernel, or the retained flat-arena loop
-  /// (SimEngine::kFlatArena) kept as the honest baseline for the
-  /// bench_simcore S4 speedup table.  Both are bit-identical in results and
-  /// trace streams; the property suites enforce it.
-  explicit StoreForwardSim(int dims, SimEngine engine = SimEngine::kSoa);
-
-  SimEngine engine() const { return engine_; }
+  /// Simulates on Q_dims.
+  explicit StoreForwardSim(int dims);
 
   /// Runs the packet set to completion and returns the measured result.
   /// Throws if any route is invalid or the simulation exceeds `max_steps`.
@@ -68,15 +81,7 @@ class StoreForwardSim {
                      const FaultSchedule* schedule, bool announce_faults,
                      FaultRunResult* fault_out) const;
 
-  /// The pre-RoutePlan sweep, retained verbatim (SimEngine::kFlatArena).
-  SimResult run_flat_impl(const std::vector<Packet>& packets,
-                          Arbitration policy, int max_steps,
-                          obs::TraceSink* sink, const FaultSchedule* schedule,
-                          bool announce_faults,
-                          FaultRunResult* fault_out) const;
-
   Hypercube host_;
-  SimEngine engine_;
 };
 
 }  // namespace hyperpath

@@ -7,9 +7,12 @@
 // exist.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "base/error.hpp"
 #include "core/algebraic_oracle.hpp"
 #include "core/cycle_multipath.hpp"
+#include "core/grid_multipath.hpp"
 #include "core/lower_bounds.hpp"
 #include "sim/faults.hpp"
 #include "sim/oracle_sim.hpp"
@@ -93,25 +96,23 @@ TEST(OracleSample, RoutePlanUnlinkedRejectsBadWalk) {
   EXPECT_THROW(plan.end_route_unlinked(4), Error);
 }
 
-/// The compact-link phase sweep must reproduce the dense-link SoA engine's
-/// measurements exactly when both can run: renumbering links is a
-/// bijection, so queue dynamics are unchanged.
-TEST(OracleSample, PhaseSimMatchesMaterializedPipeline) {
-  const int p = 5;
-  const MultiPathEmbedding emb = theorem1_cycle_embedding(8);
+/// One phase three ways — algebraic oracle and materialized oracle on
+/// compact plans, and the dense StoreForwardSim pipeline — must agree
+/// exactly: renumbering links is a bijection, so queue dynamics are
+/// unchanged.  Returns the per-dimension transmissions they agreed on.
+std::vector<std::uint64_t> expect_phase_pipelines_agree(
+    const MultiPathEmbedding& emb, const PathOracle& alg, int p) {
   const MaterializedOracle mat(emb);
-  const auto alg = algebraic_theorem1_oracle(8);
-
   std::vector<OracleEdge> edges;
-  for (OracleId g = 0; g < alg->guest_nodes(); ++g) {
-    for (int s = 0; s < alg->out_degree(g); ++s) {
-      edges.push_back(alg->out_edge(g, s));
+  for (OracleId g = 0; g < alg.guest_nodes(); ++g) {
+    for (int s = 0; s < alg.out_degree(g); ++s) {
+      edges.push_back(alg.out_edge(g, s));
     }
   }
 
   OraclePhaseSpec spec;
   spec.packets_per_edge = p;
-  const OraclePhaseResult from_alg = run_oracle_phase(*alg, edges, spec);
+  const OraclePhaseResult from_alg = run_oracle_phase(alg, edges, spec);
   const OraclePhaseResult from_mat = run_oracle_phase(mat, edges, spec);
   EXPECT_EQ(from_alg.makespan, from_mat.makespan);
   EXPECT_EQ(from_alg.total_transmissions, from_mat.total_transmissions);
@@ -120,7 +121,9 @@ TEST(OracleSample, PhaseSimMatchesMaterializedPipeline) {
   EXPECT_EQ(from_alg.unique_links, from_mat.unique_links);
   EXPECT_EQ(from_alg.dim_transmissions, from_mat.dim_transmissions);
 
-  // Same dynamics as the classic dense-link pipeline.
+  // Same dynamics as the classic dense-link pipeline: the compact plan's
+  // dim_of table must attribute every transmission to the dimension that
+  // link % dims gives the dense plan.
   const StoreForwardSim sim(emb.host().dims());
   const SimResult classic = sim.run(phase_packets(emb, p));
   EXPECT_EQ(from_alg.makespan, classic.makespan);
@@ -130,6 +133,33 @@ TEST(OracleSample, PhaseSimMatchesMaterializedPipeline) {
   EXPECT_EQ(from_alg.dim_transmissions, classic.dim_transmissions);
   EXPECT_EQ(from_alg.delivered,
             static_cast<std::uint64_t>(edges.size()) * p);
+  return from_alg.dim_transmissions;
+}
+
+TEST(OracleSample, PhaseSimMatchesMaterializedPipeline) {
+  expect_phase_pipelines_agree(theorem1_cycle_embedding(8),
+                               *algebraic_theorem1_oracle(8), 5);
+  // A non-wrap grid with non-power-of-two sides (host Q_9 = Q_4 x Q_5):
+  // the two axes carry unequal traffic, so the per-dimension counts are
+  // not a permutation-invariant accident.
+  const GridSpec spec{{12, 20}, false};
+  const std::vector<std::uint64_t> dim_tx = expect_phase_pipelines_agree(
+      grid_multipath_embedding(spec), *algebraic_grid_oracle(spec), 3);
+  ASSERT_EQ(dim_tx.size(), 9u);
+  EXPECT_NE(*std::min_element(dim_tx.begin(), dim_tx.end()),
+            *std::max_element(dim_tx.begin(), dim_tx.end()));
+}
+
+/// A phase with no demanded edges moves nothing: the empty compact plan
+/// never reaches the kernel (it would read as dense and size the arena by
+/// the whole Q_24 host).
+TEST(OracleSample, EmptyPhaseIsTrivial) {
+  const auto oracle = algebraic_grid_oracle(GridSpec{{256, 256, 256}, true});
+  const OraclePhaseResult r = run_oracle_phase(*oracle, {}, {});
+  EXPECT_EQ(r.makespan, 0);
+  EXPECT_EQ(r.delivered, 0u);
+  EXPECT_EQ(r.unique_links, 0u);
+  EXPECT_EQ(r.dim_transmissions, std::vector<std::uint64_t>(24, 0));
 }
 
 /// Q_24 end to end from the algebraic backend: every packet delivered and

@@ -1,19 +1,19 @@
 // Randomized equivalence: the flat-arena simulators (simcore.hpp) must be
-// bit-identical — results AND trace streams — to the retained map-based
-// reference implementations (reference_sim.hpp) under FIFO, farthest-first,
+// bit-identical — results AND trace streams — to the map-based reference
+// implementations (support/reference_sim.hpp) under FIFO, farthest-first,
 // fault schedules and staggered releases, and the parallel simulator must
 // match the serial one at several thread counts.  These tests are the
 // license to keep optimizing the hot loops: anything they accept emits the
-// same bytes the pre-flat-arena code did.
+// same bytes the reference does.
 #include <gtest/gtest.h>
 
 #include "base/rng.hpp"
 #include "sim/faults.hpp"
 #include "sim/parallel_sim.hpp"
-#include "sim/reference_sim.hpp"
 #include "sim/store_forward.hpp"
 #include "sim/workloads.hpp"
 #include "sim/wormhole.hpp"
+#include "support/reference_sim.hpp"
 
 namespace hyperpath {
 namespace {
@@ -106,6 +106,12 @@ TEST_P(SimcoreEquiv, SerialMatchesReferenceBothPolicies) {
         RefStoreForwardSim(dims).run(packets, policy, 1 << 22, &ref_sink);
     expect_same_result(flat, ref);
     expect_same_trace(flat_sink, ref_sink);
+    // Throughput is first-class but never part of the determinism
+    // contract: the run must stamp it, and nothing above compared it.
+    EXPECT_GT(flat.elapsed_seconds, 0.0);
+    if (flat.total_transmissions > 0) {
+      EXPECT_GT(flat.packet_steps_per_sec(), 0.0);
+    }
   }
 }
 
@@ -122,51 +128,6 @@ TEST_P(SimcoreEquiv, SerialMatchesReferenceUnderFaults) {
         packets, sched, policy, 1 << 22, &ref_sink);
     expect_same_fault_result(flat, ref);
     expect_same_trace(flat_sink, ref_sink);
-  }
-}
-
-TEST_P(SimcoreEquiv, SoaEngineMatchesFlatArenaBothPolicies) {
-  Rng rng(GetParam() ^ 0x50A0);
-  const int dims = 3 + static_cast<int>(rng.below(5));
-  const auto packets = random_packets(dims, 150, rng, 6);
-  const StoreForwardSim soa(dims, SimEngine::kSoa);
-  const StoreForwardSim flat(dims, SimEngine::kFlatArena);
-  for (auto policy : {Arbitration::kFifo, Arbitration::kFarthestFirst}) {
-    RingBufferSink soa_sink, flat_sink;
-    const auto a = soa.run(packets, policy, 1 << 22, &soa_sink);
-    const auto b = flat.run(packets, policy, 1 << 22, &flat_sink);
-    expect_same_result(a, b);
-    // Even the active-set accounting agrees: both engines walk the same
-    // worklist discipline, so the S4 speedup table's FATAL gate on
-    // link_visits is backed by this property.
-    EXPECT_EQ(a.link_visits, b.link_visits);
-    expect_same_trace(soa_sink, flat_sink);
-    // Throughput is first-class but never part of the determinism
-    // contract: both runs must stamp it, and nothing above compared it.
-    EXPECT_GT(a.elapsed_seconds, 0.0);
-    EXPECT_GT(b.elapsed_seconds, 0.0);
-    if (a.total_transmissions > 0) {
-      EXPECT_GT(a.packet_steps_per_sec(), 0.0);
-    }
-  }
-}
-
-TEST_P(SimcoreEquiv, SoaEngineMatchesFlatArenaUnderFaults) {
-  Rng rng(GetParam() ^ 0x50A1);
-  const int dims = 4 + static_cast<int>(rng.below(3));
-  const auto packets = random_packets(dims, 120, rng, 4);
-  const auto sched = random_schedule(dims, rng);
-  for (auto policy : {Arbitration::kFifo, Arbitration::kFarthestFirst}) {
-    RingBufferSink soa_sink, flat_sink;
-    const auto a = StoreForwardSim(dims, SimEngine::kSoa)
-                       .run_with_faults(packets, sched, policy, 1 << 22,
-                                        &soa_sink);
-    const auto b = StoreForwardSim(dims, SimEngine::kFlatArena)
-                       .run_with_faults(packets, sched, policy, 1 << 22,
-                                        &flat_sink);
-    expect_same_fault_result(a, b);
-    EXPECT_EQ(a.sim.link_visits, b.sim.link_visits);
-    expect_same_trace(soa_sink, flat_sink);
   }
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <numeric>
 #include <set>
 #include <string>
@@ -27,7 +28,7 @@ using simcore::LinkFifoArena;
 
 TEST(LinkFifoArena, FifoOrderAndWorklistRegistration) {
   LinkFifoArena arena(8, 16);
-  std::vector<std::uint64_t> work;
+  std::vector<std::uint32_t> work;
   EXPECT_TRUE(arena.empty(3));
 
   arena.push_back(3, 10, work);
@@ -35,7 +36,7 @@ TEST(LinkFifoArena, FifoOrderAndWorklistRegistration) {
   arena.push_back(5, 12, work);
   arena.push_back(3, 13, work);
   // Only empty->nonempty transitions register the link.
-  EXPECT_EQ(work, (std::vector<std::uint64_t>{3, 5}));
+  EXPECT_EQ(work, (std::vector<std::uint32_t>{3, 5}));
   EXPECT_EQ(arena.depth(3), 3u);
   EXPECT_EQ(arena.depth(5), 1u);
 
@@ -54,7 +55,7 @@ TEST(LinkFifoArena, FifoOrderAndWorklistRegistration) {
 
 TEST(LinkFifoArena, PopMaxPrefersEarliestOnTies) {
   LinkFifoArena arena(4, 8);
-  std::vector<std::uint64_t> work;
+  std::vector<std::uint32_t> work;
   // keys: id 0 -> 2, id 1 -> 5, id 2 -> 5, id 3 -> 1
   const std::vector<int> key = {2, 5, 5, 1};
   for (std::uint32_t id = 0; id < 4; ++id) arena.push_back(1, id, work);
@@ -74,7 +75,7 @@ TEST(LinkFifoArena, PopMaxPrefersEarliestOnTies) {
 
 TEST(LinkFifoArena, ClearLinkEmptiesInConstantTime) {
   LinkFifoArena arena(4, 8);
-  std::vector<std::uint64_t> work;
+  std::vector<std::uint32_t> work;
   for (std::uint32_t id = 0; id < 5; ++id) arena.push_back(2, id, work);
   arena.clear_link(2);
   EXPECT_TRUE(arena.empty(2));
@@ -285,6 +286,73 @@ TEST(RoutePlan, RebuildReusesCapacityAndMatchesFreshCompile) {
   EXPECT_EQ(plan.link_of_hop, fresh.link_of_hop);
   EXPECT_EQ(plan.route_len, fresh.route_len);
   EXPECT_EQ(plan.release, fresh.release);
+}
+
+TEST(RoutePlan, CompactPlanRunsLikeDenseAndRejectsSinkAndSchedule) {
+  const int dims = 4;
+  const Hypercube q(dims);
+  std::vector<Packet> packets;
+  for (Node s = 0; s < 8; ++s) packets.push_back({ecube_route(q, s, 15), 0, 0});
+  packets.push_back({ecube_route(q, 3, 3), 0, 0});  // zero hops
+
+  // Stream the same routes unlinked, then renumber them compactly.
+  simcore::RoutePlan plan;
+  std::vector<std::uint64_t> glinks;
+  for (const Packet& p : packets) {
+    plan.begin_route(0);
+    for (std::size_t h = 0; h < p.route.size(); ++h) {
+      plan.push_node(p.route[h]);
+      if (h > 0) glinks.push_back(q.edge_id(p.route[h - 1], p.route[h]));
+    }
+    plan.end_route_unlinked(dims);
+  }
+  // The peak static load is the largest per-link hop count.
+  std::map<std::uint64_t, std::uint64_t> load;
+  for (const std::uint64_t g : glinks) ++load[g];
+  std::uint64_t want_peak = 0;
+  for (const auto& [g, n] : load) want_peak = std::max(want_peak, n);
+  const std::uint64_t peak = plan.compact_links(glinks, dims);
+  ASSERT_TRUE(plan.compact());
+  EXPECT_EQ(peak, want_peak);
+  EXPECT_GT(peak, 1u);
+  EXPECT_EQ(plan.global_link.size(), load.size());
+  ASSERT_EQ(plan.link_of_hop.size(), glinks.size());
+  EXPECT_TRUE(std::is_sorted(plan.global_link.begin(), plan.global_link.end()));
+  for (std::size_t h = 0; h < glinks.size(); ++h) {
+    EXPECT_EQ(plan.global_link[plan.link_of_hop[h]], glinks[h]);
+    EXPECT_EQ(plan.dim_of[plan.link_of_hop[h]], glinks[h] % dims);
+  }
+
+  const SimResult dense = StoreForwardSim(dims).run(packets);
+  const SimResult compact = run_plan<false, false>(
+      plan, dims, Arbitration::kFifo, 1 << 22, nullptr, nullptr, false,
+      nullptr);
+  EXPECT_EQ(compact.makespan, dense.makespan);
+  EXPECT_EQ(compact.total_transmissions, dense.total_transmissions);
+  EXPECT_EQ(compact.max_queue, dense.max_queue);
+  EXPECT_EQ(compact.link_visits, dense.link_visits);
+  EXPECT_EQ(compact.dim_transmissions, dense.dim_transmissions);
+  EXPECT_EQ(compact.latency, dense.latency);
+
+  // Compact ids are not host link ids: a trace or a fault schedule keyed
+  // by them would name the wrong links, so both are refused.
+  obs::RingBufferSink sink;
+  EXPECT_THROW((run_plan<true, false>(plan, dims, Arbitration::kFifo,
+                                      1 << 22, &sink, nullptr, false,
+                                      nullptr)),
+               Error);
+  EXPECT_THROW((run_plan<false, false>(plan, dims, Arbitration::kFifo,
+                                       1 << 22, &sink, nullptr, false,
+                                       nullptr)),
+               Error);
+  FaultSchedule schedule(dims);
+  schedule.link_down(0, 14, 15);
+  FaultRunResult out;
+  EXPECT_THROW((run_plan<false, true>(plan, dims, Arbitration::kFifo,
+                                      1 << 22, nullptr, &schedule, false,
+                                      &out)),
+               Error);
+  EXPECT_EQ(sink.total(), 0u);
 }
 
 TEST(StepKernel, SortMovedMatchesStdSortOnBothPathsAndClearsMask) {
