@@ -56,12 +56,15 @@ void print_store_forward_table(bench::Report& report) {
   // Q_12 and Q_14 are not in theorem1_cycle_embedding's direct range
   // (⌊n/4⌋ must be a power of two), so they run the Corollary-1 torus
   // product — every axis embedded by Theorem 1 — at 64×64 and 128×128;
-  // Q_16 is the direct Theorem-1 cycle.  The parallel column uses 4
-  // shards and must agree with the serial run (FATAL otherwise).
+  // Q_16 is the direct Theorem-1 cycle.  The parallel column runs on a
+  // 4-thread pool (4 shards) and must agree with the serial run (FATAL
+  // otherwise).
   bench::Table t("S1: store-and-forward core — serial vs 4 shards",
                  {"n", "packets", "makespan", "Mhops", "flat ms",
                   "flat Mhops/s", "par4 ms"});
   auto& reg = obs::MetricsRegistry::global();
+  // The sharded arm takes its shard count from the pool it runs on.
+  par::TaskPool pool4(4);
   for (int n : {12, 14, 16}) {
     const auto emb = [&] {
       obs::ScopedTimer timer("construct");
@@ -69,12 +72,15 @@ void print_store_forward_table(bench::Report& report) {
     }();
     const auto packets = phase_packets(emb, n);
     const StoreForwardSim flat(n);
-    const ParallelStoreForwardSim par(n, 4);
+    const ParallelStoreForwardSim sharded(n);
 
     SimResult rf, rp;
     obs::ScopedTimer timer("simulate");
     const double s_flat = seconds_of([&] { rf = flat.run(packets); });
-    const double s_par = seconds_of([&] { rp = par.run(packets); });
+    const double s_par = seconds_of([&] {
+      const par::PoolScope scope(pool4);
+      rp = sharded.run(packets);
+    });
     if (rf.makespan != rp.makespan ||
         rf.total_transmissions != rp.total_transmissions) {
       std::fprintf(stderr, "FATAL: core variants disagree on n=%d\n", n);
@@ -283,7 +289,9 @@ void BM_FlatParallelPhase(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(1));
   const auto emb = phase_embedding(n);
   const auto packets = phase_packets(emb, n);
-  const ParallelStoreForwardSim sim(n, threads);
+  par::TaskPool pool(threads);
+  const par::PoolScope scope(pool);
+  const ParallelStoreForwardSim sim(n);
   for (auto _ : state) {
     benchmark::DoNotOptimize(sim.run(packets).makespan);
   }

@@ -49,7 +49,7 @@ namespace hyperpath::par {
 
 class TaskPool {
  public:
-  /// Hard cap on participants (matches ParallelStoreForwardSim's cap).
+  /// Hard cap on participants, and so on ParallelStoreForwardSim shards.
   static constexpr int kMaxThreads = 64;
 
   /// N participants: the calling thread plus N-1 workers.  threads <= 0
@@ -126,7 +126,7 @@ class TaskPool {
   std::unique_ptr<Participant[]> parts_;
   std::vector<std::thread> workers_;
 
-  // Region handoff (same parked-worker protocol as the simulator's pool).
+  // Region handoff: workers park on cv_start_ between regions.
   std::mutex mu_;
   std::condition_variable cv_start_, cv_done_;
   std::uint64_t round_ = 0;

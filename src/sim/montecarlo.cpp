@@ -124,7 +124,6 @@ RecoveryResult MonteCarloDriver::run_trial(const CampaignConfig& config,
   FaultSchedule schedule =
       FaultSchedule::random(emb_->host().dims(), config.schedule, rng);
   RecoveryConfig rcfg = config.recovery;
-  rcfg.parallel = false;
   rcfg.update_registry = false;
   RecoveryResult r = run_recovery(*emb_, schedule, rcfg);
   if (schedule_out) *schedule_out = std::move(schedule);
@@ -133,9 +132,6 @@ RecoveryResult MonteCarloDriver::run_trial(const CampaignConfig& config,
 
 CampaignStats MonteCarloDriver::run(const CampaignConfig& config) const {
   HP_PROFILE_SPAN("sim/montecarlo");
-  HP_CHECK(!config.recovery.parallel,
-           "campaign trials must use the serial transport (parallelism is "
-           "across trials)");
   const std::uint32_t begin = config.trial_begin;
   const std::uint32_t end =
       config.trial_end ? config.trial_end : config.trials;
@@ -167,7 +163,6 @@ CampaignStats MonteCarloDriver::run(const CampaignConfig& config) const {
           const FaultSchedule schedule =
               FaultSchedule::random(emb_->host().dims(), config.schedule, rng);
           RecoveryConfig rcfg = config.recovery;
-          rcfg.parallel = false;
           rcfg.update_registry = false;
           const RecoveryResult r = run_recovery(*emb_, schedule, rcfg);
           const TrialOutcome t = summarize(

@@ -59,9 +59,7 @@ struct CampaignConfig {
   /// Per-trial randomized schedule shape; `schedule.link_rate` is the
   /// campaign's fault-intensity knob.
   RandomScheduleSpec schedule;
-  /// Recovery engine settings for every trial.  `parallel` must stay false
-  /// (trials parallelize across the pool; nesting a sharded transport
-  /// inside a pool task would oversubscribe) and `update_registry` is
+  /// Recovery engine settings for every trial.  `update_registry` is
   /// forced off per trial — the campaign publishes aggregated "mc.*"
   /// metrics itself.
   RecoveryConfig recovery;
@@ -151,9 +149,9 @@ class MonteCarloDriver {
   explicit MonteCarloDriver(const MultiPathEmbedding& emb) : emb_(&emb) {}
 
   /// Runs the configured trial range and returns the reduced statistics.
-  /// Throws on a malformed config (empty range, parallel per-trial
-  /// transport).  Also publishes "mc.*" aggregates to the global
-  /// MetricsRegistry from the calling thread when live_metrics is set.
+  /// Throws on a malformed config (empty trial range).  Also publishes
+  /// "mc.*" aggregates to the global MetricsRegistry from the calling
+  /// thread when live_metrics is set.
   CampaignStats run(const CampaignConfig& config) const;
 
   /// One trial exactly as the campaign runs it (tests, post-mortem replay

@@ -8,7 +8,6 @@
 #include "base/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
-#include "sim/parallel_sim.hpp"
 #include "sim/store_forward.hpp"
 
 namespace hyperpath {
@@ -96,8 +95,7 @@ RecoveryResult run_recovery_impl(Ctx& ctx, const FaultSchedule& schedule,
     live_complete = &reg->counter("recovery.messages_complete");
   }
 
-  const StoreForwardSim serial(dims);
-  const ParallelStoreForwardSim parallel(dims, config.threads);
+  const StoreForwardSim sim(dims);
 
   // The engine's own trace recorder (kRetransmit events).  Events of one
   // wave are flushed together; StepTrace's canonical sort puts them in step
@@ -132,11 +130,8 @@ RecoveryResult run_recovery_impl(Ctx& ctx, const FaultSchedule& schedule,
   while (!packets.empty()) {
     const bool announce = result.waves == 0;
     FaultRunResult wave =
-        config.parallel
-            ? parallel.run_with_faults(packets, schedule, config.max_steps,
-                                       sink, announce)
-            : serial.run_with_faults(packets, schedule, Arbitration::kFifo,
-                                     config.max_steps, sink, announce);
+        sim.run_with_faults(packets, schedule, Arbitration::kFifo,
+                            config.max_steps, sink, announce);
     ++result.waves;
     result.total_transmissions += wave.sim.total_transmissions;
     result.makespan = std::max(result.makespan, wave.sim.makespan);

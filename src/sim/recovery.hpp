@@ -23,8 +23,9 @@
 // The engine is wave-based: every retransmission round is a fresh simulator
 // run on one absolute clock (retransmitted fragments release at their
 // detect step, and the schedule replays from step 0, so faults hold across
-// waves).  Serial and parallel transports produce identical results and
-// traces.  Trace output: the wave-0 run announces kFault/kRepair, every
+// waves).  Waves run on the serial StoreForwardSim: a recovery run is small
+// next to a phase, and the Monte-Carlo driver parallelizes across trials
+// instead.  Trace output: the wave-0 run announces kFault/kRepair, every
 // truncation is a kDrop, and each retransmission emits kRetransmit
 // (packet = message id, link = first link of the new route, value = attempt
 // number); waves appear in the stream back-to-back, each internally in
@@ -56,10 +57,6 @@ struct RecoveryConfig {
   int threshold = 0;
   /// Per-wave simulation step budget.
   int max_steps = 1 << 22;
-  /// Transport: the serial StoreForwardSim or the sharded parallel one
-  /// (bit-identical results either way; tests enforce it).
-  bool parallel = false;
-  int threads = 0;  // parallel transport only; 0 = hardware concurrency
   /// Publish the outcome into the process-wide obs::MetricsRegistry
   /// ("recovery.*").  The Monte-Carlo driver turns this off for its trials:
   /// registry histograms are single-writer, and thousands of concurrent

@@ -1,5 +1,7 @@
-// The templated branch-light step-sweep kernel shared by the serial and
-// parallel store-and-forward simulators.
+// The templated branch-light step-sweep kernel of the store-and-forward
+// step loop (run_plan, store_forward.cpp).  The loop's serial sweep runs it
+// over its one worklist; the sharded sweep (ParallelStoreForwardSim) runs
+// it once per shard, each shard round a chunk on par::current_pool().
 //
 // One sweep serves one worklist of active links: pop one packet per live
 // link, account the transmission, compact the worklist in place.  The two
@@ -55,7 +57,7 @@ struct SweepStats {
 };
 
 /// FIFO arbitration: queue order (arrival time, ties by packet id).  Also
-/// the only policy the parallel shards run.
+/// the only policy the sharded sweep runs.
 struct FifoArbiter {
   std::uint32_t operator()(LinkFifoArena& arena, std::uint64_t link) const {
     return arena.pop_front(link);

@@ -3,11 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <optional>
+#include <span>
+#include <utility>
 
 #include "base/error.hpp"
 #include "obs/profile.hpp"
 #include "obs/telemetry.hpp"
+#include "par/task_pool.hpp"
 #include "sim/faults.hpp"
+#include "sim/parallel_sim.hpp"
 #include "sim/simcore.hpp"
 #include "sim/step_kernel.hpp"
 
@@ -18,14 +22,142 @@ using obs::TraceEventKind;
 
 namespace {
 
-/// The kernel body for one link-id space: state reused from the thread's
-/// StepScratch, the sweep delegated to step_sweep with `dim_of` mapping
-/// links to dimensions.  The specialization matrix is documented in
-/// step_kernel.hpp.
-template <bool Traced, bool Faulted, typename DimOf>
+/// The serial sweep: one worklist, either arbiter, events straight into
+/// the step trace.
+template <typename DimOf>
+class SerialSweep {
+ public:
+  SerialSweep(simcore::StepScratch& scratch, DimOf dim_of, Arbitration policy,
+              const std::uint32_t* route_len)
+      : scratch_(scratch),
+        dim_of_(dim_of),
+        policy_(policy),
+        route_len_(route_len) {
+    scratch_.active.clear();
+  }
+
+  /// The worklist a link joins when its queue becomes nonempty.
+  std::vector<std::uint32_t>& worklist(std::uint64_t) {
+    return scratch_.active;
+  }
+
+  /// One transmission per active link (step_kernel.hpp); the worklist is
+  /// compacted in place, carrying only links whose queue is still nonempty
+  /// into the next step.  The packets that moved land in scratch.moved,
+  /// unsorted.
+  template <bool Traced, bool Faulted>
+  simcore::SweepStats run(int step, std::uint64_t* dim_tx,
+                          obs::StepTrace& trace) {
+    std::vector<std::uint32_t>& moved = scratch_.moved;
+    moved.clear();
+    const auto emit = [&](const TraceEvent& e) { trace.record(e); };
+    if (policy_ == Arbitration::kFifo) {
+      return simcore::step_sweep<Traced, Faulted>(
+          scratch_.arena, scratch_.active, moved, dim_tx, dim_of_, step,
+          scratch_.highwater.data(), simcore::FifoArbiter{}, emit);
+    }
+    return simcore::step_sweep<Traced, Faulted>(
+        scratch_.arena, scratch_.active, moved, dim_tx, dim_of_, step,
+        scratch_.highwater.data(),
+        simcore::FarthestFirstArbiter{route_len_, scratch_.hop.data()},
+        emit);
+  }
+
+  /// Calls fn(worklist) for every worklist, in a fixed order.
+  template <typename Fn>
+  void for_each_worklist(Fn&& fn) const {
+    fn(scratch_.active);
+  }
+
+ private:
+  simcore::StepScratch& scratch_;
+  DimOf dim_of_;
+  Arbitration policy_;
+  const std::uint32_t* route_len_;
+};
+
+/// The sharded sweep, FIFO only.  Link l belongs to shard l mod shards, and
+/// within a step every link arbitrates on its own, so each shard sweeps its
+/// own worklist over the one shared arena without contention: a link's
+/// queue and high-water mark are touched only by its shard.  Each step's
+/// shard round runs on par::current_pool(); everything a round writes is
+/// indexed by shard, never by the worker that ran it.  The merge walks the
+/// shards in order, the loop then sorts the moved packets canonically and
+/// StepTrace sorts each step's events, so results and traces are the
+/// serial sweep's at every shard count.
+template <typename DimOf>
+class ShardedSweep {
+ public:
+  ShardedSweep(simcore::StepScratch& scratch, DimOf dim_of, int shards,
+               int dims)
+      : scratch_(scratch),
+        dim_of_(dim_of),
+        shards_(static_cast<std::size_t>(shards)) {
+    for (Shard& sh : shards_) sh.dim_tx.assign(dims, 0);
+  }
+
+  std::vector<std::uint32_t>& worklist(std::uint64_t link) {
+    return shards_[link % shards_.size()].active;
+  }
+
+  template <bool Traced, bool Faulted>
+  simcore::SweepStats run(int step, std::uint64_t* dim_tx,
+                          obs::StepTrace& trace) {
+    par::current_pool().run_chunks(shards_.size(), [&](std::size_t s, int) {
+      Shard& sh = shards_[s];
+      sh.moved.clear();
+      sh.events.clear();
+      const auto emit = [&](const TraceEvent& e) { sh.events.push_back(e); };
+      sh.stats = simcore::step_sweep<Traced, Faulted>(
+          scratch_.arena, sh.active, sh.moved, sh.dim_tx.data(), dim_of_,
+          step, scratch_.highwater.data(), simcore::FifoArbiter{}, emit);
+    });
+    std::vector<std::uint32_t>& moved = scratch_.moved;
+    moved.clear();
+    simcore::SweepStats out;
+    for (Shard& sh : shards_) {
+      moved.insert(moved.end(), sh.moved.begin(), sh.moved.end());
+      out.busy += sh.stats.busy;
+      out.link_visits += sh.stats.link_visits;
+      out.max_queue = std::max(out.max_queue, sh.stats.max_queue);
+      for (std::size_t d = 0; d < sh.dim_tx.size(); ++d) {
+        dim_tx[d] += std::exchange(sh.dim_tx[d], 0);
+      }
+      if constexpr (Traced) {
+        trace.record(std::span<const TraceEvent>(sh.events));
+      }
+    }
+    return out;
+  }
+
+  template <typename Fn>
+  void for_each_worklist(Fn&& fn) const {
+    for (const Shard& sh : shards_) fn(sh.active);
+  }
+
+ private:
+  struct Shard {
+    std::vector<std::uint32_t> active;  // this shard's nonempty links
+    std::vector<std::uint32_t> moved;   // packets this round moved
+    std::vector<TraceEvent> events;     // this round's events (Traced)
+    std::vector<std::uint64_t> dim_tx;  // this round's per-dimension counts
+    simcore::SweepStats stats;          // this round's sweep outputs
+  };
+
+  simcore::StepScratch& scratch_;
+  DimOf dim_of_;
+  std::vector<Shard> shards_;
+};
+
+/// The one store-and-forward step loop: setup, release, fault events and
+/// truncation, the sweep, arrivals, telemetry, drain.  State is reused
+/// from the thread's StepScratch; `sweep` (SerialSweep or ShardedSweep)
+/// owns the worklists and runs each step's transmissions.  The
+/// specialization matrix is documented in step_kernel.hpp.
+template <bool Traced, bool Faulted, typename Sweep>
 SimResult run_plan_in(const simcore::RoutePlan& plan, int dims,
-                      std::uint64_t num_links, DimOf dim_of,
-                      Arbitration policy, int max_steps, obs::TraceSink* sink,
+                      std::uint64_t num_links, Sweep sweep, int max_steps,
+                      obs::TraceSink* sink,
                       [[maybe_unused]] const FaultSchedule* schedule,
                       [[maybe_unused]] bool announce_faults,
                       FaultRunResult* fault_out) {
@@ -36,7 +168,6 @@ SimResult run_plan_in(const simcore::RoutePlan& plan, int dims,
   {
     HP_PROFILE_SPAN("setup");
     scratch.arena.reset(num_links, num_routes);
-    scratch.active.clear();
     scratch.pending.clear();
     scratch.hop.assign(num_routes, 0);
     scratch.moved_mask.assign((num_routes + 63) / 64, 0);
@@ -44,7 +175,6 @@ SimResult run_plan_in(const simcore::RoutePlan& plan, int dims,
   }
 
   simcore::LinkFifoArena& arena = scratch.arena;
-  std::vector<std::uint32_t>& active = scratch.active;
   auto& pending = scratch.pending;
   std::uint32_t* const hop = scratch.hop.data();
   const std::uint32_t* const route_len = plan.route_len.data();
@@ -62,7 +192,7 @@ SimResult run_plan_in(const simcore::RoutePlan& plan, int dims,
 
   const auto enqueue = [&](std::uint32_t id) {
     const std::uint64_t link = link_of_hop[route_off[id] + hop[id]];
-    arena.push_back(link, id, active);
+    arena.push_back(link, id, sweep.worklist(link));
     return link;
   };
 
@@ -151,31 +281,17 @@ SimResult run_plan_in(const simcore::RoutePlan& plan, int dims,
       }
     }
 
-    // One transmission per active link (step_kernel.hpp); the worklist is
-    // compacted in place, carrying only links whose queue is still nonempty
-    // into the next step.
-    moved.clear();
-    const auto emit = [&](const TraceEvent& e) { trace.record(e); };
-    simcore::SweepStats sweep;
-    if (policy == Arbitration::kFifo) {
-      sweep = simcore::step_sweep<Traced, Faulted>(
-          arena, active, moved, dim_tx, dim_of, step,
-          scratch.highwater.data(), simcore::FifoArbiter{}, emit);
-    } else {
-      sweep = simcore::step_sweep<Traced, Faulted>(
-          arena, active, moved, dim_tx, dim_of, step,
-          scratch.highwater.data(),
-          simcore::FarthestFirstArbiter{route_len, hop}, emit);
-    }
-    result.link_visits += sweep.link_visits;
-    result.total_transmissions += sweep.busy;
-    if (sweep.max_queue > max_queue) max_queue = sweep.max_queue;
+    const simcore::SweepStats swept =
+        sweep.template run<Traced, Faulted>(step, dim_tx, trace);
+    result.link_visits += swept.link_visits;
+    result.total_transmissions += swept.busy;
+    if (swept.max_queue > max_queue) max_queue = swept.max_queue;
 
     // Arrivals: advance hops; re-enqueue or deliver.  (Done after all links
     // transmitted so a packet moves at most one hop per step.)  Same-step
     // arrivals at one link are enqueued in increasing packet id — the
-    // canonical order that makes results reproducible and lets the parallel
-    // simulator match bit for bit.  A packet whose next link just died
+    // canonical order that makes results reproducible and independent of
+    // the sweep's sharding.  A packet whose next link just died
     // still enqueues here; the truncation pass of the next step drops it at
     // that node.
     simcore::sort_moved(moved, scratch.moved_mask);
@@ -202,25 +318,31 @@ SimResult run_plan_in(const simcore::RoutePlan& plan, int dims,
       }
     }
 
-    result.utilization.add(static_cast<double>(sweep.busy) / total_links);
+    result.utilization.add(static_cast<double>(swept.busy) / total_links);
 
     // Telemetry rides the step counter, reads sim state, writes nothing
     // back: results and traces are bit-identical at any sampling period.
-    // After the sweep's compaction and the arrival enqueues, `active`
-    // holds exactly the links with nonempty queues.
+    // After the sweep's compaction and the arrival enqueues, the worklists
+    // hold exactly the links with nonempty queues.  Each worklist yields
+    // its own depth histogram; merging them in worklist order makes the
+    // sample independent of the shard count.
     if (telemetry.should_sample(step)) {
       obs::SimTelemetry t;
       t.step = step;
       t.undelivered = undelivered;
       t.transmissions = result.total_transmissions;
-      t.active_links = active.size();
       t.depth_hist = obs::telemetry_depth_histogram();
-      for (const std::uint32_t link : active) {
-        const std::uint64_t d = arena.depth(link);
-        t.queued_packets += d;
-        t.max_queue_depth = std::max(t.max_queue_depth, d);
-        t.depth_hist.observe(static_cast<double>(d));
-      }
+      sweep.for_each_worklist([&](const std::vector<std::uint32_t>& links) {
+        obs::FixedHistogram local = obs::telemetry_depth_histogram();
+        for (const std::uint32_t link : links) {
+          const std::uint64_t d = arena.depth(link);
+          t.queued_packets += d;
+          t.max_queue_depth = std::max(t.max_queue_depth, d);
+          local.observe(static_cast<double>(d));
+        }
+        t.active_links += links.size();
+        t.depth_hist.merge(local);
+      });
       telemetry.sample(std::move(t));
     }
 
@@ -253,86 +375,128 @@ template <bool Traced, bool Faulted>
 SimResult run_plan(const simcore::RoutePlan& plan, int dims,
                    Arbitration policy, int max_steps, obs::TraceSink* sink,
                    const FaultSchedule* schedule, bool announce_faults,
-                   FaultRunResult* fault_out) {
+                   FaultRunResult* fault_out, int shards) {
+  HP_CHECK(shards <= 1 || policy == Arbitration::kFifo,
+           "sharded runs arbitrate FIFO only");
+  simcore::StepScratch& scratch = simcore::step_scratch();
+  const auto run_in = [&](std::uint64_t num_links, auto dim_of) {
+    if (shards > 1) {
+      return run_plan_in<Traced, Faulted>(
+          plan, dims, num_links, ShardedSweep(scratch, dim_of, shards, dims),
+          max_steps, sink, schedule, announce_faults, fault_out);
+    }
+    return run_plan_in<Traced, Faulted>(
+        plan, dims, num_links,
+        SerialSweep(scratch, dim_of, policy, plan.route_len.data()),
+        max_steps, sink, schedule, announce_faults, fault_out);
+  };
   if (plan.compact()) {
     HP_CHECK(sink == nullptr && schedule == nullptr,
              "compact route plan takes no trace sink or fault schedule "
              "(its link ids are not host link ids)");
-    return run_plan_in<Traced, Faulted>(
-        plan, dims, plan.global_link.size(),
-        simcore::CompactDim{plan.dim_of.data()}, policy, max_steps, sink,
-        schedule, announce_faults, fault_out);
+    return run_in(plan.global_link.size(),
+                  simcore::CompactDim{plan.dim_of.data()});
   }
-  return run_plan_in<Traced, Faulted>(
-      plan, dims, static_cast<std::uint64_t>(dims) << dims,
-      simcore::DenseDim{static_cast<std::uint64_t>(dims)}, policy, max_steps,
-      sink, schedule, announce_faults, fault_out);
+  return run_in(static_cast<std::uint64_t>(dims) << dims,
+                simcore::DenseDim{static_cast<std::uint64_t>(dims)});
 }
 
 template SimResult run_plan<false, false>(const simcore::RoutePlan&, int,
                                           Arbitration, int, obs::TraceSink*,
                                           const FaultSchedule*, bool,
-                                          FaultRunResult*);
+                                          FaultRunResult*, int);
 template SimResult run_plan<false, true>(const simcore::RoutePlan&, int,
                                          Arbitration, int, obs::TraceSink*,
                                          const FaultSchedule*, bool,
-                                         FaultRunResult*);
+                                         FaultRunResult*, int);
 template SimResult run_plan<true, false>(const simcore::RoutePlan&, int,
                                          Arbitration, int, obs::TraceSink*,
                                          const FaultSchedule*, bool,
-                                         FaultRunResult*);
+                                         FaultRunResult*, int);
 template SimResult run_plan<true, true>(const simcore::RoutePlan&, int,
                                         Arbitration, int, obs::TraceSink*,
                                         const FaultSchedule*, bool,
-                                        FaultRunResult*);
+                                        FaultRunResult*, int);
 
-StoreForwardSim::StoreForwardSim(int dims) : host_(dims) {}
+namespace {
 
-SimResult StoreForwardSim::run(const std::vector<Packet>& packets,
-                               Arbitration policy, int max_steps,
-                               obs::TraceSink* sink) const {
-  return run_impl(packets, policy, max_steps, sink, nullptr, false, nullptr);
-}
-
-FaultRunResult StoreForwardSim::run_with_faults(
-    const std::vector<Packet>& packets, const FaultSchedule& schedule,
-    Arbitration policy, int max_steps, obs::TraceSink* sink,
-    bool announce_faults) const {
-  HP_CHECK(schedule.dims() == host_.dims(),
-           "fault schedule dims mismatch simulator dims");
-  FaultRunResult out;
-  out.sim = run_impl(packets, policy, max_steps, sink, &schedule,
-                     announce_faults, &out);
-  return out;
-}
-
-SimResult StoreForwardSim::run_impl(const std::vector<Packet>& packets,
-                                    Arbitration policy, int max_steps,
-                                    obs::TraceSink* sink,
-                                    const FaultSchedule* schedule,
-                                    bool announce_faults,
-                                    FaultRunResult* fault_out) const {
+/// plan.rebuild + run_plan, timed: the body of both simulator classes.
+SimResult run_packets(const Hypercube& host,
+                      const std::vector<Packet>& packets, Arbitration policy,
+                      int max_steps, obs::TraceSink* sink,
+                      const FaultSchedule* schedule, bool announce_faults,
+                      FaultRunResult* fault_out, int shards) {
   const auto t0 = std::chrono::steady_clock::now();
   SimResult result;
   {
-    HP_PROFILE_SPAN("sim/store_forward");
+    HP_PROFILE_SPAN(shards > 1 ? "sim/parallel" : "sim/store_forward");
     simcore::RoutePlan& plan = simcore::step_scratch().plan;
     {
       HP_PROFILE_SPAN("setup");
-      plan.rebuild(host_, packets);  // validates; keeps capacity across runs
+      plan.rebuild(host, packets);  // validates; keeps capacity across runs
     }
     // [traced][faulted]
     static constexpr decltype(&run_plan<false, false>) kRun[2][2] = {
         {run_plan<false, false>, run_plan<false, true>},
         {run_plan<true, false>, run_plan<true, true>}};
     result = kRun[sink != nullptr][schedule != nullptr](
-        plan, host_.dims(), policy, max_steps, sink, schedule,
-        announce_faults, fault_out);
+        plan, host.dims(), policy, max_steps, sink, schedule,
+        announce_faults, fault_out, shards);
   }
   result.elapsed_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   return result;
+}
+
+FaultRunResult run_packets_with_faults(const Hypercube& host,
+                                       const std::vector<Packet>& packets,
+                                       const FaultSchedule& schedule,
+                                       Arbitration policy, int max_steps,
+                                       obs::TraceSink* sink,
+                                       bool announce_faults, int shards) {
+  HP_CHECK(schedule.dims() == host.dims(),
+           "fault schedule dims mismatch simulator dims");
+  FaultRunResult out;
+  out.sim = run_packets(host, packets, policy, max_steps, sink, &schedule,
+                        announce_faults, &out, shards);
+  return out;
+}
+
+}  // namespace
+
+StoreForwardSim::StoreForwardSim(int dims) : host_(dims) {}
+
+SimResult StoreForwardSim::run(const std::vector<Packet>& packets,
+                               Arbitration policy, int max_steps,
+                               obs::TraceSink* sink) const {
+  return run_packets(host_, packets, policy, max_steps, sink, nullptr, false,
+                     nullptr, 1);
+}
+
+FaultRunResult StoreForwardSim::run_with_faults(
+    const std::vector<Packet>& packets, const FaultSchedule& schedule,
+    Arbitration policy, int max_steps, obs::TraceSink* sink,
+    bool announce_faults) const {
+  return run_packets_with_faults(host_, packets, schedule, policy, max_steps,
+                                 sink, announce_faults, 1);
+}
+
+ParallelStoreForwardSim::ParallelStoreForwardSim(int dims) : host_(dims) {}
+
+SimResult ParallelStoreForwardSim::run(const std::vector<Packet>& packets,
+                                       int max_steps,
+                                       obs::TraceSink* sink) const {
+  return run_packets(host_, packets, Arbitration::kFifo, max_steps, sink,
+                     nullptr, false, nullptr, par::current_pool().threads());
+}
+
+FaultRunResult ParallelStoreForwardSim::run_with_faults(
+    const std::vector<Packet>& packets, const FaultSchedule& schedule,
+    int max_steps, obs::TraceSink* sink, bool announce_faults) const {
+  return run_packets_with_faults(host_, packets, schedule, Arbitration::kFifo,
+                                 max_steps, sink, announce_faults,
+                                 par::current_pool().threads());
 }
 
 }  // namespace hyperpath

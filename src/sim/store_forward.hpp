@@ -34,19 +34,23 @@ class RoutePlan;
 }
 
 /// Runs a compiled plan (simcore.hpp) to completion on a Q_dims host: the
-/// one serial store-and-forward kernel, behind StoreForwardSim and
-/// run_oracle_phase (oracle_sim.hpp).
+/// one store-and-forward step loop, behind StoreForwardSim,
+/// ParallelStoreForwardSim (parallel_sim.hpp) and run_oracle_phase
+/// (oracle_sim.hpp).
 /// `Traced` requires `sink`, `Faulted` requires `schedule`; `fault_out`
 /// (optional) receives per-route fates.  A compact plan (RoutePlan::compact)
 /// takes neither a sink nor a schedule — its link ids are not host link
 /// ids — and is rejected with an Error if given one; its utilization is
-/// relative to the links the plan touches.  The returned elapsed_seconds
-/// is 0; callers stamp their own wall time.
+/// relative to the links the plan touches.  `shards` > 1 selects the
+/// sharded sweep: links split by id mod shards, each step's shard round
+/// run on par::current_pool(), FIFO arbitration only (Error otherwise);
+/// results and traces are the serial sweep's.  The returned
+/// elapsed_seconds is 0; callers stamp their own wall time.
 template <bool Traced, bool Faulted>
 SimResult run_plan(const simcore::RoutePlan& plan, int dims,
                    Arbitration policy, int max_steps, obs::TraceSink* sink,
                    const FaultSchedule* schedule, bool announce_faults,
-                   FaultRunResult* fault_out);
+                   FaultRunResult* fault_out, int shards = 1);
 
 class StoreForwardSim {
  public:
@@ -76,11 +80,6 @@ class StoreForwardSim {
                                  bool announce_faults = true) const;
 
  private:
-  SimResult run_impl(const std::vector<Packet>& packets, Arbitration policy,
-                     int max_steps, obs::TraceSink* sink,
-                     const FaultSchedule* schedule, bool announce_faults,
-                     FaultRunResult* fault_out) const;
-
   Hypercube host_;
 };
 

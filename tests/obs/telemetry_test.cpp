@@ -13,6 +13,7 @@
 #include "core/cycle_multipath.hpp"
 #include "obs/json_parse.hpp"
 #include "obs/metrics.hpp"
+#include "par/task_pool.hpp"
 #include "sim/parallel_sim.hpp"
 #include "sim/phase.hpp"
 #include "sim/store_forward.hpp"
@@ -199,8 +200,10 @@ TEST(Telemetry, SerialAndParallelSimulatorsSampleIdentically) {
   ASSERT_FALSE(serial.empty());
 
   for (int threads : {2, 3, 8}) {
+    par::TaskPool pool(threads);
+    const par::PoolScope scope(pool);
     bus.enable(cfg);
-    ParallelStoreForwardSim(dims, threads).run(packets);
+    ParallelStoreForwardSim(dims).run(packets);
     const std::vector<TelemetrySample> par = bus.snapshot();
     bus.disable();
     ASSERT_EQ(par.size(), serial.size()) << "threads=" << threads;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "base/rng.hpp"
+#include "par/task_pool.hpp"
 #include "sim/faults.hpp"
 #include "sim/parallel_sim.hpp"
 #include "sim/store_forward.hpp"
@@ -138,10 +139,12 @@ TEST_P(SimcoreEquiv, ParallelMatchesReferenceAcrossThreadCounts) {
   RingBufferSink ref_sink;
   const auto ref = RefStoreForwardSim(dims).run(packets, Arbitration::kFifo,
                                                 1 << 22, &ref_sink);
-  for (int threads : {1, 2, 3, 5, 8}) {
+  for (int threads : {1, 2, 3, 5, 7, 8}) {
+    par::TaskPool pool(threads);
+    const par::PoolScope scope(pool);
     RingBufferSink par_sink;
-    const auto par = ParallelStoreForwardSim(dims, threads)
-                         .run(packets, 1 << 22, &par_sink);
+    const auto par =
+        ParallelStoreForwardSim(dims).run(packets, 1 << 22, &par_sink);
     expect_same_result(par, ref);
     expect_same_trace(par_sink, ref_sink);
   }
@@ -155,10 +158,12 @@ TEST_P(SimcoreEquiv, ParallelMatchesSerialUnderFaults) {
   RingBufferSink ser_sink;
   const auto ser = StoreForwardSim(dims).run_with_faults(
       packets, sched, Arbitration::kFifo, 1 << 22, &ser_sink);
-  for (int threads : {2, 4, 7}) {
+  for (int threads : {1, 2, 3, 4, 5, 7, 8}) {
+    par::TaskPool pool(threads);
+    const par::PoolScope scope(pool);
     RingBufferSink par_sink;
-    const auto par = ParallelStoreForwardSim(dims, threads)
-                         .run_with_faults(packets, sched, 1 << 22, &par_sink);
+    const auto par = ParallelStoreForwardSim(dims).run_with_faults(
+        packets, sched, 1 << 22, &par_sink);
     expect_same_fault_result(par, ser);
     expect_same_trace(par_sink, ser_sink);
     // The shards partition the serial worklist, so even the active-set

@@ -15,6 +15,7 @@
 #include "core/cycle_multipath.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
+#include "par/task_pool.hpp"
 #include "sim/faults.hpp"
 #include "sim/parallel_sim.hpp"
 #include "sim/phase.hpp"
@@ -81,8 +82,9 @@ TEST(TelemetryEquivalence, ResultsAndTracesBitIdenticalAcrossPeriods) {
       base = StoreForwardSim(dims).run(packets, Arbitration::kFifo, 1 << 22,
                                        &base_sink);
     } else {
-      base = ParallelStoreForwardSim(dims, threads)
-                 .run(packets, 1 << 22, &base_sink);
+      par::TaskPool pool(threads);
+      const par::PoolScope scope(pool);
+      base = ParallelStoreForwardSim(dims).run(packets, 1 << 22, &base_sink);
     }
 
     for (int period : kPeriods) {
@@ -98,8 +100,9 @@ TEST(TelemetryEquivalence, ResultsAndTracesBitIdenticalAcrossPeriods) {
         got = StoreForwardSim(dims).run(packets, Arbitration::kFifo, 1 << 22,
                                         &sink);
       } else {
-        got = ParallelStoreForwardSim(dims, threads)
-                  .run(packets, 1 << 22, &sink);
+        par::TaskPool pool(threads);
+        const par::PoolScope scope(pool);
+        got = ParallelStoreForwardSim(dims).run(packets, 1 << 22, &sink);
       }
       const std::uint64_t samples = bus.total_samples();
       bus.disable();
@@ -155,10 +158,11 @@ TEST(TelemetryEquivalence, FaultReplayUnchangedByTelemetry) {
     TelemetryBus::Config cfg;
     cfg.period_steps = 1;
     bus.enable(cfg);
+    par::TaskPool pool(threads);
+    const par::PoolScope scope(pool);
     RingBufferSink sink;
-    const FaultRunResult got = ParallelStoreForwardSim(dims, threads)
-                                   .run_with_faults(packets, sched, 1 << 22,
-                                                    &sink);
+    const FaultRunResult got = ParallelStoreForwardSim(dims).run_with_faults(
+        packets, sched, 1 << 22, &sink);
     bus.disable();
     expect_same_result(got.sim, base.sim, label);
     EXPECT_EQ(got.fates, base.fates) << label;

@@ -189,9 +189,6 @@ TEST(MonteCarloCampaign, RejectsMalformedConfigs) {
   empty.trial_begin = 10;
   empty.trial_end = 10;
   EXPECT_THROW(driver.run(empty), Error);
-  CampaignConfig nested = small_config();
-  nested.recovery.parallel = true;
-  EXPECT_THROW(driver.run(nested), Error);
 }
 
 EnvelopePoint point(double rate, std::uint64_t total, std::uint64_t done) {

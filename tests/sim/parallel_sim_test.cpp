@@ -4,6 +4,7 @@
 
 #include "base/rng.hpp"
 #include "core/cycle_multipath.hpp"
+#include "par/task_pool.hpp"
 #include "sim/phase.hpp"
 #include "sim/workloads.hpp"
 
@@ -36,24 +37,27 @@ void expect_identical(const SimResult& a, const SimResult& b) {
 
 class ParallelSim : public ::testing::TestWithParam<int> {};
 
+// The parameter is the pool size, and so the shard count.
 TEST_P(ParallelSim, MatchesSerialOnRandomWorkloads) {
-  const int threads = GetParam();
+  par::TaskPool pool(GetParam());
+  const par::PoolScope scope(pool);
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
     const int dims = 6;
     const auto packets = random_workload(dims, 500, seed);
     const auto serial = StoreForwardSim(dims).run(packets);
-    const auto par = ParallelStoreForwardSim(dims, threads).run(packets);
+    const auto par = ParallelStoreForwardSim(dims).run(packets);
     expect_identical(serial, par);
   }
 }
 
 TEST_P(ParallelSim, MatchesSerialOnTheorem1Phase) {
-  const int threads = GetParam();
+  par::TaskPool pool(GetParam());
+  const par::PoolScope scope(pool);
   const int n = 8;
   const auto emb = theorem1_cycle_embedding(n);
   const auto packets = phase_packets(emb, 2 * n);
   const auto serial = StoreForwardSim(n).run(packets);
-  const auto par = ParallelStoreForwardSim(n, threads).run(packets);
+  const auto par = ParallelStoreForwardSim(n).run(packets);
   expect_identical(serial, par);
 }
 
@@ -61,7 +65,9 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelSim,
                          ::testing::Values(1, 2, 3, 8));
 
 TEST(ParallelSimBasics, EmptyAndTrivial) {
-  ParallelStoreForwardSim sim(4, 2);
+  par::TaskPool pool(2);
+  const par::PoolScope scope(pool);
+  ParallelStoreForwardSim sim(4);
   EXPECT_EQ(sim.run({}).makespan, 0);
   Packet p;
   p.route = {7};
@@ -69,10 +75,11 @@ TEST(ParallelSimBasics, EmptyAndTrivial) {
 }
 
 TEST(ParallelSimBasics, DefaultThreadCount) {
-  // threads = 0 picks hardware concurrency; results must still match.
+  // Outside any PoolScope the shard count is the global pool's size
+  // (HYPERPATH_THREADS, else hardware concurrency); results must match.
   const auto packets = random_workload(5, 200, 9);
   expect_identical(StoreForwardSim(5).run(packets),
-                   ParallelStoreForwardSim(5, 0).run(packets));
+                   ParallelStoreForwardSim(5).run(packets));
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "core/cycle_multipath.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
+#include "par/task_pool.hpp"
 #include "sim/faults.hpp"
 #include "sim/parallel_sim.hpp"
 #include "sim/phase.hpp"
@@ -134,9 +135,11 @@ TEST(TracedParallelSim, BitIdenticalToSerialWithTracing) {
       StoreForwardSim(n).run(packets, Arbitration::kFifo, 1 << 22,
                              &serial_sink);
   for (int threads : {2, 3, 8}) {
+    par::TaskPool pool(threads);
+    const par::PoolScope scope(pool);
     RingBufferSink par_sink;
-    const auto par = ParallelStoreForwardSim(n, threads).run(
-        packets, 1 << 22, &par_sink);
+    const auto par =
+        ParallelStoreForwardSim(n).run(packets, 1 << 22, &par_sink);
     expect_identical(serial, par);
     // The canonical per-step sort makes the streams equal as sequences,
     // which subsumes multiset equality.
@@ -147,13 +150,14 @@ TEST(TracedParallelSim, BitIdenticalToSerialWithTracing) {
 
 TEST(TracedParallelSim, RandomWorkloadTracesMatchSerial) {
   const int dims = 6;
+  par::TaskPool pool(4);
+  const par::PoolScope scope(pool);
   for (std::uint64_t seed : {4ull, 5ull}) {
     const auto packets = random_workload(dims, 400, seed);
     RingBufferSink a, b;
     const auto serial =
         StoreForwardSim(dims).run(packets, Arbitration::kFifo, 1 << 22, &a);
-    const auto par =
-        ParallelStoreForwardSim(dims, 4).run(packets, 1 << 22, &b);
+    const auto par = ParallelStoreForwardSim(dims).run(packets, 1 << 22, &b);
     expect_identical(serial, par);
     EXPECT_TRUE(a.events() == b.events());
   }

@@ -15,7 +15,7 @@
 // The global `--threads N` (or `--threads=N`) flag, accepted anywhere on
 // the command line, sizes the process-wide par::TaskPool — overriding the
 // HYPERPATH_THREADS environment variable — and thereby every parallel
-// construction/verification pass and the parallel simulator's default.
+// construction/verification pass and the parallel simulator's shard count.
 //
 // `campaign` fans a seeded Monte-Carlo fault campaign (sim/montecarlo.hpp)
 // across the process pool: every trial draws its own randomized timed
@@ -59,6 +59,9 @@
 // SimResult makespan/delivery counts from the trace alone.
 //
 // A quick way to poke at the library without writing code.
+#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -66,6 +69,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "base/moment.hpp"
@@ -91,6 +95,41 @@
 
 namespace hyperpath {
 namespace {
+
+/// Reads a numeric flag value: the whole of `text`, strtoll (base 10) for
+/// an integral T and strtod otherwise, within [lo, hi].  On trailing
+/// characters, overflow or a value out of range it names the flag on
+/// stderr and returns false, leaving `out` untouched.
+template <typename T>
+bool parse_number(const char* flag, const char* text, T lo, T hi, T& out) {
+  errno = 0;
+  char* end = nullptr;
+  bool in_range = false;
+  T value{};
+  if constexpr (std::is_integral_v<T>) {
+    const long long v = std::strtoll(text, &end, 10);
+    in_range = v >= static_cast<long long>(lo) &&
+               v <= static_cast<long long>(hi);
+    value = static_cast<T>(v);
+  } else {
+    const double v = std::strtod(text, &end);
+    in_range = v >= lo && v <= hi;  // false for NaN
+    value = v;
+  }
+  if (end == text || *end != '\0' || errno == ERANGE || !in_range) {
+    if constexpr (std::is_integral_v<T>) {
+      std::fprintf(stderr, "%s: expected an integer in [%s, %s], got '%s'\n",
+                   flag, std::to_string(lo).c_str(),
+                   std::to_string(hi).c_str(), text);
+    } else {
+      std::fprintf(stderr, "%s: expected a number in [%g, %g], got '%s'\n",
+                   flag, lo, hi, text);
+    }
+    return false;
+  }
+  out = value;
+  return true;
+}
 
 int cmd_cycle(int n) {
   if (!cycle_multipath_supported(n)) {
@@ -511,39 +550,59 @@ int cmd_campaign(int argc, char** argv) {
   std::string json_path;
   std::vector<double> sweep;
   double min_delivery = 0.99;
+  const auto usage = [] {
+    std::fprintf(
+        stderr,
+        "usage: campaign <n> [--trials T] [--seed S] [--begin B] "
+        "[--end E] [--rate R] [--node-rate R] [--window W] "
+        "[--transient F] [--timeout s] [--retries k] [--threshold m] "
+        "[--gray] [--sweep r1,r2,...] [--min-delivery d] "
+        "[--json [FILE]]\n");
+    return 1;
+  };
+  constexpr std::uint32_t kMaxU32 = UINT32_MAX;
   for (int i = 0; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a == "--trials" && i + 1 < argc) {
-      cfg.trials = static_cast<std::uint32_t>(std::atoi(argv[++i]));
-    } else if (a == "--seed" && i + 1 < argc) {
-      cfg.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (a == "--begin" && i + 1 < argc) {
-      cfg.trial_begin = static_cast<std::uint32_t>(std::atoi(argv[++i]));
-    } else if (a == "--end" && i + 1 < argc) {
-      cfg.trial_end = static_cast<std::uint32_t>(std::atoi(argv[++i]));
-    } else if (a == "--rate" && i + 1 < argc) {
-      cfg.schedule.link_rate = std::atof(argv[++i]);
-    } else if (a == "--node-rate" && i + 1 < argc) {
-      cfg.schedule.node_rate = std::atof(argv[++i]);
-    } else if (a == "--window" && i + 1 < argc) {
-      cfg.schedule.window = std::atoi(argv[++i]);
-    } else if (a == "--transient" && i + 1 < argc) {
-      cfg.schedule.transient_fraction = std::atof(argv[++i]);
-    } else if (a == "--timeout" && i + 1 < argc) {
-      cfg.recovery.timeout = std::atoi(argv[++i]);
-    } else if (a == "--retries" && i + 1 < argc) {
-      cfg.recovery.max_retries = std::atoi(argv[++i]);
-    } else if (a == "--threshold" && i + 1 < argc) {
-      threshold = std::atoi(argv[++i]);
-    } else if (a == "--min-delivery" && i + 1 < argc) {
-      min_delivery = std::atof(argv[++i]);
-    } else if (a == "--sweep" && i + 1 < argc) {
-      const char* p = argv[++i];
-      while (*p) {
-        char* end = nullptr;
-        sweep.push_back(std::strtod(p, &end));
-        if (end == p) break;
-        p = (*end == ',') ? end + 1 : end;
+    const bool has_value = i + 1 < argc;
+    bool ok = true;
+    if (a == "--trials" && has_value) {
+      ok = parse_number("--trials", argv[++i], 1u, kMaxU32, cfg.trials);
+    } else if (a == "--seed" && has_value) {
+      ok = parse_number<std::uint64_t>("--seed", argv[++i], 0, LLONG_MAX,
+                                       cfg.seed);
+    } else if (a == "--begin" && has_value) {
+      ok = parse_number("--begin", argv[++i], 0u, kMaxU32, cfg.trial_begin);
+    } else if (a == "--end" && has_value) {
+      ok = parse_number("--end", argv[++i], 0u, kMaxU32, cfg.trial_end);
+    } else if (a == "--rate" && has_value) {
+      ok = parse_number("--rate", argv[++i], 0.0, 1.0,
+                        cfg.schedule.link_rate);
+    } else if (a == "--node-rate" && has_value) {
+      ok = parse_number("--node-rate", argv[++i], 0.0, 1.0,
+                        cfg.schedule.node_rate);
+    } else if (a == "--window" && has_value) {
+      ok = parse_number("--window", argv[++i], 1, INT_MAX,
+                        cfg.schedule.window);
+    } else if (a == "--transient" && has_value) {
+      ok = parse_number("--transient", argv[++i], 0.0, 1.0,
+                        cfg.schedule.transient_fraction);
+    } else if (a == "--timeout" && has_value) {
+      ok = parse_number("--timeout", argv[++i], 0, INT_MAX,
+                        cfg.recovery.timeout);
+    } else if (a == "--retries" && has_value) {
+      ok = parse_number("--retries", argv[++i], 0, INT_MAX,
+                        cfg.recovery.max_retries);
+    } else if (a == "--threshold" && has_value) {
+      ok = parse_number("--threshold", argv[++i], 0, INT_MAX, threshold);
+    } else if (a == "--min-delivery" && has_value) {
+      ok = parse_number("--min-delivery", argv[++i], 0.0, 1.0, min_delivery);
+    } else if (a == "--sweep" && has_value) {
+      std::stringstream list(argv[++i]);
+      std::string item;
+      while (ok && std::getline(list, item, ',')) {
+        double rate = 0;
+        ok = parse_number("--sweep", item.c_str(), 0.0, 1.0, rate);
+        sweep.push_back(rate);
       }
     } else if (a == "--gray") {
       gray = true;
@@ -551,17 +610,11 @@ int cmd_campaign(int argc, char** argv) {
       json = true;
       if (i + 1 < argc && argv[i + 1][0] != '-') json_path = argv[++i];
     } else if (n < 0 && !a.empty() && a[0] != '-') {
-      n = std::atoi(a.c_str());
+      ok = parse_number("campaign <n>", a.c_str(), 1, 30, n);
     } else {
-      std::fprintf(
-          stderr,
-          "usage: campaign <n> [--trials T] [--seed S] [--begin B] "
-          "[--end E] [--rate R] [--node-rate R] [--window W] "
-          "[--transient F] [--timeout s] [--retries k] [--threshold m] "
-          "[--gray] [--sweep r1,r2,...] [--min-delivery d] "
-          "[--json [FILE]]\n");
-      return 1;
+      ok = false;
     }
+    if (!ok) return usage();
   }
   if (n < 0) {
     std::fprintf(stderr, "campaign: missing hypercube dimension\n");
@@ -1067,34 +1120,36 @@ int main(int argc, char** argv) {
 
   // Strip the global --threads flag (valid anywhere) before dispatch so
   // subcommand parsers never see it.
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    int threads = 0;
-    if (a == "--threads" && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-    } else if (a.rfind("--threads=", 0) == 0) {
-      threads = std::atoi(a.c_str() + 10);
-    } else {
-      argv[out++] = argv[i];
-      continue;
-    }
-    if (threads <= 0) {
-      std::fprintf(stderr, "--threads requires a positive integer\n");
-      return 1;
-    }
-    par::set_global_threads(threads);
-  }
-  argc = out;
-
-  if (argc < 2) {
+  const auto usage = [&] {
     std::fprintf(stderr,
                  "usage: %s [--threads N] "
                  "cycle|grid|route|ccc|decomp|moments|faults|campaign|trace|"
                  "analyze|watch ...\n",
                  argv[0]);
     return 1;
+  };
+  int out = 1;
+  for (int i = 1; i < argc; ++i) {
+    const std::string a = argv[i];
+    const char* value = nullptr;
+    if (a == "--threads" && i + 1 < argc) {
+      value = argv[++i];
+    } else if (a.rfind("--threads=", 0) == 0) {
+      value = argv[i] + 10;
+    } else {
+      argv[out++] = argv[i];
+      continue;
+    }
+    int threads = 0;
+    if (!parse_number("--threads", value, 1, par::TaskPool::kMaxThreads,
+                      threads)) {
+      return usage();
+    }
+    par::set_global_threads(threads);
   }
+  argc = out;
+
+  if (argc < 2) return usage();
   const std::string cmd = argv[1];
   try {
     if (cmd == "cycle" && argc >= 3) return cmd_cycle(std::atoi(argv[2]));
