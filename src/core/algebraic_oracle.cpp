@@ -1,6 +1,7 @@
 #include "core/algebraic_oracle.hpp"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "base/bits.hpp"
@@ -186,16 +187,16 @@ class GridOracle final : public PathOracle {
              "cycle_multipath_supported; torus sides must be powers of two; "
              "total host dimension at most 30)");
     const int k = spec_.num_axes();
-    bits_.resize(k);
+    std::vector<int> bits(k);
     offset_.resize(k);
     axes_.reserve(k);
     for (int a = 0; a < k; ++a) {
-      bits_[a] = ceil_log2(spec_.sides[a]);
-      axes_.emplace_back(bits_[a]);
+      bits[a] = ceil_log2(spec_.sides[a]);
+      axes_.emplace_back(bits[a]);
     }
     offset_[k - 1] = 0;
-    for (int a = k - 1; a-- > 0;) offset_[a] = offset_[a + 1] + bits_[a + 1];
-    total_ = offset_[0] + bits_[0];
+    for (int a = k - 1; a-- > 0;) offset_[a] = offset_[a + 1] + bits[a + 1];
+    total_ = offset_[0] + bits[0];
     num_edges_ = 0;
     for (int a = 0; a < k; ++a) {
       const std::uint64_t along =
@@ -209,61 +210,50 @@ class GridOracle final : public PathOracle {
   OracleId guest_edges() const override { return num_edges_; }
 
   Node host_of(OracleId guest) const override {
-    const auto coords =
-        spec_.coords(checked_u32(guest, "guest node id exceeds 32 bits"));
-    Node addr = 0;
-    for (int a = 0; a < spec_.num_axes(); ++a) {
-      addr |= axes_[a].eta(coords[a]) << offset_[a];
-    }
-    return addr;
+    return eta_except(coords(guest), -1);
   }
 
   int out_degree(OracleId guest) const override {
-    const auto coords =
-        spec_.coords(checked_u32(guest, "guest node id exceeds 32 bits"));
+    const Coords c = coords(guest);
     int deg = 0;
     for (int a = 0; a < spec_.num_axes(); ++a) {
-      if (spec_.wrap || coords[a] + 1 < spec_.sides[a]) ++deg;
+      if (spec_.wrap || c[a] + 1 < spec_.sides[a]) ++deg;
     }
     return deg;
   }
 
   OracleEdge out_edge(OracleId guest, int slot) const override {
-    const Node from = checked_u32(guest, "guest node id exceeds 32 bits");
-    auto coords = spec_.coords(from);
+    Coords c = coords(guest);
     // Successor along each live axis, in ascending target order (Digraph
     // storage order).  At most 5 axes fit in 30 host bits, so the sort is
     // a handful of comparisons.
     Node targets[30];
     int deg = 0;
     for (int a = 0; a < spec_.num_axes(); ++a) {
-      if (!spec_.wrap && coords[a] + 1 >= spec_.sides[a]) continue;
-      const Node c = coords[a];
-      coords[a] = (c + 1) % spec_.sides[a];
-      targets[deg++] = spec_.index(coords);
-      coords[a] = c;
+      if (!spec_.wrap && c[a] + 1 >= spec_.sides[a]) continue;
+      const Node keep = c[a];
+      c[a] = (keep + 1) % spec_.sides[a];
+      targets[deg++] = spec_.index({c.data(), spec_.sides.size()});
+      c[a] = keep;
     }
     HP_CHECK(slot >= 0 && slot < deg, "out-edge slot out of range");
     std::sort(targets, targets + deg);
-    return {from, targets[slot]};
+    return {guest, targets[slot]};
   }
 
   int width(const OracleEdge& edge) const override {
-    return axes_[edge_axis(edge)].width();
+    return axes_[edge_axis(edge, coords(edge.from))].width();
   }
 
   std::uint32_t path_hops(const OracleEdge& edge, int index) const override {
-    return axes_[edge_axis(edge)].path_hops(index);
+    return axes_[edge_axis(edge, coords(edge.from))].path_hops(index);
   }
 
   void path(const OracleEdge& edge, int index,
             NodeSink& sink) const override {
-    const int a = edge_axis(edge);
-    const Node from_coord =
-        spec_.coords(static_cast<Node>(edge.from))[static_cast<std::size_t>(a)];
-    const Node axis_mask =
-        static_cast<Node>((pow2(bits_[a]) - 1) << offset_[a]);
-    const Node fixed = host_of(edge.from) & ~axis_mask;
+    const Coords cf = coords(edge.from);
+    const int a = edge_axis(edge, cf);
+    const Node fixed = eta_except(cf, a);
     const int off = offset_[a];
     struct FieldEmit {
       NodeSink& sink;
@@ -271,19 +261,36 @@ class GridOracle final : public PathOracle {
       int off;
       void operator()(Node v) const { sink.push(fixed | (v << off)); }
     };
-    axes_[a].path(from_coord, index, FieldEmit{sink, fixed, off});
+    axes_[a].path(cf[a], index, FieldEmit{sink, fixed, off});
   }
 
   const char* family() const override { return "grid"; }
 
  private:
-  /// The single axis the edge advances (+1, or the torus wrap); throws if
-  /// the pair is not a grid edge.
-  int edge_axis(const OracleEdge& edge) const {
-    const auto cf =
-        spec_.coords(checked_u32(edge.from, "guest node id exceeds 32 bits"));
-    const auto ct =
-        spec_.coords(checked_u32(edge.to, "guest node id exceeds 32 bits"));
+  /// Coordinates of a guest node, on the stack: no query allocates.
+  /// num_axes() ≤ 30, since every axis takes at least one host bit.
+  using Coords = std::array<Node, 30>;
+
+  Coords coords(OracleId guest) const {
+    Coords c{};
+    spec_.coords(checked_u32(guest, "guest node id exceeds 32 bits"), c);
+    return c;
+  }
+
+  /// OR of the per-axis images of `c` in their fields, skipping axis
+  /// `skip` (-1 skips none: η of the node).
+  Node eta_except(const Coords& c, int skip) const {
+    Node addr = 0;
+    for (int a = 0; a < spec_.num_axes(); ++a) {
+      if (a != skip) addr |= axes_[a].eta(c[a]) << offset_[a];
+    }
+    return addr;
+  }
+
+  /// The single axis the edge advances (+1, or the torus wrap), given the
+  /// source's coordinates `cf`; throws if the pair is not a grid edge.
+  int edge_axis(const OracleEdge& edge, const Coords& cf) const {
+    const Coords ct = coords(edge.to);
     int axis = -1;
     for (int a = 0; a < spec_.num_axes(); ++a) {
       if (cf[a] == ct[a]) continue;
@@ -299,7 +306,7 @@ class GridOracle final : public PathOracle {
 
   GridSpec spec_;
   std::vector<Theorem1Core> axes_;
-  std::vector<int> bits_, offset_;
+  std::vector<int> offset_;
   int total_ = 0;
   std::uint64_t num_edges_ = 0;
 };

@@ -47,7 +47,7 @@ Node GridSpec::num_nodes() const {
   return static_cast<Node>(n);
 }
 
-Node GridSpec::index(const std::vector<Node>& c) const {
+Node GridSpec::index(std::span<const Node> c) const {
   HP_CHECK(c.size() == sides.size(), "coordinate arity mismatch");
   std::uint64_t idx = 0;
   for (std::size_t a = 0; a < sides.size(); ++a) {
@@ -59,11 +59,16 @@ Node GridSpec::index(const std::vector<Node>& c) const {
 
 std::vector<Node> GridSpec::coords(Node v) const {
   std::vector<Node> c(sides.size());
+  coords(v, c);
+  return c;
+}
+
+void GridSpec::coords(Node v, std::span<Node> out) const {
+  HP_CHECK(out.size() >= sides.size(), "coordinate buffer too small");
   for (std::size_t a = sides.size(); a-- > 0;) {
-    c[a] = v % sides[a];
+    out[a] = v % sides[a];
     v /= sides[a];
   }
-  return c;
 }
 
 namespace {

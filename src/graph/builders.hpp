@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "base/rng.hpp"
@@ -46,10 +47,15 @@ struct GridSpec {
   int num_axes() const { return static_cast<int>(sides.size()); }
 
   /// Dense index of a coordinate tuple.
-  Node index(const std::vector<Node>& coords) const;
+  Node index(std::span<const Node> coords) const;
+  Node index(const std::vector<Node>& coords) const {
+    return index(std::span<const Node>(coords));
+  }
 
   /// Coordinate tuple of a dense index.
   std::vector<Node> coords(Node v) const;
+  /// The same, written to out[0 .. num_axes()) without allocating.
+  void coords(Node v, std::span<Node> out) const;
 };
 
 /// The symmetric grid/torus communication graph for `spec`.

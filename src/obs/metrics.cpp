@@ -22,12 +22,13 @@ FixedHistogram FixedHistogram::exponential(int buckets) {
   return FixedHistogram(std::move(bounds));
 }
 
-void FixedHistogram::observe(double v) {
+void FixedHistogram::observe(double v, std::uint64_t n) {
+  if (n == 0) return;
   if (counts_.empty()) counts_.assign(1, 0);  // default-constructed: 1 bucket
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  ++counts_[static_cast<std::size_t>(it - bounds_.begin())];
-  ++count_;
-  sum_ += v;
+  counts_[static_cast<std::size_t>(it - bounds_.begin())] += n;
+  count_ += n;
+  sum_ += v * static_cast<double>(n);
   max_ = std::max(max_, v);
 }
 

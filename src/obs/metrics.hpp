@@ -63,7 +63,12 @@ class FixedHistogram {
   /// but adversarial workloads spread over orders of magnitude.
   static FixedHistogram exponential(int buckets = 20);
 
-  void observe(double v);
+  void observe(double v) { observe(v, 1); }
+  /// Observes `v` n times in one update.  Bit-identical to n calls of
+  /// observe(v) whenever v·n and the running sum are exact doubles — true
+  /// of integer-valued samples whose sum stays below 2^53, such as step
+  /// latencies.
+  void observe(double v, std::uint64_t n);
 
   std::uint64_t count() const { return count_; }
   double sum() const { return sum_; }

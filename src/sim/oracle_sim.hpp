@@ -9,16 +9,21 @@
 //
 // run_oracle_phase replaces all of that with streaming compilation:
 //
-//   1. Each demanded guest edge's bundle paths are streamed hop by hop
-//      from the oracle straight into a RoutePlan (no HostPath, no Packet,
-//      no bundle vector), recording each hop's 64-bit *global* link id
-//      u·n + dim on the side.
-//   2. RoutePlan::compact_links sorts and deduplicates the global ids and
-//      rewrites each hop to its rank — a plan-local 32-bit link id.  The
-//      arena is sized by the number of *distinct links the traffic
-//      touches* (≤ total hops), not by the host: memory is proportional to
-//      the active packet set, and hosts past the n = 27 dense-id ceiling
-//      work unchanged.
+//   1. compile_oracle_phase streams each demanded guest edge's bundle
+//      paths from the oracle into a RoutePlan (no HostPath, no Packet, no
+//      bundle vector), recording each hop's 64-bit *global* link id
+//      u·n + dim on the side.  An edge's p packets ride its w bundle paths
+//      round-robin, so each of the min(p, w) distinct paths is streamed
+//      once into a small per-edge staging buffer and its node and link-id
+//      slices are copied into the plan once per packet.
+//   2. RoutePlan::compact_links radix-sorts the global ids (tagged with
+//      their hop index) and rewrites each hop to its rank among the
+//      distinct ids — a plan-local 32-bit link id — in one scan that also
+//      yields the peak static link load.  The arena is sized by the number
+//      of *distinct links the traffic touches* (≤ total hops), not by the
+//      host: memory is proportional to the active packet set, and hosts
+//      past the n = 27 dense-id ceiling work unchanged.  The per-hop id
+//      buffer is freed before the sweep.
 //   3. run_plan (store_forward.hpp) — the kernel every serial
 //      store-and-forward simulation runs — steps the compact plan to
 //      completion under FIFO arbitration.
@@ -64,6 +69,16 @@ void add_oracle_route(const PathOracle& oracle, const OracleEdge& edge,
                       int path_index, std::uint32_t release_step,
                       simcore::RoutePlan& plan,
                       std::vector<std::uint64_t>& glinks);
+
+/// Step 1 of run_oracle_phase: appends `packets_per_edge` unlinked routes
+/// per demanded guest edge to `plan`, in phase_packets order, and each
+/// hop's global link id to `glinks`.  The plan is byte-equal to one built
+/// by add_oracle_route per packet; each distinct bundle path is generated
+/// once per edge.
+void compile_oracle_phase(const PathOracle& oracle,
+                          std::span<const OracleEdge> edges,
+                          int packets_per_edge, simcore::RoutePlan& plan,
+                          std::vector<std::uint64_t>& glinks);
 
 /// Compiles `spec.packets_per_edge` packets per demanded guest edge from
 /// the oracle's bundles and runs the FIFO phase sweep to completion.

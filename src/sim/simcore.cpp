@@ -63,6 +63,10 @@ void RoutePlan::begin_route(std::uint32_t release_step) {
 
 void RoutePlan::push_node(Node v) { route_nodes.push_back(v); }
 
+void RoutePlan::push_nodes(std::span<const Node> vs) {
+  route_nodes.insert(route_nodes.end(), vs.begin(), vs.end());
+}
+
 void RoutePlan::end_route(const Hypercube& host, const char* invalid_msg) {
   HP_CHECK(host.num_directed_edges() <= 0xffffffffull,
            "route plan needs 32-bit link ids (hypercube too large)");
@@ -103,35 +107,75 @@ void RoutePlan::end_route_unlinked(int dims, const char* invalid_msg) {
   release.push_back(stream_release_);
 }
 
-std::uint64_t RoutePlan::compact_links(
-    const std::vector<std::uint64_t>& glinks, int dims) {
+std::uint64_t RoutePlan::compact_links(std::vector<std::uint64_t> glinks,
+                                       int dims) {
   HP_CHECK(link_of_hop.empty() && !route_offsets.empty() &&
                glinks.size() == route_offsets.back(),
            "compact_links needs an unlinked plan and one global id per hop");
-  // The max static link load falls out of the sorted run lengths before
-  // deduplication.
+  HP_CHECK(dims >= 1 && dims <= 32, "compact_links: dims outside [1, 32]");
+  const std::size_t num_hops = glinks.size();
+  // Key = (global id << hop_bits) | hop.  Sorting on the id bits alone
+  // with a stable LSD radix sort keeps equal ids in hop order, so the
+  // keys come out fully sorted — the order std::sort of the ids gave.
+  const std::uint64_t id_limit = static_cast<std::uint64_t>(dims) * pow2(dims);
+  const int key_bits = std::bit_width(id_limit - 1);
+  const int hop_bits = std::bit_width(num_hops > 0 ? num_hops - 1 : 0);
+  HP_CHECK(key_bits + hop_bits <= 64,
+           "compact_links: global id bits plus hop index bits exceed 64");
+  const std::uint64_t hop_mask = (std::uint64_t{1} << hop_bits) - 1;
+
+  constexpr int kDigitBits = 11;
+  constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
+  const int passes = (key_bits + kDigitBits - 1) / kDigitBits;
+  // Every pass's digit histogram, filled by the packing scan.
+  std::vector<std::size_t> count(static_cast<std::size_t>(passes) * kBuckets);
+  for (std::size_t h = 0; h < num_hops; ++h) {
+    const std::uint64_t g = glinks[h];
+    HP_CHECK(g < id_limit,
+             "compact_links: global link id not below dims*2^dims");
+    for (int d = 0; d < passes; ++d) {
+      ++count[d * kBuckets + ((g >> (d * kDigitBits)) & (kBuckets - 1))];
+    }
+    glinks[h] = (g << hop_bits) | h;
+  }
+  std::vector<std::uint64_t> scratch(num_hops);
+  for (int d = 0; d < passes; ++d) {
+    std::size_t* const offset = count.data() + d * kBuckets;
+    const int shift = hop_bits + d * kDigitBits;
+    std::size_t sum = 0;
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+      const std::size_t c = offset[b];
+      offset[b] = sum;
+      sum += c;
+    }
+    for (const std::uint64_t key : glinks) {
+      scratch[offset[(key >> shift) & (kBuckets - 1)]++] = key;
+    }
+    glinks.swap(scratch);
+  }
+  scratch = {};
+
+  // One scan of the sorted keys: ranks, the per-hop scatter, dimensions,
+  // and the max static link load (the longest run of one id).
+  global_link.clear();
+  dim_of.clear();
+  link_of_hop.resize(num_hops);
   std::uint64_t peak = 0;
-  global_link = glinks;
-  std::sort(global_link.begin(), global_link.end());
   std::uint64_t run = 0;
   std::uint64_t prev = ~std::uint64_t{0};
-  for (const std::uint64_t g : global_link) {
-    run = (g == prev) ? run + 1 : 1;
-    prev = g;
-    if (run > peak) peak = run;
-  }
-  global_link.erase(std::unique(global_link.begin(), global_link.end()),
-                    global_link.end());
-  link_of_hop.reserve(glinks.size());
-  for (const std::uint64_t g : glinks) {
-    const auto it = std::lower_bound(global_link.begin(), global_link.end(), g);
-    link_of_hop.push_back(
-        static_cast<std::uint32_t>(it - global_link.begin()));
-  }
-  // A global id is tail·dims + dim, so the dimension survives renumbering.
-  dim_of.resize(global_link.size());
-  for (std::size_t l = 0; l < global_link.size(); ++l) {
-    dim_of[l] = static_cast<std::uint8_t>(global_link[l] % dims);
+  for (const std::uint64_t key : glinks) {
+    const std::uint64_t g = key >> hop_bits;
+    if (g != prev) {
+      // A global id is tail·dims + dim, so the dimension survives
+      // renumbering.
+      global_link.push_back(g);
+      dim_of.push_back(static_cast<std::uint8_t>(g % dims));
+      prev = g;
+      run = 0;
+    }
+    if (++run > peak) peak = run;
+    link_of_hop[key & hop_mask] =
+        static_cast<std::uint32_t>(global_link.size() - 1);
   }
   return peak;
 }

@@ -219,14 +219,15 @@ class RoutePlan {
                  const char* invalid_msg = "packet route invalid");
 
   /// Streaming construction — PathOracle consumers compile routes hop by
-  /// hop with no HostPath temporary: begin_route(), push_node() per node,
-  /// then one of the end_route flavors.  end_route(host) computes global
-  /// dense link ids exactly like add_route (checked 32-bit narrowing);
-  /// end_route_unlinked(dims) validates the walk within Q_dims but leaves
-  /// link_of_hop empty until compact_links() fills it.  Do not mix unlinked
-  /// routes with linked ones in one plan.
+  /// hop with no HostPath temporary: begin_route(), push_node() per node
+  /// (or push_nodes() per slice), then one of the end_route flavors.
+  /// end_route(host) computes global dense link ids exactly like add_route
+  /// (checked 32-bit narrowing); end_route_unlinked(dims) validates the
+  /// walk within Q_dims but leaves link_of_hop empty until compact_links()
+  /// fills it.  Do not mix unlinked routes with linked ones in one plan.
   void begin_route(std::uint32_t release_step);
   void push_node(Node v);
+  void push_nodes(std::span<const Node> vs);
   void end_route(const Hypercube& host,
                  const char* invalid_msg = "packet route invalid");
   void end_route_unlinked(int dims,
@@ -237,8 +238,13 @@ class RoutePlan {
   /// global_link, each hop's rank among them its link_of_hop entry, and
   /// dim_of their dimensions.  Returns the peak static load — the most hops
   /// any one link carries.
-  std::uint64_t compact_links(const std::vector<std::uint64_t>& glinks,
-                              int dims);
+  ///
+  /// Taken by value so a caller done with the ids can move them in: the
+  /// buffer is reused in place as (id << hop_bits) | hop keys, LSD
+  /// radix-sorted on the id bits with one scratch buffer, and both are
+  /// freed on return.  Every id must be below dims·2^dims, and the id bits
+  /// plus the hop-index bits must fit 64; both are checked.
+  std::uint64_t compact_links(std::vector<std::uint64_t> glinks, int dims);
 
   /// True for a compact plan (see above); a plan without hops reads dense.
   bool compact() const { return !dim_of.empty(); }

@@ -293,15 +293,23 @@ SimResult run_plan_in(const simcore::RoutePlan& plan, int dims,
     // canonical order that makes results reproducible and independent of
     // the sweep's sharding.  A packet whose next link just died
     // still enqueues here; the truncation pass of the next step drops it at
-    // that node.
+    // that node.  Consecutive deliveries sharing a latency reach the
+    // histogram as one batched observation.
     simcore::sort_moved(moved, scratch.moved_mask);
     simcore::advance_hops(moved, hop);
+    std::uint64_t run_lat = 0;
+    std::uint64_t run_len = 0;
     for (const std::uint32_t id : moved) {
       if (hop[id] == route_len[id]) {
         --undelivered;
         const std::uint64_t lat = static_cast<std::uint64_t>(
             step + 1 - static_cast<int>(release[id]));
-        result.latency.observe(static_cast<double>(lat));
+        if (lat != run_lat && run_len > 0) {
+          result.latency.observe(static_cast<double>(run_lat), run_len);
+          run_len = 0;
+        }
+        run_lat = lat;
+        ++run_len;
         if constexpr (Faulted) {
           if (fault_out != nullptr) {
             fault_out->fates[id] = {PacketFate::Kind::kDelivered, step,
@@ -316,6 +324,9 @@ SimResult run_plan_in(const simcore::RoutePlan& plan, int dims,
       } else {
         enqueue(id);
       }
+    }
+    if (run_len > 0) {
+      result.latency.observe(static_cast<double>(run_lat), run_len);
     }
 
     result.utilization.add(static_cast<double>(swept.busy) / total_links);

@@ -130,6 +130,31 @@ TEST(HistogramMerge, MergingEmptyIsANoop) {
   EXPECT_EQ(h, before);
 }
 
+TEST(HistogramMerge, BatchedObserveEqualsRepeatedObserve) {
+  // The step loop folds each run of deliveries sharing a latency into one
+  // observe(v, n); for integer-valued samples that is exactly n calls of
+  // observe(v) — counts, count, sum and max.  n = 0 observes nothing.
+  FixedHistogram batched = FixedHistogram::exponential(12);
+  FixedHistogram repeated = FixedHistogram::exponential(12);
+  for (int i = 0; i < 200; ++i) {
+    const double v = static_cast<double>((i * 37) % 5000);  // some overflow
+    const std::uint64_t n = static_cast<std::uint64_t>((i * 13) % 7);
+    batched.observe(v, n);
+    for (std::uint64_t k = 0; k < n; ++k) repeated.observe(v);
+  }
+  EXPECT_EQ(batched, repeated);
+  EXPECT_GT(batched.count(), 0u);
+
+  FixedHistogram empty;
+  empty.observe(3, 0);
+  EXPECT_EQ(empty, FixedHistogram{});
+  FixedHistogram one;
+  FixedHistogram three;
+  one.observe(3, 3);
+  for (int k = 0; k < 3; ++k) three.observe(3);
+  EXPECT_EQ(one, three);
+}
+
 TEST(HistogramMerge, AccumulatesCountSumAndMax) {
   FixedHistogram a({10, 100});
   FixedHistogram b({10, 100});

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <string>
 
 #include "base/error.hpp"
 #include "core/algebraic_oracle.hpp"
@@ -94,6 +96,57 @@ TEST(OracleSample, RoutePlanUnlinkedRejectsBadWalk) {
   plan.push_node(0);
   plan.push_node(3);  // two bits flipped: not a hypercube hop
   EXPECT_THROW(plan.end_route_unlinked(4), Error);
+}
+
+/// compile_oracle_phase streams each distinct bundle path once per edge
+/// and replicates it; the plan and its global link ids must be byte-equal
+/// to streaming every packet's path through add_oracle_route in
+/// phase_packets order — and so must the renumbered plan.
+void expect_compile_once_matches_per_packet(const PathOracle& oracle) {
+  const std::vector<OracleEdge> edges = sample_guest_edges(oracle, 300, 11);
+  const int w = oracle.width(edges.front());
+  for (const int p : {1, w - 1, w, w + 1, 32}) {
+    if (p < 1) continue;
+    SCOPED_TRACE(std::string(oracle.family()) + " p=" + std::to_string(p));
+    simcore::RoutePlan once;
+    std::vector<std::uint64_t> once_links;
+    compile_oracle_phase(oracle, edges, p, once, once_links);
+
+    simcore::RoutePlan per_packet;
+    std::vector<std::uint64_t> per_packet_links;
+    for (const OracleEdge& e : edges) {
+      std::vector<int> order(oracle.width(e));
+      std::iota(order.begin(), order.end(), 0);
+      std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+        return oracle.path_hops(e, a) < oracle.path_hops(e, b);
+      });
+      for (int j = 0; j < p; ++j) {
+        add_oracle_route(oracle, e, order[j % order.size()], 0, per_packet,
+                         per_packet_links);
+      }
+    }
+
+    EXPECT_EQ(once.route_nodes, per_packet.route_nodes);
+    EXPECT_EQ(once.route_offsets, per_packet.route_offsets);
+    EXPECT_EQ(once.route_len, per_packet.route_len);
+    EXPECT_EQ(once.release, per_packet.release);
+    EXPECT_EQ(once_links, per_packet_links);
+    EXPECT_EQ(once.compact_links(std::move(once_links), oracle.host_dims()),
+              per_packet.compact_links(per_packet_links, oracle.host_dims()));
+    EXPECT_EQ(once.link_of_hop, per_packet.link_of_hop);
+    EXPECT_EQ(once.global_link, per_packet.global_link);
+    EXPECT_EQ(once.dim_of, per_packet.dim_of);
+  }
+}
+
+TEST(OracleSample, PhaseCompileOnceMatchesPerPacketRoutes) {
+  expect_compile_once_matches_per_packet(*algebraic_theorem1_oracle(8));
+  // Axes of 4 and 8 bits: bundles of width 3 and 5 in one phase.
+  expect_compile_once_matches_per_packet(
+      *algebraic_grid_oracle(GridSpec{{16, 256}, true}));
+  expect_compile_once_matches_per_packet(*algebraic_largecopy_oracle(6));
+  const MultiPathEmbedding emb = theorem1_cycle_embedding(8);
+  expect_compile_once_matches_per_packet(MaterializedOracle(emb));
 }
 
 /// One phase three ways — algebraic oracle and materialized oracle on

@@ -355,6 +355,99 @@ TEST(RoutePlan, CompactPlanRunsLikeDenseAndRejectsSinkAndSchedule) {
   EXPECT_EQ(sink.total(), 0u);
 }
 
+/// What compact_links must produce, computed the way it used to be: sort
+/// and deduplicate the ids, then one lower_bound per hop.
+struct CompactReference {
+  std::vector<std::uint64_t> global_link;
+  std::vector<std::uint32_t> link_of_hop;
+  std::vector<std::uint8_t> dim_of;
+  std::uint64_t peak = 0;
+};
+
+CompactReference compact_reference(const std::vector<std::uint64_t>& glinks,
+                                   int dims) {
+  CompactReference ref;
+  std::vector<std::uint64_t> sorted = glinks;
+  std::sort(sorted.begin(), sorted.end());
+  for (std::size_t i = 0, run = 0; i < sorted.size(); ++i) {
+    run = (i > 0 && sorted[i] == sorted[i - 1]) ? run + 1 : 1;
+    ref.peak = std::max<std::uint64_t>(ref.peak, run);
+  }
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  ref.global_link = sorted;
+  for (const std::uint64_t g : glinks) {
+    ref.link_of_hop.push_back(static_cast<std::uint32_t>(
+        std::lower_bound(sorted.begin(), sorted.end(), g) - sorted.begin()));
+  }
+  for (const std::uint64_t g : sorted) {
+    ref.dim_of.push_back(static_cast<std::uint8_t>(g % dims));
+  }
+  return ref;
+}
+
+/// An unlinked plan of `routes` routes with `hops` hops in all
+/// (compact_links reads only the hop offsets; the last route takes the
+/// remainder, and empty routes are allowed).
+simcore::RoutePlan unlinked_plan(std::size_t hops, std::size_t routes,
+                                 Rng& rng) {
+  simcore::RoutePlan plan;
+  plan.route_offsets.push_back(0);
+  std::size_t left = hops;
+  for (std::size_t r = 0; r < routes; ++r) {
+    const std::size_t len = r + 1 == routes ? left : rng.below(left + 1);
+    left -= len;
+    plan.route_offsets.push_back(
+        static_cast<std::uint32_t>(plan.route_offsets.back() + len));
+    plan.route_len.push_back(static_cast<std::uint32_t>(len));
+    plan.release.push_back(0);
+  }
+  return plan;
+}
+
+TEST(RoutePlan, CompactLinksRadixMatchesSortReference) {
+  Rng rng(2024);
+  for (const int dims : {1, 8, 24, 30}) {
+    const std::uint64_t limit = static_cast<std::uint64_t>(dims) << dims;
+    std::vector<std::uint64_t> few = {0, limit - 1, limit / 2, 1 % limit,
+                                      limit / 3};
+    std::vector<std::vector<std::uint64_t>> cases;
+    std::vector<std::uint64_t> random(5000);
+    for (std::uint64_t& g : random) g = rng.below(limit);
+    random.push_back(limit - 1);  // both ends of the id range
+    random.push_back(0);
+    cases.push_back(random);
+    std::vector<std::uint64_t> dups(5000);
+    for (std::uint64_t& g : dups) g = few[rng.below(few.size())];
+    cases.push_back(dups);
+    cases.push_back(std::vector<std::uint64_t>(300, limit - 1));  // one link
+    cases.push_back({limit - 1});                                 // one hop
+    cases.push_back({});                                          // no hops
+    for (const std::vector<std::uint64_t>& glinks : cases) {
+      SCOPED_TRACE("dims " + std::to_string(dims) + ", hops " +
+                   std::to_string(glinks.size()));
+      simcore::RoutePlan plan = unlinked_plan(glinks.size(), 7, rng);
+      const CompactReference ref = compact_reference(glinks, dims);
+      const std::uint64_t peak = plan.compact_links(glinks, dims);
+      EXPECT_EQ(peak, ref.peak);
+      EXPECT_EQ(plan.global_link, ref.global_link);
+      EXPECT_EQ(plan.link_of_hop, ref.link_of_hop);
+      EXPECT_EQ(plan.dim_of, ref.dim_of);
+    }
+  }
+}
+
+TEST(RoutePlan, CompactLinksRejectsIdsPastTheHostAndBadDims) {
+  Rng rng(7);
+  const int dims = 8;
+  const std::uint64_t limit = std::uint64_t{dims} << dims;
+  simcore::RoutePlan plan = unlinked_plan(3, 2, rng);
+  EXPECT_THROW(plan.compact_links({0, limit, 1}, dims), Error);
+  simcore::RoutePlan edge = unlinked_plan(1, 1, rng);
+  EXPECT_NO_THROW(edge.compact_links({limit - 1}, dims));
+  simcore::RoutePlan no_dims = unlinked_plan(1, 1, rng);
+  EXPECT_THROW(no_dims.compact_links({0}, 0), Error);
+}
+
 TEST(StepKernel, SortMovedMatchesStdSortOnBothPathsAndClearsMask) {
   Rng rng(0x5027);
   for (int trial = 0; trial < 40; ++trial) {
