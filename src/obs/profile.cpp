@@ -11,6 +11,7 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
+#include <time.h>
 #endif
 
 namespace hyperpath::obs {
@@ -24,24 +25,18 @@ std::uint64_t wall_now_ns() {
           .count());
 }
 
-// Per-thread CPU seconds (user + system).  RUSAGE_THREAD is Linux-specific;
-// elsewhere fall back to the whole process, which still satisfies the
-// "CPU ≤ wall × threads" sanity bound the tests check.
+// Per-thread CPU seconds (user + system) from the thread's CPU-time clock,
+// which the kernel brings up to date on every read.  getrusage's thread
+// figures advance only at scheduler ticks, so a short span that happened to
+// cross a tick was charged the whole tick and its neighbours nothing.
 double cpu_now_seconds() {
-#if defined(RUSAGE_THREAD)
-  struct rusage ru;
-  if (getrusage(RUSAGE_THREAD, &ru) != 0) return 0;
-#elif defined(__unix__) || defined(__APPLE__)
-  struct rusage ru;
-  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
+#if defined(CLOCK_THREAD_CPUTIME_ID)
+  timespec ts;
+  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return 0;
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
 #else
   return 0;
-#endif
-#if defined(__unix__) || defined(__APPLE__)
-  const auto tv = [](const timeval& t) {
-    return static_cast<double>(t.tv_sec) + 1e-6 * t.tv_usec;
-  };
-  return tv(ru.ru_utime) + tv(ru.ru_stime);
 #endif
 }
 
@@ -151,6 +146,10 @@ void Profiler::begin(const char* name) {
 void Profiler::end() {
   ThreadProfile& tp = this_thread();
   HP_CHECK(!tp.stack.empty(), "ProfileSpan end without begin");
+  // The CPU clock is read inside the wall interval (after wall at begin,
+  // before it here), and a child's reads inside its parent's: a span's CPU
+  // time stays within its wall time, its children's CPU sum within its own.
+  const double cpu_end = cpu_now_seconds();
   const Frame f = tp.stack.back();
   tp.stack.pop_back();
   const std::uint64_t wall_end = wall_now_ns();
@@ -160,7 +159,7 @@ void Profiler::end() {
   Node& node = tp.nodes[f.node];
   ++node.count;
   node.wall_seconds += 1e-9 * static_cast<double>(wall_end - f.wall_start_ns);
-  node.cpu_seconds += cpu_now_seconds() - f.cpu_start;
+  node.cpu_seconds += cpu_end - f.cpu_start;
   node.max_rss_delta_kb = std::max(node.max_rss_delta_kb, rss_delta);
 
   Occurrence occ;

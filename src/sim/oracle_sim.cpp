@@ -136,8 +136,9 @@ OraclePhaseResult run_oracle_phase(const PathOracle& oracle,
       plan.route_len.size() * sizeof(std::uint32_t) +
       plan.release.size() * sizeof(std::uint32_t) +
       plan.global_link.size() * sizeof(std::uint64_t) + plan.dim_of.size() +
-      num_links * 3 * sizeof(std::uint32_t) +  // arena head/tail/depth
-      num_routes * 2 * sizeof(std::uint32_t);  // hop + arena next
+      num_links * simcore::LinkFifoArena::kBytesPerLink +
+      num_routes * (simcore::LinkFifoArena::kBytesPerPacket +
+                    sizeof(std::uint32_t));  // arena next + hop cursor
   // Fault-free, so every route completes, zero-hop ones included.
   result.delivered = num_routes;
 

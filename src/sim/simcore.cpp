@@ -10,16 +10,16 @@
 namespace hyperpath::simcore {
 
 LinkFifoArena::LinkFifoArena(std::uint64_t num_links, std::size_t num_packets)
-    : head_(num_links, kNil),
-      tail_(num_links, kNil),
-      depth_(num_links, 0),
-      next_(num_packets, kNil) {}
+    : queues_(num_links), next_(num_packets, kNil) {}
 
 void LinkFifoArena::reset(std::uint64_t num_links, std::size_t num_packets) {
-  head_.assign(num_links, kNil);
-  tail_.assign(num_links, kNil);
-  depth_.assign(num_links, 0);
+  queues_.assign(num_links, Queue{});
   next_.assign(num_packets, kNil);
+}
+
+std::uint32_t checked_hop_offset(std::uint64_t hops_total) {
+  HP_CHECK(hops_total <= 0xffffffffull, "route plan hop count overflow");
+  return static_cast<std::uint32_t>(hops_total);
 }
 
 void RoutePlan::clear() {
@@ -50,7 +50,7 @@ void RoutePlan::add_route(const Hypercube& host, const HostPath& route,
     link_of_hop.push_back(
         static_cast<std::uint32_t>(host.edge_id(route[h], route[h + 1])));
   }
-  route_offsets.push_back(static_cast<std::uint32_t>(link_of_hop.size()));
+  route_offsets.push_back(checked_hop_offset(link_of_hop.size()));
   route_len.push_back(static_cast<std::uint32_t>(route.size() - 1));
   release.push_back(release_step);
 }
@@ -81,7 +81,7 @@ void RoutePlan::end_route(const Hypercube& host, const char* invalid_msg) {
     link_of_hop.push_back(
         static_cast<std::uint32_t>(host.edge_id(nodes[h], nodes[h + 1])));
   }
-  route_offsets.push_back(static_cast<std::uint32_t>(link_of_hop.size()));
+  route_offsets.push_back(checked_hop_offset(link_of_hop.size()));
   route_len.push_back(static_cast<std::uint32_t>(len - 1));
   release.push_back(stream_release_);
 }
@@ -99,10 +99,8 @@ void RoutePlan::end_route_unlinked(int dims, const char* invalid_msg) {
   }
   // Offsets still accumulate hop counts so nodes(r) indexing holds even
   // though link_of_hop waits for compact_links.
-  const std::uint64_t hops_total =
-      static_cast<std::uint64_t>(route_offsets.back()) + (len - 1);
-  HP_CHECK(hops_total <= 0xffffffffull, "route plan hop count overflow");
-  route_offsets.push_back(static_cast<std::uint32_t>(hops_total));
+  route_offsets.push_back(checked_hop_offset(
+      static_cast<std::uint64_t>(route_offsets.back()) + (len - 1)));
   route_len.push_back(static_cast<std::uint32_t>(len - 1));
   release.push_back(stream_release_);
 }

@@ -6,9 +6,12 @@
 // everything is a flat array indexed by link id.
 //
 //   * LinkFifoArena — intrusive per-link packet FIFOs.  A packet waits in at
-//     most one queue at a time, so a single `next[packet]` array plus dense
-//     `head[link]` / `tail[link]` / `depth[link]` arrays hold every queue of
-//     the run with zero per-enqueue allocation.
+//     most one queue at a time, so a single `next[packet]` array plus one
+//     dense array of 12-byte {head, tail, depth} records, one per link, hold
+//     every queue of the run with zero per-enqueue allocation.  The record
+//     keeps the three words a link access touches in one cache line (2 of
+//     every 16 records straddle a 64-byte boundary), and prefetch(link)
+//     lets the step loops fetch it ahead of use.
 //
 //   * Active-set scheduling — a step visits only links that currently hold
 //     packets.  Enqueueing into an empty queue appends the link to a caller
@@ -25,9 +28,11 @@
 //   * StepScratch — thread-local run state that keeps vector capacity
 //     across the thousands of short runs of a Monte-Carlo campaign.
 //
-// Memory: the arena is three 32-bit words per link plus one per packet —
-// ~12 MiB for a dense Q_16 plan, allocated once per run and reused across
-// every step.  A compact plan sizes it by the links its traffic touches.
+// Memory: the arena is 4·(packets + 3·links) bytes — one 12-byte record per
+// link (no padding, no alignas: a 16-byte record would add a third to the
+// per-link state) plus one 32-bit word per packet — ~12 MiB for a dense
+// Q_16 plan, allocated once per run and reused across every step.  A
+// compact plan sizes it by the links its traffic touches.
 //
 // Width discipline: queue depths are uniformly std::uint32_t inside the
 // core (a queue can never hold more packets than the 32-bit packet ids that
@@ -67,7 +72,22 @@ inline constexpr std::uint32_t kNil = 0xffffffffu;
 /// in at most one queue at a time (true of every store-and-forward model
 /// here: a packet waits on exactly its next link).
 class LinkFifoArena {
+  /// One link's queue.  The three words a sweep, arrival or release reads
+  /// and writes together share one 12-byte record, so a random link access
+  /// costs one cache miss, not three.
+  struct Queue {
+    std::uint32_t head = kNil;  // kNil = empty
+    std::uint32_t tail = kNil;  // kNil = empty
+    std::uint32_t depth = 0;
+  };
+  static_assert(sizeof(Queue) == 12, "a link queue record is three words");
+
  public:
+  /// Arena bytes per link and per packet: the arena's share of a plan's
+  /// memory accounting (run_oracle_phase's compiled_bytes).
+  static constexpr std::size_t kBytesPerLink = sizeof(Queue);
+  static constexpr std::size_t kBytesPerPacket = sizeof(std::uint32_t);
+
   LinkFifoArena(std::uint64_t num_links, std::size_t num_packets);
 
   /// Re-dimensions and empties the arena without releasing capacity — the
@@ -75,8 +95,15 @@ class LinkFifoArena {
   /// thousands of short simulations (recovery waves, Monte-Carlo trials).
   void reset(std::uint64_t num_links, std::size_t num_packets);
 
-  bool empty(std::uint64_t link) const { return head_[link] == kNil; }
-  std::uint32_t depth(std::uint64_t link) const { return depth_[link]; }
+  bool empty(std::uint64_t link) const { return queues_[link].head == kNil; }
+  std::uint32_t depth(std::uint64_t link) const { return queues_[link].depth; }
+
+  /// Hints the cache to fetch `link`'s queue record for writing.  The step
+  /// loops call it kPrefetchDistance iterations ahead of their random link
+  /// accesses (step_kernel.hpp); it never changes the arena's contents.
+  void prefetch(std::uint64_t link) const {
+    __builtin_prefetch(queues_.data() + link, 1);
+  }
 
   /// Appends packet `id` to `link`'s queue.  When the queue was empty the
   /// link is pushed onto `worklist` — the caller-owned active set (the
@@ -87,26 +114,28 @@ class LinkFifoArena {
   /// compacted away by the same step's sweep, before any enqueue runs.
   void push_back(std::uint64_t link, std::uint32_t id,
                  std::vector<std::uint32_t>& worklist) {
+    Queue& q = queues_[link];
     // A queue deeper than the 32-bit id space is impossible (each packet
     // waits in at most one queue); guard the wrap anyway in debug builds.
-    assert(depth_[link] != 0xffffffffu && "link queue depth overflow");
+    assert(q.depth != 0xffffffffu && "link queue depth overflow");
     next_[id] = kNil;
-    if (head_[link] == kNil) {
-      head_[link] = id;
+    if (q.head == kNil) {
+      q.head = id;
       worklist.push_back(static_cast<std::uint32_t>(link));
     } else {
-      next_[tail_[link]] = id;
+      next_[q.tail] = id;
     }
-    tail_[link] = id;
-    ++depth_[link];
+    q.tail = id;
+    ++q.depth;
   }
 
   /// Removes and returns the oldest waiting packet.  Requires !empty(link).
   std::uint32_t pop_front(std::uint64_t link) {
-    const std::uint32_t id = head_[link];
-    head_[link] = next_[id];
-    if (head_[link] == kNil) tail_[link] = kNil;
-    --depth_[link];
+    Queue& q = queues_[link];
+    const std::uint32_t id = q.head;
+    q.head = next_[id];
+    if (q.head == kNil) q.tail = kNil;
+    --q.depth;
     return id;
   }
 
@@ -115,7 +144,8 @@ class LinkFifoArena {
   /// O(depth).  Requires !empty(link).
   template <typename Key>
   std::uint32_t pop_max(std::uint64_t link, Key&& key) {
-    std::uint32_t best = head_[link];
+    Queue& q = queues_[link];
+    std::uint32_t best = q.head;
     std::uint32_t best_prev = kNil;
     auto best_key = key(best);
     for (std::uint32_t prev = best, it = next_[best]; it != kNil;
@@ -128,12 +158,12 @@ class LinkFifoArena {
       }
     }
     if (best_prev == kNil) {
-      head_[link] = next_[best];
+      q.head = next_[best];
     } else {
       next_[best_prev] = next_[best];
     }
-    if (tail_[link] == best) tail_[link] = best_prev;
-    --depth_[link];
+    if (q.tail == best) q.tail = best_prev;
+    --q.depth;
     return best;
   }
 
@@ -141,23 +171,17 @@ class LinkFifoArena {
   /// fault-truncation pass).
   template <typename Fn>
   void for_each(std::uint64_t link, Fn&& fn) const {
-    for (std::uint32_t it = head_[link]; it != kNil; it = next_[it]) {
+    for (std::uint32_t it = queues_[link].head; it != kNil; it = next_[it]) {
       fn(it);
     }
   }
 
   /// Empties `link`'s queue in O(1).  Any worklist entry for the link goes
   /// stale and is dropped by the next sweep's compaction.
-  void clear_link(std::uint64_t link) {
-    head_[link] = kNil;
-    tail_[link] = kNil;
-    depth_[link] = 0;
-  }
+  void clear_link(std::uint64_t link) { queues_[link] = Queue{}; }
 
  private:
-  std::vector<std::uint32_t> head_;   // per link; kNil = empty
-  std::vector<std::uint32_t> tail_;   // per link; kNil = empty
-  std::vector<std::uint32_t> depth_;  // per link
+  std::vector<Queue> queues_;         // per link
   std::vector<std::uint32_t> next_;   // per packet; intrusive successor
 };
 
@@ -178,6 +202,12 @@ class LinkBitmap {
  private:
   std::vector<std::uint64_t> words_;
 };
+
+/// Narrows a plan's running hop total to its 32-bit route offset — the one
+/// place route_offsets is narrowed.  Throws "route plan hop count overflow"
+/// past 2^32 - 1 hops (an oracle phase of ~1.5·10^9 packets) instead of
+/// wrapping.
+std::uint32_t checked_hop_offset(std::uint64_t hops_total);
 
 /// Structure-of-arrays compilation of a route set, built once per run.
 ///

@@ -14,8 +14,9 @@
 //   Faulted=true    + stale-entry skip     full behaviour
 //
 // * Traced compiles the event emission in or out.  With it out, the loop
-//   body is: depth read, running max, pop, dim counter, moved append,
-//   compaction — no allocation, no virtual call, no event construction.
+//   body is: prefetch, depth read, running max, pop, dim counter, moved
+//   append, compaction — no allocation, no virtual call, no event
+//   construction.
 // * Faulted compiles the stale-worklist check in or out.  Stale entries
 //   exist only when the fault-truncation pass ran clear_link on a link that
 //   was on a worklist; a fault-free run can never produce one, so skipping
@@ -31,6 +32,16 @@
 // Packet::route.  DenseDim is link mod n for host link ids; CompactDim reads
 // a compact plan's dim_of table.  The caller picks both once per run, so
 // the loop body carries no per-hop branch on either.
+//
+// Prefetch: each iteration asks for the queue record of the link
+// kPrefetchDistance entries further down the worklist (a link on the
+// worklist is always a valid index, stale or not).  run_plan_in's arrival
+// pass does the same for the next link of the packet kPrefetchDistance
+// entries ahead in `moved`, guarded by hop != route_len: a delivered packet
+// has no next link, and for the plan's last route the unguarded index
+// would read one past link_of_hop.  Its step-0 release loop prefetches the
+// first link of route id + kPrefetchDistance when that route has hops.  A
+// prefetch is only a cache hint, so results never depend on it.
 //
 // Determinism: the sweep visits the worklist in order and emits events in
 // deterministic order per worklist; everything order-sensitive downstream
@@ -48,6 +59,13 @@
 #include "sim/simcore.hpp"
 
 namespace hyperpath::simcore {
+
+/// How many iterations ahead the step loop's three random-access passes
+/// (this sweep, run_plan_in's arrivals and its step-0 release) fetch the
+/// queue record they will touch.  The passes are bound by memory latency,
+/// not compute: at ~16 iterations a record requested now arrives about when
+/// its iteration starts.  A fixed constant, not a setting.
+inline constexpr std::size_t kPrefetchDistance = 16;
 
 /// Outputs of one sweep over one worklist.
 struct SweepStats {
@@ -112,6 +130,9 @@ inline SweepStats step_sweep(LinkFifoArena& arena,
   const std::size_t count = worklist.size();
   out.link_visits = static_cast<std::uint64_t>(count);
   for (std::size_t r = 0; r < count; ++r) {
+    if (r + kPrefetchDistance < count) {
+      arena.prefetch(worklist[r + kPrefetchDistance]);
+    }
     const std::uint32_t link = worklist[r];
     if constexpr (Faulted) {
       if (arena.empty(link)) continue;  // stale: emptied by the drop pass

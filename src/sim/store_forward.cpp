@@ -19,6 +19,7 @@ namespace hyperpath {
 
 using obs::TraceEvent;
 using obs::TraceEventKind;
+using simcore::kPrefetchDistance;
 
 namespace {
 
@@ -198,16 +199,26 @@ SimResult run_plan_in(const simcore::RoutePlan& plan, int dims,
 
   {
     HP_PROFILE_SPAN("setup");
-    for (std::uint32_t id = 0; id < num_routes; ++id) {
-      if (route_len[id] == 0) continue;  // already at destination
-      ++undelivered;
-      if (release[id] == 0) {
-        const std::uint64_t link = enqueue(id);
-        if constexpr (Traced) {
-          trace.record({0, TraceEventKind::kRelease, id, link, 0});
+    {
+      HP_PROFILE_SPAN("release");
+      for (std::uint32_t id = 0; id < num_routes; ++id) {
+        // A route's first link is link_of_hop[route_off[id]]; a hop-free
+        // route has none (for the last route that index is one past the
+        // end), so only routes with hops are prefetched.
+        if (id + kPrefetchDistance < num_routes) {
+          const std::uint32_t f = id + kPrefetchDistance;
+          if (route_len[f] != 0) arena.prefetch(link_of_hop[route_off[f]]);
         }
-      } else {
-        pending.emplace_back(release[id], id);
+        if (route_len[id] == 0) continue;  // already at destination
+        ++undelivered;
+        if (release[id] == 0) {
+          const std::uint64_t link = enqueue(id);
+          if constexpr (Traced) {
+            trace.record({0, TraceEventKind::kRelease, id, link, 0});
+          }
+        } else {
+          pending.emplace_back(release[id], id);
+        }
       }
     }
     // (release, id) ascending: per release step, routes enter in id order.
@@ -281,8 +292,11 @@ SimResult run_plan_in(const simcore::RoutePlan& plan, int dims,
       }
     }
 
-    const simcore::SweepStats swept =
-        sweep.template run<Traced, Faulted>(step, dim_tx, trace);
+    simcore::SweepStats swept;
+    {
+      HP_PROFILE_SPAN("sweep");
+      swept = sweep.template run<Traced, Faulted>(step, dim_tx, trace);
+    }
     result.link_visits += swept.link_visits;
     result.total_transmissions += swept.busy;
     if (swept.max_queue > max_queue) max_queue = swept.max_queue;
@@ -294,39 +308,56 @@ SimResult run_plan_in(const simcore::RoutePlan& plan, int dims,
     // the sweep's sharding.  A packet whose next link just died
     // still enqueues here; the truncation pass of the next step drops it at
     // that node.  Consecutive deliveries sharing a latency reach the
-    // histogram as one batched observation.
-    simcore::sort_moved(moved, scratch.moved_mask);
-    simcore::advance_hops(moved, hop);
-    std::uint64_t run_lat = 0;
-    std::uint64_t run_len = 0;
-    for (const std::uint32_t id : moved) {
-      if (hop[id] == route_len[id]) {
-        --undelivered;
-        const std::uint64_t lat = static_cast<std::uint64_t>(
-            step + 1 - static_cast<int>(release[id]));
-        if (lat != run_lat && run_len > 0) {
-          result.latency.observe(static_cast<double>(run_lat), run_len);
-          run_len = 0;
-        }
-        run_lat = lat;
-        ++run_len;
-        if constexpr (Faulted) {
-          if (fault_out != nullptr) {
-            fault_out->fates[id] = {PacketFate::Kind::kDelivered, step,
-                                    TraceEvent::kNoLink,
-                                    static_cast<int>(hop[id])};
+    // histogram as one batched observation.  The re-enqueues hit random
+    // links, so each iteration prefetches the next link of the packet
+    // kPrefetchDistance entries ahead, unless that packet was just
+    // delivered and has no next link.
+    {
+      HP_PROFILE_SPAN("sort_moved");
+      simcore::sort_moved(moved, scratch.moved_mask);
+    }
+    {
+      HP_PROFILE_SPAN("arrivals");
+      simcore::advance_hops(moved, hop);
+      std::uint64_t run_lat = 0;
+      std::uint64_t run_len = 0;
+      const std::size_t num_moved = moved.size();
+      for (std::size_t i = 0; i < num_moved; ++i) {
+        if (i + kPrefetchDistance < num_moved) {
+          const std::uint32_t f = moved[i + kPrefetchDistance];
+          if (hop[f] != route_len[f]) {
+            arena.prefetch(link_of_hop[route_off[f] + hop[f]]);
           }
         }
-        if constexpr (Traced) {
-          trace.record({step, TraceEventKind::kArrive, id,
-                        TraceEvent::kNoLink, lat});
+        const std::uint32_t id = moved[i];
+        if (hop[id] == route_len[id]) {
+          --undelivered;
+          const std::uint64_t lat = static_cast<std::uint64_t>(
+              step + 1 - static_cast<int>(release[id]));
+          if (lat != run_lat && run_len > 0) {
+            result.latency.observe(static_cast<double>(run_lat), run_len);
+            run_len = 0;
+          }
+          run_lat = lat;
+          ++run_len;
+          if constexpr (Faulted) {
+            if (fault_out != nullptr) {
+              fault_out->fates[id] = {PacketFate::Kind::kDelivered, step,
+                                      TraceEvent::kNoLink,
+                                      static_cast<int>(hop[id])};
+            }
+          }
+          if constexpr (Traced) {
+            trace.record({step, TraceEventKind::kArrive, id,
+                          TraceEvent::kNoLink, lat});
+          }
+        } else {
+          enqueue(id);
         }
-      } else {
-        enqueue(id);
       }
-    }
-    if (run_len > 0) {
-      result.latency.observe(static_cast<double>(run_lat), run_len);
+      if (run_len > 0) {
+        result.latency.observe(static_cast<double>(run_lat), run_len);
+      }
     }
 
     result.utilization.add(static_cast<double>(swept.busy) / total_links);

@@ -122,8 +122,59 @@ TEST(Profiler, CpuTimeIsSaneAgainstWallTime) {
   EXPECT_GT(nodes[0].wall_seconds, 0.0);
   EXPECT_GT(nodes[0].cpu_seconds, 0.0);
   // A pure spin loop cannot use more CPU than ~wall (scheduling noise and
-  // getrusage granularity allow some slack).
+  // CPU-clock granularity allow some slack).
   EXPECT_LT(nodes[0].cpu_seconds, nodes[0].wall_seconds + 0.05);
+}
+
+TEST(Profiler, ChildrenCpuSumsToNoMoreThanParent) {
+  Profiler p;
+  p.set_enabled(true);
+  {
+    ProfileSpan root("root", &p);
+    for (int i = 0; i < 300; ++i) {
+      ProfileSpan child(i % 2 ? "odd" : "even", &p);
+      spin(2000);
+      ProfileSpan leaf("leaf", &p);
+      spin(500);
+    }
+    spin(20000);
+  }
+  const auto nodes = p.nodes();
+  ASSERT_EQ(nodes.size(), 5u);  // root, even, leaf, odd, leaf
+  // Each clock read of a child lies inside its parent's, so the children
+  // can only add up to less than the parent (rounding aside).
+  constexpr double kEps = 1e-9;
+  const auto& root = nodes[0];
+  EXPECT_LE(nodes[1].cpu_seconds + nodes[3].cpu_seconds,
+            root.cpu_seconds + kEps);
+  EXPECT_LE(nodes[2].cpu_seconds, nodes[1].cpu_seconds + kEps);
+  EXPECT_LE(nodes[4].cpu_seconds, nodes[3].cpu_seconds + kEps);
+  for (const auto& n : nodes) {
+    EXPECT_GT(n.cpu_seconds, 0.0) << n.name;
+    // Nor can a span's CPU time exceed its wall time (clock skew aside).
+    EXPECT_LE(n.cpu_seconds, n.wall_seconds * 1.001 + 1e-6) << n.name;
+  }
+}
+
+TEST(Profiler, CpuClockResolvesShortSpans) {
+  // A tick-quantized clock (getrusage's thread times advance only at
+  // scheduler ticks) reads zero for most spans far shorter than a tick and
+  // a whole tick for the few that straddle one.  Every short busy span
+  // must read some CPU time, and none more than its wall time.
+  Profiler p;
+  p.set_enabled(true);
+  static const char* const kNames[] = {"s0", "s1", "s2", "s3", "s4",
+                                       "s5", "s6", "s7", "s8", "s9"};
+  for (const char* name : kNames) {
+    ProfileSpan span(name, &p);
+    spin(20000);
+  }
+  const auto nodes = p.nodes();
+  ASSERT_EQ(nodes.size(), 10u);
+  for (const auto& n : nodes) {
+    EXPECT_GT(n.cpu_seconds, 0.0) << n.name;
+    EXPECT_LE(n.cpu_seconds, n.wall_seconds * 1.001 + 1e-6) << n.name;
+  }
 }
 
 TEST(Profiler, JsonTreeParsesAndMirrorsNesting) {

@@ -14,10 +14,13 @@
 
 #include "base/error.hpp"
 #include "base/rng.hpp"
+#include "obs/trace.hpp"
+#include "par/task_pool.hpp"
 #include "sim/faults.hpp"
 #include "sim/step_kernel.hpp"
 #include "sim/store_forward.hpp"
 #include "sim/workloads.hpp"
+#include "support/reference_sim.hpp"
 
 namespace hyperpath {
 namespace {
@@ -448,6 +451,20 @@ TEST(RoutePlan, CompactLinksRejectsIdsPastTheHostAndBadDims) {
   EXPECT_THROW(no_dims.compact_links({0}, 0), Error);
 }
 
+TEST(RoutePlan, CheckedHopOffsetAcceptsU32MaxAndRejectsPast) {
+  constexpr std::uint64_t kMax = 0xffffffffull;
+  EXPECT_EQ(simcore::checked_hop_offset(0), 0u);
+  EXPECT_EQ(simcore::checked_hop_offset(kMax), 0xffffffffu);
+  EXPECT_THROW(simcore::checked_hop_offset(kMax + 1), Error);
+  try {
+    simcore::checked_hop_offset(std::uint64_t{1} << 40);
+    ADD_FAILURE() << "no throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("route plan hop count overflow"),
+              std::string::npos);
+  }
+}
+
 TEST(StepKernel, SortMovedMatchesStdSortOnBothPathsAndClearsMask) {
   Rng rng(0x5027);
   for (int trial = 0; trial < 40; ++trial) {
@@ -474,6 +491,104 @@ TEST(StepKernel, SortMovedMatchesStdSortOnBothPathsAndClearsMask) {
     // The mask must come back all-zero — sort_moved's own precondition for
     // the next sweep.
     for (const std::uint64_t w : mask) ASSERT_EQ(w, 0u) << "trial " << trial;
+  }
+}
+
+/// Streams `packets` into an unlinked plan and renumbers it compactly (the
+/// oracle phase's path).  Returns false for a plan without hops, which
+/// cannot be compact.
+bool compact_plan(const Hypercube& q, const std::vector<Packet>& packets,
+                  simcore::RoutePlan& plan) {
+  std::vector<std::uint64_t> glinks;
+  for (const Packet& p : packets) {
+    plan.begin_route(static_cast<std::uint32_t>(p.release));
+    for (std::size_t h = 0; h < p.route.size(); ++h) {
+      plan.push_node(p.route[h]);
+      if (h > 0) glinks.push_back(q.edge_id(p.route[h - 1], p.route[h]));
+    }
+    plan.end_route_unlinked(q.dims());
+  }
+  if (glinks.empty()) return false;
+  plan.compact_links(std::move(glinks), q.dims());
+  return true;
+}
+
+TEST(StepKernel, PrefetchLookaheadEdgesMatchReference) {
+  // The sweep, arrival and release loops prefetch kPrefetchDistance
+  // entries ahead; these workloads put 0, 1, d - 1, d and d + 1 entries on
+  // the worklists and in the moved sets.  In the "parallel" shape every
+  // route has the same length on links of its own, so all of them arrive
+  // together on the final step, the plan's last route among them: the
+  // arrival prefetch must skip it, since its next hop index is one past
+  // link_of_hop.  A trailing hop-free route does the same to the release
+  // loop's first-link index.  link_of_hop is shrunk to fit, so an unguarded
+  // read one past it is a heap overflow under AddressSanitizer.
+  constexpr int kDims = 5;
+  constexpr std::uint32_t d = simcore::kPrefetchDistance;
+  const Hypercube q(kDims);
+  const std::uint32_t mask = 0b10110;
+  // Shapes: 0 parallel 3-hop routes; 1 all from node 0 (one queue n
+  // deep); 2 parallel 1-hop routes; 3 shape 0 plus a trailing hop-free
+  // route.
+  for (const std::uint32_t n : {0u, 1u, d - 1, d, d + 1}) {
+    for (int shape = 0; shape < 4; ++shape) {
+      std::vector<Packet> packets;
+      for (Node s = 0; s < n; ++s) {
+        const Node src = shape == 1 ? 0 : s;
+        const Node dst = shape == 2 ? src ^ 1 : src ^ mask;
+        packets.push_back({ecube_route(q, src, dst), 0, 0});
+      }
+      if (shape == 3) packets.push_back({ecube_route(q, 7, 7), 0, 0});
+      const std::string what =
+          "n=" + std::to_string(n) + " shape=" + std::to_string(shape);
+
+      simcore::RoutePlan dense = simcore::RoutePlan::compile(q, packets);
+      simcore::RoutePlan compact;
+      const bool has_compact = compact_plan(q, packets, compact);
+      dense.link_of_hop.shrink_to_fit();
+      compact.link_of_hop.shrink_to_fit();
+
+      for (const auto policy :
+           {Arbitration::kFifo, Arbitration::kFarthestFirst}) {
+        obs::RingBufferSink ref_sink(1 << 14);
+        const SimResult ref = refsim::RefStoreForwardSim(kDims).run(
+            packets, policy, 1 << 22, &ref_sink);
+        for (const int threads : {1, 2, 3}) {
+          par::TaskPool pool(threads);
+          const par::PoolScope scope(pool);
+          const int shards = policy == Arbitration::kFifo ? threads : 1;
+          const std::string at = what + " threads=" + std::to_string(threads);
+          // Utilization divides by the link count, which a compact plan
+          // shrinks to the links its routes touch.
+          const auto expect_same = [&](const SimResult& got,
+                                       bool host_links = true) {
+            EXPECT_EQ(got.makespan, ref.makespan) << at;
+            EXPECT_EQ(got.total_transmissions, ref.total_transmissions) << at;
+            if (host_links) {
+              EXPECT_EQ(got.utilization, ref.utilization) << at;
+            }
+            EXPECT_EQ(got.max_queue, ref.max_queue) << at;
+            EXPECT_EQ(got.dim_transmissions, ref.dim_transmissions) << at;
+            EXPECT_EQ(got.latency, ref.latency) << at;
+          };
+          obs::RingBufferSink sink(1 << 14);
+          expect_same(run_plan<true, false>(dense, kDims, policy, 1 << 22,
+                                            &sink, nullptr, false, nullptr,
+                                            shards));
+          EXPECT_EQ(sink.total(), ref_sink.total()) << at;
+          EXPECT_EQ(sink.events(), ref_sink.events()) << at;
+          expect_same(run_plan<false, false>(dense, kDims, policy, 1 << 22,
+                                             nullptr, nullptr, false,
+                                             nullptr, shards));
+          if (has_compact) {
+            expect_same(run_plan<false, false>(compact, kDims, policy,
+                                               1 << 22, nullptr, nullptr,
+                                               false, nullptr, shards),
+                        false);
+          }
+        }
+      }
+    }
   }
 }
 

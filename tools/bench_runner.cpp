@@ -27,6 +27,7 @@
 //
 // Exit status is nonzero if any bench fails to run or emits an unparsable
 // report; the suite is still written with whatever succeeded.
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -40,6 +41,8 @@
 #include "obs/run_metadata.hpp"
 #include "obs/trend.hpp"
 #include "par/task_pool.hpp"
+
+#include "parse_number.hpp"
 
 namespace fs = std::filesystem;
 
@@ -123,7 +126,11 @@ int main(int argc, char** argv) {
       history = true;
       if (i + 1 < argc && argv[i + 1][0] != '-') history_path = argv[++i];
     } else if (arg == "--telemetry-period" && i + 1 < argc) {
-      telemetry_period = std::atoi(argv[++i]);
+      if (!hyperpath::tools::parse_number("--telemetry-period", argv[++i], 0,
+                                          INT_MAX, telemetry_period)) {
+        usage(argv[0]);
+        return 2;
+      }
     } else {
       usage(argv[0]);
       return 2;

@@ -15,6 +15,7 @@
 // ledger's).  --expect-stable turns an unstable report — or a ledger too
 // thin to analyze (< 2 comparable runs) — into a nonzero exit, which is
 // how CI uses this binary.
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -25,6 +26,8 @@
 #include "obs/json.hpp"
 #include "obs/json_parse.hpp"
 #include "obs/trend.hpp"
+
+#include "parse_number.hpp"
 
 namespace {
 
@@ -79,6 +82,7 @@ void print_findings(const char* label,
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr double kMaxTol = 1e9;  // relative tolerances: any sane value
   std::string history_path = "bench/history/BENCH_HISTORY.jsonl";
   TrendOptions options;
   bool expect_stable = false;
@@ -90,11 +94,23 @@ int main(int argc, char** argv) {
     if (arg == "--history" && i + 1 < argc) {
       history_path = argv[++i];
     } else if (arg == "--window" && i + 1 < argc) {
-      options.window = static_cast<std::size_t>(std::atoi(argv[++i]));
+      if (!hyperpath::tools::parse_number<std::size_t>(
+              "--window", argv[++i], 1, INT_MAX, options.window)) {
+        usage(argv[0]);
+        return 2;
+      }
     } else if (arg == "--metric-tol" && i + 1 < argc) {
-      options.metric_tol = std::atof(argv[++i]);
+      if (!hyperpath::tools::parse_number("--metric-tol", argv[++i], 0.0,
+                                          kMaxTol, options.metric_tol)) {
+        usage(argv[0]);
+        return 2;
+      }
     } else if (arg == "--timing-tol" && i + 1 < argc) {
-      options.timing_tol = std::atof(argv[++i]);
+      if (!hyperpath::tools::parse_number("--timing-tol", argv[++i], 0.0,
+                                          kMaxTol, options.timing_tol)) {
+        usage(argv[0]);
+        return 2;
+      }
     } else if (arg == "--expect-stable") {
       expect_stable = true;
     } else if (arg == "--json") {

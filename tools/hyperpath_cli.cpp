@@ -59,7 +59,6 @@
 // SimResult makespan/delivery counts from the trace alone.
 //
 // A quick way to poke at the library without writing code.
-#include <cerrno>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
@@ -69,7 +68,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "base/moment.hpp"
@@ -91,45 +89,18 @@
 #include "sim/recovery.hpp"
 
 #include "analyze_driver.hpp"
+#include "parse_number.hpp"
 #include "watch_driver.hpp"
 
 namespace hyperpath {
 namespace {
 
-/// Reads a numeric flag value: the whole of `text`, strtoll (base 10) for
-/// an integral T and strtod otherwise, within [lo, hi].  On trailing
-/// characters, overflow or a value out of range it names the flag on
-/// stderr and returns false, leaving `out` untouched.
-template <typename T>
-bool parse_number(const char* flag, const char* text, T lo, T hi, T& out) {
-  errno = 0;
-  char* end = nullptr;
-  bool in_range = false;
-  T value{};
-  if constexpr (std::is_integral_v<T>) {
-    const long long v = std::strtoll(text, &end, 10);
-    in_range = v >= static_cast<long long>(lo) &&
-               v <= static_cast<long long>(hi);
-    value = static_cast<T>(v);
-  } else {
-    const double v = std::strtod(text, &end);
-    in_range = v >= lo && v <= hi;  // false for NaN
-    value = v;
-  }
-  if (end == text || *end != '\0' || errno == ERANGE || !in_range) {
-    if constexpr (std::is_integral_v<T>) {
-      std::fprintf(stderr, "%s: expected an integer in [%s, %s], got '%s'\n",
-                   flag, std::to_string(lo).c_str(),
-                   std::to_string(hi).c_str(), text);
-    } else {
-      std::fprintf(stderr, "%s: expected a number in [%g, %g], got '%s'\n",
-                   flag, lo, hi, text);
-    }
-    return false;
-  }
-  out = value;
-  return true;
-}
+using tools::parse_number;
+
+// Bounds of the numeric reads shared by several subcommands: a grid side
+// fits a Q_30 host, and route and bundle-path counts fit 32 bits.
+constexpr Node kMaxSide = Node{1} << 30;
+constexpr long long kMaxU32LL = UINT32_MAX;
 
 int cmd_cycle(int n) {
   if (!cycle_multipath_supported(n)) {
@@ -154,14 +125,19 @@ int cmd_cycle(int n) {
 }
 
 int cmd_grid(int argc, char** argv) {
-  if (argc < 2) {
+  const auto usage = [] {
     std::fprintf(stderr, "usage: grid <torus|grid> <side>...\n");
     return 1;
-  }
+  };
+  if (argc < 2) return usage();
   GridSpec spec;
   spec.wrap = !std::strcmp(argv[0], "torus");
   for (int i = 1; i < argc; ++i) {
-    spec.sides.push_back(static_cast<Node>(std::atoi(argv[i])));
+    Node side = 0;
+    if (!parse_number("grid <side>", argv[i], Node{1}, kMaxSide, side)) {
+      return usage();
+    }
+    spec.sides.push_back(side);
   }
   if (!grid_multipath_supported(spec)) {
     std::fprintf(stderr, "unsupported grid spec\n");
@@ -196,7 +172,8 @@ int cmd_route(int argc, char** argv) {
   const std::string fam = argv[0];
   int i = 1;
   if (fam == "cycle") {
-    const int n = std::atoi(argv[i++]);
+    int n = 0;
+    if (!parse_number("route cycle <n>", argv[i++], 1, 30, n)) return usage();
     if (!cycle_multipath_supported(n)) {
       std::fprintf(stderr, "n = %d unsupported (need ⌊n/4⌋ a power of two)\n",
                    n);
@@ -204,17 +181,20 @@ int cmd_route(int argc, char** argv) {
     }
     oracle = algebraic_theorem1_oracle(n);
   } else if (fam == "largecopy") {
-    const int n = std::atoi(argv[i++]);
-    if (n < 2 || n > 15) {
-      std::fprintf(stderr, "largecopy needs 2 <= n <= 15\n");
-      return 1;
+    int n = 0;
+    if (!parse_number("route largecopy <n>", argv[i++], 2, 15, n)) {
+      return usage();
     }
     oracle = algebraic_largecopy_oracle(n);
   } else if (fam == "torus" || fam == "grid") {
     GridSpec spec;
     spec.wrap = fam == "torus";
     while (i < argc && argv[i][0] != '-') {
-      spec.sides.push_back(static_cast<Node>(std::atoi(argv[i++])));
+      Node side = 0;
+      if (!parse_number("route <side>", argv[i++], Node{1}, kMaxSide, side)) {
+        return usage();
+      }
+      spec.sides.push_back(side);
     }
     if (!algebraic_grid_supported(spec)) {
       std::fprintf(stderr, "unsupported %s spec for the algebraic oracle\n",
@@ -241,11 +221,19 @@ int cmd_route(int argc, char** argv) {
       }
       have_edge = true;
     } else if (a == "--path" && i + 1 < argc) {
-      path_index = std::atoll(argv[++i]);
+      if (!parse_number("--path", argv[++i], 0LL, kMaxU32LL, path_index)) {
+        return usage();
+      }
     } else if (a == "--verify-sample" && i + 1 < argc) {
-      verify = std::strtoull(argv[++i], nullptr, 10);
+      if (!parse_number<std::uint64_t>("--verify-sample", argv[++i], 0,
+                                       kMaxU32LL, verify)) {
+        return usage();
+      }
     } else if (a == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+      if (!parse_number<std::uint64_t>("--seed", argv[++i], 0, LLONG_MAX,
+                                       seed)) {
+        return usage();
+      }
     } else {
       return usage();
     }
@@ -361,12 +349,13 @@ int cmd_faults_replay(int argc, char** argv) {
   int threshold = -1;  // -1 = width - 1 (IDA), resolved once width is known
   for (int i = 0; i < argc; ++i) {
     const std::string a = argv[i];
+    bool ok = true;
     if (a == "--timeout" && i + 1 < argc) {
-      cfg.timeout = std::atoi(argv[++i]);
+      ok = parse_number("--timeout", argv[++i], 0, INT_MAX, cfg.timeout);
     } else if (a == "--retries" && i + 1 < argc) {
-      cfg.max_retries = std::atoi(argv[++i]);
+      ok = parse_number("--retries", argv[++i], 0, INT_MAX, cfg.max_retries);
     } else if (a == "--threshold" && i + 1 < argc) {
-      threshold = std::atoi(argv[++i]);
+      ok = parse_number("--threshold", argv[++i], 0, INT_MAX, threshold);
     } else if (a == "--trace" && i + 1 < argc) {
       trace_path = argv[++i];
     } else if (a == "--json") {
@@ -375,6 +364,9 @@ int cmd_faults_replay(int argc, char** argv) {
     } else if (file.empty() && !a.empty() && a[0] != '-') {
       file = a;
     } else {
+      ok = false;
+    }
+    if (!ok) {
       std::fprintf(stderr,
                    "usage: faults replay <schedule-file> [--timeout s] "
                    "[--retries k] [--threshold m] [--trace FILE] "
@@ -733,8 +725,8 @@ struct TraceOptions {
 
 // Accepts --flag value and --flag=value; bare --json selects the default
 // summary path (SUMMARY_<kind>.json), mirroring the bench --json handling.
-TraceOptions parse_trace_args(int argc, char** argv) {
-  TraceOptions opt;
+// Returns false, having named the flag, on a malformed numeric value.
+bool parse_trace_args(int argc, char** argv, TraceOptions& opt) {
   const auto next_or_eq = [&](const std::string& a, const std::string& flag,
                               int& i, std::string* out) {
     if (a == flag && i + 1 < argc) {
@@ -767,7 +759,10 @@ TraceOptions parse_trace_args(int argc, char** argv) {
       opt.telemetry_path = v;
     } else if (next_or_eq(a, "--telemetry-period", i, &v)) {
       opt.telemetry = true;
-      opt.telemetry_period = std::atoi(v.c_str());
+      if (!parse_number("--telemetry-period", v.c_str(), 1, INT_MAX,
+                        opt.telemetry_period)) {
+        return false;
+      }
     } else if (a == "--prom" && (i + 1 >= argc || argv[i + 1][0] == '-')) {
       opt.prom = true;
     } else if (next_or_eq(a, "--prom", i, &v)) {
@@ -775,12 +770,14 @@ TraceOptions parse_trace_args(int argc, char** argv) {
       opt.prom_path = v;
     } else if (next_or_eq(a, "--packets", i, &v) ||
                next_or_eq(a, "-p", i, &v)) {
-      opt.packets = std::atoi(v.c_str());
+      if (!parse_number("--packets", v.c_str(), 1, INT_MAX, opt.packets)) {
+        return false;
+      }
     } else {
       opt.positional.push_back(a);
     }
   }
-  return opt;
+  return true;
 }
 
 void print_trace_summary(const char* kind, const SimResult& r,
@@ -871,10 +868,6 @@ void dump_chrome_trace(TraceOptions& opt, const char* kind) {
 // effective_threads stamp reflects the pool the run will actually use.
 void begin_telemetry(const TraceOptions& opt) {
   if (!opt.telemetry) return;
-  if (opt.telemetry_period <= 0) {
-    std::fprintf(stderr, "--telemetry-period requires a positive integer\n");
-    std::exit(1);
-  }
   par::global_threads();
   obs::TelemetryBus::Config cfg;
   cfg.period_steps = opt.telemetry_period;
@@ -975,7 +968,11 @@ int cmd_trace(int argc, char** argv) {
     trace_help(stdout);
     return 0;
   }
-  TraceOptions opt = parse_trace_args(argc - 1, argv + 1);
+  TraceOptions opt;
+  if (!parse_trace_args(argc - 1, argv + 1, opt)) {
+    trace_help(stderr);
+    return 1;
+  }
   obs::Profiler::global().set_enabled(true);
   std::vector<std::pair<std::string, double>> params;
 
@@ -984,16 +981,21 @@ int cmd_trace(int argc, char** argv) {
       std::fprintf(stderr, "usage: trace cycle <n> [p]\n");
       return 1;
     }
-    const int n = std::atoi(opt.positional[0].c_str());
+    int n = 0;
+    int p = opt.packets;
+    if (!parse_number("trace cycle <n>", opt.positional[0].c_str(), 1, 30,
+                      n) ||
+        (p <= 0 && opt.positional.size() > 1 &&
+         !parse_number("trace cycle [p]", opt.positional[1].c_str(), 1,
+                       INT_MAX, p))) {
+      std::fprintf(stderr, "usage: trace cycle <n> [p]\n");
+      return 1;
+    }
     if (!cycle_multipath_supported(n)) {
       std::fprintf(stderr, "n = %d unsupported\n", n);
       return 1;
     }
-    int p = opt.packets;
-    if (p <= 0) {
-      p = opt.positional.size() > 1 ? std::atoi(opt.positional[1].c_str())
-                                    : n / 2;
-    }
+    if (p <= 0) p = n / 2;
     if (opt.trace_path.empty()) opt.trace_path = "TRACE_cycle.jsonl";
     MultiPathEmbedding emb = [&] {
       obs::ScopedTimer t("construct");
@@ -1031,8 +1033,14 @@ int cmd_trace(int argc, char** argv) {
     spec.wrap = opt.positional[0] == "torus";
     const int p = opt.packets > 0 ? opt.packets : 2;
     for (std::size_t i = 1; i < opt.positional.size(); ++i) {
-      spec.sides.push_back(
-          static_cast<Node>(std::atoi(opt.positional[i].c_str())));
+      Node side = 0;
+      if (!parse_number("trace grid <side>", opt.positional[i].c_str(),
+                        Node{1}, kMaxSide, side)) {
+        std::fprintf(stderr,
+                     "usage: trace grid <torus|grid> <side>... [p]\n");
+        return 1;
+      }
+      spec.sides.push_back(side);
     }
     if (!grid_multipath_supported(spec)) {
       std::fprintf(stderr, "unsupported grid spec\n");
@@ -1072,12 +1080,16 @@ int cmd_trace(int argc, char** argv) {
       std::fprintf(stderr, "usage: trace ccc <n> [p]\n");
       return 1;
     }
-    const int n = std::atoi(opt.positional[0].c_str());
+    int n = 0;
     int p = opt.packets;
-    if (p <= 0) {
-      p = opt.positional.size() > 1 ? std::atoi(opt.positional[1].c_str())
-                                    : 1;
+    if (!parse_number("trace ccc <n>", opt.positional[0].c_str(), 1, 30, n) ||
+        (p <= 0 && opt.positional.size() > 1 &&
+         !parse_number("trace ccc [p]", opt.positional[1].c_str(), 1, INT_MAX,
+                       p))) {
+      std::fprintf(stderr, "usage: trace ccc <n> [p]\n");
+      return 1;
     }
+    if (p <= 0) p = 1;
     if (opt.trace_path.empty()) opt.trace_path = "TRACE_ccc.jsonl";
     KCopyEmbedding emb = [&] {
       obs::ScopedTimer t("construct");
@@ -1151,20 +1163,40 @@ int main(int argc, char** argv) {
 
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
+  // The cube dimension <n> that most subcommands take first.
+  int n = 0;
+  const auto dims_arg = [&](const char* what) {
+    return parse_number(what, argv[2], 1, 30, n);
+  };
   try {
-    if (cmd == "cycle" && argc >= 3) return cmd_cycle(std::atoi(argv[2]));
+    if (cmd == "cycle" && argc >= 3) {
+      return dims_arg("cycle <n>") ? cmd_cycle(n) : usage();
+    }
     if (cmd == "grid") return cmd_grid(argc - 2, argv + 2);
     if (cmd == "route") return cmd_route(argc - 2, argv + 2);
-    if (cmd == "ccc" && argc >= 3) return cmd_ccc(std::atoi(argv[2]));
-    if (cmd == "decomp" && argc >= 3) return cmd_decomp(std::atoi(argv[2]));
-    if (cmd == "moments" && argc >= 3) return cmd_moments(std::atoi(argv[2]));
+    if (cmd == "ccc" && argc >= 3) {
+      return dims_arg("ccc <n>") ? cmd_ccc(n) : usage();
+    }
+    if (cmd == "decomp" && argc >= 3) {
+      return dims_arg("decomp <n>") ? cmd_decomp(n) : usage();
+    }
+    if (cmd == "moments" && argc >= 3) {
+      return dims_arg("moments <n>") ? cmd_moments(n) : usage();
+    }
     if (cmd == "faults" && argc >= 3 && !std::strcmp(argv[2], "replay")) {
       return cmd_faults_replay(argc - 3, argv + 3);
     }
     if (cmd == "campaign") return cmd_campaign(argc - 2, argv + 2);
     if (cmd == "faults" && argc >= 4) {
-      return cmd_faults(std::atoi(argv[2]), std::atoi(argv[3]),
-                        argc >= 5 ? std::strtoull(argv[4], nullptr, 10) : 1);
+      int count = 0;
+      std::uint64_t seed = 1;
+      if (!dims_arg("faults <n>") ||
+          !parse_number("faults <count>", argv[3], 0, INT_MAX, count) ||
+          (argc >= 5 && !parse_number<std::uint64_t>("faults [seed]", argv[4],
+                                                     0, LLONG_MAX, seed))) {
+        return usage();
+      }
+      return cmd_faults(n, count, seed);
     }
     if (cmd == "trace") return cmd_trace(argc - 2, argv + 2);
     if (cmd == "analyze") return tools::run_analyze(argc - 2, argv + 2);
