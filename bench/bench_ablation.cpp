@@ -28,7 +28,7 @@ void print_table(bench::Report& report) {
     int good_cong = 0, naive_cong = 0;
     for (int n : {4, 8}) {
       const auto good = [&] {
-        obs::ScopedTimer timer("construct");
+        HP_PROFILE_SPAN("construct");
         return ccc_multicopy_embedding(n);
       }();
       good_cong = good.edge_congestion();
@@ -55,10 +55,10 @@ void print_table(bench::Report& report) {
     for (int n : {8, 10, 16}) {
       const int w = 2 * (n / 4);
       const auto good = [&] {
-        obs::ScopedTimer timer("construct");
+        HP_PROFILE_SPAN("construct");
         return theorem2_cycle_embedding(n);
       }();
-      obs::ScopedTimer timer("simulate");
+      HP_PROFILE_SPAN("simulate");
       const int gc = measure_phase_cost(good, w).makespan;
       t.row(n, "moments (Lemma 2)", good.width(), good.congestion(), gc);
       const auto naive = theorem2_cycle_embedding_naive(n);
@@ -77,7 +77,7 @@ void print_table(bench::Report& report) {
   {
     bench::Table t("Ablation C: link arbitration on Theorem 1 phases",
                    {"n", "m", "FIFO steps", "farthest-first steps"});
-    obs::ScopedTimer timer("simulate");
+    HP_PROFILE_SPAN("simulate");
     for (int n : {8, 10}) {
       const auto emb = theorem1_cycle_embedding(n);
       for (int m : {n, 4 * n}) {

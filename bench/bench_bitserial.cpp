@@ -20,8 +20,6 @@
 namespace hyperpath {
 namespace {
 
-void print_two_phase_table(bench::Report& report);
-
 int store_forward_makespan(int dims, const Pattern& pattern, int flits) {
   // Message-granularity store-and-forward: a whole M-flit message must be
   // received before it is forwarded, so every link transfer costs M steps.
@@ -42,7 +40,7 @@ int store_forward_makespan(int dims, const Pattern& pattern, int flits) {
 void print_table(bench::Report& report) {
   const int stages = 8;  // CCC_8 in Q_11
   const auto emb = [&] {
-    obs::ScopedTimer timer("construct");
+    HP_PROFILE_SPAN("construct");
     return ccc_multicopy_embedding(stages);
   }();
   const int dims = emb.host().dims();
@@ -54,7 +52,7 @@ void print_table(bench::Report& report) {
       "E12a: §7 — M-flit random permutation on Q_11 (CCC_8 copies)",
       {"M", "store&forward e-cube", "wormhole 1 CCC copy",
        "wormhole n-split (paper: O(M))", "split speed-up vs 1 copy"});
-  obs::ScopedTimer timer("simulate");
+  HP_PROFILE_SPAN("simulate");
   double speedup_at_1024 = 0.0;
   for (int m : {16, 64, 256, 1024}) {
     const int sf = store_forward_makespan(dims, pattern, m);
@@ -68,7 +66,6 @@ void print_table(bench::Report& report) {
   report.param("stages", stages);
   report.metric("split_speedup_m1024", speedup_at_1024);
   report.table(t);
-  print_two_phase_table(report);
 }
 
 // The two-phase X(butterfly) router (end of §7): messages between X
@@ -78,7 +75,7 @@ void print_two_phase_table(bench::Report& report) {
   const int m = 4;
   const int n = 6;  // m + log m
   const auto copies = [&] {
-    obs::ScopedTimer timer("construct");
+    HP_PROFILE_SPAN("construct");
     return repeat_copies(butterfly_multicopy_embedding(m), n);
   }();
   const auto x = theorem4_transform(copies);
@@ -88,7 +85,7 @@ void print_two_phase_table(bench::Report& report) {
   bench::Table t(
       "E12b: §7 — two-phase routing on X(butterfly), Q_12, 64 messages",
       {"M", "split worms", "makespan", "makespan / M"});
-  obs::ScopedTimer timer("simulate");
+  HP_PROFILE_SPAN("simulate");
   double last_ratio = 0.0;
   // A partial permutation: 64 random disjoint source→dest pairs.
   for (int mflits : {24, 96, 384}) {
@@ -124,6 +121,7 @@ BENCHMARK(BM_SplitRouting);
 int main(int argc, char** argv) {
   hyperpath::bench::Report report("bitserial", &argc, argv);
   hyperpath::print_table(report);
+  hyperpath::print_two_phase_table(report);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

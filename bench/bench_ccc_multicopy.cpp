@@ -27,7 +27,7 @@ void print_table(bench::Report& report) {
     int worst_congestion = 0;
     for (int n : {2, 4, 8}) {
       const auto emb = [&] {
-        obs::ScopedTimer timer("construct");
+        HP_PROFILE_SPAN("construct");
         return ccc_multicopy_embedding(n);
       }();
       const auto cong = emb.congestion_per_link();
@@ -36,7 +36,7 @@ void print_table(bench::Report& report) {
       for (Node v = 0; v < q.num_nodes(); ++v) {
         dim1 = std::max(dim1, cong[q.edge_id(v, 1)]);
       }
-      obs::ScopedTimer timer("simulate");
+      HP_PROFILE_SPAN("simulate");
       const auto r = measure_phase_cost(emb, 1);
       worst_congestion = std::max(worst_congestion, emb.edge_congestion());
       t.row(n, emb.host().dims(), emb.num_copies(), emb.dilation(),
@@ -54,7 +54,7 @@ void print_table(bench::Report& report) {
     int worst_dilation = 0;
     for (int n : {3, 5, 6, 7, 9, 12}) {
       const auto emb = [&] {
-        obs::ScopedTimer timer("construct");
+        HP_PROFILE_SPAN("construct");
         return ccc_single_embedding_general(n);
       }();
       worst_dilation = std::max(worst_dilation, emb.dilation());
@@ -72,7 +72,7 @@ void print_table(bench::Report& report) {
     int und_worst = 0, bf_worst = 0;
     for (int n : {4, 8}) {
       const auto und = [&] {
-        obs::ScopedTimer timer("construct");
+        HP_PROFILE_SPAN("construct");
         return ccc_multicopy_embedding_undirected(n);
       }();
       und_worst = std::max(und_worst, und.edge_congestion());
@@ -81,7 +81,7 @@ void print_table(bench::Report& report) {
     }
     for (int m : {4, 8}) {
       const auto bf = [&] {
-        obs::ScopedTimer timer("construct");
+        HP_PROFILE_SPAN("construct");
         return butterfly_multicopy_embedding(m);
       }();
       bf_worst = std::max(bf_worst, bf.edge_congestion());

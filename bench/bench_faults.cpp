@@ -19,7 +19,7 @@ namespace {
 void print_table(bench::Report& report) {
   const int n = 8;
   const auto multi = [&] {
-    obs::ScopedTimer timer("construct");
+    HP_PROFILE_SPAN("construct");
     return theorem1_cycle_embedding(n);
   }();
   const auto gray = gray_code_cycle_embedding(n);

@@ -40,10 +40,10 @@ void print_table(bench::Report& report) {
   for (const auto& spec : specs) {
     if (!grid_multipath_supported(spec)) continue;
     const auto emb = [&] {
-      obs::ScopedTimer timer("construct");
+      HP_PROFILE_SPAN("construct");
       return grid_multipath_embedding(spec);
     }();
-    obs::ScopedTimer timer("simulate");
+    HP_PROFILE_SPAN("simulate");
     const auto r = measure_phase_cost(emb, 2);
     ++built;
     worst_cost = std::max(worst_cost, r.makespan);

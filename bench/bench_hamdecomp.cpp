@@ -26,14 +26,14 @@ void print_table(bench::Report& report) {
   int worst_cost = 0;
   for (int n : {2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}) {
     const auto& d = [&]() -> const HamDecomposition& {
-      obs::ScopedTimer timer("construct");
+      HP_PROFILE_SPAN("construct");
       return hamiltonian_decomposition(n);
     }();
     const auto emb = [&] {
-      obs::ScopedTimer timer("construct");
+      HP_PROFILE_SPAN("construct");
       return multicopy_directed_cycles(n);
     }();
-    obs::ScopedTimer timer("simulate");
+    HP_PROFILE_SPAN("simulate");
     const auto r = measure_phase_cost(emb, 1);
     worst_congestion = std::max(worst_congestion, emb.edge_congestion());
     worst_cost = std::max(worst_cost, r.makespan);

@@ -27,11 +27,11 @@ void print_table(bench::Report& report) {
   for (int n : {4, 6, 8, 10, 16}) {
     const auto gray = gray_code_cycle_embedding(n);
     const auto multi = [&] {
-      obs::ScopedTimer timer("construct");
+      HP_PROFILE_SPAN("construct");
       return theorem1_cycle_embedding(n);
     }();
     const int w = multi.width();
-    obs::ScopedTimer timer("simulate");
+    HP_PROFILE_SPAN("simulate");
     for (int m : {n / 2, 2 * n, n <= 10 ? 8 * n : 4 * n}) {
       const int gray_cost = measure_phase_cost(gray, m).makespan;
       StoreForwardSim sim(n);

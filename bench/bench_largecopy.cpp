@@ -22,7 +22,7 @@ void print_table(bench::Report& report) {
     double cycle_util_at_8 = 0.0;
     for (int n : {4, 6, 8}) {
       const auto cyc = [&] {
-        obs::ScopedTimer timer("construct");
+        HP_PROFILE_SPAN("construct");
         return largecopy_directed_cycle(n);
       }();
       const auto r = measure_phase_cost(cyc, 1);
@@ -34,7 +34,7 @@ void print_table(bench::Report& report) {
     }
     for (int n : {4, 6}) {
       const auto ccc = [&] {
-        obs::ScopedTimer timer("construct");
+        HP_PROFILE_SPAN("construct");
         return largecopy_ccc(n);
       }();
       const auto r = measure_phase_cost(ccc, 1);
@@ -61,7 +61,7 @@ void print_table(bench::Report& report) {
     const auto multi = theorem1_cycle_embedding(n);
     const auto kcopy = multicopy_directed_cycles(n);
     const auto large = largecopy_directed_cycle(n);
-    obs::ScopedTimer timer("simulate");
+    HP_PROFILE_SPAN("simulate");
     int multi_steps_16 = 0, large_steps_16 = 0;
     for (int m : {4, 16}) {
       StoreForwardSim sim(n);

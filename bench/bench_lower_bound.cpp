@@ -24,7 +24,7 @@ void print_table(bench::Report& report) {
   bool first = true;
   for (int n : {4, 5, 6, 7, 8, 9, 10, 11, 16}) {
     const auto t1 = [&] {
-      obs::ScopedTimer timer("construct");
+      HP_PROFILE_SPAN("construct");
       return theorem1_cycle_embedding(n);
     }();
     const auto t2 = theorem2_cycle_embedding(n);

@@ -84,7 +84,7 @@ CampaignStats run_at(const MultiPathEmbedding& emb, const CampaignConfig& cfg,
 /// Gate 1: thread-count invariance of the whole campaign statistic set.
 CampaignStats gated_campaign(const char* name, const MultiPathEmbedding& emb,
                              const CampaignConfig& cfg) {
-  obs::ScopedTimer timer("simulate");
+  HP_PROFILE_SPAN("simulate");
   const CampaignStats t1 = run_at(emb, cfg, 1);
   const CampaignStats t2 = run_at(emb, cfg, 2);
   const CampaignStats t8 = run_at(emb, cfg, 8);
@@ -184,7 +184,7 @@ std::string rate_tag(double rate) {
 void print_table(bench::Report& report) {
   const int n = 8;
   const auto multi = [&] {
-    obs::ScopedTimer timer("construct");
+    HP_PROFILE_SPAN("construct");
     return theorem1_cycle_embedding(n);
   }();
   const auto gray = gray_code_cycle_embedding(n);
@@ -236,7 +236,7 @@ void print_table(bench::Report& report) {
   par::TaskPool pool(8);
   par::PoolScope scope(pool);
   const auto multi_env = [&] {
-    obs::ScopedTimer timer("simulate");
+    HP_PROFILE_SPAN("simulate");
     return sweep_envelope(multi, env_cfg, rates);
   }();
   const auto gray_env = sweep_envelope(gray, gray_cfg, rates);

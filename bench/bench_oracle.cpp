@@ -17,9 +17,9 @@
 //
 // Metric discipline: everything in the metrics section is a deterministic
 // algorithmic output (digests, counts, makespans, gate booleans) held to
-// exact equality by bench_compare; wall-clock seconds and RSS deltas are
-// machine-dependent and go to record_span timings, which the ledger
-// records and bench_trend reports without gating.
+// exact equality by bench_trend --baseline; wall-clock seconds and RSS
+// deltas are machine-dependent and go to record_span timings, which the
+// ledger records and bench_trend reports without gating.
 //
 // RSS note: getrusage's ru_maxrss is a process-lifetime high-water mark,
 // so phases are measured as deltas and the algebraic (small) measurements

@@ -8,7 +8,7 @@
 // legacy single-metric re-walks.  Every metric in the report is a
 // deterministic output (metric values, congestion checksums, and
 // serial==parallel equality flags, which the determinism contract pins to
-// 1) and is held to exact equality by the bench_compare CI gate;
+// 1) and is held to exact equality by the baseline CI gate;
 // wall-clock — and with it any speedup, which depends on the host's core
 // count — goes into the timings section only.
 #include <benchmark/benchmark.h>

@@ -64,7 +64,7 @@ FaultSchedule survivable_schedule(const MultiPathEmbedding& emb,
 void print_table(bench::Report& report) {
   const int n = 8;
   const auto multi = [&] {
-    obs::ScopedTimer timer("construct");
+    HP_PROFILE_SPAN("construct");
     return theorem1_cycle_embedding(n);
   }();
   const auto gray = gray_code_cycle_embedding(n);
@@ -86,7 +86,7 @@ void print_table(bench::Report& report) {
                            int threshold, obs::TraceSink* sink = nullptr) {
     RecoveryConfig c = cfg;
     c.threshold = threshold;
-    obs::ScopedTimer timer("simulate");
+    HP_PROFILE_SPAN("simulate");
     const RecoveryResult r = run_recovery(emb, schedule, c, sink);
     t.row(name, emb.width(), r.messages_total, r.messages_complete,
           r.delivery_rate(), r.retransmissions, r.recovery_latency.mean(),

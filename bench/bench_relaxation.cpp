@@ -37,11 +37,11 @@ void print_table(bench::Report& report) {
       const GridSpec spec{{n_side, n_side}, true};
       if (!grid_multipath_supported(spec)) continue;
       const auto multi = [&] {
-        obs::ScopedTimer timer("construct");
+        HP_PROFILE_SPAN("construct");
         return grid_multipath_embedding(spec);
       }();
       const int w = multi.width();
-      obs::ScopedTimer timer("simulate");
+      HP_PROFILE_SPAN("simulate");
       // Gray unidirectional: same directed guest, width-1 direct links.
       for (int mn : {8, 32}) {
         const int gray_steps = mn;  // dedicated link per edge serializes
@@ -65,12 +65,12 @@ void print_table(bench::Report& report) {
       const GridSpec spec{{n_side, n_side}, true};
       if (!grid_multipath_supported(spec)) continue;
       const auto multi = [&] {
-        obs::ScopedTimer timer("construct");
+        HP_PROFILE_SPAN("construct");
         return grid_multipath_embedding(spec);
       }();
       const auto gray = gray_code_grid_embedding(spec);
       const int w = multi.width();
-      obs::ScopedTimer timer("simulate");
+      HP_PROFILE_SPAN("simulate");
       for (int mn : {16, 64}) {
         const int gray_steps = measure_phase_cost(gray, mn).makespan;
         const int ms = 2 * measure_phase_cost(multi, mn).makespan;

@@ -8,7 +8,7 @@
 // wormhole permutation.  Every simulation metric in the report is a
 // deterministic output (makespans, transmissions, active-set visits, trace
 // event counts, campaign digests) and is held to exact equality by the
-// bench_compare CI gate; wall-clock goes into the timings section only.
+// baseline CI gate; wall-clock goes into the timings section only.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -67,7 +67,7 @@ void print_store_forward_table(bench::Report& report) {
   par::TaskPool pool4(4);
   for (int n : {12, 14, 16}) {
     const auto emb = [&] {
-      obs::ScopedTimer timer("construct");
+      HP_PROFILE_SPAN("construct");
       return phase_embedding(n);
     }();
     const auto packets = phase_packets(emb, n);
@@ -75,7 +75,7 @@ void print_store_forward_table(bench::Report& report) {
     const ParallelStoreForwardSim sharded(n);
 
     SimResult rf, rp;
-    obs::ScopedTimer timer("simulate");
+    HP_PROFILE_SPAN("simulate");
     const double s_flat = seconds_of([&] { rf = flat.run(packets); });
     const double s_par = seconds_of([&] {
       const par::PoolScope scope(pool4);
@@ -107,7 +107,7 @@ void print_tracing_table(bench::Report& report) {
   // trace sink (every event) and live telemetry (one ring-buffer sample
   // every period steps) against the plain run.  Both must leave the
   // simulation bit-identical; the sample counts are deterministic outputs
-  // (gated by bench_compare), the overhead ratios are wall-clock and live
+  // (gated by the baseline diff), the overhead ratios are wall-clock and live
   // in the timings section only.  The telemetry acceptance bound is <= 5%
   // at the default period of 64.
   bench::Table t("S2: flat core observation overhead (tracing + telemetry)",
@@ -120,7 +120,7 @@ void print_tracing_table(bench::Report& report) {
 
   SimResult rp, rt, r64, r1;
   obs::RingBufferSink ring;
-  obs::ScopedTimer timer("simulate");
+  HP_PROFILE_SPAN("simulate");
   const double s_plain = seconds_of([&] { rp = flat.run(packets); });
   const double s_traced = seconds_of(
       [&] { rt = flat.run(packets, Arbitration::kFifo, 1 << 22, &ring); });
@@ -181,7 +181,7 @@ void print_wormhole_table(bench::Report& report) {
     const WormholeSim flat(n);
 
     WormResult rf;
-    obs::ScopedTimer timer("simulate");
+    HP_PROFILE_SPAN("simulate");
     const double s_flat = seconds_of([&] { rf = flat.run(worms); });
     t.row(n, worms.size(), 32, rf.makespan, s_flat * 1e3);
     const std::string sn = std::to_string(n);
@@ -205,13 +205,13 @@ void print_engine_table(bench::Report& report) {
   auto& reg = obs::MetricsRegistry::global();
   for (int n : {12, 14, 16}) {
     const auto emb = [&] {
-      obs::ScopedTimer timer("construct");
+      HP_PROFILE_SPAN("construct");
       return phase_embedding(n);
     }();
     const auto packets = phase_packets(emb, n);
     const StoreForwardSim soa(n);
 
-    obs::ScopedTimer timer("simulate");
+    HP_PROFILE_SPAN("simulate");
     // One warm-up run so the measured one does not pay the
     // cold-cache/page-fault toll.
     (void)soa.run(packets);
@@ -234,9 +234,9 @@ void print_engine_table(bench::Report& report) {
   // transport, threshold w-1, moderate transient-heavy intensity).  The
   // campaign digest folds every field of every trial, so any behavioural
   // change anywhere in recovery — fates, truncation steps, retransmit
-  // scheduling — moves it; bench_compare holds it at tolerance 0.
+  // scheduling — moves it; the baseline diff holds it at tolerance 0.
   const auto emb10 = [&] {
-    obs::ScopedTimer timer("construct");
+    HP_PROFILE_SPAN("construct");
     return theorem1_cycle_embedding(10);
   }();
   CampaignConfig cfg;
@@ -253,7 +253,7 @@ void print_engine_table(bench::Report& report) {
   par::TaskPool pool(8);
   par::PoolScope scope(pool);
   const MonteCarloDriver driver(emb10);
-  obs::ScopedTimer timer("simulate");
+  HP_PROFILE_SPAN("simulate");
   CampaignStats mc;
   const double s_mc = seconds_of([&] { mc = driver.run(cfg); });
   std::printf("S4 Monte-Carlo: Q_10 x %u trials, digest %016llx (%.2fs)\n\n",

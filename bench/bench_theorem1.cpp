@@ -21,7 +21,7 @@ namespace {
 /// Flight-record pass over the Q_16 ⌊n/2⌋-packet phase: replays it with a
 /// FlightRecorder attached and exports the measured edge congestion
 /// bracketed by the analytic floor and the Lemma 3 / construction ceiling.
-/// All values are deterministic, so they gate exactly in bench_compare.
+/// All values are deterministic, so they gate exactly in the baseline diff.
 void report_q16_flight_metrics(bench::Report& report) {
   const int n = 16;
   const int p = n / 2;
@@ -29,7 +29,7 @@ void report_q16_flight_metrics(bench::Report& report) {
   obs::FlightRecorder rec;
   SimResult r;
   {
-    obs::ScopedTimer timer("simulate");
+    HP_PROFILE_SPAN("simulate");
     r = measure_phase_cost(emb, p, Arbitration::kFifo, &rec);
   }
   const obs::TraceAnalysis a = obs::analyze_flights(rec);
@@ -84,12 +84,12 @@ void print_table(bench::Report& report) {
   int worst_cost = 0;
   for (int n : dims) {
     const auto emb = [&] {
-      obs::ScopedTimer timer("construct");
+      HP_PROFILE_SPAN("construct");
       return theorem1_cycle_embedding(n);
     }();
     const int k = n / 4;
     StoreForwardSim sim(n);
-    obs::ScopedTimer timer("simulate");
+    HP_PROFILE_SPAN("simulate");
     const int cost_halfn = measure_phase_cost(emb, n / 2).makespan;
     const int cost_2k2 =
         sim.run(theorem1_schedule_packets(emb, 2 * k + 2)).makespan;

@@ -23,12 +23,12 @@ void print_table(bench::Report& report) {
   double worst_min_util = 1.0;
   for (int n : {4, 5, 6, 7, 8, 9, 10, 11, 16}) {
     const auto emb = [&] {
-      obs::ScopedTimer timer("construct");
+      HP_PROFILE_SPAN("construct");
       return theorem2_cycle_embedding(n);
     }();
     const int k = n / 4;
     const int w_paper = (n % 4 <= 1) ? n / 2 : n / 2 - 1;
-    obs::ScopedTimer timer("simulate");
+    HP_PROFILE_SPAN("simulate");
     const auto r = measure_phase_cost(emb, 2 * k);
     double min_util = 1.0;
     for (double u : r.utilization.profile()) min_util = std::min(min_util, u);

@@ -24,10 +24,10 @@ void print_table(bench::Report& report) {
   for (int n : {2, 4, 6}) {
     const auto copies = multicopy_directed_cycles(n);
     const auto emb = [&] {
-      obs::ScopedTimer timer("construct");
+      HP_PROFILE_SPAN("construct");
       return theorem4_transform(copies);
     }();
-    obs::ScopedTimer timer("simulate");
+    HP_PROFILE_SPAN("simulate");
     const auto r = measure_phase_cost(emb, n);
     if (n == 4) cycle_cost_n4 = r.makespan;
     t.row("directed cycle", n, emb.guest().num_nodes(), emb.width(),
@@ -39,10 +39,10 @@ void print_table(bench::Report& report) {
     const int n = 6;
     const auto copies = repeat_copies(butterfly_multicopy_embedding(m), n);
     const auto emb = [&] {
-      obs::ScopedTimer timer("construct");
+      HP_PROFILE_SPAN("construct");
       return theorem4_transform(copies);
     }();
-    obs::ScopedTimer timer("simulate");
+    HP_PROFILE_SPAN("simulate");
     const auto r = measure_phase_cost(emb, n);
     report.metric("butterfly_x_cost", r.makespan);
     t.row("sym. butterfly (m=4)", n, emb.guest().num_nodes(), emb.width(),

@@ -24,11 +24,11 @@ void print_table(bench::Report& report) {
                     "dilation", "n-pkt cost (O(1))"});
     for (int m : {4}) {
       const auto emb = [&] {
-        obs::ScopedTimer timer("construct");
+        HP_PROFILE_SPAN("construct");
         return theorem5_cbt_embedding(m);
       }();
       const int n = emb.host().dims() / 2;
-      obs::ScopedTimer timer("simulate");
+      HP_PROFILE_SPAN("simulate");
       const auto r = measure_phase_cost(emb, n);
       report.metric("cbt_width", emb.width());
       report.metric("cbt_load", emb.load());
@@ -51,10 +51,10 @@ void print_table(bench::Report& report) {
       const Digraph tree = random_binary_tree(size, rng, &parent);
       const auto t2c = tree_into_cbt(tree, parent, 8);
       const auto emb = [&] {
-        obs::ScopedTimer timer("construct");
+        HP_PROFILE_SPAN("construct");
         return arbitrary_tree_multipath(tree, parent, 4);
       }();
-      obs::ScopedTimer timer("simulate");
+      HP_PROFILE_SPAN("simulate");
       const auto r = measure_phase_cost(emb, emb.width());
       worst_cost = std::max(worst_cost, r.makespan);
       t.row(size, t2c.dilation(), t2c.congestion(), emb.width(), r.makespan,

@@ -5,7 +5,7 @@
 // where it matters for round-tripping our own output (UTF-8 passthrough,
 // \uXXXX escapes, numbers via strtod) and deliberately small: no comments,
 // no trailing commas, no streaming.  Errors carry the byte offset of the
-// failure.  Used by bench_compare and the profiler/report tests to consume
+// failure.  Used by bench_trend and the profiler/report tests to consume
 // BENCH_*.json, BENCH_SUITE.json and chrome-trace documents.
 #pragma once
 

@@ -1,5 +1,5 @@
 // Process-wide metrics: named counters, gauges, fixed-bucket histograms and
-// wall-clock timer spans, all exportable as one JSON document.
+// wall-clock timings, all exportable as one JSON document.
 //
 // Two layers:
 //
@@ -10,13 +10,12 @@
 //     from any thread.  Histogram observation is single-writer (the
 //     simulators deliver from one thread).
 //
-// ScopedTimer measures a wall-clock span (RAII) and accumulates it into the
-// registry's timings section, so benches can bracket "construct" vs
-// "simulate" phases and export both.
+// The timings section accumulates the global profiler's root spans
+// (obs/profile.hpp), so a bench brackets its "construct" and "simulate"
+// phases with HP_PROFILE_SPAN and exports both.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -157,7 +156,8 @@ class UtilizationProfile {
 /// cache the reference returned by counter()/gauge()/histogram().
 class MetricsRegistry {
  public:
-  /// The process-wide registry used by ScopedTimer and the bench harness.
+  /// The process-wide registry fed by the global profiler's root spans
+  /// and the bench harness.
   static MetricsRegistry& global();
 
   Counter& counter(const std::string& name);
@@ -211,31 +211,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<FixedHistogram>> histograms_;
   std::map<std::string, Span> timings_;
-};
-
-/// RAII wall-clock span: records elapsed seconds into the registry's
-/// timings on destruction.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(std::string name,
-                       MetricsRegistry* registry = &MetricsRegistry::global())
-      : name_(std::move(name)),
-        registry_(registry),
-        start_(std::chrono::steady_clock::now()) {}
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  ~ScopedTimer() {
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    registry_->record_span(
-        name_, std::chrono::duration<double>(elapsed).count());
-  }
-
- private:
-  std::string name_;
-  MetricsRegistry* registry_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace hyperpath::obs

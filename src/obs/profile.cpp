@@ -8,6 +8,7 @@
 
 #include "base/error.hpp"
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -156,9 +157,10 @@ void Profiler::end() {
   const std::uint64_t rss_end = rss_peak_kb();
   const std::uint64_t rss_delta =
       rss_end > f.rss_start_kb ? rss_end - f.rss_start_kb : 0;
+  const double wall = 1e-9 * static_cast<double>(wall_end - f.wall_start_ns);
   Node& node = tp.nodes[f.node];
   ++node.count;
-  node.wall_seconds += 1e-9 * static_cast<double>(wall_end - f.wall_start_ns);
+  node.wall_seconds += wall;
   node.cpu_seconds += cpu_end - f.cpu_start;
   node.max_rss_delta_kb = std::max(node.max_rss_delta_kb, rss_delta);
 
@@ -175,6 +177,10 @@ void Profiler::end() {
     tp.event_head = (tp.event_head + 1) % kMaxEvents;
   }
   ++tp.events_total;
+  // A root span of the global profiler is also a timing of the run.
+  if (tp.stack.empty() && this == &global()) {
+    MetricsRegistry::global().record_span(node.name, wall);
+  }
 }
 
 std::vector<Profiler::NodeView> Profiler::nodes() const {

@@ -5,9 +5,16 @@
 // child node "construct" under "trace_grid", and every visit accumulates
 // into that node, so a loop that enters the same span 1000 times costs one
 // node, not 1000.  Each node records call count, wall time
-// (steady_clock), CPU time (getrusage) and the largest peak-RSS growth
-// (getrusage ru_maxrss delta, KiB) any single visit caused — memory
-// blowups show up in the span tree the same way time regressions do.
+// (steady_clock), CPU time (the thread CPU-time clock) and the largest
+// peak-RSS growth (getrusage ru_maxrss delta, KiB) any single visit caused
+// — memory blowups show up in the span tree the same way time regressions
+// do.
+//
+// ProfileSpan is the only span type.  Every span of the global profiler
+// that closes at depth 0 on its thread is also added, by name and wall
+// seconds, to MetricsRegistry::global()'s timings: the "timings" sections
+// of bench reports and `hyperpath_cli trace --json`, and the Prometheus
+// `_seconds_total` series.  Instance profilers write nothing there.
 //
 // Two exports:
 //

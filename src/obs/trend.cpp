@@ -46,6 +46,61 @@ void write_number_map(JsonWriter& w, const std::map<std::string, double>& m) {
   w.end_object();
 }
 
+// Analytic-bounds check on one run: every floor/ceiling pair must bracket
+// its measured series, and every *_in_bounds flag must hold.
+std::vector<std::string> check_bounds(
+    const std::map<std::string, double>& metrics) {
+  std::vector<std::string> violations;
+  for (const auto& [name, floor_v] : metrics) {
+    const std::string suffix = "_floor";
+    if (name.size() <= suffix.size() ||
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) !=
+            0) {
+      continue;
+    }
+    const std::string base = name.substr(0, name.size() - suffix.size());
+    // Measured series: "<base>", or the congestion benches' convention
+    // "<...>_peak_congestion" bracketed by "<...>_congestion_floor".
+    const auto measured_it = [&] {
+      auto it = metrics.find(base);
+      if (it != metrics.end()) return it;
+      std::string alt = base;
+      const std::size_t pos = alt.rfind("congestion");
+      if (pos != std::string::npos) {
+        alt.replace(pos, std::strlen("congestion"), "peak_congestion");
+        return metrics.find(alt);
+      }
+      return metrics.end();
+    }();
+    if (measured_it == metrics.end()) continue;
+    const double measured = measured_it->second;
+    if (measured < floor_v) {
+      violations.push_back(measured_it->first + " = " +
+                           std::to_string(measured) +
+                           " below analytic floor " + name + " = " +
+                           std::to_string(floor_v));
+    }
+    const auto ceil_it = metrics.find(base + "_ceiling");
+    if (ceil_it != metrics.end() && measured > ceil_it->second) {
+      violations.push_back(measured_it->first + " = " +
+                           std::to_string(measured) + " above ceiling " +
+                           ceil_it->first + " = " +
+                           std::to_string(ceil_it->second));
+    }
+  }
+  for (const auto& [name, v] : metrics) {
+    const std::string suffix = "_in_bounds";
+    if (name.size() > suffix.size() &&
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
+            0 &&
+        v != 1.0) {
+      violations.push_back(name + " = " + std::to_string(v) +
+                           " (expected 1)");
+    }
+  }
+  return violations;
+}
+
 }  // namespace
 
 std::string comparison_key(const LedgerEntry& e) {
@@ -102,10 +157,17 @@ void write_ledger_entry(JsonWriter& w, const LedgerEntry& e) {
 }
 
 LedgerEntry flatten_suite(const JsonValue& suite) {
-  HP_CHECK(suite.is_object(), "suite document is not a JSON object");
-  const JsonValue* reports = suite.find("reports");
-  HP_CHECK(reports != nullptr && reports->is_object(),
-           "suite document has no \"reports\" object");
+  HP_CHECK(suite.is_object(), "bench document is not a JSON object");
+  JsonValue::Object reports;
+  if (const JsonValue* r = suite.find("reports")) {
+    HP_CHECK(r->is_object(), "\"reports\" is not a JSON object");
+    reports = r->as_object();
+  } else {
+    const JsonValue* name = suite.find("experiment");
+    HP_CHECK(name != nullptr && name->is_string(),
+             "document has neither \"reports\" nor \"experiment\"");
+    reports = {{name->as_string(), suite}};
+  }
 
   LedgerEntry e;
   if (const JsonValue* meta = suite.find("meta")) {
@@ -117,7 +179,7 @@ LedgerEntry flatten_suite(const JsonValue& suite) {
     e.build_type = string_field(*meta, "build_type");
     e.effective_threads = int_field(*meta, "effective_threads");
   }
-  for (const auto& [name, report] : reports->as_object()) {
+  for (const auto& [name, report] : reports) {
     if (const JsonValue* metrics = report.find("metrics");
         metrics != nullptr && metrics->is_object()) {
       for (const auto& [key, val] : metrics->as_object()) {
@@ -185,7 +247,8 @@ TrendReport analyze_trend(const std::vector<LedgerEntry>& entries,
   report.runs = group.size();
 
   // Series present in every run of the window (suites grow; a series that
-  // appears or disappears is surfaced by bench_compare, not as a step).
+  // appears or disappears is surfaced by the baseline diff, not as a
+  // step).
   const auto collect = [&](bool timings) {
     std::vector<std::pair<std::string, std::vector<double>>> out;
     const auto& first = timings ? group.front()->timings
@@ -220,60 +283,40 @@ TrendReport analyze_trend(const std::vector<LedgerEntry>& entries,
         report.timing_steps.push_back(std::move(*f));
       }
     }
+    report.bounds_violations = check_bounds(group.back()->metrics);
   }
+  return report;
+}
 
-  // Analytic-bounds check on the newest run: every floor/ceiling pair must
-  // bracket its measured series, and every *_in_bounds flag must hold.
-  if (!group.empty()) {
-    const auto& metrics = group.back()->metrics;
-    for (const auto& [name, floor_v] : metrics) {
-      const std::string suffix = "_floor";
-      if (name.size() <= suffix.size() ||
-          name.compare(name.size() - suffix.size(), suffix.size(), suffix) !=
-              0) {
-        continue;
-      }
-      const std::string base = name.substr(0, name.size() - suffix.size());
-      // Measured series: "<base>", or the congestion benches' convention
-      // "<...>_peak_congestion" bracketed by "<...>_congestion_floor".
-      const auto measured_it = [&] {
-        auto it = metrics.find(base);
-        if (it != metrics.end()) return it;
-        std::string alt = base;
-        const std::size_t pos = alt.rfind("congestion");
-        if (pos != std::string::npos) {
-          alt.replace(pos, std::strlen("congestion"), "peak_congestion");
-          return metrics.find(alt);
-        }
-        return metrics.end();
-      }();
-      if (measured_it == metrics.end()) continue;
-      const double measured = measured_it->second;
-      if (measured < floor_v) {
-        report.bounds_violations.push_back(
-            measured_it->first + " = " + std::to_string(measured) +
-            " below analytic floor " + name + " = " +
-            std::to_string(floor_v));
-      }
-      const auto ceil_it = metrics.find(base + "_ceiling");
-      if (ceil_it != metrics.end() && measured > ceil_it->second) {
-        report.bounds_violations.push_back(
-            measured_it->first + " = " + std::to_string(measured) +
-            " above ceiling " + ceil_it->first + " = " +
-            std::to_string(ceil_it->second));
-      }
+TrendReport compare_to_baseline(const LedgerEntry& baseline,
+                                const LedgerEntry& current,
+                                const TrendOptions& options) {
+  TrendReport report;
+  report.key = comparison_key(current);
+  report.runs = 2;
+  for (const auto& [name, b] : baseline.metrics) {
+    const auto it = current.metrics.find(name);
+    if (it == current.metrics.end()) {
+      report.missing.push_back(name);
+      continue;
     }
-    for (const auto& [name, v] : metrics) {
-      const std::string suffix = "_in_bounds";
-      if (name.size() > suffix.size() &&
-          name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
-              0 &&
-          v != 1.0) {
-        report.bounds_violations.push_back(name + " = " + std::to_string(v) +
-                                           " (expected 1)");
-      }
+    ++report.series;
+    if (auto f = detect_step(name, {b, it->second}, options.metric_tol)) {
+      report.metric_steps.push_back(std::move(*f));
     }
   }
+  for (const auto& [name, c] : current.metrics) {
+    if (baseline.metrics.count(name) == 0) report.added.push_back(name);
+  }
+  for (const auto& [name, b] : baseline.timings) {
+    const auto it = current.timings.find(name);
+    if (it == current.timings.end()) continue;
+    if (auto f = detect_step(name, {b, it->second}, options.timing_tol)) {
+      f->is_timing = true;
+      report.timing_steps.push_back(std::move(*f));
+    }
+  }
+  report.bounds_violations = check_bounds(current.metrics);
   return report;
 }
 

@@ -1,5 +1,5 @@
-// Cross-run performance ledger and drift detection: the analysis core of
-// tools/bench_trend.
+// Cross-run performance ledger, drift detection and the baseline diff:
+// the analysis core of tools/bench_trend.
 //
 // bench_runner --history appends one LedgerEntry line per suite run to
 // bench/history/BENCH_HISTORY.jsonl: run provenance (git sha, host,
@@ -14,12 +14,16 @@
 //     tolerance 0 by default, so any persistent change is a step (a noisy
 //     single-run blip moves the split-medians much less than a real step).
 //   * timings  — wall-clock; same detector with a generous default
-//     tolerance, reported but never gating unless --gate-timings.
+//     tolerance, reported but never gating.
 //   * bounds   — any "<base>_floor"/"<base>_ceiling" metric pair must
 //     bracket the measured "<base>" (or "<base>" with "congestion" →
 //     "peak_congestion", matching the congestion benches) in the newest
 //     run, and any "*_in_bounds" metric must equal 1.  This keeps the
 //     analytic floor/ceiling argument attached to the trend gate.
+//
+// compare_to_baseline applies the same detector to two runs, a committed
+// baseline suite and the current one, with the same gate.  Its comparison
+// key is not enforced: the metrics are host-independent.
 #pragma once
 
 #include <cstddef>
@@ -61,8 +65,10 @@ void write_ledger_entry(JsonWriter& w, const LedgerEntry& e);
 
 /// Flattens a BENCH_SUITE.json document (object with "reports") into a
 /// LedgerEntry: provenance from "meta", reports.<name>.metrics.* (numbers
-/// only) and reports.<name>.timings.*.seconds.  `telemetry_period_steps`
-/// is stamped by the caller (the suite itself does not know it).
+/// only) and reports.<name>.timings.*.seconds.  A bare BENCH_<name>.json
+/// report (object with "experiment") is a one-report suite.  Throws
+/// hyperpath::Error on any other shape.  `telemetry_period_steps` is
+/// stamped by the caller (the suite itself does not know it).
 LedgerEntry flatten_suite(const JsonValue& suite);
 
 struct TrendOptions {
@@ -94,6 +100,9 @@ struct TrendReport {
   /// Comparison keys present in the ledger but excluded from this
   /// analysis (different host/threads/sampling rate).
   std::vector<std::string> skipped_keys;
+  /// compare_to_baseline only: metric series on one side.  Not gating.
+  std::vector<std::string> missing;  // in the baseline, not in current
+  std::vector<std::string> added;    // in current, not in the baseline
 
   /// The gate: no metric steps and no bounds violations.  Timing steps
   /// are informational.
@@ -107,6 +116,15 @@ struct TrendReport {
 /// skipped — suites grow, and a missing series is not a step.
 TrendReport analyze_trend(const std::vector<LedgerEntry>& entries,
                           const TrendOptions& options = {});
+
+/// Checks `current` against `baseline` series by series, through
+/// detect_step on the two values: every metric series both carry
+/// (`series` counts them) steps past `metric_tol`, every shared timing
+/// past `timing_tol` (informational).  Metric series on one side only are
+/// listed in `missing`/`added`; the bounds check runs on `current`.
+TrendReport compare_to_baseline(const LedgerEntry& baseline,
+                                const LedgerEntry& current,
+                                const TrendOptions& options = {});
 
 /// Largest median step in `values` (chronological): max over split points
 /// k of |median(values[k..]) - median(values[..k])| relative to the

@@ -13,6 +13,7 @@
 
 #include "obs/json.hpp"
 #include "obs/json_parse.hpp"
+#include "obs/metrics.hpp"
 
 namespace hyperpath {
 namespace {
@@ -318,6 +319,54 @@ TEST(Profiler, GlobalProfilerSpansViaMacro) {
   bool found = false;
   for (const auto& n : g.nodes()) found = found || n.name == "macro_span";
   EXPECT_TRUE(found);
+  g.reset();
+  g.set_enabled(was_enabled);
+}
+
+TEST(Profiler, RootSpansFeedGlobalRegistryTimings) {
+  // Only spans of the global profiler that close at depth 0 land in the
+  // global registry's timings, by name and wall seconds.  Names unique to
+  // this test keep other registry entries out of the way.
+  auto& reg = obs::MetricsRegistry::global();
+  const auto timing = [&](const std::string& name) {
+    for (const auto& s : reg.timings()) {
+      if (s.name == name) return s;
+    }
+    return obs::MetricsRegistry::SpanView{name, 0, 0};
+  };
+  auto& g = Profiler::global();
+  const bool was_enabled = g.enabled();
+  g.set_enabled(true);
+  g.reset();
+  for (int i = 0; i < 3; ++i) {
+    HP_PROFILE_SPAN("feed_root");
+    HP_PROFILE_SPAN("feed_child");
+    spin(1000);
+  }
+  EXPECT_EQ(timing("feed_root").count, 3u);
+  EXPECT_EQ(timing("feed_child").count, 0u) << "nested spans stay local";
+  double root_wall = -1;
+  for (const auto& n : g.nodes()) {
+    if (n.name == "feed_root") root_wall = n.wall_seconds;
+  }
+  EXPECT_GT(root_wall, 0);
+  EXPECT_DOUBLE_EQ(timing("feed_root").seconds, root_wall);
+  {
+    HP_PROFILE_SPAN("feed_root");
+  }
+  EXPECT_EQ(timing("feed_root").count, 4u);
+
+  {
+    Profiler p;
+    p.set_enabled(true);
+    ProfileSpan s("feed_instance", &p);
+  }
+  EXPECT_EQ(timing("feed_instance").count, 0u);
+  g.set_enabled(false);
+  {
+    HP_PROFILE_SPAN("feed_disabled");
+  }
+  EXPECT_EQ(timing("feed_disabled").count, 0u);
   g.reset();
   g.set_enabled(was_enabled);
 }

@@ -1,7 +1,9 @@
 // Tests for the cross-run performance ledger (obs/trend.hpp): median step
 // detection, comparison-key grouping (series sampled at different thread
 // counts or telemetry rates are never compared), analytic-bounds checks,
-// and LedgerEntry round-trips through JSONL.
+// LedgerEntry round-trips through JSONL, and the baseline diff: unchanged
+// suites pass, perturbed metrics regress, timings never gate, and
+// suite/report shape handling.
 #include "obs/trend.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "base/error.hpp"
 #include "obs/json.hpp"
 #include "obs/json_parse.hpp"
 
@@ -20,6 +23,7 @@ using obs::LedgerEntry;
 using obs::TrendOptions;
 using obs::TrendReport;
 using obs::analyze_trend;
+using obs::compare_to_baseline;
 using obs::comparison_key;
 using obs::detect_step;
 
@@ -245,6 +249,169 @@ TEST(FlattenSuite, LiftsMetricsAndSpanSecondsFromASuiteDocument) {
   EXPECT_DOUBLE_EQ(e.metrics.at("theorem1.paths"), 8.0);
   ASSERT_EQ(e.timings.size(), 1u);
   EXPECT_DOUBLE_EQ(e.timings.at("simcore.flat_run"), 0.5);
+}
+
+LedgerEntry flat(const std::string& text) {
+  const auto doc = obs::json_parse(text);
+  EXPECT_TRUE(doc.has_value()) << text;
+  return obs::flatten_suite(*doc);
+}
+
+const char* kBaseline = R"({
+  "meta": {"hostname": "ci-runner", "effective_threads": 4},
+  "reports": {
+    "theorem1": {
+      "experiment": "theorem1",
+      "metrics": {"worst_phase_cost": 3, "paper_claimed_cost": 3},
+      "timings": {"construct": {"seconds": 1.0, "count": 1}}
+    },
+    "theorem2": {
+      "experiment": "theorem2",
+      "metrics": {"worst_phase_cost": 3}
+    }
+  }
+})";
+
+TEST(TrendBaseline, UnchangedSuitePasses) {
+  const LedgerEntry base = flat(kBaseline);
+  const TrendReport r = compare_to_baseline(base, base);
+  EXPECT_TRUE(r.stable());
+  EXPECT_EQ(r.series, 3u);
+  EXPECT_TRUE(r.metric_steps.empty());
+  EXPECT_TRUE(r.timing_steps.empty());
+  EXPECT_TRUE(r.missing.empty());
+  EXPECT_TRUE(r.added.empty());
+}
+
+TEST(TrendBaseline, PerturbedMetricRegresses) {
+  const LedgerEntry cur = flat(R"({
+    "reports": {
+      "theorem1": {
+        "metrics": {"worst_phase_cost": 4, "paper_claimed_cost": 3},
+        "timings": {"construct": {"seconds": 1.0}}
+      },
+      "theorem2": {"metrics": {"worst_phase_cost": 3}}
+    }
+  })");
+  const TrendReport r = compare_to_baseline(flat(kBaseline), cur);
+  EXPECT_FALSE(r.stable());
+  ASSERT_EQ(r.metric_steps.size(), 1u);
+  EXPECT_EQ(r.metric_steps[0].name, "theorem1.worst_phase_cost");
+  EXPECT_EQ(r.metric_steps[0].median_before, 3);
+  EXPECT_EQ(r.metric_steps[0].median_after, 4);
+  EXPECT_EQ(r.series, 3u);
+}
+
+TEST(TrendBaseline, MetricImprovementStillRegressesAtZeroTolerance) {
+  // Deterministic metrics gate both directions: a lower makespan than the
+  // committed baseline means the baseline is stale, not that all is well.
+  const LedgerEntry cur = flat(R"({
+    "reports": {"theorem2": {"metrics": {"worst_phase_cost": 2}}}
+  })");
+  const TrendReport r = compare_to_baseline(flat(kBaseline), cur);
+  ASSERT_EQ(r.metric_steps.size(), 1u);
+  EXPECT_LT(r.metric_steps[0].rel_change, 0);
+  EXPECT_FALSE(r.stable());
+}
+
+TEST(TrendBaseline, MetricTolerancePermitsSmallDrift) {
+  const LedgerEntry cur = flat(R"({
+    "reports": {"theorem2": {"metrics": {"worst_phase_cost": 3.2}}}
+  })");
+  // 3 -> 3.2 is a 6.7% relative change.
+  TrendOptions opt;
+  opt.metric_tol = 0.05;
+  EXPECT_FALSE(compare_to_baseline(flat(kBaseline), cur, opt).stable());
+  opt.metric_tol = 0.10;
+  EXPECT_TRUE(compare_to_baseline(flat(kBaseline), cur, opt).stable());
+}
+
+TEST(TrendBaseline, TimingDeltasAreInformationalOnly) {
+  // A 2x slower span is listed past the timing tolerance and never gates;
+  // neither does a faster one.
+  for (const char* secs : {"2.0", "0.1"}) {
+    const LedgerEntry cur = flat(std::string(R"({
+      "reports": {
+        "theorem1": {
+          "metrics": {"worst_phase_cost": 3, "paper_claimed_cost": 3},
+          "timings": {"construct": {"seconds": )") + secs + R"(}}
+        },
+        "theorem2": {"metrics": {"worst_phase_cost": 3}}
+      }
+    })");
+    const TrendReport r = compare_to_baseline(flat(kBaseline), cur);
+    ASSERT_EQ(r.timing_steps.size(), 1u) << secs;
+    EXPECT_EQ(r.timing_steps[0].name, "theorem1.construct");
+    EXPECT_TRUE(r.timing_steps[0].is_timing);
+    EXPECT_TRUE(r.stable()) << "timing drift must not gate";
+  }
+}
+
+TEST(TrendBaseline, MissingAndNewSeriesAreNotRegressions) {
+  const LedgerEntry cur = flat(R"({
+    "reports": {
+      "theorem1": {"metrics": {"worst_phase_cost": 3,
+                                "paper_claimed_cost": 3}},
+      "brand_new": {"metrics": {"x": 1}}
+    }
+  })");
+  const TrendReport r = compare_to_baseline(flat(kBaseline), cur);
+  EXPECT_TRUE(r.stable());
+  EXPECT_EQ(r.series, 2u);
+  EXPECT_EQ(r.missing, std::vector<std::string>{"theorem2.worst_phase_cost"});
+  EXPECT_EQ(r.added, std::vector<std::string>{"brand_new.x"});
+}
+
+TEST(TrendBaseline, BareReportActsAsOneReportSuite) {
+  const LedgerEntry bare = flat(R"({
+    "experiment": "theorem2", "meta": {"hostname": "laptop"},
+    "metrics": {"worst_phase_cost": 3}
+  })");
+  EXPECT_EQ(bare.hostname, "laptop");
+  EXPECT_EQ(bare.metrics,
+            (std::map<std::string, double>{{"theorem2.worst_phase_cost", 3}}));
+  const TrendReport r = compare_to_baseline(flat(kBaseline), bare);
+  EXPECT_TRUE(r.stable());
+  EXPECT_EQ(r.series, 1u);
+  EXPECT_EQ(r.missing.size(), 2u);  // theorem1's two metrics
+}
+
+TEST(TrendBaseline, RejectsUnrecognizedShape) {
+  EXPECT_THROW(flat("[1,2]"), Error);
+  EXPECT_THROW(flat(R"({"foo": 1})"), Error);
+  EXPECT_THROW(flat(R"({"reports": [1]})"), Error);
+}
+
+TEST(TrendBaseline, DifferentComparisonKeyStillCompares) {
+  // The metrics are host-independent, so a baseline recorded on another
+  // host, compiler and thread count still gates the current run.
+  const LedgerEntry base = flat(kBaseline);
+  LedgerEntry cur = base;
+  cur.hostname = "laptop";
+  cur.compiler = "Clang 18";
+  cur.effective_threads = 1;
+  ASSERT_NE(comparison_key(cur), comparison_key(base));
+  EXPECT_TRUE(compare_to_baseline(base, cur).stable());
+  cur.metrics["theorem2.worst_phase_cost"] = 5;
+  const TrendReport r = compare_to_baseline(base, cur);
+  EXPECT_EQ(r.series, 3u);
+  EXPECT_EQ(r.metric_steps.size(), 1u);
+  EXPECT_FALSE(r.stable());
+}
+
+TEST(TrendBaseline, BoundsViolationInCurrentFails) {
+  // The floor/ceiling bracket is checked on the current run even when the
+  // baseline carries the same violation: metric equality is not enough.
+  const LedgerEntry bad = flat(R"({
+    "reports": {"oracle": {"metrics": {
+      "q16_peak_congestion": 10, "q16_congestion_floor": 5,
+      "q16_congestion_ceiling": 8}}}
+  })");
+  const TrendReport r = compare_to_baseline(bad, bad);
+  EXPECT_TRUE(r.metric_steps.empty());
+  ASSERT_EQ(r.bounds_violations.size(), 1u);
+  EXPECT_NE(r.bounds_violations[0].find("above ceiling"), std::string::npos);
+  EXPECT_FALSE(r.stable());
 }
 
 }  // namespace

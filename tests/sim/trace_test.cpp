@@ -314,9 +314,7 @@ TEST(Metrics, RegistryRoundTrip) {
   h.observe(1);
   h.observe(3);
   h.observe(100);
-  {
-    obs::ScopedTimer t("span", &reg);
-  }
+  reg.record_span("span", 0.5);
   EXPECT_EQ(reg.counter("events").value(), 5u);
   EXPECT_EQ(reg.gauge("depth").value(), 7);
   EXPECT_EQ(h.count(), 3u);

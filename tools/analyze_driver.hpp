@@ -23,8 +23,8 @@
 #pragma once
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -33,6 +33,7 @@
 #include "obs/flight.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "parse_number.hpp"
 
 namespace hyperpath::tools {
 
@@ -71,7 +72,7 @@ inline void analyze_usage(std::FILE* out) {
 }
 
 /// Parses analyzer flags; returns false (after printing usage) on a flag
-/// it does not understand.
+/// it does not understand or a malformed or out-of-range number.
 inline bool parse_analyze_args(int argc, char** argv, AnalyzeOptions* opt) {
   const auto value_or_eq = [&](const std::string& a, const char* flag,
                                int& i, std::string* out) {
@@ -89,6 +90,7 @@ inline bool parse_analyze_args(int argc, char** argv, AnalyzeOptions* opt) {
   for (int i = 0; i < argc; ++i) {
     const std::string a = argv[i];
     std::string v;
+    bool ok = true;
     if (a == "--json" && (i + 1 >= argc || argv[i + 1][0] == '-')) {
       opt->json = true;
     } else if (value_or_eq(a, "--json", i, &v)) {
@@ -102,21 +104,27 @@ inline bool parse_analyze_args(int argc, char** argv, AnalyzeOptions* opt) {
     } else if (a == "--blame" && (i + 1 >= argc || argv[i + 1][0] == '-')) {
       opt->blame = 5;
     } else if (value_or_eq(a, "--blame", i, &v)) {
-      opt->blame = std::atoi(v.c_str());
+      ok = parse_number("--blame", v.c_str(), 1, INT_MAX, opt->blame);
     } else if (value_or_eq(a, "--dims", i, &v)) {
-      opt->dims = std::atoi(v.c_str());
+      ok = parse_number("--dims", v.c_str(), 1, 30, opt->dims);
     } else if (value_or_eq(a, "--packets-per-edge", i, &v)) {
-      opt->packets_per_edge = std::atoi(v.c_str());
+      ok = parse_number("--packets-per-edge", v.c_str(), 1, INT_MAX,
+                        opt->packets_per_edge);
     } else if (value_or_eq(a, "--width", i, &v)) {
-      opt->width = std::atoi(v.c_str());
+      ok = parse_number("--width", v.c_str(), 1, INT_MAX, opt->width);
     } else if (value_or_eq(a, "--expect-makespan", i, &v)) {
-      opt->expect_makespan = std::atoll(v.c_str());
+      ok = parse_number("--expect-makespan", v.c_str(), 0LL, LLONG_MAX,
+                        opt->expect_makespan);
     } else if (value_or_eq(a, "--expect-delivered", i, &v)) {
-      opt->expect_delivered = std::atoll(v.c_str());
+      ok = parse_number("--expect-delivered", v.c_str(), 0LL, LLONG_MAX,
+                        opt->expect_delivered);
     } else if (opt->trace_path.empty() && !a.empty() && a[0] != '-') {
       opt->trace_path = a;
     } else {
       std::fprintf(stderr, "analyze: unknown argument '%s'\n", a.c_str());
+      ok = false;
+    }
+    if (!ok) {
       analyze_usage(stderr);
       return false;
     }

@@ -1,28 +1,46 @@
-// bench_trend — cross-run drift detection over the performance ledger.
+// bench_trend — the benchmark regression gate: cross-run drift over the
+// performance ledger, or one suite run against a committed baseline.
 //
 //   bench_trend [--history FILE] [--window N] [--metric-tol X]
 //               [--timing-tol X] [--expect-stable] [--json [FILE]]
+//   bench_trend --baseline BASELINE CURRENT [--metric-tol X] [--timing-tol X]
 //
-// Reads the JSONL ledger bench_runner --history appends to, groups the
-// newest run with its predecessors sharing the same comparison key (host |
-// compiler | flags | threads | telemetry period — series sampled under
-// different configurations are never compared), and runs median-based step
-// detection over every "<bench>.<metric>" series plus the analytic
-// floor/ceiling bracket check on the newest run (see obs/trend.hpp).
+// Ledger mode reads the JSONL ledger bench_runner --history appends to,
+// groups the newest run with its predecessors sharing the same comparison
+// key (host | compiler | flags | threads | telemetry period — series
+// sampled under different configurations are never compared), and runs
+// median-based step detection over every "<bench>.<metric>" series plus
+// the analytic floor/ceiling bracket check on the newest run (see
+// obs/trend.hpp).  --expect-stable turns an unstable report — or a ledger
+// too thin to analyze (< 2 comparable runs) — into exit 1.
 //
-// Metric steps and bounds violations gate; timing steps are printed but
-// informational (wall-clock noise is bench_compare's problem, not the
-// ledger's).  --expect-stable turns an unstable report — or a ledger too
-// thin to analyze (< 2 comparable runs) — into a nonzero exit, which is
-// how CI uses this binary.
+// Baseline mode flattens BASELINE and CURRENT, each a BENCH_SUITE.json or
+// a single BENCH_<name>.json report, and checks every metric series both
+// carry (obs::compare_to_baseline).  At --metric-tol 0, the default, any
+// change in either direction is a regression: a changed deterministic
+// metric is a behavioral change.  Series on one side only are listed as
+// missing/new; the bounds check runs on CURRENT.  It prints a table of
+// everything that is not unchanged plus one machine-readable verdict line,
+//
+//   BENCH_COMPARE: PASS|FAIL regressions=N compared=M missing=K new=J
+//
+// where regressions counts metric changes and bounds violations, and exits
+// 1 on any, which is how CI gates every push against
+// bench/baselines/BENCH_SUITE.json.
+//
+// In both modes metric steps and bounds violations gate; timing deltas
+// past --timing-tol are printed but never gate, because wall-clock noise
+// is not a behavioral change.  Exit 2 is a usage or load error.
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "base/error.hpp"
 #include "obs/json.hpp"
 #include "obs/json_parse.hpp"
 #include "obs/trend.hpp"
@@ -41,17 +59,23 @@ void usage(const char* argv0) {
       stderr,
       "usage: %s [--history FILE] [--window N] [--metric-tol X]\n"
       "          [--timing-tol X] [--expect-stable] [--json [FILE]]\n"
+      "       %s --baseline BASELINE CURRENT [--metric-tol X] "
+      "[--timing-tol X]\n"
       "  --history FILE   ledger to analyze (default "
       "bench/history/BENCH_HISTORY.jsonl)\n"
       "  --window N       newest comparable runs to analyze (default 8)\n"
       "  --metric-tol X   relative step tolerance for metrics (default 0)\n"
-      "  --timing-tol X   relative step tolerance for timings (default "
-      "0.30)\n"
+      "  --timing-tol X   relative step tolerance for timings, never "
+      "gating\n"
+      "                   (default 0.30)\n"
       "  --expect-stable  exit nonzero on any metric step, bounds violation\n"
       "                   or a ledger with fewer than 2 comparable runs\n"
       "  --json [FILE]    machine-readable report (default "
-      "TREND_REPORT.json)\n",
-      argv0);
+      "TREND_REPORT.json)\n"
+      "  --baseline FILE  diff suite or report CURRENT against FILE; exit 1 "
+      "on a\n"
+      "                   metric change or bounds violation\n",
+      argv0, argv0);
 }
 
 void write_findings(hyperpath::obs::JsonWriter& w,
@@ -79,11 +103,75 @@ void print_findings(const char* label,
   }
 }
 
+// "<bench>.<metric>" as one row of the baseline table.
+void print_row(const std::string& name, double baseline, double current,
+               double rel, const char* verdict) {
+  const std::size_t dot = name.find('.');
+  std::printf("%-14s %-36s %14.6g %14.6g %8.2f%%  %s\n",
+              name.substr(0, dot).c_str(),
+              dot == std::string::npos ? "" : name.c_str() + dot + 1,
+              baseline, current, 100.0 * rel, verdict);
+}
+
+std::optional<LedgerEntry> load_suite(const std::string& path) {
+  hyperpath::obs::JsonParseError err;
+  const auto doc = hyperpath::obs::json_parse_file(path, &err);
+  if (!doc) {
+    std::fprintf(stderr, "bench_trend: cannot load %s (offset %zu: %s)\n",
+                 path.c_str(), err.offset, err.message.c_str());
+    return std::nullopt;
+  }
+  try {
+    return hyperpath::obs::flatten_suite(*doc);
+  } catch (const hyperpath::Error& e) {
+    std::fprintf(stderr, "bench_trend: %s: %s\n", path.c_str(), e.what());
+    return std::nullopt;
+  }
+}
+
+int run_baseline(const std::string& baseline_path,
+                 const std::string& current_path,
+                 const TrendOptions& options) {
+  const auto base = load_suite(baseline_path);
+  const auto cur = base ? load_suite(current_path) : std::nullopt;
+  if (!cur) return 2;
+  const TrendReport r =
+      hyperpath::obs::compare_to_baseline(*base, *cur, options);
+
+  std::printf("%-14s %-36s %14s %14s %9s  %s\n", "report", "key",
+              "baseline", "current", "rel", "verdict");
+  for (const TrendFinding& f : r.metric_steps) {
+    print_row(f.name, f.median_before, f.median_after, f.rel_change,
+              "REGRESSION");
+  }
+  for (const std::string& name : r.missing) {
+    print_row(name, base->metrics.at(name), 0, 0, "missing");
+  }
+  for (const std::string& name : r.added) {
+    print_row(name, 0, cur->metrics.at(name), 0, "new");
+  }
+  for (const TrendFinding& f : r.timing_steps) {
+    print_row(f.name, f.median_before, f.median_after, f.rel_change,
+              "timing (informational)");
+  }
+  for (const std::string& v : r.bounds_violations) {
+    std::printf("bounds violation: %s\n", v.c_str());
+  }
+  const std::size_t regressions =
+      r.metric_steps.size() + r.bounds_violations.size();
+  std::printf("BENCH_COMPARE: %s regressions=%zu compared=%zu missing=%zu "
+              "new=%zu\n",
+              regressions == 0 ? "PASS" : "FAIL", regressions, r.series,
+              r.missing.size(), r.added.size());
+  return regressions == 0 ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   constexpr double kMaxTol = 1e9;  // relative tolerances: any sane value
   std::string history_path = "bench/history/BENCH_HISTORY.jsonl";
+  std::string baseline_path, current_path;
   TrendOptions options;
   bool expect_stable = false;
   bool json = false;
@@ -116,10 +204,21 @@ int main(int argc, char** argv) {
     } else if (arg == "--json") {
       json = true;
       if (i + 1 < argc && argv[i + 1][0] != '-') json_path = argv[++i];
+    } else if (arg == "--baseline" && i + 1 < argc) {
+      baseline_path = argv[++i];
+    } else if (arg[0] != '-' && current_path.empty()) {
+      current_path = arg;
     } else {
       usage(argv[0]);
       return 2;
     }
+  }
+  if (baseline_path.empty() != current_path.empty()) {
+    usage(argv[0]);
+    return 2;
+  }
+  if (!baseline_path.empty()) {
+    return run_baseline(baseline_path, current_path, options);
   }
   if (options.window < 2) {
     std::fprintf(stderr, "bench_trend: --window must be at least 2\n");

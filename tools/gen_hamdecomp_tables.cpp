@@ -7,16 +7,28 @@
 //   gen_hamdecomp_tables [dims...] > src/hamdecomp/tables.cpp
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "hamdecomp/solver.hpp"
 #include "hamdecomp/tables.hpp"
 
+#include "parse_number.hpp"
+
 int main(int argc, char** argv) {
   std::vector<int> dims;
-  for (int i = 1; i < argc; ++i) dims.push_back(std::atoi(argv[i]));
+  for (int i = 1; i < argc; ++i) {
+    // The solver handles even dimensions in [2, 16].
+    int n = 0;
+    if (!hyperpath::tools::parse_number("dims", argv[i], 2, 16, n) ||
+        n % 2 != 0) {
+      if (n % 2 != 0) std::fprintf(stderr, "dims: %d is odd\n", n);
+      std::fprintf(stderr, "usage: %s [even dims in 2..16...] > tables.cpp\n",
+                   argv[0]);
+      return 1;
+    }
+    dims.push_back(n);
+  }
   if (dims.empty()) dims = {4, 6, 8, 10, 12};
 
   std::printf(

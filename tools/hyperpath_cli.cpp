@@ -213,11 +213,15 @@ int cmd_route(int argc, char** argv) {
   for (; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--edge" && i + 1 < argc) {
-      char* rest = nullptr;
-      edge.from = std::strtoull(argv[++i], &rest, 10);
-      if (rest != nullptr && *rest == ',') {
-        edge.to = std::strtoull(rest + 1, nullptr, 10);
-        have_to = true;
+      const std::string v = argv[++i];
+      const std::size_t comma = v.find(',');
+      have_to = comma != std::string::npos;
+      if (!parse_number<OracleId>("--edge FROM", v.substr(0, comma).c_str(),
+                                  0, LLONG_MAX, edge.from) ||
+          (have_to &&
+           !parse_number<OracleId>("--edge TO", v.c_str() + comma + 1, 0,
+                                   LLONG_MAX, edge.to))) {
+        return usage();
       }
       have_edge = true;
     } else if (a == "--path" && i + 1 < argc) {
@@ -651,21 +655,14 @@ int cmd_campaign(int argc, char** argv) {
   w.end_object();
 
   if (sweep.empty()) {
-    CampaignStats s;
-    {
-      obs::ScopedTimer timer("simulate");
-      s = driver.run(cfg);
-    }
+    const CampaignStats s = driver.run(cfg);
     print_campaign(s);
     w.key("metrics").begin_object();
     write_campaign_json(w, s);
     w.end_object();
   } else {
-    std::vector<EnvelopePoint> envelope;
-    {
-      obs::ScopedTimer timer("simulate");
-      envelope = sweep_envelope(emb, cfg, sweep);
-    }
+    const std::vector<EnvelopePoint> envelope =
+        sweep_envelope(emb, cfg, sweep);
     w.key("envelope").begin_array();
     for (const EnvelopePoint& pt : envelope) {
       std::printf("-- link rate %.3f --\n", pt.link_rate);
@@ -998,7 +995,6 @@ int cmd_trace(int argc, char** argv) {
     if (p <= 0) p = n / 2;
     if (opt.trace_path.empty()) opt.trace_path = "TRACE_cycle.jsonl";
     MultiPathEmbedding emb = [&] {
-      obs::ScopedTimer t("construct");
       HP_PROFILE_SPAN("construct");
       return theorem1_cycle_embedding(n);
     }();
@@ -1008,7 +1004,6 @@ int cmd_trace(int argc, char** argv) {
     begin_telemetry(opt);
     SimResult r;
     {
-      obs::ScopedTimer t("simulate");
       HP_PROFILE_SPAN("simulate");
       r = measure_phase_cost(emb, p, Arbitration::kFifo, &sink);
     }
@@ -1048,7 +1043,6 @@ int cmd_trace(int argc, char** argv) {
     }
     if (opt.trace_path.empty()) opt.trace_path = "TRACE_grid.jsonl";
     MultiPathEmbedding emb = [&] {
-      obs::ScopedTimer t("construct");
       HP_PROFILE_SPAN("construct");
       return grid_multipath_embedding(spec);
     }();
@@ -1058,7 +1052,6 @@ int cmd_trace(int argc, char** argv) {
     begin_telemetry(opt);
     SimResult r;
     {
-      obs::ScopedTimer t("simulate");
       HP_PROFILE_SPAN("simulate");
       r = measure_phase_cost(emb, p, Arbitration::kFifo, &sink);
     }
@@ -1092,7 +1085,6 @@ int cmd_trace(int argc, char** argv) {
     if (p <= 0) p = 1;
     if (opt.trace_path.empty()) opt.trace_path = "TRACE_ccc.jsonl";
     KCopyEmbedding emb = [&] {
-      obs::ScopedTimer t("construct");
       HP_PROFILE_SPAN("construct");
       return ccc_multicopy_embedding(n);
     }();
@@ -1103,7 +1095,6 @@ int cmd_trace(int argc, char** argv) {
     begin_telemetry(opt);
     SimResult r;
     {
-      obs::ScopedTimer t("simulate");
       HP_PROFILE_SPAN("simulate");
       r = measure_phase_cost(emb, p, Arbitration::kFifo, &sink);
     }

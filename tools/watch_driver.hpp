@@ -19,8 +19,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -31,6 +31,7 @@
 #endif
 
 #include "obs/json_parse.hpp"
+#include "parse_number.hpp"
 
 namespace hyperpath::tools {
 
@@ -240,32 +241,33 @@ inline int run_watch(int argc, char** argv) {
   WatchOptions opt;
   for (int i = 0; i < argc; ++i) {
     const std::string a = argv[i];
+    bool ok = true;
     if (a == "--help" || a == "-h") {
       watch_usage(stdout);
       return 0;
     } else if (a == "--follow" || a == "-f") {
       opt.follow = true;
     } else if (a == "--interval" && i + 1 < argc) {
-      opt.interval_ms = std::atoi(argv[++i]);
+      ok = parse_number("--interval", argv[++i], 1, INT_MAX, opt.interval_ms);
     } else if (a.rfind("--interval=", 0) == 0) {
-      opt.interval_ms = std::atoi(a.c_str() + 11);
+      ok = parse_number("--interval", a.c_str() + 11, 1, INT_MAX,
+                        opt.interval_ms);
     } else if (a == "--frames" && i + 1 < argc) {
-      opt.frames = std::atoi(argv[++i]);
+      ok = parse_number("--frames", argv[++i], 0, INT_MAX, opt.frames);
     } else if (a.rfind("--frames=", 0) == 0) {
-      opt.frames = std::atoi(a.c_str() + 9);
+      ok = parse_number("--frames", a.c_str() + 9, 0, INT_MAX, opt.frames);
     } else if (opt.path.empty() && !a.empty() && a[0] != '-') {
       opt.path = a;
     } else {
+      ok = false;
+    }
+    if (!ok) {
       watch_usage(stderr);
       return 1;
     }
   }
   if (opt.path.empty()) {
     watch_usage(stderr);
-    return 1;
-  }
-  if (opt.interval_ms <= 0) {
-    std::fprintf(stderr, "--interval requires a positive integer\n");
     return 1;
   }
   int frames = opt.frames > 0 ? opt.frames : (opt.follow ? 0 : 1);
