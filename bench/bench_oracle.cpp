@@ -1,7 +1,7 @@
 // PathOracle benchmark: algebraic closed-form routing vs the materialized
 // pipeline (DESIGN.md §10).
 //
-// Three claims, each FATAL-gated so CI fails loudly instead of recording a
+// Four claims, each FATAL-gated so CI fails loudly instead of recording a
 // regression:
 //
 //   O1 — the algebraic backend is bit-identical to the materialized one
@@ -14,6 +14,12 @@
 //        backend alone, every packet delivered, measured peak congestion
 //        at or above the analytic floor (core/lower_bounds), inside a
 //        2 GiB RSS budget.
+//   O4 — §9 single-fault recovery at Q_24: the 16 messages of
+//        OracleSample.Q24RecoverySurvivesSingleFault all complete through
+//        a dead link on one of their bundles, inside a 256 MiB RSS delta
+//        (recovery waves run compact plans sized by their traffic, never
+//        the host's 24·2^24 links).  It runs first, before anything
+//        else has raised the process high-water mark.
 //
 // Metric discipline: everything in the metrics section is a deterministic
 // algorithmic output (digests, counts, makespans, gate booleans) held to
@@ -43,7 +49,9 @@
 #include "core/lower_bounds.hpp"
 #include "embed/path_oracle.hpp"
 #include "obs/metrics.hpp"
+#include "sim/faults.hpp"
 #include "sim/oracle_sim.hpp"
+#include "sim/recovery.hpp"
 
 namespace hyperpath {
 namespace {
@@ -290,6 +298,55 @@ void print_q24_phase_table(bench::Report& report) {
   report.table(t);
 }
 
+// O4: the unit suite's Q_24 single-fault recovery, gated on completion and
+// on a 256 MiB RSS delta.
+void print_q24_recovery_table(bench::Report& report) {
+  bench::Table t("O4: Q_24 single-fault recovery from the algebraic backend",
+                 {"messages", "complete", "waves", "sent", "lost", "rss MB",
+                  "sim s"});
+  auto& reg = obs::MetricsRegistry::global();
+
+  const auto oracle = algebraic_grid_oracle(GridSpec{{256, 256, 256}, true});
+  const auto edges = sample_guest_edges(*oracle, 16, 5);
+  const std::vector<HostPath> bundle = oracle->bundle(edges[0]);
+  FaultSchedule schedule(oracle->host_dims());
+  schedule.link_down(0, bundle[0][0], bundle[0][1]);
+  RecoveryConfig config;
+  config.timeout = 4;
+  config.threshold = static_cast<int>(bundle.size()) - 1;
+  config.update_registry = false;
+
+  const double rss0 = rss_kb();
+  RecoveryResult r;
+  const double s_sim = seconds_of(
+      [&] { r = run_recovery(*oracle, edges, schedule, config); });
+  const double rss_delta = rss_kb() - rss0;
+
+  if (r.messages_complete != edges.size()) {
+    std::fprintf(stderr, "FATAL: Q_24 recovery completed %zu of %zu\n",
+                 r.messages_complete, edges.size());
+    std::exit(1);
+  }
+  const double budget_kb = 256.0 * 1024;  // 256 MiB
+  if (rss_delta >= budget_kb) {
+    std::fprintf(stderr,
+                 "FATAL: Q_24 recovery RSS delta %.0f KiB over budget\n",
+                 rss_delta);
+    std::exit(1);
+  }
+
+  t.row(edges.size(), r.messages_complete, r.waves, r.fragments_sent,
+        r.fragments_lost, rss_delta / 1024.0, s_sim);
+  report.metric("q24_recovery_messages_complete", r.messages_complete);
+  report.metric("q24_recovery_waves", r.waves);
+  report.metric("q24_recovery_fragments_sent", r.fragments_sent);
+  report.metric("q24_recovery_rss_gate_256mib", 1);
+  reg.record_span("q24_recovery_sim", s_sim);
+  reg.record_span("q24_recovery_rss_kb", rss_delta);
+  t.print();
+  report.table(t);
+}
+
 void BM_AlgebraicFirstRoute(benchmark::State& state) {
   const GridSpec spec{{256, 256, 256}, true};
   for (auto _ : state) {
@@ -317,6 +374,8 @@ BENCHMARK(BM_AlgebraicPathStream);
 
 int main(int argc, char** argv) {
   hyperpath::bench::Report report("oracle", &argc, argv);
+  // O4 first: its RSS delta must not hide under an earlier high-water mark.
+  hyperpath::print_q24_recovery_table(report);
   hyperpath::print_equivalence_table(report);
   hyperpath::print_ttfr_table(report);
   hyperpath::print_q24_phase_table(report);

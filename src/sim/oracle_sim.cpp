@@ -1,7 +1,6 @@
 #include "sim/oracle_sim.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <numeric>
 
 #include "base/error.hpp"
@@ -10,50 +9,34 @@
 
 namespace hyperpath {
 
-namespace {
-
-/// NodeSink that appends a streamed path's nodes to `nodes` and each hop's
-/// global link id to `glinks`.  One instance serves a whole compilation:
-/// reset() before each path.
-class HopSink final : public NodeSink {
- public:
-  HopSink(std::vector<Node>& nodes, std::vector<std::uint64_t>& glinks,
-          int dims)
-      : nodes_(nodes), glinks_(glinks), dims_(dims) {}
-
-  void reset() { first_ = true; }
-
-  void push(Node v) override {
-    if (!first_) {
-      const Node diff = prev_ ^ v;
-      HP_CHECK(std::popcount(diff) == 1, "oracle emitted a non-hypercube hop");
-      glinks_.push_back(static_cast<std::uint64_t>(prev_) * dims_ +
-                        std::countr_zero(diff));
-    }
-    nodes_.push_back(v);
-    prev_ = v;
-    first_ = false;
-  }
-
- private:
-  std::vector<Node>& nodes_;
-  std::vector<std::uint64_t>& glinks_;
-  int dims_;
-  Node prev_ = 0;
-  bool first_ = true;
-};
-
-}  // namespace
-
 void add_oracle_route(const PathOracle& oracle, const OracleEdge& edge,
                       int path_index, std::uint32_t release_step,
                       simcore::RoutePlan& plan,
                       std::vector<std::uint64_t>& glinks) {
-  HopSink sink(plan.route_nodes, glinks, oracle.host_dims());
+  VectorSink sink(plan.route_nodes);
   plan.begin_route(release_step);
   oracle.path(edge, path_index, sink);
-  plan.end_route_unlinked(oracle.host_dims(), "oracle route invalid");
+  plan.end_route_unlinked(oracle.host_dims(), glinks, "oracle route invalid");
 }
+
+namespace {
+
+/// Edge e's bundle indices stable-sorted by path length into `order` —
+/// packet j of the edge rides path order[j mod width] — and each path's
+/// hop count into `hops`.
+void slot_order(const PathOracle& oracle, const OracleEdge& e,
+                std::vector<std::uint32_t>& hops, std::vector<int>& order) {
+  const int w = oracle.width(e);
+  HP_CHECK(w > 0, "demanded guest edge has an empty bundle");
+  hops.resize(w);
+  for (int i = 0; i < w; ++i) hops[i] = oracle.path_hops(e, i);
+  order.resize(w);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](int a, int b) { return hops[a] < hops[b]; });
+}
+
+}  // namespace
 
 void compile_oracle_phase(const PathOracle& oracle,
                           std::span<const OracleEdge> edges,
@@ -62,33 +45,32 @@ void compile_oracle_phase(const PathOracle& oracle,
   const int dims = oracle.host_dims();
   const int p = packets_per_edge;
   HP_CHECK(p > 0, "packets_per_edge must be positive");
-  // One edge's distinct bundle paths, back to back: slot s holds the nodes
-  // [stage_off[s], stage_off[s + 1]) and, since each path has one hop
-  // fewer than nodes, the global ids from stage_off[s] - s on.
-  std::vector<Node> stage_nodes;
-  std::vector<std::uint64_t> stage_links;
-  std::vector<std::uint32_t> stage_off;
   std::vector<std::uint32_t> hops;
   std::vector<int> order;
-  HopSink sink(stage_nodes, stage_links, dims);
+  // The hop ids are reserved exactly: grown by doubling to a Q_24 phase's
+  // 33 MB, the buffer's chain of reallocations would raise the peak RSS of
+  // repeated phases by ~10 % (hpbench oracle_phase_q24).
+  std::uint64_t total_hops = 0;
+  for (const OracleEdge& e : edges) {
+    slot_order(oracle, e, hops, order);
+    for (int j = 0; j < p; ++j) total_hops += hops[order[j % order.size()]];
+  }
+  glinks.reserve(glinks.size() + total_hops);
+  // One edge's distinct bundle paths, back to back: slot s holds the nodes
+  // [stage_off[s], stage_off[s + 1]).
+  std::vector<Node> stage_nodes;
+  std::vector<std::uint32_t> stage_off;
+  VectorSink sink(stage_nodes);
   plan.reserve(plan.num_routes() + edges.size() * static_cast<std::size_t>(p),
                0);
   for (const OracleEdge& e : edges) {
-    const int w = oracle.width(e);
-    HP_CHECK(w > 0, "demanded guest edge has an empty bundle");
-    hops.resize(w);
-    for (int i = 0; i < w; ++i) hops[i] = oracle.path_hops(e, i);
-    order.resize(w);
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](int a, int b) { return hops[a] < hops[b]; });
+    slot_order(oracle, e, hops, order);
+    const int w = static_cast<int>(order.size());
     stage_nodes.clear();
-    stage_links.clear();
     stage_off.assign(1, 0);
     for (int j = 0; j < p; ++j) {
       const int s = j % w;
       if (j < w) {  // first packet on slot s: stream its path, once
-        sink.reset();
         oracle.path(e, order[s], sink);
         stage_off.push_back(static_cast<std::uint32_t>(stage_nodes.size()));
       }
@@ -96,13 +78,9 @@ void compile_oracle_phase(const PathOracle& oracle,
       const std::uint32_t last = stage_off[s + 1];
       plan.begin_route(0);
       plan.push_nodes({stage_nodes.data() + first, last - first});
-      plan.end_route_unlinked(dims, "oracle route invalid");
-      // The route has at least one node now, so the hop slice is well formed.
-      glinks.insert(glinks.end(), stage_links.begin() + (first - s),
-                    stage_links.begin() + (last - s - 1));
+      plan.end_route_unlinked(dims, glinks, "oracle route invalid");
     }
   }
-  if (plan.route_offsets.empty()) plan.route_offsets.push_back(0);
 }
 
 OraclePhaseResult run_oracle_phase(const PathOracle& oracle,
@@ -112,7 +90,6 @@ OraclePhaseResult run_oracle_phase(const PathOracle& oracle,
   const int dims = oracle.host_dims();
 
   OraclePhaseResult result;
-  result.dim_transmissions.assign(dims, 0);
 
   simcore::RoutePlan plan;
   {
@@ -142,19 +119,16 @@ OraclePhaseResult run_oracle_phase(const PathOracle& oracle,
   // Fault-free, so every route completes, zero-hop ones included.
   result.delivered = num_routes;
 
-  // A plan without hops has nothing to move (and would read as dense).
-  if (num_links > 0) {
-    SimResult r = run_plan<false, false>(plan, dims, Arbitration::kFifo,
-                                         spec.max_steps, nullptr, nullptr,
-                                         false, nullptr);
-    result.makespan = r.makespan;
-    result.total_transmissions = r.total_transmissions;
-    result.max_queue = static_cast<std::uint32_t>(r.max_queue);
-    result.dim_transmissions = std::move(r.dim_transmissions);
-    // Hand the phase-sized kernel state back rather than pin it in this
-    // thread's scratch after the phase is over.
-    simcore::step_scratch() = simcore::StepScratch{};
-  }
+  SimResult r = run_plan<false, false>(plan, dims, Arbitration::kFifo,
+                                       spec.max_steps, nullptr, nullptr, false,
+                                       nullptr);
+  result.makespan = r.makespan;
+  result.total_transmissions = r.total_transmissions;
+  result.max_queue = static_cast<std::uint32_t>(r.max_queue);
+  result.dim_transmissions = std::move(r.dim_transmissions);
+  // Hand the phase-sized kernel state back rather than pin it in this
+  // thread's scratch after the phase is over.
+  simcore::step_scratch() = simcore::StepScratch{};
   return result;
 }
 

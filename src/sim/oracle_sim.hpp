@@ -11,11 +11,11 @@
 //
 //   1. compile_oracle_phase streams each demanded guest edge's bundle
 //      paths from the oracle into a RoutePlan (no HostPath, no Packet, no
-//      bundle vector), recording each hop's 64-bit *global* link id
-//      u·n + dim on the side.  An edge's p packets ride its w bundle paths
-//      round-robin, so each of the min(p, w) distinct paths is streamed
-//      once into a small per-edge staging buffer and its node and link-id
-//      slices are copied into the plan once per packet.
+//      bundle vector); end_route_unlinked records each hop's 64-bit
+//      *global* link id u·n + dim on the side.  An edge's p packets ride
+//      its w bundle paths round-robin, so each of the min(p, w) distinct
+//      paths is streamed once into a small per-edge staging buffer and its
+//      node slice is copied into the plan once per packet.
 //   2. RoutePlan::compact_links radix-sorts the global ids (tagged with
 //      their hop index) and rewrites each hop to its rank among the
 //      distinct ids — a plan-local 32-bit link id — in one scan that also

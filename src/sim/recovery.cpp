@@ -1,13 +1,13 @@
 #include "sim/recovery.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <map>
-#include <numeric>
 
 #include "base/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
+#include "sim/oracle_sim.hpp"
+#include "sim/simcore.hpp"
 #include "sim/store_forward.hpp"
 
 namespace hyperpath {
@@ -23,6 +23,7 @@ struct Frag {
   int index = 0;              // fragment index within the bundle
   int path_idx = 0;           // bundle path it currently rides
   int attempts = 0;           // retransmissions consumed so far
+  int release = 0;            // step it is (re)sent at
 };
 
 /// Mutable per-message bookkeeping during the wave loop.
@@ -32,12 +33,15 @@ struct MessageState {
 };
 
 /// The wave loop, templated on where bundles come from.  A context supplies
-/// num_messages()/dims()/bundle(m)/first_link(route); the materialized
-/// context answers bundle() with a span into the embedding's storage (the
+/// num_messages()/dims()/width(m), path_alive(faults, m, k) — the probe of
+/// bundle path k — and add_route(m, k, release, plan, glinks), which
+/// streams that path into an unlinked plan with its hops' host link ids.
+/// The materialized context reads spans of the embedding's storage (the
 /// zero-copy hot path Monte-Carlo campaigns run thousands of times), the
-/// oracle context generates the demanded edge's bundle into a scratch
-/// vector on each call.  Identical control flow either way — the engine
-/// itself never knows which backend is probing.
+/// oracle context streams the demanded edge's paths from the oracle.
+/// Identical control flow either way — the engine itself never knows which
+/// backend is probing.  Each wave is one compact plan in the thread's
+/// scratch RoutePlan and one faulted run_plan.
 template <typename Ctx>
 RecoveryResult run_recovery_impl(Ctx& ctx, const FaultSchedule& schedule,
                                  const RecoveryConfig& config,
@@ -60,20 +64,15 @@ RecoveryResult run_recovery_impl(Ctx& ctx, const FaultSchedule& schedule,
   std::vector<int> threshold(num_messages, 0);
 
   // Wave 0: one fragment per bundle path of every guest edge.
-  std::vector<Packet> packets;
   std::vector<Frag> frags;
   for (std::uint32_t e = 0; e < num_messages; ++e) {
-    const std::span<const HostPath> bundle = ctx.bundle(e);
-    const int w = static_cast<int>(bundle.size());
+    const int w = ctx.width(e);
     threshold[e] = (config.threshold <= 0) ? w
                                            : std::min(config.threshold, w);
     state[e].got.assign(w, false);
-    for (int f = 0; f < w; ++f) {
-      packets.push_back({bundle[f], 0, e});
-      frags.push_back({e, f, f, 0});
-    }
+    for (int f = 0; f < w; ++f) frags.push_back({e, f, f, 0, 0});
   }
-  result.fragments_sent = packets.size();
+  result.fragments_sent = frags.size();
 
   // Registry counters update live, per event inside the wave loop, so a
   // telemetry sample taken while a wave simulates sees recovery progress
@@ -95,11 +94,15 @@ RecoveryResult run_recovery_impl(Ctx& ctx, const FaultSchedule& schedule,
     live_complete = &reg->counter("recovery.messages_complete");
   }
 
-  const StoreForwardSim sim(dims);
+  simcore::RoutePlan& plan = simcore::step_scratch().plan;
+  std::vector<std::uint64_t> glinks;  // host link id per hop of the wave
+  const auto run_wave =
+      sink != nullptr ? run_plan<true, true> : run_plan<false, true>;
 
-  // The engine's own trace recorder (kRetransmit events).  Events of one
-  // wave are flushed together; StepTrace's canonical sort puts them in step
-  // order within the batch.
+  // The engine's own trace recorder (kRetransmit events).  The
+  // retransmissions a wave schedules are flushed together, before the next
+  // wave runs; StepTrace's canonical sort puts them in step order within
+  // the batch.
   obs::StepTrace rtrace(sink);
 
   // Probing the schedule is O(events) per call; a retransmit storm probes
@@ -127,11 +130,30 @@ RecoveryResult run_recovery_impl(Ctx& ctx, const FaultSchedule& schedule,
     return it->second;
   };
 
-  while (!packets.empty()) {
-    const bool announce = result.waves == 0;
-    FaultRunResult wave =
-        sim.run_with_faults(packets, schedule, Arbitration::kFifo,
-                            config.max_steps, sink, announce);
+  while (!frags.empty()) {
+    {
+      HP_PROFILE_SPAN("compile");
+      plan.clear();
+      for (const Frag& fg : frags) {
+        const std::size_t first = glinks.size();
+        ctx.add_route(fg.message, fg.path_idx,
+                      static_cast<std::uint32_t>(fg.release), plan, glinks);
+        // A later wave carries only retransmissions: announce each with
+        // the first link of its new route.
+        if (rtrace.enabled() && result.waves > 0) {
+          rtrace.record(
+              {fg.release, TraceEventKind::kRetransmit, fg.message,
+               glinks.size() > first ? glinks[first] : TraceEvent::kNoLink,
+               static_cast<std::uint64_t>(fg.attempts)});
+        }
+      }
+      plan.compact_links(std::move(glinks), dims);
+    }
+    rtrace.end_step();
+
+    FaultRunResult wave;
+    wave.sim = run_wave(plan, dims, Arbitration::kFifo, config.max_steps,
+                        sink, &schedule, result.waves == 0, &wave, 1);
     ++result.waves;
     result.total_transmissions += wave.sim.total_transmissions;
     result.makespan = std::max(result.makespan, wave.sim.makespan);
@@ -159,8 +181,7 @@ RecoveryResult run_recovery_impl(Ctx& ctx, const FaultSchedule& schedule,
       const PacketFate& fate = wave.fates[i];
       ++result.fragments_delivered;
       if (live_delivered) live_delivered->add(1);
-      result.useful_transmissions +=
-          static_cast<std::uint64_t>(packets[i].route.size() - 1);
+      result.useful_transmissions += plan.route_len[i];
       MessageState& ms = state[fg.message];
       MessageOutcome& out = result.messages[fg.message];
       if (out.complete || ms.got[fg.index]) continue;
@@ -178,7 +199,6 @@ RecoveryResult run_recovery_impl(Ctx& ctx, const FaultSchedule& schedule,
     // backoff; an attempt whose probe finds every path dead is consumed
     // (the sender waited the backoff for nothing) and the next attempt
     // probes again after a doubled wait.
-    std::vector<Packet> next_packets;
     std::vector<Frag> next_frags;
     for (std::uint32_t i : lost_ids) {
       Frag fg = frags[i];
@@ -193,8 +213,7 @@ RecoveryResult run_recovery_impl(Ctx& ctx, const FaultSchedule& schedule,
       }
       if (out.complete) continue;  // message already reconstructed
 
-      const std::span<const HostPath> bundle = ctx.bundle(fg.message);
-      const int w = static_cast<int>(bundle.size());
+      const int w = ctx.width(fg.message);
       bool scheduled = false;
       while (fg.attempts < config.max_retries) {
         ++fg.attempts;
@@ -217,7 +236,7 @@ RecoveryResult run_recovery_impl(Ctx& ctx, const FaultSchedule& schedule,
         int chosen = -1;
         for (int k = 1; k <= w; ++k) {
           const int cand = (fg.path_idx + k) % w;
-          if (probe.path_alive(bundle[cand])) {
+          if (ctx.path_alive(probe, fg.message, cand)) {
             chosen = cand;
             break;
           }
@@ -231,30 +250,17 @@ RecoveryResult run_recovery_impl(Ctx& ctx, const FaultSchedule& schedule,
           continue;  // a repair may still be pending: back off and re-probe
         }
         fg.path_idx = chosen;
+        fg.release = static_cast<int>(detect);
         ++result.retransmissions;
         if (live_retx) live_retx->add(1);
         ++result.fragments_sent;
         ++out.retransmissions;
-        if (rtrace.enabled()) {
-          const HostPath& route = bundle[chosen];
-          const std::uint64_t first_link = route.size() > 1
-                                               ? ctx.first_link(route)
-                                               : TraceEvent::kNoLink;
-          rtrace.record({static_cast<std::int32_t>(detect),
-                         TraceEventKind::kRetransmit, fg.message, first_link,
-                         static_cast<std::uint64_t>(fg.attempts)});
-        }
-        next_packets.push_back(
-            {bundle[chosen], static_cast<int>(detect), fg.message});
         next_frags.push_back(fg);
         scheduled = true;
         break;
       }
       if (!scheduled) ++result.fragments_exhausted;
     }
-    rtrace.end_step();
-
-    packets = std::move(next_packets);
     frags = std::move(next_frags);
   }
   rtrace.finish();
@@ -282,37 +288,48 @@ RecoveryResult run_recovery_impl(Ctx& ctx, const FaultSchedule& schedule,
   return result;
 }
 
-/// Materialized context: bundles are spans into the embedding's storage.
+/// Materialized context: bundle paths are spans of the embedding's
+/// storage, pushed into the wave plan as they are.
 struct EmbeddingCtx {
   const MultiPathEmbedding& emb;
 
   std::size_t num_messages() const { return emb.guest().num_edges(); }
   int dims() const { return emb.host().dims(); }
-  std::span<const HostPath> bundle(std::uint32_t m) const {
-    return emb.paths(m);
+  int width(std::uint32_t m) const {
+    return static_cast<int>(emb.paths(m).size());
   }
-  std::uint64_t first_link(const HostPath& route) const {
-    return emb.host().edge_id(route[0], route[1]);
+  bool path_alive(const FaultSet& faults, std::uint32_t m, int k) const {
+    return faults.path_alive(emb.paths(m)[k]);
+  }
+  void add_route(std::uint32_t m, int k, std::uint32_t release,
+                 simcore::RoutePlan& plan,
+                 std::vector<std::uint64_t>& glinks) const {
+    plan.begin_route(release);
+    plan.push_nodes(emb.paths(m)[k]);
+    plan.end_route_unlinked(dims(), glinks);
   }
 };
 
-/// Oracle context: one message per demanded guest edge, bundles generated
-/// into a scratch vector on each call (valid until the next bundle() call,
-/// which is all the wave loop needs).
+/// Oracle context: one message per demanded guest edge, each bundle path
+/// streamed from the oracle whenever the loop probes or sends it.
 struct OracleCtx {
   const PathOracle& oracle;
   std::span<const OracleEdge> edges;
-  std::vector<HostPath> scratch;
+  HostPath probed;  // scratch: the path path_alive last streamed
 
   std::size_t num_messages() const { return edges.size(); }
   int dims() const { return oracle.host_dims(); }
-  std::span<const HostPath> bundle(std::uint32_t m) {
-    scratch = oracle.bundle(edges[m]);
-    return scratch;
+  int width(std::uint32_t m) const { return oracle.width(edges[m]); }
+  bool path_alive(const FaultSet& faults, std::uint32_t m, int k) {
+    probed.clear();
+    VectorSink sink(probed);
+    oracle.path(edges[m], k, sink);
+    return faults.path_alive(probed);
   }
-  std::uint64_t first_link(const HostPath& route) const {
-    return static_cast<std::uint64_t>(route[0]) * oracle.host_dims() +
-           std::countr_zero(route[0] ^ route[1]);
+  void add_route(std::uint32_t m, int k, std::uint32_t release,
+                 simcore::RoutePlan& plan,
+                 std::vector<std::uint64_t>& glinks) const {
+    add_oracle_route(oracle, edges[m], k, release, plan, glinks);
   }
 };
 

@@ -23,13 +23,14 @@
 // The engine is wave-based: every retransmission round is a fresh simulator
 // run on one absolute clock (retransmitted fragments release at their
 // detect step, and the schedule replays from step 0, so faults hold across
-// waves).  Waves run on the serial StoreForwardSim: a recovery run is small
-// next to a phase, and the Monte-Carlo driver parallelizes across trials
-// instead.  Trace output: the wave-0 run announces kFault/kRepair, every
-// truncation is a kDrop, and each retransmission emits kRetransmit
-// (packet = message id, link = first link of the new route, value = attempt
-// number); waves appear in the stream back-to-back, each internally in
-// canonical step order.
+// waves).  Each wave streams its fragments' paths into one compact
+// RoutePlan and runs it once through the serial run_plan, so its memory
+// follows the links the fragments touch, never the host; the Monte-Carlo
+// driver parallelizes across trials instead.  Trace output: the wave-0
+// run announces kFault/kRepair, every truncation is a kDrop, and each
+// retransmission emits kRetransmit (packet = message id, link = first link
+// of the new route, value = attempt number); waves appear in the stream
+// back-to-back, each internally in canonical step order.
 #pragma once
 
 #include <span>

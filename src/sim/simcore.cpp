@@ -24,12 +24,13 @@ std::uint32_t checked_hop_offset(std::uint64_t hops_total) {
 
 void RoutePlan::clear() {
   route_nodes.clear();
-  route_offsets.clear();
+  route_offsets.assign(1, 0);
   link_of_hop.clear();
   route_len.clear();
   release.clear();
   global_link.clear();
   dim_of.clear();
+  compact_ = false;
 }
 
 void RoutePlan::reserve(std::size_t routes, std::size_t total_nodes) {
@@ -44,7 +45,6 @@ void RoutePlan::add_route(const Hypercube& host, const HostPath& route,
                           std::uint32_t release_step,
                           const char* invalid_msg) {
   HP_CHECK(is_valid_path(host, route), invalid_msg);
-  if (route_offsets.empty()) route_offsets.push_back(0);
   route_nodes.insert(route_nodes.end(), route.begin(), route.end());
   for (std::size_t h = 0; h + 1 < route.size(); ++h) {
     link_of_hop.push_back(
@@ -56,46 +56,28 @@ void RoutePlan::add_route(const Hypercube& host, const HostPath& route,
 }
 
 void RoutePlan::begin_route(std::uint32_t release_step) {
-  if (route_offsets.empty()) route_offsets.push_back(0);
   stream_start_ = route_nodes.size();
   stream_release_ = release_step;
 }
-
-void RoutePlan::push_node(Node v) { route_nodes.push_back(v); }
 
 void RoutePlan::push_nodes(std::span<const Node> vs) {
   route_nodes.insert(route_nodes.end(), vs.begin(), vs.end());
 }
 
-void RoutePlan::end_route(const Hypercube& host, const char* invalid_msg) {
-  HP_CHECK(host.num_directed_edges() <= 0xffffffffull,
-           "route plan needs 32-bit link ids (hypercube too large)");
-  const std::size_t len = route_nodes.size() - stream_start_;
-  HP_CHECK(len >= 1, invalid_msg);
-  const Node* nodes = route_nodes.data() + stream_start_;
-  HP_CHECK(host.contains(nodes[0]), invalid_msg);
-  for (std::size_t h = 0; h + 1 < len; ++h) {
-    HP_CHECK(host.contains(nodes[h + 1]) &&
-                 std::popcount(nodes[h] ^ nodes[h + 1]) == 1,
-             invalid_msg);
-    link_of_hop.push_back(
-        static_cast<std::uint32_t>(host.edge_id(nodes[h], nodes[h + 1])));
-  }
-  route_offsets.push_back(checked_hop_offset(link_of_hop.size()));
-  route_len.push_back(static_cast<std::uint32_t>(len - 1));
-  release.push_back(stream_release_);
-}
-
-void RoutePlan::end_route_unlinked(int dims, const char* invalid_msg) {
+void RoutePlan::end_route_unlinked(int dims,
+                                   std::vector<std::uint64_t>& glinks,
+                                   const char* invalid_msg) {
   const std::size_t len = route_nodes.size() - stream_start_;
   HP_CHECK(len >= 1, invalid_msg);
   const Node* nodes = route_nodes.data() + stream_start_;
   const std::uint64_t num_nodes = pow2(dims);
   HP_CHECK(nodes[0] < num_nodes, invalid_msg);
   for (std::size_t h = 0; h + 1 < len; ++h) {
-    HP_CHECK(nodes[h + 1] < num_nodes &&
-                 std::popcount(nodes[h] ^ nodes[h + 1]) == 1,
+    const Node diff = nodes[h] ^ nodes[h + 1];
+    HP_CHECK(nodes[h + 1] < num_nodes && std::popcount(diff) == 1,
              invalid_msg);
+    glinks.push_back(static_cast<std::uint64_t>(nodes[h]) * dims +
+                     std::countr_zero(diff));
   }
   // Offsets still accumulate hop counts so nodes(r) indexing holds even
   // though link_of_hop waits for compact_links.
@@ -107,8 +89,7 @@ void RoutePlan::end_route_unlinked(int dims, const char* invalid_msg) {
 
 std::uint64_t RoutePlan::compact_links(std::vector<std::uint64_t> glinks,
                                        int dims) {
-  HP_CHECK(link_of_hop.empty() && !route_offsets.empty() &&
-               glinks.size() == route_offsets.back(),
+  HP_CHECK(link_of_hop.empty() && glinks.size() == route_offsets.back(),
            "compact_links needs an unlinked plan and one global id per hop");
   HP_CHECK(dims >= 1 && dims <= 32, "compact_links: dims outside [1, 32]");
   const std::size_t num_hops = glinks.size();
@@ -175,6 +156,7 @@ std::uint64_t RoutePlan::compact_links(std::vector<std::uint64_t> glinks,
     link_of_hop[key & hop_mask] =
         static_cast<std::uint32_t>(global_link.size() - 1);
   }
+  compact_ = true;
   return peak;
 }
 
@@ -196,7 +178,6 @@ void RoutePlan::rebuild(const Hypercube& host,
     add_route(host, p.route, static_cast<std::uint32_t>(p.release));
     HP_CHECK(p.release >= 0, "negative release time");
   }
-  if (route_offsets.empty()) route_offsets.push_back(0);
 }
 
 RoutePlan RoutePlan::compile(const Hypercube& host,

@@ -219,13 +219,15 @@ std::uint32_t checked_hop_offset(std::uint64_t hops_total);
 /// Hypercube::edge_id.
 ///
 /// A plan's link ids are in one of two spaces:
-///   * dense (dim_of empty) — host ids tail·n + dim, narrowed to 32 bits,
+///   * dense (compile/rebuild) — host ids tail·n + dim, narrowed to 32 bits,
 ///     which holds up to n = 27 (n·2^n < 2^32); compile() checks it.  The
 ///     dimension of link l is l mod n.
 ///   * compact (compact_links) — the rank of the host id among the distinct
 ///     links the plan's routes touch.  global_link maps a compact id back to
 ///     its 64-bit host id and dim_of gives its dimension, so per-link state
 ///     scales with the traffic, not the host, and hosts past n = 27 work.
+/// The space is internal to a run: run_plan maps ids at its boundary, so
+/// trace events, fault schedules and PacketFates speak host ids in both.
 class RoutePlan {
  public:
   /// Compiles (and validates) a packet set's routes into a dense plan.
@@ -237,7 +239,8 @@ class RoutePlan {
   /// capacity — the StepScratch reuse path.  Same validation as compile().
   void rebuild(const Hypercube& host, const std::vector<Packet>& packets);
 
-  /// Empties the plan, keeping capacity (scratch reuse across runs).
+  /// Empties the plan, keeping capacity (scratch reuse across runs); the
+  /// emptied plan is dense.
   void clear();
   void reserve(std::size_t routes, std::size_t total_nodes);
 
@@ -248,19 +251,16 @@ class RoutePlan {
                  std::uint32_t release_step,
                  const char* invalid_msg = "packet route invalid");
 
-  /// Streaming construction — PathOracle consumers compile routes hop by
-  /// hop with no HostPath temporary: begin_route(), push_node() per node
-  /// (or push_nodes() per slice), then one of the end_route flavors.
-  /// end_route(host) computes global dense link ids exactly like add_route
-  /// (checked 32-bit narrowing); end_route_unlinked(dims) validates the
-  /// walk within Q_dims but leaves link_of_hop empty until compact_links()
-  /// fills it.  Do not mix unlinked routes with linked ones in one plan.
+  /// Streaming construction — PathOracle consumers and the recovery waves
+  /// compile routes with no HostPath temporary: begin_route(), the route's
+  /// nodes appended to route_nodes (push_nodes() per slice), then
+  /// end_route_unlinked(dims, glinks), which validates the walk within
+  /// Q_dims and appends each hop's 64-bit host id (tail·dims + dim) to
+  /// `glinks`, but leaves link_of_hop empty until compact_links(glinks)
+  /// fills it.  Do not mix unlinked routes with add_route ones in one plan.
   void begin_route(std::uint32_t release_step);
-  void push_node(Node v);
   void push_nodes(std::span<const Node> vs);
-  void end_route(const Hypercube& host,
-                 const char* invalid_msg = "packet route invalid");
-  void end_route_unlinked(int dims,
+  void end_route_unlinked(int dims, std::vector<std::uint64_t>& glinks,
                           const char* invalid_msg = "packet route invalid");
 
   /// Makes an unlinked plan compact.  `glinks` holds each hop's 64-bit host
@@ -276,8 +276,9 @@ class RoutePlan {
   /// plus the hop-index bits must fit 64; both are checked.
   std::uint64_t compact_links(std::vector<std::uint64_t> glinks, int dims);
 
-  /// True for a compact plan (see above); a plan without hops reads dense.
-  bool compact() const { return !dim_of.empty(); }
+  /// True once compact_links ran, until the next clear() — also for a
+  /// plan without hops, whose compact link space is empty.
+  bool compact() const { return compact_; }
 
   std::uint32_t num_routes() const {
     return static_cast<std::uint32_t>(route_len.size());
@@ -291,15 +292,16 @@ class RoutePlan {
   }
 
   std::vector<Node> route_nodes;            // concatenated node sequences
-  std::vector<std::uint32_t> route_offsets; // per route into link_of_hop;
-                                            // size num_routes() + 1
-  std::vector<std::uint32_t> link_of_hop;   // dense link id per hop
+  // Per route into link_of_hop; num_routes() + 1 entries, {0} when empty.
+  std::vector<std::uint32_t> route_offsets = {0};
+  std::vector<std::uint32_t> link_of_hop;   // plan link id per hop
   std::vector<std::uint32_t> route_len;     // hops per route (nodes - 1)
   std::vector<std::uint32_t> release;       // earliest step a route may move
   std::vector<std::uint64_t> global_link;   // compact id -> host link id
   std::vector<std::uint8_t> dim_of;         // compact id -> dimension
 
  private:
+  bool compact_ = false;              // link ids are compact (see above)
   std::size_t stream_start_ = 0;      // route_nodes index of the open route
   std::uint32_t stream_release_ = 0;  // release step of the open route
 };
@@ -322,6 +324,7 @@ struct StepScratch {
   /// cursor walks it as steps advance.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pending;
   std::vector<std::uint32_t> highwater;  // per-link, tracing runs only
+  std::vector<std::uint32_t> dead;       // plan ids of dead links (faulted)
 };
 
 /// The calling thread's scratch arena.  Thread-local, so concurrent

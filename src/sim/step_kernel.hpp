@@ -25,13 +25,15 @@
 //   the hoisted `worklist.size()` is the same count a per-entry increment
 //   would produce.
 //
-// Arbitration and the link → dimension map are functors, so each policy and
-// each link-id space instantiates its own loop: FifoArbiter is a straight
-// pop_front; FarthestFirstArbiter reads its key from the RoutePlan's
-// parallel arrays (route_len[id] - hop[id]) instead of chasing
-// Packet::route.  DenseDim is link mod n for host link ids; CompactDim reads
-// a compact plan's dim_of table.  The caller picks both once per run, so
-// the loop body carries no per-hop branch on either.
+// Arbitration and the link-id space are functors, so each policy and each
+// space instantiates its own loop: FifoArbiter is a straight pop_front;
+// FarthestFirstArbiter reads its key from the RoutePlan's parallel arrays
+// (route_len[id] - hop[id]) instead of chasing Packet::route.  A link space
+// maps a plan link id to its dimension and to its host id: DenseLinks is
+// the identity on host ids (dimension link mod n); CompactLinks reads a
+// compact plan's dim_of and global_link tables.  Events carry host ids, so
+// a trace never depends on the space.  The caller picks both once per run,
+// so the loop body carries no per-hop branch on either.
 //
 // Prefetch: each iteration asks for the queue record of the link
 // kPrefetchDistance entries further down the worklist (a link on the
@@ -53,6 +55,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -95,30 +98,47 @@ struct FarthestFirstArbiter {
   }
 };
 
-/// Dimension of a dense host link id tail·n + dim.
-struct DenseDim {
+/// Dense link space: plan link ids are the host ids tail·n + dim.
+struct DenseLinks {
   std::uint64_t dims;
-  std::uint64_t operator()(std::uint64_t link) const { return link % dims; }
+  std::uint64_t size() const { return dims << dims; }
+  std::uint64_t dim(std::uint64_t link) const { return link % dims; }
+  std::uint64_t host(std::uint64_t link) const { return link; }
+  /// Plan id of host link `g`, which every dense plan spans.
+  std::uint32_t find(std::uint64_t g) const {
+    return static_cast<std::uint32_t>(g);
+  }
 };
 
-/// Dimension of a compact plan-local link id (RoutePlan::dim_of).
-struct CompactDim {
+/// Compact link space (RoutePlan::compact_links): plan id l is host link
+/// global_link[l], and global_link is sorted.
+struct CompactLinks {
   const std::uint8_t* dim_of;
-  std::uint64_t operator()(std::uint64_t link) const { return dim_of[link]; }
+  std::span<const std::uint64_t> global_link;
+  std::uint64_t size() const { return global_link.size(); }
+  std::uint64_t dim(std::uint64_t link) const { return dim_of[link]; }
+  std::uint64_t host(std::uint64_t link) const { return global_link[link]; }
+  /// Plan id of host link `g` by binary search; kNil when no route uses it.
+  std::uint32_t find(std::uint64_t g) const {
+    const auto it = std::ranges::lower_bound(global_link, g);
+    return it != global_link.end() && *it == g
+               ? static_cast<std::uint32_t>(it - global_link.begin())
+               : kNil;
+  }
 };
 
 /// Sweeps `worklist` once: per live link records queue statistics, emits
-/// trace events through `emit` (Traced only), pops one packet via
-/// `arbitrate`, appends it to `moved` and compacts the worklist in place so
-/// only still-nonempty links survive.  `highwater` (per-link, Traced only)
-/// and `dim_tx` (per-dimension transmission counters, indexed through
-/// `dim_of`) are caller-owned.
-template <bool Traced, bool Faulted, typename DimOf, typename Arbiter,
+/// trace events through `emit` (Traced only, host link ids), pops one
+/// packet via `arbitrate`, appends it to `moved` and compacts the worklist
+/// in place so only still-nonempty links survive.  `highwater` (per plan
+/// link, Traced only) and `dim_tx` (per-dimension transmission counters,
+/// indexed through `links`) are caller-owned.
+template <bool Traced, bool Faulted, typename Links, typename Arbiter,
           typename EmitFn>
 inline SweepStats step_sweep(LinkFifoArena& arena,
                              std::vector<std::uint32_t>& worklist,
                              std::vector<std::uint32_t>& moved,
-                             std::uint64_t* dim_tx, DimOf dim_of,
+                             std::uint64_t* dim_tx, Links links,
                              [[maybe_unused]] int step,
                              [[maybe_unused]] std::uint32_t* highwater,
                              Arbiter&& arbitrate,
@@ -144,17 +164,18 @@ inline SweepStats step_sweep(LinkFifoArena& arena,
       if (depth > high) {
         high = depth;
         emit(TraceEvent{step, TraceEventKind::kQueueDepth,
-                        TraceEvent::kNoPacket, link, depth});
+                        TraceEvent::kNoPacket, links.host(link), depth});
       }
     }
     const std::uint32_t pick = arbitrate(arena, link);
     ++out.busy;
-    ++dim_tx[dim_of(link)];
+    ++dim_tx[links.dim(link)];
     if constexpr (Traced) {
-      emit(TraceEvent{step, TraceEventKind::kTransmit, pick, link, depth});
+      const std::uint64_t host = links.host(link);
+      emit(TraceEvent{step, TraceEventKind::kTransmit, pick, host, depth});
       if (depth > 1) {
         emit(TraceEvent{step, TraceEventKind::kStall, TraceEvent::kNoPacket,
-                        link, std::uint64_t{depth} - 1});
+                        host, std::uint64_t{depth} - 1});
       }
     }
     moved.push_back(pick);

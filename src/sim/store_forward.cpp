@@ -25,15 +25,11 @@ namespace {
 
 /// The serial sweep: one worklist, either arbiter, events straight into
 /// the step trace.
-template <typename DimOf>
 class SerialSweep {
  public:
-  SerialSweep(simcore::StepScratch& scratch, DimOf dim_of, Arbitration policy,
+  SerialSweep(simcore::StepScratch& scratch, Arbitration policy,
               const std::uint32_t* route_len)
-      : scratch_(scratch),
-        dim_of_(dim_of),
-        policy_(policy),
-        route_len_(route_len) {
+      : scratch_(scratch), policy_(policy), route_len_(route_len) {
     scratch_.active.clear();
   }
 
@@ -46,19 +42,19 @@ class SerialSweep {
   /// compacted in place, carrying only links whose queue is still nonempty
   /// into the next step.  The packets that moved land in scratch.moved,
   /// unsorted.
-  template <bool Traced, bool Faulted>
-  simcore::SweepStats run(int step, std::uint64_t* dim_tx,
+  template <bool Traced, bool Faulted, typename Links>
+  simcore::SweepStats run(int step, Links links, std::uint64_t* dim_tx,
                           obs::StepTrace& trace) {
     std::vector<std::uint32_t>& moved = scratch_.moved;
     moved.clear();
     const auto emit = [&](const TraceEvent& e) { trace.record(e); };
     if (policy_ == Arbitration::kFifo) {
       return simcore::step_sweep<Traced, Faulted>(
-          scratch_.arena, scratch_.active, moved, dim_tx, dim_of_, step,
+          scratch_.arena, scratch_.active, moved, dim_tx, links, step,
           scratch_.highwater.data(), simcore::FifoArbiter{}, emit);
     }
     return simcore::step_sweep<Traced, Faulted>(
-        scratch_.arena, scratch_.active, moved, dim_tx, dim_of_, step,
+        scratch_.arena, scratch_.active, moved, dim_tx, links, step,
         scratch_.highwater.data(),
         simcore::FarthestFirstArbiter{route_len_, scratch_.hop.data()},
         emit);
@@ -72,7 +68,6 @@ class SerialSweep {
 
  private:
   simcore::StepScratch& scratch_;
-  DimOf dim_of_;
   Arbitration policy_;
   const std::uint32_t* route_len_;
 };
@@ -86,14 +81,10 @@ class SerialSweep {
 /// shards in order, the loop then sorts the moved packets canonically and
 /// StepTrace sorts each step's events, so results and traces are the
 /// serial sweep's at every shard count.
-template <typename DimOf>
 class ShardedSweep {
  public:
-  ShardedSweep(simcore::StepScratch& scratch, DimOf dim_of, int shards,
-               int dims)
-      : scratch_(scratch),
-        dim_of_(dim_of),
-        shards_(static_cast<std::size_t>(shards)) {
+  ShardedSweep(simcore::StepScratch& scratch, int shards, int dims)
+      : scratch_(scratch), shards_(static_cast<std::size_t>(shards)) {
     for (Shard& sh : shards_) sh.dim_tx.assign(dims, 0);
   }
 
@@ -101,8 +92,8 @@ class ShardedSweep {
     return shards_[link % shards_.size()].active;
   }
 
-  template <bool Traced, bool Faulted>
-  simcore::SweepStats run(int step, std::uint64_t* dim_tx,
+  template <bool Traced, bool Faulted, typename Links>
+  simcore::SweepStats run(int step, Links links, std::uint64_t* dim_tx,
                           obs::StepTrace& trace) {
     par::current_pool().run_chunks(shards_.size(), [&](std::size_t s, int) {
       Shard& sh = shards_[s];
@@ -110,7 +101,7 @@ class ShardedSweep {
       sh.events.clear();
       const auto emit = [&](const TraceEvent& e) { sh.events.push_back(e); };
       sh.stats = simcore::step_sweep<Traced, Faulted>(
-          scratch_.arena, sh.active, sh.moved, sh.dim_tx.data(), dim_of_,
+          scratch_.arena, sh.active, sh.moved, sh.dim_tx.data(), links,
           step, scratch_.highwater.data(), simcore::FifoArbiter{}, emit);
     });
     std::vector<std::uint32_t>& moved = scratch_.moved;
@@ -146,30 +137,33 @@ class ShardedSweep {
   };
 
   simcore::StepScratch& scratch_;
-  DimOf dim_of_;
   std::vector<Shard> shards_;
 };
 
 /// The one store-and-forward step loop: setup, release, fault events and
 /// truncation, the sweep, arrivals, telemetry, drain.  State is reused
 /// from the thread's StepScratch; `sweep` (SerialSweep or ShardedSweep)
-/// owns the worklists and runs each step's transmissions.  The
+/// owns the worklists and runs each step's transmissions.  `links` is the
+/// plan's link space (step_kernel.hpp): every id that enters or leaves the
+/// loop — trace events, dead links, fates — is a host id.  The
 /// specialization matrix is documented in step_kernel.hpp.
-template <bool Traced, bool Faulted, typename Sweep>
-SimResult run_plan_in(const simcore::RoutePlan& plan, int dims,
-                      std::uint64_t num_links, Sweep sweep, int max_steps,
+template <bool Traced, bool Faulted, typename Links, typename Sweep>
+SimResult run_plan_in(const simcore::RoutePlan& plan, int dims, Links links,
+                      Sweep sweep, int max_steps,
                       obs::TraceSink* sink,
                       [[maybe_unused]] const FaultSchedule* schedule,
                       [[maybe_unused]] bool announce_faults,
                       FaultRunResult* fault_out) {
   simcore::StepScratch& scratch = simcore::step_scratch();
   const std::uint32_t num_routes = plan.num_routes();
+  const std::uint64_t num_links = links.size();
   obs::StepTrace trace(sink);
 
   {
     HP_PROFILE_SPAN("setup");
     scratch.arena.reset(num_links, num_routes);
     scratch.pending.clear();
+    scratch.dead.clear();
     scratch.hop.assign(num_routes, 0);
     scratch.moved_mask.assign((num_routes + 63) / 64, 0);
     if constexpr (Traced) scratch.highwater.assign(num_links, 0);
@@ -177,6 +171,7 @@ SimResult run_plan_in(const simcore::RoutePlan& plan, int dims,
 
   simcore::LinkFifoArena& arena = scratch.arena;
   auto& pending = scratch.pending;
+  std::vector<std::uint32_t>& dead = scratch.dead;
   std::uint32_t* const hop = scratch.hop.data();
   const std::uint32_t* const route_len = plan.route_len.data();
   const std::uint32_t* const route_off = plan.route_offsets.data();
@@ -214,7 +209,8 @@ SimResult run_plan_in(const simcore::RoutePlan& plan, int dims,
         if (release[id] == 0) {
           const std::uint64_t link = enqueue(id);
           if constexpr (Traced) {
-            trace.record({0, TraceEventKind::kRelease, id, link, 0});
+            trace.record(
+                {0, TraceEventKind::kRelease, id, links.host(link), 0});
           }
         } else {
           pending.emplace_back(release[id], id);
@@ -228,7 +224,9 @@ SimResult run_plan_in(const simcore::RoutePlan& plan, int dims,
   SimResult result;
   result.dim_transmissions.assign(dims, 0);
   result.latency = obs::FixedHistogram::exponential();
-  const double total_links = static_cast<double>(num_links);
+  // Utilization is relative to the host's links in either link space.
+  const double host_links =
+      static_cast<double>(static_cast<std::uint64_t>(dims) << dims);
   std::uint64_t* const dim_tx = result.dim_transmissions.data();
 
   int step = 0;
@@ -241,20 +239,29 @@ SimResult run_plan_in(const simcore::RoutePlan& plan, int dims,
   while (undelivered > 0) {
     HP_CHECK(step < max_steps, "simulation exceeded max_steps");
 
-    // Scheduled faults and repairs fire first, before any movement.
+    // Scheduled faults and repairs fire first, before any movement.  Each
+    // host link whose state changed is announced (kFault/kRepair), then
+    // resolves to its plan id and enters or leaves `dead`, kept in plan
+    // (= host) id order; a dead link no route uses has no plan id and no
+    // effect.
     if constexpr (Faulted) {
       const FaultTimeline::StepDelta& delta = timeline->advance_to(step);
-      if constexpr (Traced) {
-        if (announce_faults) {
-          for (std::uint64_t link : delta.died) {
-            trace.record({step, TraceEventKind::kFault, TraceEvent::kNoPacket,
-                          link, 0});
-          }
-          for (std::uint64_t link : delta.repaired) {
-            trace.record({step, TraceEventKind::kRepair,
-                          TraceEvent::kNoPacket, link, 0});
+      const auto fire = [&](std::uint64_t g, TraceEventKind kind) {
+        if constexpr (Traced) {
+          if (announce_faults) {
+            trace.record({step, kind, TraceEvent::kNoPacket, g, 0});
           }
         }
+        const std::uint32_t link = links.find(g);
+        if (link == simcore::kNil) return;
+        const auto it = std::lower_bound(dead.begin(), dead.end(), link);
+        const bool listed = it != dead.end() && *it == link;
+        if (timeline->link_dead(g) && !listed) dead.insert(it, link);
+        if (!timeline->link_dead(g) && listed) dead.erase(it);
+      };
+      for (const std::uint64_t g : delta.died) fire(g, TraceEventKind::kFault);
+      for (const std::uint64_t g : delta.repaired) {
+        fire(g, TraceEventKind::kRepair);
       }
     }
 
@@ -263,39 +270,39 @@ SimResult run_plan_in(const simcore::RoutePlan& plan, int dims,
       const std::uint32_t id = pending[next_release].second;
       const std::uint64_t link = enqueue(id);
       if constexpr (Traced) {
-        trace.record({step, TraceEventKind::kRelease, id, link, 0});
+        trace.record(
+            {step, TraceEventKind::kRelease, id, links.host(link), 0});
       }
       ++next_release;
     }
 
     // Truncation: every packet waiting on a currently-dead link is lost at
-    // the break point.  Iterates the timeline's sorted dead-link map so the
-    // emitted kDrop order is canonical.  clear_link leaves the emptied
-    // link's worklist entry stale; this step's sweep compacts it away
-    // before any further enqueue can run.
+    // the break point, in host id order so the emitted kDrop order is
+    // canonical.  clear_link leaves the emptied link's worklist entry
+    // stale; this step's sweep compacts it away before any further enqueue
+    // can run.
     if constexpr (Faulted) {
-      if (!timeline->dead_links().empty()) {
-        for (const auto& [link, kills] : timeline->dead_links()) {
-          if (arena.empty(link)) continue;
-          arena.for_each(link, [&](std::uint32_t id) {
-            --undelivered;
-            if (fault_out != nullptr) {
-              fault_out->fates[id] = {PacketFate::Kind::kLost, step, link,
-                                      static_cast<int>(hop[id])};
-            }
-            if constexpr (Traced) {
-              trace.record({step, TraceEventKind::kDrop, id, link, hop[id]});
-            }
-          });
-          arena.clear_link(link);
-        }
+      for (const std::uint32_t link : dead) {
+        if (arena.empty(link)) continue;
+        const std::uint64_t host = links.host(link);
+        arena.for_each(link, [&](std::uint32_t id) {
+          --undelivered;
+          if (fault_out != nullptr) {
+            fault_out->fates[id] = {PacketFate::Kind::kLost, step, host,
+                                    static_cast<int>(hop[id])};
+          }
+          if constexpr (Traced) {
+            trace.record({step, TraceEventKind::kDrop, id, host, hop[id]});
+          }
+        });
+        arena.clear_link(link);
       }
     }
 
     simcore::SweepStats swept;
     {
       HP_PROFILE_SPAN("sweep");
-      swept = sweep.template run<Traced, Faulted>(step, dim_tx, trace);
+      swept = sweep.template run<Traced, Faulted>(step, links, dim_tx, trace);
     }
     result.link_visits += swept.link_visits;
     result.total_transmissions += swept.busy;
@@ -360,7 +367,7 @@ SimResult run_plan_in(const simcore::RoutePlan& plan, int dims,
       }
     }
 
-    result.utilization.add(static_cast<double>(swept.busy) / total_links);
+    result.utilization.add(static_cast<double>(swept.busy) / host_links);
 
     // Telemetry rides the step counter, reads sim state, writes nothing
     // back: results and traces are bit-identical at any sampling period.
@@ -420,27 +427,26 @@ SimResult run_plan(const simcore::RoutePlan& plan, int dims,
                    FaultRunResult* fault_out, int shards) {
   HP_CHECK(shards <= 1 || policy == Arbitration::kFifo,
            "sharded runs arbitrate FIFO only");
+  if constexpr (Faulted) {
+    HP_CHECK(schedule != nullptr, "faulted run needs a fault schedule");
+    HP_CHECK(schedule->dims() == dims,
+             "fault schedule dims mismatch simulator dims");
+  }
   simcore::StepScratch& scratch = simcore::step_scratch();
-  const auto run_in = [&](std::uint64_t num_links, auto dim_of) {
+  const auto run_in = [&](auto links) {
     if (shards > 1) {
       return run_plan_in<Traced, Faulted>(
-          plan, dims, num_links, ShardedSweep(scratch, dim_of, shards, dims),
+          plan, dims, links, ShardedSweep(scratch, shards, dims),
           max_steps, sink, schedule, announce_faults, fault_out);
     }
     return run_plan_in<Traced, Faulted>(
-        plan, dims, num_links,
-        SerialSweep(scratch, dim_of, policy, plan.route_len.data()),
+        plan, dims, links, SerialSweep(scratch, policy, plan.route_len.data()),
         max_steps, sink, schedule, announce_faults, fault_out);
   };
   if (plan.compact()) {
-    HP_CHECK(sink == nullptr && schedule == nullptr,
-             "compact route plan takes no trace sink or fault schedule "
-             "(its link ids are not host link ids)");
-    return run_in(plan.global_link.size(),
-                  simcore::CompactDim{plan.dim_of.data()});
+    return run_in(simcore::CompactLinks{plan.dim_of.data(), plan.global_link});
   }
-  return run_in(static_cast<std::uint64_t>(dims) << dims,
-                simcore::DenseDim{static_cast<std::uint64_t>(dims)});
+  return run_in(simcore::DenseLinks{static_cast<std::uint64_t>(dims)});
 }
 
 template SimResult run_plan<false, false>(const simcore::RoutePlan&, int,
@@ -491,20 +497,6 @@ SimResult run_packets(const Hypercube& host,
   return result;
 }
 
-FaultRunResult run_packets_with_faults(const Hypercube& host,
-                                       const std::vector<Packet>& packets,
-                                       const FaultSchedule& schedule,
-                                       Arbitration policy, int max_steps,
-                                       obs::TraceSink* sink,
-                                       bool announce_faults, int shards) {
-  HP_CHECK(schedule.dims() == host.dims(),
-           "fault schedule dims mismatch simulator dims");
-  FaultRunResult out;
-  out.sim = run_packets(host, packets, policy, max_steps, sink, &schedule,
-                        announce_faults, &out, shards);
-  return out;
-}
-
 }  // namespace
 
 StoreForwardSim::StoreForwardSim(int dims) : host_(dims) {}
@@ -520,8 +512,10 @@ FaultRunResult StoreForwardSim::run_with_faults(
     const std::vector<Packet>& packets, const FaultSchedule& schedule,
     Arbitration policy, int max_steps, obs::TraceSink* sink,
     bool announce_faults) const {
-  return run_packets_with_faults(host_, packets, schedule, policy, max_steps,
-                                 sink, announce_faults, 1);
+  FaultRunResult out;
+  out.sim = run_packets(host_, packets, policy, max_steps, sink, &schedule,
+                        announce_faults, &out, 1);
+  return out;
 }
 
 ParallelStoreForwardSim::ParallelStoreForwardSim(int dims) : host_(dims) {}
@@ -536,9 +530,11 @@ SimResult ParallelStoreForwardSim::run(const std::vector<Packet>& packets,
 FaultRunResult ParallelStoreForwardSim::run_with_faults(
     const std::vector<Packet>& packets, const FaultSchedule& schedule,
     int max_steps, obs::TraceSink* sink, bool announce_faults) const {
-  return run_packets_with_faults(host_, packets, schedule, Arbitration::kFifo,
-                                 max_steps, sink, announce_faults,
-                                 par::current_pool().threads());
+  FaultRunResult out;
+  out.sim = run_packets(host_, packets, Arbitration::kFifo, max_steps, sink,
+                        &schedule, announce_faults, &out,
+                        par::current_pool().threads());
+  return out;
 }
 
 }  // namespace hyperpath

@@ -35,17 +35,20 @@ class RoutePlan;
 
 /// Runs a compiled plan (simcore.hpp) to completion on a Q_dims host: the
 /// one store-and-forward step loop, behind StoreForwardSim,
-/// ParallelStoreForwardSim (parallel_sim.hpp) and run_oracle_phase
-/// (oracle_sim.hpp).
-/// `Traced` requires `sink`, `Faulted` requires `schedule`; `fault_out`
-/// (optional) receives per-route fates.  A compact plan (RoutePlan::compact)
-/// takes neither a sink nor a schedule — its link ids are not host link
-/// ids — and is rejected with an Error if given one; its utilization is
-/// relative to the links the plan touches.  `shards` > 1 selects the
-/// sharded sweep: links split by id mod shards, each step's shard round
-/// run on par::current_pool(), FIFO arbitration only (Error otherwise);
-/// results and traces are the serial sweep's.  The returned
-/// elapsed_seconds is 0; callers stamp their own wall time.
+/// ParallelStoreForwardSim (parallel_sim.hpp), run_oracle_phase
+/// (oracle_sim.hpp) and the recovery waves (recovery.hpp).
+/// `Traced` requires `sink`; `Faulted` requires a `schedule` built for
+/// Q_dims (an Error otherwise); `fault_out` (optional) receives per-route
+/// fates.  Dense and compact plans (RoutePlan::compact) run the same
+/// contract: trace events, the schedule's dead links and PacketFate links
+/// are host link ids in both, a dead link no route uses has no effect, and
+/// utilization is relative to the host's dims·2^dims links — so one route
+/// set compiled either way gives equal results, fates and traces.
+/// `shards` > 1 selects the sharded sweep: links split by plan id mod
+/// shards, each step's shard round run on par::current_pool(), FIFO
+/// arbitration only (Error otherwise); results and traces are the serial
+/// sweep's.  The returned elapsed_seconds is 0; callers stamp their own
+/// wall time.
 template <bool Traced, bool Faulted>
 SimResult run_plan(const simcore::RoutePlan& plan, int dims,
                    Arbitration policy, int max_steps, obs::TraceSink* sink,
@@ -70,8 +73,8 @@ class StoreForwardSim {
   /// to completion.  The simulation ends when every packet is delivered or
   /// lost — schedule events after that point do not execute.  With
   /// `announce_faults` false the kFault/kRepair trace events are suppressed
-  /// (used by the recovery engine, which replays one schedule across
-  /// several retransmission waves and only announces it once).
+  /// (for callers that replay one schedule across several runs and
+  /// announce it once, as the recovery waves do through run_plan).
   FaultRunResult run_with_faults(const std::vector<Packet>& packets,
                                  const FaultSchedule& schedule,
                                  Arbitration policy = Arbitration::kFifo,

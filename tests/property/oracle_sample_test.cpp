@@ -50,7 +50,9 @@ TEST(OracleSample, Q30Torus) {
 }
 
 /// Streaming compilation must produce byte-for-byte the plan that
-/// RoutePlan::compile builds from materialized phase packets.
+/// RoutePlan::compile builds from materialized phase packets, up to the
+/// compact renumbering: each hop's compact id maps back through
+/// global_link to the dense id compile() gave it.
 TEST(OracleSample, RoutePlanStreamingMatchesCompile) {
   const MultiPathEmbedding emb = theorem1_cycle_embedding(8);
   const Hypercube& host = emb.host();
@@ -58,29 +60,43 @@ TEST(OracleSample, RoutePlanStreamingMatchesCompile) {
   const simcore::RoutePlan compiled = simcore::RoutePlan::compile(host, packets);
 
   simcore::RoutePlan streamed;
+  std::vector<std::uint64_t> glinks;
   for (const Packet& p : packets) {
     streamed.begin_route(static_cast<std::uint32_t>(p.release));
-    for (const Node v : p.route) streamed.push_node(v);
-    streamed.end_route(host);
+    streamed.push_nodes(p.route);
+    streamed.end_route_unlinked(host.dims(), glinks);
   }
+  streamed.compact_links(std::move(glinks), host.dims());
+  ASSERT_TRUE(streamed.compact());
   EXPECT_EQ(streamed.route_nodes, compiled.route_nodes);
   EXPECT_EQ(streamed.route_offsets, compiled.route_offsets);
-  EXPECT_EQ(streamed.link_of_hop, compiled.link_of_hop);
   EXPECT_EQ(streamed.route_len, compiled.route_len);
   EXPECT_EQ(streamed.release, compiled.release);
+  ASSERT_EQ(streamed.link_of_hop.size(), compiled.link_of_hop.size());
+  for (std::size_t h = 0; h < compiled.link_of_hop.size(); ++h) {
+    ASSERT_EQ(streamed.global_link[streamed.link_of_hop[h]],
+              compiled.link_of_hop[h])
+        << "hop " << h;
+  }
 }
 
-/// end_route_unlinked validates the walk but defers link ids; offsets and
-/// lengths must still line up with the linked flavor.
+/// end_route_unlinked validates the walk and emits host link ids but
+/// defers plan link ids; offsets and lengths must still line up with the
+/// linked flavor.
 TEST(OracleSample, RoutePlanUnlinkedOffsets) {
   const Hypercube host(4);
   simcore::RoutePlan plan;
+  std::vector<std::uint64_t> glinks;
   plan.begin_route(0);
-  for (const Node v : {0u, 1u, 3u}) plan.push_node(v);
-  plan.end_route_unlinked(4);
+  plan.push_nodes(std::vector<Node>{0, 1, 3});
+  plan.end_route_unlinked(4, glinks);
   plan.begin_route(2);
-  for (const Node v : {7u, 5u}) plan.push_node(v);
-  plan.end_route_unlinked(4);
+  plan.push_nodes(std::vector<Node>{7, 5});
+  plan.end_route_unlinked(4, glinks);
+  const std::vector<std::uint64_t> want = {host.edge_id(Node{0}, Node{1}),
+                                            host.edge_id(Node{1}, Node{3}),
+                                            host.edge_id(Node{7}, Node{5})};
+  EXPECT_EQ(glinks, want);
   ASSERT_EQ(plan.num_routes(), 2u);
   EXPECT_EQ(plan.route_offsets, (std::vector<std::uint32_t>{0, 2, 3}));
   EXPECT_EQ(plan.route_len, (std::vector<std::uint32_t>{2, 1}));
@@ -93,9 +109,9 @@ TEST(OracleSample, RoutePlanUnlinkedOffsets) {
 TEST(OracleSample, RoutePlanUnlinkedRejectsBadWalk) {
   simcore::RoutePlan plan;
   plan.begin_route(0);
-  plan.push_node(0);
-  plan.push_node(3);  // two bits flipped: not a hypercube hop
-  EXPECT_THROW(plan.end_route_unlinked(4), Error);
+  plan.push_nodes(std::vector<Node>{0, 3});  // two bits flip: not a hop
+  std::vector<std::uint64_t> glinks;
+  EXPECT_THROW(plan.end_route_unlinked(4, glinks), Error);
 }
 
 /// compile_oracle_phase streams each distinct bundle path once per edge
@@ -204,8 +220,7 @@ TEST(OracleSample, PhaseSimMatchesMaterializedPipeline) {
 }
 
 /// A phase with no demanded edges moves nothing: the empty compact plan
-/// never reaches the kernel (it would read as dense and size the arena by
-/// the whole Q_24 host).
+/// runs zero steps with an empty link space, never the whole Q_24 host's.
 TEST(OracleSample, EmptyPhaseIsTrivial) {
   const auto oracle = algebraic_grid_oracle(GridSpec{{256, 256, 256}, true});
   const OraclePhaseResult r = run_oracle_phase(*oracle, {}, {});

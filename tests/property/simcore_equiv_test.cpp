@@ -2,15 +2,29 @@
 // bit-identical — results AND trace streams — to the map-based reference
 // implementations (support/reference_sim.hpp) under FIFO, farthest-first,
 // fault schedules and staggered releases, and the parallel simulator must
-// match the serial one at several thread counts.  These tests are the
-// license to keep optimizing the hot loops: anything they accept emits the
-// same bytes the reference does.
+// match the serial one at several thread counts.  A route set compiled
+// dense and compact must run identically too: run_plan maps link ids at its
+// boundary, so results, fates and trace bytes never see the link space.
+// These tests are the license to keep optimizing the hot loops: anything
+// they accept emits the same bytes the reference does.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <set>
+#include <sstream>
+#include <string>
+
 #include "base/rng.hpp"
+#include "core/cycle_multipath.hpp"
+#include "core/grid_multipath.hpp"
 #include "par/task_pool.hpp"
 #include "sim/faults.hpp"
 #include "sim/parallel_sim.hpp"
+#include "sim/phase.hpp"
+#include "sim/simcore.hpp"
 #include "sim/store_forward.hpp"
 #include "sim/workloads.hpp"
 #include "sim/wormhole.hpp"
@@ -194,6 +208,135 @@ TEST_P(SimcoreEquiv, WormholeMatchesReference) {
   EXPECT_EQ(flat.completion, ref.completion);
   EXPECT_EQ(flat.total_flit_hops, ref.total_flit_hops);
   expect_same_trace(flat_sink, ref_sink);
+}
+
+/// Streams `packets` into an unlinked plan and renumbers it compactly —
+/// the compile path of the oracle phase and the recovery waves.
+simcore::RoutePlan compact_plan(const Hypercube& q,
+                                const std::vector<Packet>& packets) {
+  simcore::RoutePlan plan;
+  std::vector<std::uint64_t> glinks;
+  for (const Packet& p : packets) {
+    plan.begin_route(static_cast<std::uint32_t>(p.release));
+    plan.push_nodes(p.route);
+    plan.end_route_unlinked(q.dims(), glinks);
+  }
+  plan.compact_links(std::move(glinks), q.dims());
+  return plan;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// One traced, faulted run of `plan`; the JSONL trace lands in `path`.
+FaultRunResult traced_faulted_run(const simcore::RoutePlan& plan, int dims,
+                                  const FaultSchedule& schedule,
+                                  Arbitration policy, int shards,
+                                  const std::string& path) {
+  FaultRunResult out;
+  obs::JsonlFileSink sink(path);
+  out.sim = run_plan<true, true>(plan, dims, policy, 1 << 22, &sink,
+                                 &schedule, true, &out, shards);
+  return out;
+}
+
+TEST(LinkSpaceEquiv, CompactPlanMatchesDenseTracedAndFaulted) {
+  struct Case {
+    const char* name;
+    MultiPathEmbedding emb;
+  };
+  Case cases[] = {
+      {"Q_8 cycle", theorem1_cycle_embedding(8)},
+      {"Q_10 cycle", theorem1_cycle_embedding(10)},
+      {"Q_12 torus", grid_multipath_embedding(GridSpec{{64, 64}, true})},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Hypercube& q = c.emb.host();
+    const int dims = q.dims();
+    std::vector<Packet> packets = phase_packets(c.emb, 2);
+    for (std::size_t i = 0; i < packets.size(); ++i) {
+      packets[i].release = static_cast<int>(i % 3);  // staggered releases
+    }
+    const simcore::RoutePlan dense = simcore::RoutePlan::compile(q, packets);
+    const simcore::RoutePlan compact = compact_plan(q, packets);
+    ASSERT_FALSE(dense.compact());
+    ASSERT_TRUE(compact.compact());
+
+    // A transient fault on a busy link, a node fault on a route, and a
+    // fault on a physical link no route uses in either direction.
+    const std::set<std::uint64_t> used(dense.link_of_hop.begin(),
+                                       dense.link_of_hop.end());
+    const std::uint64_t busy = dense.link_of_hop[dense.link_of_hop.size() / 2];
+    const Node busy_tail = static_cast<Node>(busy / dims);
+    const Node busy_head = busy_tail ^ (Node{1} << (busy % dims));
+    const HostPath& route =
+        std::max_element(packets.begin(), packets.end(),
+                         [](const Packet& a, const Packet& b) {
+                           return a.route.size() < b.route.size();
+                         })
+            ->route;
+    ASSERT_GE(route.size(), 3u);
+    Node idle_u = 0, idle_v = 0;
+    bool found = false;
+    for (Node u = 0; u < q.num_nodes() && !found; ++u) {
+      for (int d = 0; d < dims && !found; ++d) {
+        const Node v = u ^ (Node{1} << d);
+        if (!used.contains(q.edge_id(u, v)) &&
+            !used.contains(q.edge_id(v, u))) {
+          idle_u = u;
+          idle_v = v;
+          found = true;
+        }
+      }
+    }
+    ASSERT_TRUE(found) << "every physical link carries traffic";
+    FaultSchedule schedule(dims);
+    schedule.transient_link(1, 5, busy_tail, busy_head);
+    schedule.node_down(2, route[1]);
+    schedule.link_down(0, idle_u, idle_v);
+
+    for (const int threads : {1, 2, 3, 8}) {
+      par::TaskPool pool(threads);
+      const par::PoolScope scope(pool);
+      const auto policies =
+          threads == 1
+              ? std::vector<Arbitration>{Arbitration::kFifo,
+                                         Arbitration::kFarthestFirst}
+              : std::vector<Arbitration>{Arbitration::kFifo};
+      for (const Arbitration policy : policies) {
+        SCOPED_TRACE("threads " + std::to_string(threads) + " policy " +
+                     std::to_string(static_cast<int>(policy)));
+        const std::string dense_path =
+            ::testing::TempDir() + "link_space_dense.jsonl";
+        const std::string compact_path =
+            ::testing::TempDir() + "link_space_compact.jsonl";
+        const FaultRunResult want = traced_faulted_run(
+            dense, dims, schedule, policy, threads, dense_path);
+        const FaultRunResult got = traced_faulted_run(
+            compact, dims, schedule, policy, threads, compact_path);
+        EXPECT_GT(want.lost, 0u);
+        expect_same_fault_result(got, want);
+        EXPECT_EQ(got.sim.link_visits, want.sim.link_visits);
+        const std::string dense_trace = read_file(dense_path);
+        EXPECT_FALSE(dense_trace.empty());
+        EXPECT_TRUE(read_file(compact_path) == dense_trace)
+            << "JSONL traces differ";
+        std::remove(dense_path.c_str());
+        std::remove(compact_path.c_str());
+
+        // The untraced faulted kernels agree with the traced ones.
+        FaultRunResult plain;
+        plain.sim = run_plan<false, true>(compact, dims, policy, 1 << 22,
+                                          nullptr, &schedule, false, &plain,
+                                          threads);
+        expect_same_fault_result(plain, want);
+        EXPECT_EQ(plain.sim.link_visits, want.sim.link_visits);
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimcoreEquiv,

@@ -291,24 +291,27 @@ TEST(RoutePlan, RebuildReusesCapacityAndMatchesFreshCompile) {
   EXPECT_EQ(plan.release, fresh.release);
 }
 
-TEST(RoutePlan, CompactPlanRunsLikeDenseAndRejectsSinkAndSchedule) {
+TEST(RoutePlan, CompactPlanRunsLikeDense) {
   const int dims = 4;
   const Hypercube q(dims);
   std::vector<Packet> packets;
   for (Node s = 0; s < 8; ++s) packets.push_back({ecube_route(q, s, 15), 0, 0});
   packets.push_back({ecube_route(q, 3, 3), 0, 0});  // zero hops
 
-  // Stream the same routes unlinked, then renumber them compactly.
+  // Stream the same routes unlinked, then renumber them compactly.  The
+  // streamed host ids are Hypercube::edge_id's.
   simcore::RoutePlan plan;
   std::vector<std::uint64_t> glinks;
+  std::vector<std::uint64_t> edge_ids;
   for (const Packet& p : packets) {
     plan.begin_route(0);
-    for (std::size_t h = 0; h < p.route.size(); ++h) {
-      plan.push_node(p.route[h]);
-      if (h > 0) glinks.push_back(q.edge_id(p.route[h - 1], p.route[h]));
+    plan.push_nodes(p.route);
+    plan.end_route_unlinked(dims, glinks);
+    for (std::size_t h = 1; h < p.route.size(); ++h) {
+      edge_ids.push_back(q.edge_id(p.route[h - 1], p.route[h]));
     }
-    plan.end_route_unlinked(dims);
   }
+  EXPECT_EQ(glinks, edge_ids);
   // The peak static load is the largest per-link hop count.
   std::map<std::uint64_t, std::uint64_t> load;
   for (const std::uint64_t g : glinks) ++load[g];
@@ -331,31 +334,68 @@ TEST(RoutePlan, CompactPlanRunsLikeDenseAndRejectsSinkAndSchedule) {
       plan, dims, Arbitration::kFifo, 1 << 22, nullptr, nullptr, false,
       nullptr);
   EXPECT_EQ(compact.makespan, dense.makespan);
+  EXPECT_EQ(compact.utilization, dense.utilization);
   EXPECT_EQ(compact.total_transmissions, dense.total_transmissions);
   EXPECT_EQ(compact.max_queue, dense.max_queue);
   EXPECT_EQ(compact.link_visits, dense.link_visits);
   EXPECT_EQ(compact.dim_transmissions, dense.dim_transmissions);
   EXPECT_EQ(compact.latency, dense.latency);
 
-  // Compact ids are not host link ids: a trace or a fault schedule keyed
-  // by them would name the wrong links, so both are refused.
-  obs::RingBufferSink sink;
-  EXPECT_THROW((run_plan<true, false>(plan, dims, Arbitration::kFifo,
-                                      1 << 22, &sink, nullptr, false,
-                                      nullptr)),
-               Error);
-  EXPECT_THROW((run_plan<false, false>(plan, dims, Arbitration::kFifo,
-                                       1 << 22, &sink, nullptr, false,
-                                       nullptr)),
-               Error);
+  // Faults name host links on a compact plan too: the dead 7-15 link
+  // drops the packets queued on it, at the same host link and step.
   FaultSchedule schedule(dims);
-  schedule.link_down(0, 14, 15);
+  schedule.link_down(0, 7, 15);
+  const FaultRunResult want =
+      StoreForwardSim(dims).run_with_faults(packets, schedule);
+  FaultRunResult got;
+  got.sim = run_plan<false, true>(plan, dims, Arbitration::kFifo, 1 << 22,
+                                  nullptr, &schedule, false, &got);
+  EXPECT_GT(want.lost, 0u);
+  EXPECT_EQ(got.fates, want.fates);
+  EXPECT_EQ(got.lost, want.lost);
+  EXPECT_EQ(got.sim.makespan, want.sim.makespan);
+}
+
+TEST(RoutePlan, HopFreeCompactPlanRunsInZeroStepsAtQ24) {
+  // Compactness is a mark, not a property of the tables: a plan without
+  // hops has an empty compact link space, never the dense Q_24 one.
+  simcore::RoutePlan plan;
+  plan.begin_route(0);
+  plan.push_nodes(std::vector<Node>{5});
+  std::vector<std::uint64_t> glinks;
+  plan.end_route_unlinked(24, glinks);
+  EXPECT_EQ(plan.compact_links(std::move(glinks), 24), 0u);
+  ASSERT_TRUE(plan.compact());
+  const SimResult r = run_plan<false, false>(
+      plan, 24, Arbitration::kFifo, 1 << 22, nullptr, nullptr, false,
+      nullptr);
+  EXPECT_EQ(r.makespan, 0);
+  EXPECT_EQ(r.total_transmissions, 0u);
+  EXPECT_EQ(r.dim_transmissions, std::vector<std::uint64_t>(24, 0));
+  plan.clear();
+  EXPECT_FALSE(plan.compact());
+}
+
+TEST(RunPlan, FaultedRunWithoutScheduleIsAnError) {
+  const Hypercube q(4);
+  const auto plan =
+      simcore::RoutePlan::compile(q, {{ecube_route(q, 0, 15), 0, 0}});
   FaultRunResult out;
-  EXPECT_THROW((run_plan<false, true>(plan, dims, Arbitration::kFifo,
-                                      1 << 22, nullptr, &schedule, false,
-                                      &out)),
+  EXPECT_THROW((run_plan<false, true>(plan, 4, Arbitration::kFifo, 1 << 22,
+                                      nullptr, nullptr, false, &out)),
                Error);
-  EXPECT_EQ(sink.total(), 0u);
+}
+
+TEST(RunPlan, FaultedRunRejectsScheduleOfAnotherDimension) {
+  const Hypercube q(4);
+  const auto plan =
+      simcore::RoutePlan::compile(q, {{ecube_route(q, 0, 15), 0, 0}});
+  FaultSchedule schedule(5);
+  schedule.link_down(0, 0, 1);
+  FaultRunResult out;
+  EXPECT_THROW((run_plan<false, true>(plan, 4, Arbitration::kFifo, 1 << 22,
+                                      nullptr, &schedule, false, &out)),
+               Error);
 }
 
 /// What compact_links must produce, computed the way it used to be: sort
@@ -394,7 +434,6 @@ CompactReference compact_reference(const std::vector<std::uint64_t>& glinks,
 simcore::RoutePlan unlinked_plan(std::size_t hops, std::size_t routes,
                                  Rng& rng) {
   simcore::RoutePlan plan;
-  plan.route_offsets.push_back(0);
   std::size_t left = hops;
   for (std::size_t r = 0; r < routes; ++r) {
     const std::size_t len = r + 1 == routes ? left : rng.below(left + 1);
@@ -495,22 +534,16 @@ TEST(StepKernel, SortMovedMatchesStdSortOnBothPathsAndClearsMask) {
 }
 
 /// Streams `packets` into an unlinked plan and renumbers it compactly (the
-/// oracle phase's path).  Returns false for a plan without hops, which
-/// cannot be compact.
-bool compact_plan(const Hypercube& q, const std::vector<Packet>& packets,
+/// oracle phase's path).
+void compact_plan(const Hypercube& q, const std::vector<Packet>& packets,
                   simcore::RoutePlan& plan) {
   std::vector<std::uint64_t> glinks;
   for (const Packet& p : packets) {
     plan.begin_route(static_cast<std::uint32_t>(p.release));
-    for (std::size_t h = 0; h < p.route.size(); ++h) {
-      plan.push_node(p.route[h]);
-      if (h > 0) glinks.push_back(q.edge_id(p.route[h - 1], p.route[h]));
-    }
-    plan.end_route_unlinked(q.dims());
+    plan.push_nodes(p.route);
+    plan.end_route_unlinked(q.dims(), glinks);
   }
-  if (glinks.empty()) return false;
   plan.compact_links(std::move(glinks), q.dims());
-  return true;
 }
 
 TEST(StepKernel, PrefetchLookaheadEdgesMatchReference) {
@@ -544,7 +577,7 @@ TEST(StepKernel, PrefetchLookaheadEdgesMatchReference) {
 
       simcore::RoutePlan dense = simcore::RoutePlan::compile(q, packets);
       simcore::RoutePlan compact;
-      const bool has_compact = compact_plan(q, packets, compact);
+      compact_plan(q, packets, compact);
       dense.link_of_hop.shrink_to_fit();
       compact.link_of_hop.shrink_to_fit();
 
@@ -558,15 +591,10 @@ TEST(StepKernel, PrefetchLookaheadEdgesMatchReference) {
           const par::PoolScope scope(pool);
           const int shards = policy == Arbitration::kFifo ? threads : 1;
           const std::string at = what + " threads=" + std::to_string(threads);
-          // Utilization divides by the link count, which a compact plan
-          // shrinks to the links its routes touch.
-          const auto expect_same = [&](const SimResult& got,
-                                       bool host_links = true) {
+          const auto expect_same = [&](const SimResult& got) {
             EXPECT_EQ(got.makespan, ref.makespan) << at;
             EXPECT_EQ(got.total_transmissions, ref.total_transmissions) << at;
-            if (host_links) {
-              EXPECT_EQ(got.utilization, ref.utilization) << at;
-            }
+            EXPECT_EQ(got.utilization, ref.utilization) << at;
             EXPECT_EQ(got.max_queue, ref.max_queue) << at;
             EXPECT_EQ(got.dim_transmissions, ref.dim_transmissions) << at;
             EXPECT_EQ(got.latency, ref.latency) << at;
@@ -580,12 +608,9 @@ TEST(StepKernel, PrefetchLookaheadEdgesMatchReference) {
           expect_same(run_plan<false, false>(dense, kDims, policy, 1 << 22,
                                              nullptr, nullptr, false,
                                              nullptr, shards));
-          if (has_compact) {
-            expect_same(run_plan<false, false>(compact, kDims, policy,
-                                               1 << 22, nullptr, nullptr,
-                                               false, nullptr, shards),
-                        false);
-          }
+          expect_same(run_plan<false, false>(compact, kDims, policy, 1 << 22,
+                                             nullptr, nullptr, false, nullptr,
+                                             shards));
         }
       }
     }
