@@ -1,14 +1,12 @@
-// Infrastructure benchmark: thread-parallel phase simulation.
+// Infrastructure benchmark: Theorem 1 phase simulation, untraced vs traced.
 //
-// Not a paper experiment — this measures the simulator itself: the sharded
-// parallel store-and-forward simulator must match the serial one bit for
-// bit (tests enforce that) and should win wall-clock on large phases.  The
-// table also measures tracing overhead: a traced run (flight recorder
-// assembling per-packet records in-line) against the untraced baseline,
-// and confirms makespans agree.  Flight-record summaries (queue-wait
-// percentiles, critical-path length) are exported as exact gated metrics —
-// traced parallel runs are bit-identical to serial, so every one of them
-// is thread-count invariant.
+// Not a paper experiment — this measures the simulator itself: a traced
+// run (flight recorder assembling per-packet records in-line) against the
+// untraced baseline, confirming the makespans agree.  Flight-record
+// summaries (queue-wait percentiles, critical-path length) are exported as
+// exact gated metrics.  The report keeps its historical name,
+// `parallel_sim`, so its gated metric keys stay stable; the step loop
+// itself is serial (store_forward.hpp).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -18,9 +16,8 @@
 #include "core/cycle_multipath.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/flight.hpp"
-#include "par/task_pool.hpp"
-#include "sim/parallel_sim.hpp"
 #include "sim/phase.hpp"
+#include "sim/store_forward.hpp"
 
 namespace hyperpath {
 namespace {
@@ -33,11 +30,9 @@ double seconds_of(const std::function<void()>& fn) {
 }
 
 void print_table(bench::Report& report) {
-  bench::Table t("E15: parallel simulator — serial vs sharded vs traced",
-                 {"n", "packets", "makespan", "serial ms", "parallel ms (4t)",
-                  "speedup", "traced ms", "trace events"});
-  // The sharded arm takes its shard count from the pool it runs on.
-  par::TaskPool pool4(4);
+  bench::Table t("phase simulator — untraced vs traced",
+                 {"n", "packets", "makespan", "serial ms", "traced ms",
+                  "trace events"});
   for (int n : {10, 16}) {
     const auto emb = [&] {
       HP_PROFILE_SPAN("construct");
@@ -45,20 +40,15 @@ void print_table(bench::Report& report) {
     }();
     const auto packets = phase_packets(emb, n);
     StoreForwardSim serial(n);
-    ParallelStoreForwardSim parallel(n);
 
-    SimResult rs, rp, rt;
+    SimResult rs, rt;
     obs::FlightRecorder rec;
     HP_PROFILE_SPAN("simulate");
     const double s_serial = seconds_of([&] { rs = serial.run(packets); });
-    const double s_par = seconds_of([&] {
-      const par::PoolScope scope(pool4);
-      rp = parallel.run(packets);
-    });
     const double s_traced = seconds_of([&] {
       rt = serial.run(packets, Arbitration::kFifo, 1 << 22, &rec);
     });
-    if (rs.makespan != rp.makespan || rs.makespan != rt.makespan) {
+    if (rs.makespan != rt.makespan) {
       std::fprintf(stderr, "FATAL: simulator variants disagree on n=%d\n", n);
       std::exit(1);
     }
@@ -68,14 +58,13 @@ void print_table(bench::Report& report) {
       std::fprintf(stderr, "FATAL: flight records disagree on n=%d\n", n);
       std::exit(1);
     }
-    t.row(n, packets.size(), rs.makespan, s_serial * 1e3, s_par * 1e3,
-          s_serial / s_par, s_traced * 1e3, rec.events_seen());
+    t.row(n, packets.size(), rs.makespan, s_serial * 1e3, s_traced * 1e3,
+          rec.events_seen());
     // Wall-clock goes into the timings section (reported, never gating),
     // never into metrics: the baseline CI gate holds metrics to exact
     // equality, which only deterministic simulation outputs can satisfy.
     auto& reg = obs::MetricsRegistry::global();
     reg.record_span("serial_n" + std::to_string(n), s_serial);
-    reg.record_span("parallel_n" + std::to_string(n), s_par);
     reg.record_span("traced_n" + std::to_string(n), s_traced);
     const std::string suffix = "_n" + std::to_string(n);
     report.metric("makespan" + suffix, rs.makespan);
@@ -88,7 +77,6 @@ void print_table(bench::Report& report) {
     report.metric("peak_congestion" + suffix, a.peak_congestion);
   }
   t.print();
-  report.param("threads", 4);
   report.table(t);
 }
 
@@ -102,25 +90,6 @@ void BM_SerialPhase(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SerialPhase)->Arg(10)->Arg(16)->Unit(benchmark::kMillisecond);
-
-void BM_ParallelPhase(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  const auto emb = theorem1_cycle_embedding(n);
-  const auto packets = phase_packets(emb, n);
-  par::TaskPool pool(threads);
-  const par::PoolScope scope(pool);
-  ParallelStoreForwardSim sim(n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.run(packets).makespan);
-  }
-}
-BENCHMARK(BM_ParallelPhase)
-    ->Args({10, 2})
-    ->Args({10, 4})
-    ->Args({16, 2})
-    ->Args({16, 4})
-    ->Unit(benchmark::kMillisecond);
 
 void BM_TracedSerialPhase(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -2,8 +2,8 @@
 // step_kernel.hpp).
 //
 // Not a paper experiment — this measures the simulator itself: steps/sec
-// and packet-hops/sec throughput of the store-and-forward core (serial and
-// parallel, traced and untraced) and the wormhole core, on Theorem-1-phase
+// and packet-hops/sec throughput of the store-and-forward core (traced and
+// untraced) and the wormhole core, on Theorem-1-phase
 // workloads (the heaviest traffic the paper's tables run) and a bit-reversal
 // wormhole permutation.  Every simulation metric in the report is a
 // deterministic output (makespans, transmissions, active-set visits, trace
@@ -21,7 +21,6 @@
 #include "core/grid_multipath.hpp"
 #include "par/task_pool.hpp"
 #include "sim/montecarlo.hpp"
-#include "sim/parallel_sim.hpp"
 #include "sim/phase.hpp"
 #include "sim/store_forward.hpp"
 #include "sim/workloads.hpp"
@@ -56,15 +55,11 @@ void print_store_forward_table(bench::Report& report) {
   // Q_12 and Q_14 are not in theorem1_cycle_embedding's direct range
   // (⌊n/4⌋ must be a power of two), so they run the Corollary-1 torus
   // product — every axis embedded by Theorem 1 — at 64×64 and 128×128;
-  // Q_16 is the direct Theorem-1 cycle.  The parallel column runs on a
-  // 4-thread pool (4 shards) and must agree with the serial run (FATAL
-  // otherwise).
-  bench::Table t("S1: store-and-forward core — serial vs 4 shards",
+  // Q_16 is the direct Theorem-1 cycle.
+  bench::Table t("S1: store-and-forward core",
                  {"n", "packets", "makespan", "Mhops", "flat ms",
-                  "flat Mhops/s", "par4 ms"});
+                  "flat Mhops/s"});
   auto& reg = obs::MetricsRegistry::global();
-  // The sharded arm takes its shard count from the pool it runs on.
-  par::TaskPool pool4(4);
   for (int n : {12, 14, 16}) {
     const auto emb = [&] {
       HP_PROFILE_SPAN("construct");
@@ -72,27 +67,16 @@ void print_store_forward_table(bench::Report& report) {
     }();
     const auto packets = phase_packets(emb, n);
     const StoreForwardSim flat(n);
-    const ParallelStoreForwardSim sharded(n);
 
-    SimResult rf, rp;
+    SimResult rf;
     HP_PROFILE_SPAN("simulate");
     const double s_flat = seconds_of([&] { rf = flat.run(packets); });
-    const double s_par = seconds_of([&] {
-      const par::PoolScope scope(pool4);
-      rp = sharded.run(packets);
-    });
-    if (rf.makespan != rp.makespan ||
-        rf.total_transmissions != rp.total_transmissions) {
-      std::fprintf(stderr, "FATAL: core variants disagree on n=%d\n", n);
-      std::exit(1);
-    }
     t.row(n, packets.size(), rf.makespan,
           static_cast<double>(rf.total_transmissions) / 1e6, s_flat * 1e3,
-          mhops_per_sec(rf.total_transmissions, s_flat), s_par * 1e3);
+          mhops_per_sec(rf.total_transmissions, s_flat));
 
     const std::string sn = std::to_string(n);
     reg.record_span("flat_serial_n" + sn, s_flat);
-    reg.record_span("flat_parallel4_n" + sn, s_par);
     report.metric("makespan_n" + sn, rf.makespan);
     report.metric("hops_n" + sn, rf.total_transmissions);
     report.metric("link_visits_n" + sn, rf.link_visits);
@@ -283,23 +267,6 @@ void BM_FlatSerialPhase(benchmark::State& state) {
       static_cast<double>(hops), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_FlatSerialPhase)->Arg(12)->Arg(14)->Unit(benchmark::kMillisecond);
-
-void BM_FlatParallelPhase(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  const auto emb = phase_embedding(n);
-  const auto packets = phase_packets(emb, n);
-  par::TaskPool pool(threads);
-  const par::PoolScope scope(pool);
-  const ParallelStoreForwardSim sim(n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.run(packets).makespan);
-  }
-}
-BENCHMARK(BM_FlatParallelPhase)
-    ->Args({14, 2})
-    ->Args({14, 4})
-    ->Unit(benchmark::kMillisecond);
 
 void BM_FlatWormhole(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -196,14 +196,7 @@ class Report {
       w.end_object();
     }
     w.end_array();
-    w.key("timings").begin_object();
-    for (const auto& span : obs::MetricsRegistry::global().timings()) {
-      w.key(span.name).begin_object();
-      w.field("seconds", span.seconds);
-      w.field("count", span.count);
-      w.end_object();
-    }
-    w.end_object();
+    obs::MetricsRegistry::global().write_timings(w);
     w.key("profile");
     obs::Profiler::global().write_json(w);
     w.end_object();

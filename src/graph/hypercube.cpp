@@ -9,7 +9,7 @@
 namespace hyperpath {
 
 Hypercube::Hypercube(int n) : n_(n) {
-  HP_CHECK(n >= 1 && n <= 30, "hypercube dimension out of range [1,30]");
+  HP_CHECK(n >= 1 && n <= kMaxDims, "hypercube dimension out of range [1,30]");
 }
 
 Dim Hypercube::edge_dim(Node u, Node v) const {

@@ -21,7 +21,10 @@ class Digraph;
 
 class Hypercube {
  public:
-  /// Constructs Q_n.  n in [1, 30].
+  /// Largest supported dimension (node ids are 32-bit).
+  static constexpr int kMaxDims = 30;
+
+  /// Constructs Q_n.  n in [1, kMaxDims].
   explicit Hypercube(int n);
 
   int dims() const { return n_; }

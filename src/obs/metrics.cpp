@@ -175,21 +175,8 @@ std::vector<MetricsRegistry::SpanView> MetricsRegistry::timings() const {
   return out;
 }
 
-void MetricsRegistry::write_json(JsonWriter& w) const {
+void MetricsRegistry::write_timings(JsonWriter& w) const {
   std::scoped_lock lock(mu_);
-  w.begin_object();
-  w.key("counters").begin_object();
-  for (const auto& [name, c] : counters_) w.field(name, c->value());
-  w.end_object();
-  w.key("gauges").begin_object();
-  for (const auto& [name, g] : gauges_) w.field(name, g->value());
-  w.end_object();
-  w.key("histograms").begin_object();
-  for (const auto& [name, h] : histograms_) {
-    w.key(name);
-    h->write_json(w);
-  }
-  w.end_object();
   w.key("timings").begin_object();
   for (const auto& [name, s] : timings_) {
     w.key(name).begin_object();
@@ -198,6 +185,26 @@ void MetricsRegistry::write_json(JsonWriter& w) const {
     w.end_object();
   }
   w.end_object();
+}
+
+void MetricsRegistry::write_json(JsonWriter& w) const {
+  w.begin_object();
+  {
+    std::scoped_lock lock(mu_);
+    w.key("counters").begin_object();
+    for (const auto& [name, c] : counters_) w.field(name, c->value());
+    w.end_object();
+    w.key("gauges").begin_object();
+    for (const auto& [name, g] : gauges_) w.field(name, g->value());
+    w.end_object();
+    w.key("histograms").begin_object();
+    for (const auto& [name, h] : histograms_) {
+      w.key(name);
+      h->write_json(w);
+    }
+    w.end_object();
+  }
+  write_timings(w);
   // The process-wide span tree rides along in every metrics document;
   // empty object when nothing was profiled.
   w.key("profile");

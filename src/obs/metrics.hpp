@@ -189,6 +189,11 @@ class MetricsRegistry {
   /// Emits the same document into an open writer (as an object value).
   void write_json(JsonWriter& w) const;
 
+  /// Emits the "timings" member — {"name":{"seconds":s,"count":n},...} —
+  /// into an open object: the one writer of the block every report
+  /// (metrics document, bench report, CLI summary) carries.
+  void write_timings(JsonWriter& w) const;
+
   /// The whole registry in Prometheus text exposition format (the /metrics
   /// payload hyperpathd will serve): counters as `hyperpath_<name>_total`,
   /// gauges verbatim, histograms as cumulative `_bucket{le=...}` series

@@ -23,9 +23,8 @@
 //               value = attempt number)
 //
 // Events are buffered per step by StepTrace and forwarded to the sink in a
-// canonical sorted order at the step barrier.  The parallel simulator feeds
-// shard-local buffers into the same recorder at its merge point, so a traced
-// parallel run emits a byte-identical event stream to the serial simulator.
+// canonical sorted order at the step barrier, so the stream of a step never
+// depends on the order the simulator visited its links in.
 #pragma once
 
 #include <cstdint>
@@ -163,9 +162,6 @@ class StepTrace {
   bool enabled() const { return sink_ != nullptr; }
 
   void record(const TraceEvent& e) { buf_.push_back(e); }
-  void record(std::span<const TraceEvent> events) {
-    buf_.insert(buf_.end(), events.begin(), events.end());
-  }
 
   /// Sorts and flushes the current step's buffer to the sink.
   void end_step();

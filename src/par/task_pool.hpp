@@ -49,7 +49,7 @@ namespace hyperpath::par {
 
 class TaskPool {
  public:
-  /// Hard cap on participants, and so on ParallelStoreForwardSim shards.
+  /// Hard cap on participants.
   static constexpr int kMaxThreads = 64;
 
   /// N participants: the calling thread plus N-1 workers.  threads <= 0

@@ -1,6 +1,7 @@
 #include "sim/faults.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <sstream>
 
 #include "base/bits.hpp"
@@ -290,6 +291,19 @@ std::string FaultSchedule::serialize() const {
   return out.str();
 }
 
+namespace {
+
+/// Reads the whole of `tok` as a decimal integer; false on a sign the type
+/// cannot hold, an out-of-range value or any trailing character.
+template <typename T>
+bool parse_token(const std::string& tok, T& out) {
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
+
 FaultSchedule FaultSchedule::parse(const std::string& text) {
   std::istringstream in(text);
   std::string line;
@@ -302,42 +316,50 @@ FaultSchedule FaultSchedule::parse(const std::string& text) {
     return Error("fault schedule line " + std::to_string(lineno) + ": " +
                  msg);
   };
+  std::vector<std::string> tok;
   while (std::getline(in, line)) {
     ++lineno;
     const auto hash = line.find('#');
     if (hash != std::string::npos) line.resize(hash);
     std::istringstream ls(line);
-    std::string first;
-    if (!(ls >> first)) continue;  // blank / comment-only line
-    if (first == "dims") {
-      if (dims >= 0) throw fail("duplicate dims header");
-      if (!(ls >> dims) || dims <= 0) throw fail("malformed dims header");
-      out.emplace_back(dims);
-      continue;
-    }
-    if (dims <= 0) {
-      throw fail("fault schedule must start with a dims header");
-    }
-    int step = 0;
-    std::string kind;
-    Node u = 0;
+    tok.clear();
+    for (std::string t; ls >> t;) tok.push_back(std::move(t));
+    if (tok.empty()) continue;  // blank / comment-only line
     try {
-      step = std::stoi(first);
-    } catch (const std::exception&) {
-      throw fail("malformed fault schedule line: " + line);
-    }
-    if (!(ls >> kind >> u)) {
-      throw fail("malformed fault schedule line: " + line);
-    }
-    try {
-      if (kind == "link-down" || kind == "link-up") {
-        Node v = 0;
-        if (!(ls >> v)) throw Error("link event needs two endpoints: " + line);
-        if (kind == "link-down") {
-          out.back().link_down(step, u, v);
-        } else {
-          out.back().link_up(step, u, v);
+      if (tok[0] == "dims") {
+        if (dims >= 0) throw Error("duplicate dims header");
+        if (tok.size() != 2 || !parse_token(tok[1], dims)) {
+          throw Error("malformed dims header");
         }
+        if (dims < 1 || dims > Hypercube::kMaxDims) {
+          throw Error("dims " + tok[1] + " out of range [1, " +
+                      std::to_string(Hypercube::kMaxDims) + "]");
+        }
+        out.emplace_back(dims);
+        continue;
+      }
+      if (dims <= 0) {
+        throw Error("fault schedule must start with a dims header");
+      }
+      int step = 0;
+      Node u = 0;
+      if (tok.size() < 3 || !parse_token(tok[0], step) ||
+          !parse_token(tok[2], u)) {
+        throw Error("malformed fault schedule line: " + line);
+      }
+      const std::string& kind = tok[1];
+      const bool link = kind == "link-down" || kind == "link-up";
+      Node v = 0;
+      if (link && (tok.size() < 4 || !parse_token(tok[3], v))) {
+        throw Error("link event needs two endpoints: " + line);
+      }
+      if (tok.size() > (link ? 4u : 3u)) {
+        throw Error("trailing tokens on fault schedule line: " + line);
+      }
+      if (kind == "link-down") {
+        out.back().link_down(step, u, v);
+      } else if (kind == "link-up") {
+        out.back().link_up(step, u, v);
       } else if (kind == "node-down") {
         out.back().node_down(step, u);
       } else if (kind == "node-up") {

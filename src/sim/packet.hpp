@@ -68,12 +68,11 @@ struct SimResult {
 
   /// Active-set accounting of the flat-arena core (simcore.hpp): how many
   /// worklist entries the per-step sweeps examined over the whole run,
-  /// stale entries included.  Deterministic for a fixed workload and equal
-  /// between the serial and parallel simulators (the shards partition the
-  /// same worklist).  With the active set working, this is Σ_steps
-  /// (currently nonempty links), NOT makespan × (links ever used) — the
-  /// regression tests pin that down.  The map-based test reference leaves
-  /// it 0.
+  /// stale entries included.  Deterministic for a fixed workload and
+  /// independent of the thread pool a run executes on.  With the active
+  /// set working, this is Σ_steps (currently nonempty links), NOT
+  /// makespan × (links ever used) — the regression tests pin that down.
+  /// The map-based test reference leaves it 0.
   std::uint64_t link_visits = 0;
 
   /// Wall-clock seconds the run spent, stamped by the simulator around its

@@ -153,7 +153,7 @@ RecoveryResult run_recovery_impl(Ctx& ctx, const FaultSchedule& schedule,
 
     FaultRunResult wave;
     wave.sim = run_wave(plan, dims, Arbitration::kFifo, config.max_steps,
-                        sink, &schedule, result.waves == 0, &wave, 1);
+                        sink, &schedule, result.waves == 0, &wave);
     ++result.waves;
     result.total_transmissions += wave.sim.total_transmissions;
     result.makespan = std::max(result.makespan, wave.sim.makespan);

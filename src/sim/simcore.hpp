@@ -1,5 +1,5 @@
-// Flat-arena simulator core shared by the store-and-forward (serial and
-// sharded) and wormhole simulators.
+// Flat-arena simulator core shared by the store-and-forward and wormhole
+// simulators.
 //
 // The hypercube's directed links already have a dense id (tail * n + dim,
 // see Hypercube::edge_id), so per-link simulator state needs no hashing:
@@ -106,12 +106,11 @@ class LinkFifoArena {
   }
 
   /// Appends packet `id` to `link`'s queue.  When the queue was empty the
-  /// link is pushed onto `worklist` — the caller-owned active set (the
-  /// sharded sweep passes the owning shard's list, the serial sweep its
-  /// one list).  The caller must keep the invariant that an empty link is never
-  /// already on a live worklist; the simulators get this for free because
-  /// stale entries (queues emptied by the fault-truncation pass) are
-  /// compacted away by the same step's sweep, before any enqueue runs.
+  /// link is pushed onto `worklist`, the caller-owned active set.  The
+  /// caller must keep the invariant that an empty link is never already on
+  /// a live worklist; the simulators get this for free because stale
+  /// entries (queues emptied by the fault-truncation pass) are compacted
+  /// away by the same step's sweep, before any enqueue runs.
   void push_back(std::uint64_t link, std::uint32_t id,
                  std::vector<std::uint32_t>& worklist) {
     Queue& q = queues_[link];

@@ -1,7 +1,6 @@
 // The templated branch-light step-sweep kernel of the store-and-forward
-// step loop (run_plan, store_forward.cpp).  The loop's serial sweep runs it
-// over its one worklist; the sharded sweep (ParallelStoreForwardSim) runs
-// it once per shard, each shard round a chunk on par::current_pool().
+// step loop (run_plan, store_forward.cpp), which runs it once per step over
+// its one worklist of active links.
 //
 // One sweep serves one worklist of active links: pop one packet per live
 // link, account the transmission, compact the worklist in place.  The two
@@ -46,9 +45,9 @@
 // prefetch is only a cache hint, so results never depend on it.
 //
 // Determinism: the sweep visits the worklist in order and emits events in
-// deterministic order per worklist; everything order-sensitive downstream
-// (trace streams, arrivals) is canonically sorted by the callers, so every
-// shard count produces identical results.
+// deterministic order; everything order-sensitive downstream (trace
+// streams, arrivals) is canonically sorted by the callers, so results
+// match the map-based test reference exactly.
 #pragma once
 
 #include <algorithm>
@@ -77,8 +76,7 @@ struct SweepStats {
   std::uint32_t max_queue = 0;    // deepest queue seen this sweep
 };
 
-/// FIFO arbitration: queue order (arrival time, ties by packet id).  Also
-/// the only policy the sharded sweep runs.
+/// FIFO arbitration: queue order (arrival time, ties by packet id).
 struct FifoArbiter {
   std::uint32_t operator()(LinkFifoArena& arena, std::uint64_t link) const {
     return arena.pop_front(link);

@@ -3,15 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <optional>
-#include <span>
 #include <utility>
 
 #include "base/error.hpp"
 #include "obs/profile.hpp"
 #include "obs/telemetry.hpp"
-#include "par/task_pool.hpp"
 #include "sim/faults.hpp"
-#include "sim/parallel_sim.hpp"
 #include "sim/simcore.hpp"
 #include "sim/step_kernel.hpp"
 
@@ -23,133 +20,16 @@ using simcore::kPrefetchDistance;
 
 namespace {
 
-/// The serial sweep: one worklist, either arbiter, events straight into
-/// the step trace.
-class SerialSweep {
- public:
-  SerialSweep(simcore::StepScratch& scratch, Arbitration policy,
-              const std::uint32_t* route_len)
-      : scratch_(scratch), policy_(policy), route_len_(route_len) {
-    scratch_.active.clear();
-  }
-
-  /// The worklist a link joins when its queue becomes nonempty.
-  std::vector<std::uint32_t>& worklist(std::uint64_t) {
-    return scratch_.active;
-  }
-
-  /// One transmission per active link (step_kernel.hpp); the worklist is
-  /// compacted in place, carrying only links whose queue is still nonempty
-  /// into the next step.  The packets that moved land in scratch.moved,
-  /// unsorted.
-  template <bool Traced, bool Faulted, typename Links>
-  simcore::SweepStats run(int step, Links links, std::uint64_t* dim_tx,
-                          obs::StepTrace& trace) {
-    std::vector<std::uint32_t>& moved = scratch_.moved;
-    moved.clear();
-    const auto emit = [&](const TraceEvent& e) { trace.record(e); };
-    if (policy_ == Arbitration::kFifo) {
-      return simcore::step_sweep<Traced, Faulted>(
-          scratch_.arena, scratch_.active, moved, dim_tx, links, step,
-          scratch_.highwater.data(), simcore::FifoArbiter{}, emit);
-    }
-    return simcore::step_sweep<Traced, Faulted>(
-        scratch_.arena, scratch_.active, moved, dim_tx, links, step,
-        scratch_.highwater.data(),
-        simcore::FarthestFirstArbiter{route_len_, scratch_.hop.data()},
-        emit);
-  }
-
-  /// Calls fn(worklist) for every worklist, in a fixed order.
-  template <typename Fn>
-  void for_each_worklist(Fn&& fn) const {
-    fn(scratch_.active);
-  }
-
- private:
-  simcore::StepScratch& scratch_;
-  Arbitration policy_;
-  const std::uint32_t* route_len_;
-};
-
-/// The sharded sweep, FIFO only.  Link l belongs to shard l mod shards, and
-/// within a step every link arbitrates on its own, so each shard sweeps its
-/// own worklist over the one shared arena without contention: a link's
-/// queue and high-water mark are touched only by its shard.  Each step's
-/// shard round runs on par::current_pool(); everything a round writes is
-/// indexed by shard, never by the worker that ran it.  The merge walks the
-/// shards in order, the loop then sorts the moved packets canonically and
-/// StepTrace sorts each step's events, so results and traces are the
-/// serial sweep's at every shard count.
-class ShardedSweep {
- public:
-  ShardedSweep(simcore::StepScratch& scratch, int shards, int dims)
-      : scratch_(scratch), shards_(static_cast<std::size_t>(shards)) {
-    for (Shard& sh : shards_) sh.dim_tx.assign(dims, 0);
-  }
-
-  std::vector<std::uint32_t>& worklist(std::uint64_t link) {
-    return shards_[link % shards_.size()].active;
-  }
-
-  template <bool Traced, bool Faulted, typename Links>
-  simcore::SweepStats run(int step, Links links, std::uint64_t* dim_tx,
-                          obs::StepTrace& trace) {
-    par::current_pool().run_chunks(shards_.size(), [&](std::size_t s, int) {
-      Shard& sh = shards_[s];
-      sh.moved.clear();
-      sh.events.clear();
-      const auto emit = [&](const TraceEvent& e) { sh.events.push_back(e); };
-      sh.stats = simcore::step_sweep<Traced, Faulted>(
-          scratch_.arena, sh.active, sh.moved, sh.dim_tx.data(), links,
-          step, scratch_.highwater.data(), simcore::FifoArbiter{}, emit);
-    });
-    std::vector<std::uint32_t>& moved = scratch_.moved;
-    moved.clear();
-    simcore::SweepStats out;
-    for (Shard& sh : shards_) {
-      moved.insert(moved.end(), sh.moved.begin(), sh.moved.end());
-      out.busy += sh.stats.busy;
-      out.link_visits += sh.stats.link_visits;
-      out.max_queue = std::max(out.max_queue, sh.stats.max_queue);
-      for (std::size_t d = 0; d < sh.dim_tx.size(); ++d) {
-        dim_tx[d] += std::exchange(sh.dim_tx[d], 0);
-      }
-      if constexpr (Traced) {
-        trace.record(std::span<const TraceEvent>(sh.events));
-      }
-    }
-    return out;
-  }
-
-  template <typename Fn>
-  void for_each_worklist(Fn&& fn) const {
-    for (const Shard& sh : shards_) fn(sh.active);
-  }
-
- private:
-  struct Shard {
-    std::vector<std::uint32_t> active;  // this shard's nonempty links
-    std::vector<std::uint32_t> moved;   // packets this round moved
-    std::vector<TraceEvent> events;     // this round's events (Traced)
-    std::vector<std::uint64_t> dim_tx;  // this round's per-dimension counts
-    simcore::SweepStats stats;          // this round's sweep outputs
-  };
-
-  simcore::StepScratch& scratch_;
-  std::vector<Shard> shards_;
-};
-
 /// The one store-and-forward step loop: setup, release, fault events and
 /// truncation, the sweep, arrivals, telemetry, drain.  State is reused
-/// from the thread's StepScratch; `sweep` (SerialSweep or ShardedSweep)
-/// owns the worklists and runs each step's transmissions.  `links` is the
-/// plan's link space (step_kernel.hpp): every id that enters or leaves the
-/// loop — trace events, dead links, fates — is a host id.  The
-/// specialization matrix is documented in step_kernel.hpp.
-template <bool Traced, bool Faulted, typename Links, typename Sweep>
+/// from the thread's StepScratch; scratch.active is the one worklist of
+/// links with nonempty queues.  `links` is the plan's link space
+/// (step_kernel.hpp): every id that enters or leaves the loop — trace
+/// events, dead links, fates — is a host id.  The specialization matrix is
+/// documented in step_kernel.hpp.
+template <bool Traced, bool Faulted, typename Links>
 SimResult run_plan_in(const simcore::RoutePlan& plan, int dims, Links links,
-                      Sweep sweep, int max_steps,
+                      Arbitration policy, int max_steps,
                       obs::TraceSink* sink,
                       [[maybe_unused]] const FaultSchedule* schedule,
                       [[maybe_unused]] bool announce_faults,
@@ -166,10 +46,12 @@ SimResult run_plan_in(const simcore::RoutePlan& plan, int dims, Links links,
     scratch.dead.clear();
     scratch.hop.assign(num_routes, 0);
     scratch.moved_mask.assign((num_routes + 63) / 64, 0);
+    scratch.active.clear();
     if constexpr (Traced) scratch.highwater.assign(num_links, 0);
   }
 
   simcore::LinkFifoArena& arena = scratch.arena;
+  std::vector<std::uint32_t>& active = scratch.active;
   auto& pending = scratch.pending;
   std::vector<std::uint32_t>& dead = scratch.dead;
   std::uint32_t* const hop = scratch.hop.data();
@@ -188,7 +70,7 @@ SimResult run_plan_in(const simcore::RoutePlan& plan, int dims, Links links,
 
   const auto enqueue = [&](std::uint32_t id) {
     const std::uint64_t link = link_of_hop[route_off[id] + hop[id]];
-    arena.push_back(link, id, sweep.worklist(link));
+    arena.push_back(link, id, active);
     return link;
   };
 
@@ -234,6 +116,16 @@ SimResult run_plan_in(const simcore::RoutePlan& plan, int dims, Links links,
   std::size_t next_release = 0;
   std::vector<std::uint32_t>& moved = scratch.moved;
   obs::TelemetryBus& telemetry = obs::TelemetryBus::global();
+  // One transmission per active link (step_kernel.hpp); the worklist is
+  // compacted in place, carrying only links whose queue is still nonempty
+  // into the next step.  The packets that moved land in `moved`, unsorted.
+  const auto emit = [&](const TraceEvent& e) { trace.record(e); };
+  const auto sweep = [&](auto arbiter) {
+    moved.clear();
+    return simcore::step_sweep<Traced, Faulted>(
+        arena, active, moved, dim_tx, links, step, scratch.highwater.data(),
+        arbiter, emit);
+  };
   {
   HP_PROFILE_SPAN("steps");
   while (undelivered > 0) {
@@ -302,7 +194,9 @@ SimResult run_plan_in(const simcore::RoutePlan& plan, int dims, Links links,
     simcore::SweepStats swept;
     {
       HP_PROFILE_SPAN("sweep");
-      swept = sweep.template run<Traced, Faulted>(step, links, dim_tx, trace);
+      swept = policy == Arbitration::kFifo
+                  ? sweep(simcore::FifoArbiter{})
+                  : sweep(simcore::FarthestFirstArbiter{route_len, hop});
     }
     result.link_visits += swept.link_visits;
     result.total_transmissions += swept.busy;
@@ -311,8 +205,8 @@ SimResult run_plan_in(const simcore::RoutePlan& plan, int dims, Links links,
     // Arrivals: advance hops; re-enqueue or deliver.  (Done after all links
     // transmitted so a packet moves at most one hop per step.)  Same-step
     // arrivals at one link are enqueued in increasing packet id — the
-    // canonical order that makes results reproducible and independent of
-    // the sweep's sharding.  A packet whose next link just died
+    // canonical order that makes results reproducible and equal to the
+    // map-based test reference.  A packet whose next link just died
     // still enqueues here; the truncation pass of the next step drops it at
     // that node.  Consecutive deliveries sharing a latency reach the
     // histogram as one batched observation.  The re-enqueues hit random
@@ -371,27 +265,21 @@ SimResult run_plan_in(const simcore::RoutePlan& plan, int dims, Links links,
 
     // Telemetry rides the step counter, reads sim state, writes nothing
     // back: results and traces are bit-identical at any sampling period.
-    // After the sweep's compaction and the arrival enqueues, the worklists
-    // hold exactly the links with nonempty queues.  Each worklist yields
-    // its own depth histogram; merging them in worklist order makes the
-    // sample independent of the shard count.
+    // After the sweep's compaction and the arrival enqueues, the worklist
+    // holds exactly the links with nonempty queues.
     if (telemetry.should_sample(step)) {
       obs::SimTelemetry t;
       t.step = step;
       t.undelivered = undelivered;
       t.transmissions = result.total_transmissions;
       t.depth_hist = obs::telemetry_depth_histogram();
-      sweep.for_each_worklist([&](const std::vector<std::uint32_t>& links) {
-        obs::FixedHistogram local = obs::telemetry_depth_histogram();
-        for (const std::uint32_t link : links) {
-          const std::uint64_t d = arena.depth(link);
-          t.queued_packets += d;
-          t.max_queue_depth = std::max(t.max_queue_depth, d);
-          local.observe(static_cast<double>(d));
-        }
-        t.active_links += links.size();
-        t.depth_hist.merge(local);
-      });
+      for (const std::uint32_t link : active) {
+        const std::uint64_t d = arena.depth(link);
+        t.queued_packets += d;
+        t.max_queue_depth = std::max(t.max_queue_depth, d);
+        t.depth_hist.observe(static_cast<double>(d));
+      }
+      t.active_links = active.size();
       telemetry.sample(std::move(t));
     }
 
@@ -424,60 +312,51 @@ template <bool Traced, bool Faulted>
 SimResult run_plan(const simcore::RoutePlan& plan, int dims,
                    Arbitration policy, int max_steps, obs::TraceSink* sink,
                    const FaultSchedule* schedule, bool announce_faults,
-                   FaultRunResult* fault_out, int shards) {
-  HP_CHECK(shards <= 1 || policy == Arbitration::kFifo,
-           "sharded runs arbitrate FIFO only");
+                   FaultRunResult* fault_out) {
   if constexpr (Faulted) {
     HP_CHECK(schedule != nullptr, "faulted run needs a fault schedule");
     HP_CHECK(schedule->dims() == dims,
              "fault schedule dims mismatch simulator dims");
   }
-  simcore::StepScratch& scratch = simcore::step_scratch();
-  const auto run_in = [&](auto links) {
-    if (shards > 1) {
-      return run_plan_in<Traced, Faulted>(
-          plan, dims, links, ShardedSweep(scratch, shards, dims),
-          max_steps, sink, schedule, announce_faults, fault_out);
-    }
-    return run_plan_in<Traced, Faulted>(
-        plan, dims, links, SerialSweep(scratch, policy, plan.route_len.data()),
-        max_steps, sink, schedule, announce_faults, fault_out);
-  };
   if (plan.compact()) {
-    return run_in(simcore::CompactLinks{plan.dim_of.data(), plan.global_link});
+    return run_plan_in<Traced, Faulted>(
+        plan, dims, simcore::CompactLinks{plan.dim_of.data(), plan.global_link},
+        policy, max_steps, sink, schedule, announce_faults, fault_out);
   }
-  return run_in(simcore::DenseLinks{static_cast<std::uint64_t>(dims)});
+  return run_plan_in<Traced, Faulted>(
+      plan, dims, simcore::DenseLinks{static_cast<std::uint64_t>(dims)},
+      policy, max_steps, sink, schedule, announce_faults, fault_out);
 }
 
 template SimResult run_plan<false, false>(const simcore::RoutePlan&, int,
                                           Arbitration, int, obs::TraceSink*,
                                           const FaultSchedule*, bool,
-                                          FaultRunResult*, int);
+                                          FaultRunResult*);
 template SimResult run_plan<false, true>(const simcore::RoutePlan&, int,
                                          Arbitration, int, obs::TraceSink*,
                                          const FaultSchedule*, bool,
-                                         FaultRunResult*, int);
+                                         FaultRunResult*);
 template SimResult run_plan<true, false>(const simcore::RoutePlan&, int,
                                          Arbitration, int, obs::TraceSink*,
                                          const FaultSchedule*, bool,
-                                         FaultRunResult*, int);
+                                         FaultRunResult*);
 template SimResult run_plan<true, true>(const simcore::RoutePlan&, int,
                                         Arbitration, int, obs::TraceSink*,
                                         const FaultSchedule*, bool,
-                                        FaultRunResult*, int);
+                                        FaultRunResult*);
 
 namespace {
 
-/// plan.rebuild + run_plan, timed: the body of both simulator classes.
+/// plan.rebuild + run_plan, timed: the body of StoreForwardSim's two runs.
 SimResult run_packets(const Hypercube& host,
                       const std::vector<Packet>& packets, Arbitration policy,
                       int max_steps, obs::TraceSink* sink,
-                      const FaultSchedule* schedule, bool announce_faults,
-                      FaultRunResult* fault_out, int shards) {
+                      const FaultSchedule* schedule,
+                      FaultRunResult* fault_out) {
   const auto t0 = std::chrono::steady_clock::now();
   SimResult result;
   {
-    HP_PROFILE_SPAN(shards > 1 ? "sim/parallel" : "sim/store_forward");
+    HP_PROFILE_SPAN("sim/store_forward");
     simcore::RoutePlan& plan = simcore::step_scratch().plan;
     {
       HP_PROFILE_SPAN("setup");
@@ -488,8 +367,8 @@ SimResult run_packets(const Hypercube& host,
         {run_plan<false, false>, run_plan<false, true>},
         {run_plan<true, false>, run_plan<true, true>}};
     result = kRun[sink != nullptr][schedule != nullptr](
-        plan, host.dims(), policy, max_steps, sink, schedule,
-        announce_faults, fault_out, shards);
+        plan, host.dims(), policy, max_steps, sink, schedule, true,
+        fault_out);
   }
   result.elapsed_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -504,36 +383,16 @@ StoreForwardSim::StoreForwardSim(int dims) : host_(dims) {}
 SimResult StoreForwardSim::run(const std::vector<Packet>& packets,
                                Arbitration policy, int max_steps,
                                obs::TraceSink* sink) const {
-  return run_packets(host_, packets, policy, max_steps, sink, nullptr, false,
-                     nullptr, 1);
+  return run_packets(host_, packets, policy, max_steps, sink, nullptr,
+                     nullptr);
 }
 
 FaultRunResult StoreForwardSim::run_with_faults(
     const std::vector<Packet>& packets, const FaultSchedule& schedule,
-    Arbitration policy, int max_steps, obs::TraceSink* sink,
-    bool announce_faults) const {
+    Arbitration policy, int max_steps, obs::TraceSink* sink) const {
   FaultRunResult out;
   out.sim = run_packets(host_, packets, policy, max_steps, sink, &schedule,
-                        announce_faults, &out, 1);
-  return out;
-}
-
-ParallelStoreForwardSim::ParallelStoreForwardSim(int dims) : host_(dims) {}
-
-SimResult ParallelStoreForwardSim::run(const std::vector<Packet>& packets,
-                                       int max_steps,
-                                       obs::TraceSink* sink) const {
-  return run_packets(host_, packets, Arbitration::kFifo, max_steps, sink,
-                     nullptr, false, nullptr, par::current_pool().threads());
-}
-
-FaultRunResult ParallelStoreForwardSim::run_with_faults(
-    const std::vector<Packet>& packets, const FaultSchedule& schedule,
-    int max_steps, obs::TraceSink* sink, bool announce_faults) const {
-  FaultRunResult out;
-  out.sim = run_packets(host_, packets, Arbitration::kFifo, max_steps, sink,
-                        &schedule, announce_faults, &out,
-                        par::current_pool().threads());
+                        &out);
   return out;
 }
 

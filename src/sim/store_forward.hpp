@@ -35,25 +35,25 @@ class RoutePlan;
 
 /// Runs a compiled plan (simcore.hpp) to completion on a Q_dims host: the
 /// one store-and-forward step loop, behind StoreForwardSim,
-/// ParallelStoreForwardSim (parallel_sim.hpp), run_oracle_phase
-/// (oracle_sim.hpp) and the recovery waves (recovery.hpp).
+/// run_oracle_phase (oracle_sim.hpp) and the recovery waves (recovery.hpp).
+/// The loop is serial: each step needs the queues the previous step left,
+/// so parallelism lives across runs (trials, waves, sweeps), each on its
+/// own thread-local StepScratch.
 /// `Traced` requires `sink`; `Faulted` requires a `schedule` built for
 /// Q_dims (an Error otherwise); `fault_out` (optional) receives per-route
 /// fates.  Dense and compact plans (RoutePlan::compact) run the same
 /// contract: trace events, the schedule's dead links and PacketFate links
 /// are host link ids in both, a dead link no route uses has no effect, and
 /// utilization is relative to the host's dims·2^dims links — so one route
-/// set compiled either way gives equal results, fates and traces.
-/// `shards` > 1 selects the sharded sweep: links split by plan id mod
-/// shards, each step's shard round run on par::current_pool(), FIFO
-/// arbitration only (Error otherwise); results and traces are the serial
-/// sweep's.  The returned elapsed_seconds is 0; callers stamp their own
-/// wall time.
+/// set compiled either way gives equal results, fates and traces.  With
+/// `announce_faults` false a traced faulted run omits the kFault/kRepair
+/// events (the recovery waves announce one schedule once).  The returned
+/// elapsed_seconds is 0; callers stamp their own wall time.
 template <bool Traced, bool Faulted>
 SimResult run_plan(const simcore::RoutePlan& plan, int dims,
                    Arbitration policy, int max_steps, obs::TraceSink* sink,
                    const FaultSchedule* schedule, bool announce_faults,
-                   FaultRunResult* fault_out, int shards = 1);
+                   FaultRunResult* fault_out);
 
 class StoreForwardSim {
  public:
@@ -71,16 +71,13 @@ class StoreForwardSim {
   /// Runs the packet set while replaying `schedule`.  Packets that reach a
   /// dead link are truncated there (they stop participating); the rest run
   /// to completion.  The simulation ends when every packet is delivered or
-  /// lost — schedule events after that point do not execute.  With
-  /// `announce_faults` false the kFault/kRepair trace events are suppressed
-  /// (for callers that replay one schedule across several runs and
-  /// announce it once, as the recovery waves do through run_plan).
+  /// lost — schedule events after that point do not execute.  A traced
+  /// run announces every fault and repair (kFault/kRepair).
   FaultRunResult run_with_faults(const std::vector<Packet>& packets,
                                  const FaultSchedule& schedule,
                                  Arbitration policy = Arbitration::kFifo,
                                  int max_steps = 1 << 22,
-                                 obs::TraceSink* sink = nullptr,
-                                 bool announce_faults = true) const;
+                                 obs::TraceSink* sink = nullptr) const;
 
  private:
   Hypercube host_;

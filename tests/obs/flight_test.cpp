@@ -18,7 +18,6 @@
 #include "obs/json_parse.hpp"
 #include "par/task_pool.hpp"
 #include "sim/faults.hpp"
-#include "sim/parallel_sim.hpp"
 #include "sim/phase.hpp"
 #include "sim/recovery.hpp"
 #include "sim/store_forward.hpp"
@@ -223,7 +222,8 @@ TEST(FlightCompleteness, ParallelStoreForwardAcrossThreadCounts) {
     par::TaskPool pool(threads);
     const par::PoolScope scope(pool);
     FlightRecorder rec;
-    const auto r = ParallelStoreForwardSim(n).run(packets, 1 << 22, &rec);
+    const auto r =
+        StoreForwardSim(n).run(packets, Arbitration::kFifo, 1 << 22, &rec);
     const auto a = obs::analyze_flights(rec);
     EXPECT_EQ(a.makespan, serial.makespan) << threads;
     EXPECT_EQ(a.makespan, r.makespan) << threads;

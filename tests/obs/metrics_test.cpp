@@ -90,8 +90,8 @@ TEST(HistogramQuantile, SingleSample) {
 }
 
 TEST(HistogramMerge, EquivalentToObservingBothMultisets) {
-  // The telemetry reducer's contract: per-shard histograms built from the
-  // same template, merged in shard order, must equal one histogram that
+  // The campaign fold's contract: per-chunk histograms built from the
+  // same template, merged in chunk order, must equal one histogram that
   // observed every sample directly — counts, count, sum, max and every
   // quantile.
   FixedHistogram whole = FixedHistogram::exponential(12);

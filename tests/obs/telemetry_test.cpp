@@ -1,6 +1,6 @@
 // Tests for the live telemetry bus (obs/telemetry.hpp): sampling gate,
 // ring-buffer retention, JSONL stream round-trip with its provenance
-// header, serial/parallel sampling equivalence, Prometheus exposition
+// header, sampling independent of the task pool, Prometheus exposition
 // validity, and the in-tree promtool-shaped validator itself.
 #include "obs/telemetry.hpp"
 
@@ -14,7 +14,6 @@
 #include "obs/json_parse.hpp"
 #include "obs/metrics.hpp"
 #include "par/task_pool.hpp"
-#include "sim/parallel_sim.hpp"
 #include "sim/phase.hpp"
 #include "sim/store_forward.hpp"
 
@@ -182,9 +181,8 @@ TEST(Telemetry, JsonlStreamRoundTripsHeaderAndSamples) {
 }
 
 TEST(Telemetry, SerialAndParallelSimulatorsSampleIdentically) {
-  // The parallel simulator builds its per-sample gauges shard by shard and
-  // merges the depth histograms; the multiset of (link, depth) it sees is
-  // the serial simulator's, so the SimTelemetry streams must be equal.
+  // The step loop is serial, so the task pool a run executes under must
+  // not change what it samples: the SimTelemetry streams must be equal.
   const auto emb = theorem1_cycle_embedding(8);
   const auto packets = phase_packets(emb, 4);
   const int dims = emb.host().dims();
@@ -203,7 +201,7 @@ TEST(Telemetry, SerialAndParallelSimulatorsSampleIdentically) {
     par::TaskPool pool(threads);
     const par::PoolScope scope(pool);
     bus.enable(cfg);
-    ParallelStoreForwardSim(dims).run(packets);
+    StoreForwardSim(dims).run(packets);
     const std::vector<TelemetrySample> par = bus.snapshot();
     bus.disable();
     ASSERT_EQ(par.size(), serial.size()) << "threads=" << threads;

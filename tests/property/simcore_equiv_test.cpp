@@ -1,8 +1,8 @@
 // Randomized equivalence: the flat-arena simulators (simcore.hpp) must be
 // bit-identical — results AND trace streams — to the map-based reference
 // implementations (support/reference_sim.hpp) under FIFO, farthest-first,
-// fault schedules and staggered releases, and the parallel simulator must
-// match the serial one at several thread counts.  A route set compiled
+// fault schedules and staggered releases, under task pools of several
+// sizes, which the serial step loop must ignore.  A route set compiled
 // dense and compact must run identically too: run_plan maps link ids at its
 // boundary, so results, fates and trace bytes never see the link space.
 // These tests are the license to keep optimizing the hot loops: anything
@@ -22,7 +22,6 @@
 #include "core/grid_multipath.hpp"
 #include "par/task_pool.hpp"
 #include "sim/faults.hpp"
-#include "sim/parallel_sim.hpp"
 #include "sim/phase.hpp"
 #include "sim/simcore.hpp"
 #include "sim/store_forward.hpp"
@@ -157,8 +156,8 @@ TEST_P(SimcoreEquiv, ParallelMatchesReferenceAcrossThreadCounts) {
     par::TaskPool pool(threads);
     const par::PoolScope scope(pool);
     RingBufferSink par_sink;
-    const auto par =
-        ParallelStoreForwardSim(dims).run(packets, 1 << 22, &par_sink);
+    const auto par = StoreForwardSim(dims).run(packets, Arbitration::kFifo,
+                                               1 << 22, &par_sink);
     expect_same_result(par, ref);
     expect_same_trace(par_sink, ref_sink);
   }
@@ -176,12 +175,11 @@ TEST_P(SimcoreEquiv, ParallelMatchesSerialUnderFaults) {
     par::TaskPool pool(threads);
     const par::PoolScope scope(pool);
     RingBufferSink par_sink;
-    const auto par = ParallelStoreForwardSim(dims).run_with_faults(
-        packets, sched, 1 << 22, &par_sink);
+    const auto par = StoreForwardSim(dims).run_with_faults(
+        packets, sched, Arbitration::kFifo, 1 << 22, &par_sink);
     expect_same_fault_result(par, ser);
     expect_same_trace(par_sink, ser_sink);
-    // The shards partition the serial worklist, so even the active-set
-    // accounting agrees (stale entries included).
+    // Even the active-set accounting agrees (stale entries included).
     EXPECT_EQ(par.sim.link_visits, ser.sim.link_visits);
   }
 }
@@ -233,12 +231,12 @@ std::string read_file(const std::string& path) {
 /// One traced, faulted run of `plan`; the JSONL trace lands in `path`.
 FaultRunResult traced_faulted_run(const simcore::RoutePlan& plan, int dims,
                                   const FaultSchedule& schedule,
-                                  Arbitration policy, int shards,
+                                  Arbitration policy,
                                   const std::string& path) {
   FaultRunResult out;
   obs::JsonlFileSink sink(path);
   out.sim = run_plan<true, true>(plan, dims, policy, 1 << 22, &sink,
-                                 &schedule, true, &out, shards);
+                                 &schedule, true, &out);
   return out;
 }
 
@@ -298,43 +296,33 @@ TEST(LinkSpaceEquiv, CompactPlanMatchesDenseTracedAndFaulted) {
     schedule.node_down(2, route[1]);
     schedule.link_down(0, idle_u, idle_v);
 
-    for (const int threads : {1, 2, 3, 8}) {
-      par::TaskPool pool(threads);
-      const par::PoolScope scope(pool);
-      const auto policies =
-          threads == 1
-              ? std::vector<Arbitration>{Arbitration::kFifo,
-                                         Arbitration::kFarthestFirst}
-              : std::vector<Arbitration>{Arbitration::kFifo};
-      for (const Arbitration policy : policies) {
-        SCOPED_TRACE("threads " + std::to_string(threads) + " policy " +
-                     std::to_string(static_cast<int>(policy)));
-        const std::string dense_path =
-            ::testing::TempDir() + "link_space_dense.jsonl";
-        const std::string compact_path =
-            ::testing::TempDir() + "link_space_compact.jsonl";
-        const FaultRunResult want = traced_faulted_run(
-            dense, dims, schedule, policy, threads, dense_path);
-        const FaultRunResult got = traced_faulted_run(
-            compact, dims, schedule, policy, threads, compact_path);
-        EXPECT_GT(want.lost, 0u);
-        expect_same_fault_result(got, want);
-        EXPECT_EQ(got.sim.link_visits, want.sim.link_visits);
-        const std::string dense_trace = read_file(dense_path);
-        EXPECT_FALSE(dense_trace.empty());
-        EXPECT_TRUE(read_file(compact_path) == dense_trace)
-            << "JSONL traces differ";
-        std::remove(dense_path.c_str());
-        std::remove(compact_path.c_str());
+    for (const Arbitration policy :
+         {Arbitration::kFifo, Arbitration::kFarthestFirst}) {
+      SCOPED_TRACE("policy " + std::to_string(static_cast<int>(policy)));
+      const std::string dense_path =
+          ::testing::TempDir() + "link_space_dense.jsonl";
+      const std::string compact_path =
+          ::testing::TempDir() + "link_space_compact.jsonl";
+      const FaultRunResult want =
+          traced_faulted_run(dense, dims, schedule, policy, dense_path);
+      const FaultRunResult got =
+          traced_faulted_run(compact, dims, schedule, policy, compact_path);
+      EXPECT_GT(want.lost, 0u);
+      expect_same_fault_result(got, want);
+      EXPECT_EQ(got.sim.link_visits, want.sim.link_visits);
+      const std::string dense_trace = read_file(dense_path);
+      EXPECT_FALSE(dense_trace.empty());
+      EXPECT_TRUE(read_file(compact_path) == dense_trace)
+          << "JSONL traces differ";
+      std::remove(dense_path.c_str());
+      std::remove(compact_path.c_str());
 
-        // The untraced faulted kernels agree with the traced ones.
-        FaultRunResult plain;
-        plain.sim = run_plan<false, true>(compact, dims, policy, 1 << 22,
-                                          nullptr, &schedule, false, &plain,
-                                          threads);
-        expect_same_fault_result(plain, want);
-        EXPECT_EQ(plain.sim.link_visits, want.sim.link_visits);
-      }
+      // The untraced faulted kernels agree with the traced ones.
+      FaultRunResult plain;
+      plain.sim = run_plan<false, true>(compact, dims, policy, 1 << 22,
+                                        nullptr, &schedule, false, &plain);
+      expect_same_fault_result(plain, want);
+      EXPECT_EQ(plain.sim.link_visits, want.sim.link_visits);
     }
   }
 }

@@ -5,8 +5,8 @@
 // this holds by construction — these tests are the license to keep the
 // sampling hooks inside the hot loops.  Periods {1, 7, 64} cover every
 // step, a period coprime to the workload's natural cadence, and the
-// default; thread counts {1, 2, 8} cover the serial path and both light
-// and oversubscribed sharding.
+// default; each run executes under a task pool of {1, 2, 8} participants,
+// which the serial step loop must ignore.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -17,7 +17,6 @@
 #include "obs/trace.hpp"
 #include "par/task_pool.hpp"
 #include "sim/faults.hpp"
-#include "sim/parallel_sim.hpp"
 #include "sim/phase.hpp"
 #include "sim/store_forward.hpp"
 #include "sim/workloads.hpp"
@@ -75,17 +74,12 @@ TEST(TelemetryEquivalence, ResultsAndTracesBitIdenticalAcrossPeriods) {
   bus.disable();
 
   for (int threads : kThreadCounts) {
+    par::TaskPool pool(threads);
+    const par::PoolScope scope(pool);
     // Baseline with telemetry off.
     RingBufferSink base_sink;
-    SimResult base;
-    if (threads == 1) {
-      base = StoreForwardSim(dims).run(packets, Arbitration::kFifo, 1 << 22,
-                                       &base_sink);
-    } else {
-      par::TaskPool pool(threads);
-      const par::PoolScope scope(pool);
-      base = ParallelStoreForwardSim(dims).run(packets, 1 << 22, &base_sink);
-    }
+    const SimResult base = StoreForwardSim(dims).run(
+        packets, Arbitration::kFifo, 1 << 22, &base_sink);
 
     for (int period : kPeriods) {
       const std::string label =
@@ -95,15 +89,8 @@ TEST(TelemetryEquivalence, ResultsAndTracesBitIdenticalAcrossPeriods) {
       cfg.period_steps = period;
       bus.enable(cfg);
       RingBufferSink sink;
-      SimResult got;
-      if (threads == 1) {
-        got = StoreForwardSim(dims).run(packets, Arbitration::kFifo, 1 << 22,
-                                        &sink);
-      } else {
-        par::TaskPool pool(threads);
-        const par::PoolScope scope(pool);
-        got = ParallelStoreForwardSim(dims).run(packets, 1 << 22, &sink);
-      }
+      const SimResult got = StoreForwardSim(dims).run(
+          packets, Arbitration::kFifo, 1 << 22, &sink);
       const std::uint64_t samples = bus.total_samples();
       bus.disable();
 
@@ -152,7 +139,7 @@ TEST(TelemetryEquivalence, FaultReplayUnchangedByTelemetry) {
     expect_same_trace(sink, base_sink, label);
   }
 
-  // And the parallel fault path, telemetry on at every step.
+  // And under wider task pools, telemetry on at every step.
   for (int threads : {2, 8}) {
     const std::string label = "par threads=" + std::to_string(threads);
     TelemetryBus::Config cfg;
@@ -161,8 +148,8 @@ TEST(TelemetryEquivalence, FaultReplayUnchangedByTelemetry) {
     par::TaskPool pool(threads);
     const par::PoolScope scope(pool);
     RingBufferSink sink;
-    const FaultRunResult got = ParallelStoreForwardSim(dims).run_with_faults(
-        packets, sched, 1 << 22, &sink);
+    const FaultRunResult got = StoreForwardSim(dims).run_with_faults(
+        packets, sched, Arbitration::kFifo, 1 << 22, &sink);
     bus.disable();
     expect_same_result(got.sim, base.sim, label);
     EXPECT_EQ(got.fates, base.fates) << label;

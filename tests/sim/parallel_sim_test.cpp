@@ -1,12 +1,16 @@
-#include "sim/parallel_sim.hpp"
-
+// The store-and-forward step loop is serial; these suites pin that a run
+// is independent of the task pool it executes under.  Each run under a
+// PoolScope of N participants must match the map-based reference
+// (tests/support/reference_sim.hpp) or the run outside any scope.
 #include <gtest/gtest.h>
 
 #include "base/rng.hpp"
 #include "core/cycle_multipath.hpp"
 #include "par/task_pool.hpp"
 #include "sim/phase.hpp"
+#include "sim/store_forward.hpp"
 #include "sim/workloads.hpp"
+#include "support/reference_sim.hpp"
 
 namespace hyperpath {
 namespace {
@@ -37,28 +41,29 @@ void expect_identical(const SimResult& a, const SimResult& b) {
 
 class ParallelSim : public ::testing::TestWithParam<int> {};
 
-// The parameter is the pool size, and so the shard count.
+// The parameter is the pool size.
 TEST_P(ParallelSim, MatchesSerialOnRandomWorkloads) {
   par::TaskPool pool(GetParam());
   const par::PoolScope scope(pool);
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
     const int dims = 6;
     const auto packets = random_workload(dims, 500, seed);
-    const auto serial = StoreForwardSim(dims).run(packets);
-    const auto par = ParallelStoreForwardSim(dims).run(packets);
-    expect_identical(serial, par);
+    expect_identical(refsim::RefStoreForwardSim(dims).run(packets),
+                     StoreForwardSim(dims).run(packets));
   }
 }
 
 TEST_P(ParallelSim, MatchesSerialOnTheorem1Phase) {
-  par::TaskPool pool(GetParam());
-  const par::PoolScope scope(pool);
   const int n = 8;
   const auto emb = theorem1_cycle_embedding(n);
   const auto packets = phase_packets(emb, 2 * n);
-  const auto serial = StoreForwardSim(n).run(packets);
-  const auto par = ParallelStoreForwardSim(n).run(packets);
-  expect_identical(serial, par);
+  const auto unscoped = StoreForwardSim(n).run(packets);
+  par::TaskPool pool(GetParam());
+  const par::PoolScope scope(pool);
+  const auto scoped = StoreForwardSim(n).run(packets);
+  expect_identical(unscoped, scoped);
+  EXPECT_EQ(unscoped.link_visits, scoped.link_visits);
+  expect_identical(refsim::RefStoreForwardSim(n).run(packets), scoped);
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelSim,
@@ -67,7 +72,7 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelSim,
 TEST(ParallelSimBasics, EmptyAndTrivial) {
   par::TaskPool pool(2);
   const par::PoolScope scope(pool);
-  ParallelStoreForwardSim sim(4);
+  const StoreForwardSim sim(4);
   EXPECT_EQ(sim.run({}).makespan, 0);
   Packet p;
   p.route = {7};
@@ -75,11 +80,11 @@ TEST(ParallelSimBasics, EmptyAndTrivial) {
 }
 
 TEST(ParallelSimBasics, DefaultThreadCount) {
-  // Outside any PoolScope the shard count is the global pool's size
-  // (HYPERPATH_THREADS, else hardware concurrency); results must match.
+  // Outside any PoolScope the run sees the global pool (HYPERPATH_THREADS,
+  // else hardware concurrency); results must match the reference.
   const auto packets = random_workload(5, 200, 9);
-  expect_identical(StoreForwardSim(5).run(packets),
-                   ParallelStoreForwardSim(5).run(packets));
+  expect_identical(refsim::RefStoreForwardSim(5).run(packets),
+                   StoreForwardSim(5).run(packets));
 }
 
 }  // namespace

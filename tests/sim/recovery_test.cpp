@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "base/error.hpp"
 #include "base/rng.hpp"
@@ -14,7 +15,6 @@
 #include "embed/classical.hpp"
 #include "obs/trace.hpp"
 #include "par/task_pool.hpp"
-#include "sim/parallel_sim.hpp"
 #include "sim/phase.hpp"
 #include "sim/store_forward.hpp"
 #include "sim/workloads.hpp"
@@ -178,6 +178,49 @@ TEST(FaultSchedule, ParseAcceptsCommentsAndRejectsGarbage) {
   EXPECT_THROW(FaultSchedule::parse("dims 3\ndims 3\n"), Error);
 }
 
+/// The message FaultSchedule::parse throws for `text`; "" if it parses.
+std::string parse_error(const std::string& text) {
+  try {
+    FaultSchedule::parse(text);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FaultSchedule, ParseRejectsJunkNumbers) {
+  // Every number must be the whole token: "3x" is not step 3.
+  EXPECT_NE(parse_error("dims 3\n3x link-down 0 1\n")
+                .find("fault schedule line 2"),
+            std::string::npos);
+  EXPECT_NE(parse_error("dims 3\n0 node-down 7x\n")
+                .find("fault schedule line 2"),
+            std::string::npos);
+  EXPECT_NE(parse_error("dims 3x\n").find("fault schedule line 1"),
+            std::string::npos);
+}
+
+TEST(FaultSchedule, ParseRejectsTrailingTokens) {
+  EXPECT_NE(parse_error("dims 3\n0 link-down 0 1 junk\n")
+                .find("fault schedule line 2"),
+            std::string::npos);
+  EXPECT_NE(parse_error("dims 3\n\n4 node-down 7 6\n")
+                .find("fault schedule line 3"),
+            std::string::npos);
+  EXPECT_NE(parse_error("dims 3 4\n").find("fault schedule line 1"),
+            std::string::npos);
+}
+
+TEST(FaultSchedule, ParseRejectsOutOfRangeDimsWithLineNumber) {
+  const std::string msg = parse_error("# header\ndims 99\n");
+  EXPECT_NE(msg.find("fault schedule line 2: dims 99 out of range"),
+            std::string::npos)
+      << msg;
+  EXPECT_NE(parse_error("dims 31\n").find("fault schedule line 1"),
+            std::string::npos);
+  EXPECT_EQ(FaultSchedule::parse("dims 30\n").dims(), 30);
+}
+
 TEST(FaultTimeline, ExpandsNodeEventsAndReportsDeltas) {
   FaultSchedule s(3);
   s.node_down(2, 0b000);
@@ -302,9 +345,9 @@ TEST(RunWithFaults, SerialAndParallelAreBitIdentical) {
   for (int threads : {1, 2, 5}) {
     par::TaskPool pool(threads);
     const par::PoolScope scope(pool);
-    ParallelStoreForwardSim par(dims);
     RingBufferSink par_sink;
-    const auto b = par.run_with_faults(packets, s, 1 << 22, &par_sink);
+    const auto b = StoreForwardSim(dims).run_with_faults(
+        packets, s, Arbitration::kFifo, 1 << 22, &par_sink);
     expect_identical(a, b);
     ASSERT_EQ(serial_sink.total(), par_sink.total());
     EXPECT_EQ(serial_sink.events(), par_sink.events());
@@ -470,9 +513,7 @@ TEST(Recovery, OversizedTimeoutSaturatesOnTheFirstAttempt) {
 
 // The acceptance-criteria test: a schedule that leaves every bundle at
 // least one surviving path (links and nodes both faulting) must deliver
-// every message with bounded retries.  (Recovery waves run on the one
-// serial transport; the sharded simulator's fault replay is held to the
-// serial one by RunWithFaults.SerialAndParallelAreBitIdentical.)
+// every message with bounded retries.
 TEST(Recovery, AnySubThresholdScheduleDeliversEverythingBothTransports) {
   const auto emb = theorem1_cycle_embedding(8);
   const int w = emb.width();

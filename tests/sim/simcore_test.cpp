@@ -15,7 +15,6 @@
 #include "base/error.hpp"
 #include "base/rng.hpp"
 #include "obs/trace.hpp"
-#include "par/task_pool.hpp"
 #include "sim/faults.hpp"
 #include "sim/step_kernel.hpp"
 #include "sim/store_forward.hpp"
@@ -549,7 +548,7 @@ void compact_plan(const Hypercube& q, const std::vector<Packet>& packets,
 TEST(StepKernel, PrefetchLookaheadEdgesMatchReference) {
   // The sweep, arrival and release loops prefetch kPrefetchDistance
   // entries ahead; these workloads put 0, 1, d - 1, d and d + 1 entries on
-  // the worklists and in the moved sets.  In the "parallel" shape every
+  // the worklist and in the moved set.  In the "parallel" shape every
   // route has the same length on links of its own, so all of them arrive
   // together on the final step, the plan's last route among them: the
   // arrival prefetch must skip it, since its next hop index is one past
@@ -586,32 +585,23 @@ TEST(StepKernel, PrefetchLookaheadEdgesMatchReference) {
         obs::RingBufferSink ref_sink(1 << 14);
         const SimResult ref = refsim::RefStoreForwardSim(kDims).run(
             packets, policy, 1 << 22, &ref_sink);
-        for (const int threads : {1, 2, 3}) {
-          par::TaskPool pool(threads);
-          const par::PoolScope scope(pool);
-          const int shards = policy == Arbitration::kFifo ? threads : 1;
-          const std::string at = what + " threads=" + std::to_string(threads);
-          const auto expect_same = [&](const SimResult& got) {
-            EXPECT_EQ(got.makespan, ref.makespan) << at;
-            EXPECT_EQ(got.total_transmissions, ref.total_transmissions) << at;
-            EXPECT_EQ(got.utilization, ref.utilization) << at;
-            EXPECT_EQ(got.max_queue, ref.max_queue) << at;
-            EXPECT_EQ(got.dim_transmissions, ref.dim_transmissions) << at;
-            EXPECT_EQ(got.latency, ref.latency) << at;
-          };
-          obs::RingBufferSink sink(1 << 14);
-          expect_same(run_plan<true, false>(dense, kDims, policy, 1 << 22,
-                                            &sink, nullptr, false, nullptr,
-                                            shards));
-          EXPECT_EQ(sink.total(), ref_sink.total()) << at;
-          EXPECT_EQ(sink.events(), ref_sink.events()) << at;
-          expect_same(run_plan<false, false>(dense, kDims, policy, 1 << 22,
-                                             nullptr, nullptr, false,
-                                             nullptr, shards));
-          expect_same(run_plan<false, false>(compact, kDims, policy, 1 << 22,
-                                             nullptr, nullptr, false, nullptr,
-                                             shards));
-        }
+        const auto expect_same = [&](const SimResult& got) {
+          EXPECT_EQ(got.makespan, ref.makespan) << what;
+          EXPECT_EQ(got.total_transmissions, ref.total_transmissions) << what;
+          EXPECT_EQ(got.utilization, ref.utilization) << what;
+          EXPECT_EQ(got.max_queue, ref.max_queue) << what;
+          EXPECT_EQ(got.dim_transmissions, ref.dim_transmissions) << what;
+          EXPECT_EQ(got.latency, ref.latency) << what;
+        };
+        obs::RingBufferSink sink(1 << 14);
+        expect_same(run_plan<true, false>(dense, kDims, policy, 1 << 22,
+                                          &sink, nullptr, false, nullptr));
+        EXPECT_EQ(sink.total(), ref_sink.total()) << what;
+        EXPECT_EQ(sink.events(), ref_sink.events()) << what;
+        expect_same(run_plan<false, false>(dense, kDims, policy, 1 << 22,
+                                           nullptr, nullptr, false, nullptr));
+        expect_same(run_plan<false, false>(compact, kDims, policy, 1 << 22,
+                                           nullptr, nullptr, false, nullptr));
       }
     }
   }

@@ -17,12 +17,12 @@
 #include "obs/metrics.hpp"
 #include "par/task_pool.hpp"
 #include "sim/faults.hpp"
-#include "sim/parallel_sim.hpp"
 #include "sim/phase.hpp"
 #include "sim/recovery.hpp"
 #include "sim/store_forward.hpp"
 #include "sim/workloads.hpp"
 #include "sim/wormhole.hpp"
+#include "support/reference_sim.hpp"
 
 namespace hyperpath {
 namespace {
@@ -139,7 +139,7 @@ TEST(TracedParallelSim, BitIdenticalToSerialWithTracing) {
     const par::PoolScope scope(pool);
     RingBufferSink par_sink;
     const auto par =
-        ParallelStoreForwardSim(n).run(packets, 1 << 22, &par_sink);
+        StoreForwardSim(n).run(packets, Arbitration::kFifo, 1 << 22, &par_sink);
     expect_identical(serial, par);
     // The canonical per-step sort makes the streams equal as sequences,
     // which subsumes multiset equality.
@@ -155,9 +155,10 @@ TEST(TracedParallelSim, RandomWorkloadTracesMatchSerial) {
   for (std::uint64_t seed : {4ull, 5ull}) {
     const auto packets = random_workload(dims, 400, seed);
     RingBufferSink a, b;
-    const auto serial =
-        StoreForwardSim(dims).run(packets, Arbitration::kFifo, 1 << 22, &a);
-    const auto par = ParallelStoreForwardSim(dims).run(packets, 1 << 22, &b);
+    const auto serial = refsim::RefStoreForwardSim(dims).run(
+        packets, Arbitration::kFifo, 1 << 22, &a);
+    const auto par =
+        StoreForwardSim(dims).run(packets, Arbitration::kFifo, 1 << 22, &b);
     expect_identical(serial, par);
     EXPECT_TRUE(a.events() == b.events());
   }

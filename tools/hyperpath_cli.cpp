@@ -15,7 +15,7 @@
 // The global `--threads N` (or `--threads=N`) flag, accepted anywhere on
 // the command line, sizes the process-wide par::TaskPool — overriding the
 // HYPERPATH_THREADS environment variable — and thereby every parallel
-// construction/verification pass and the parallel simulator's shard count.
+// construction/verification pass and Monte-Carlo campaign.
 //
 // `campaign` fans a seeded Monte-Carlo fault campaign (sim/montecarlo.hpp)
 // across the process pool: every trial draws its own randomized timed
@@ -30,8 +30,8 @@
 // delivery drops below --min-delivery, default 0.99), --json [FILE].
 //
 // `faults replay` parses a FaultSchedule text file (see
-// sim/faults.hpp: `dims N` header, then `<step> link-down|link-up|
-// node-down|node-up <u> [<v>]` lines) and replays one Theorem 1 cycle
+// sim/faults.hpp: `dims N` header, then `<step> link-down|link-up <u> <v>`
+// and `<step> node-down|node-up <u>` lines) and replays one Theorem 1 cycle
 // phase on Q_dims under that schedule with sender-side recovery —
 // timeout detection, failover onto surviving bundle paths, bounded
 // retries.  Flags: --timeout s, --retries k, --threshold m (default
@@ -827,14 +827,7 @@ void write_trace_json(const std::string& path, const char* kind,
   w.key("latency");
   r.latency.write_json(w);
   w.end_object();
-  w.key("timings").begin_object();
-  for (const auto& span : obs::MetricsRegistry::global().timings()) {
-    w.key(span.name).begin_object();
-    w.field("seconds", span.seconds);
-    w.field("count", span.count);
-    w.end_object();
-  }
-  w.end_object();
+  obs::MetricsRegistry::global().write_timings(w);
   w.end_object();
 
   FILE* f = std::fopen(path.c_str(), "w");
@@ -955,6 +948,37 @@ void trace_help(std::FILE* out) {
       out);
 }
 
+/// The tail every trace kind shares: opens the JSONL sink (its meta header
+/// counts `packets` routes), runs one phase of `emb` at `p` packets per
+/// guest edge, then prints the summary and writes the telemetry, chrome
+/// and JSON outputs.
+template <typename Embedding>
+int run_trace(TraceOptions& opt, const char* kind, const Embedding& emb, int p,
+              std::uint64_t packets,
+              const std::vector<std::pair<std::string, double>>& params) {
+  if (opt.trace_path.empty()) {
+    opt.trace_path = std::string("TRACE_") + kind + ".jsonl";
+  }
+  obs::JsonlFileSink sink(opt.trace_path);
+  sink.write_meta(emb.host().dims(), packets);
+  begin_telemetry(opt);
+  SimResult r;
+  {
+    HP_PROFILE_SPAN("simulate");
+    r = measure_phase_cost(emb, p, Arbitration::kFifo, &sink);
+  }
+  print_trace_summary(kind, r, emb.host(), sink);
+  end_telemetry(opt, kind);
+  dump_chrome_trace(opt, kind);
+  if (opt.json) {
+    if (opt.json_path.empty()) {
+      opt.json_path = std::string("SUMMARY_") + kind + ".json";
+    }
+    write_trace_json(opt.json_path, kind, params, r, sink);
+  }
+  return 0;
+}
+
 int cmd_trace(int argc, char** argv) {
   if (argc < 1) {
     trace_help(stderr);
@@ -971,7 +995,6 @@ int cmd_trace(int argc, char** argv) {
     return 1;
   }
   obs::Profiler::global().set_enabled(true);
-  std::vector<std::pair<std::string, double>> params;
 
   if (kind == "cycle") {
     if (opt.positional.empty()) {
@@ -993,30 +1016,15 @@ int cmd_trace(int argc, char** argv) {
       return 1;
     }
     if (p <= 0) p = n / 2;
-    if (opt.trace_path.empty()) opt.trace_path = "TRACE_cycle.jsonl";
     MultiPathEmbedding emb = [&] {
       HP_PROFILE_SPAN("construct");
       return theorem1_cycle_embedding(n);
     }();
-    obs::JsonlFileSink sink(opt.trace_path);
-    sink.write_meta(emb.host().dims(),
-                    static_cast<std::uint64_t>(emb.guest().num_edges()) * p);
-    begin_telemetry(opt);
-    SimResult r;
-    {
-      HP_PROFILE_SPAN("simulate");
-      r = measure_phase_cost(emb, p, Arbitration::kFifo, &sink);
-    }
-    params = {{"n", static_cast<double>(n)}, {"packets_per_edge",
-                                             static_cast<double>(p)}};
-    print_trace_summary("cycle", r, emb.host(), sink);
-    end_telemetry(opt, "cycle");
-    dump_chrome_trace(opt, "cycle");
-    if (opt.json) {
-      if (opt.json_path.empty()) opt.json_path = "SUMMARY_cycle.json";
-      write_trace_json(opt.json_path, "cycle", params, r, sink);
-    }
-    return 0;
+    return run_trace(
+        opt, "cycle", emb, p,
+        static_cast<std::uint64_t>(emb.guest().num_edges()) * p,
+        {{"n", static_cast<double>(n)},
+         {"packets_per_edge", static_cast<double>(p)}});
   }
 
   if (kind == "grid") {
@@ -1041,31 +1049,16 @@ int cmd_trace(int argc, char** argv) {
       std::fprintf(stderr, "unsupported grid spec\n");
       return 1;
     }
-    if (opt.trace_path.empty()) opt.trace_path = "TRACE_grid.jsonl";
     MultiPathEmbedding emb = [&] {
       HP_PROFILE_SPAN("construct");
       return grid_multipath_embedding(spec);
     }();
-    obs::JsonlFileSink sink(opt.trace_path);
-    sink.write_meta(emb.host().dims(),
-                    static_cast<std::uint64_t>(emb.guest().num_edges()) * p);
-    begin_telemetry(opt);
-    SimResult r;
-    {
-      HP_PROFILE_SPAN("simulate");
-      r = measure_phase_cost(emb, p, Arbitration::kFifo, &sink);
-    }
-    params = {{"axes", static_cast<double>(spec.sides.size())},
-              {"wrap", spec.wrap ? 1.0 : 0.0},
-              {"packets_per_edge", static_cast<double>(p)}};
-    print_trace_summary("grid", r, emb.host(), sink);
-    end_telemetry(opt, "grid");
-    dump_chrome_trace(opt, "grid");
-    if (opt.json) {
-      if (opt.json_path.empty()) opt.json_path = "SUMMARY_grid.json";
-      write_trace_json(opt.json_path, "grid", params, r, sink);
-    }
-    return 0;
+    return run_trace(
+        opt, "grid", emb, p,
+        static_cast<std::uint64_t>(emb.guest().num_edges()) * p,
+        {{"axes", static_cast<double>(spec.sides.size())},
+         {"wrap", spec.wrap ? 1.0 : 0.0},
+         {"packets_per_edge", static_cast<double>(p)}});
   }
 
   if (kind == "ccc") {
@@ -1083,32 +1076,16 @@ int cmd_trace(int argc, char** argv) {
       return 1;
     }
     if (p <= 0) p = 1;
-    if (opt.trace_path.empty()) opt.trace_path = "TRACE_ccc.jsonl";
     KCopyEmbedding emb = [&] {
       HP_PROFILE_SPAN("construct");
       return ccc_multicopy_embedding(n);
     }();
-    obs::JsonlFileSink sink(opt.trace_path);
-    sink.write_meta(emb.host().dims(),
-                    static_cast<std::uint64_t>(emb.guest().num_edges()) * p *
-                        emb.num_copies());
-    begin_telemetry(opt);
-    SimResult r;
-    {
-      HP_PROFILE_SPAN("simulate");
-      r = measure_phase_cost(emb, p, Arbitration::kFifo, &sink);
-    }
-    params = {{"n", static_cast<double>(n)},
-              {"copies", static_cast<double>(emb.num_copies())},
-              {"packets_per_edge", static_cast<double>(p)}};
-    print_trace_summary("ccc", r, emb.host(), sink);
-    end_telemetry(opt, "ccc");
-    dump_chrome_trace(opt, "ccc");
-    if (opt.json) {
-      if (opt.json_path.empty()) opt.json_path = "SUMMARY_ccc.json";
-      write_trace_json(opt.json_path, "ccc", params, r, sink);
-    }
-    return 0;
+    return run_trace(opt, "ccc", emb, p,
+                     static_cast<std::uint64_t>(emb.guest().num_edges()) * p *
+                         emb.num_copies(),
+                     {{"n", static_cast<double>(n)},
+                      {"copies", static_cast<double>(emb.num_copies())},
+                      {"packets_per_edge", static_cast<double>(p)}});
   }
 
   std::fprintf(stderr, "unknown trace target '%s'\n", kind.c_str());
