@@ -47,38 +47,35 @@ void compile_oracle_phase(const PathOracle& oracle,
   HP_CHECK(p > 0, "packets_per_edge must be positive");
   std::vector<std::uint32_t> hops;
   std::vector<int> order;
-  // The hop ids are reserved exactly: grown by doubling to a Q_24 phase's
-  // 33 MB, the buffer's chain of reallocations would raise the peak RSS of
-  // repeated phases by ~10 % (hpbench oracle_phase_q24).
-  std::uint64_t total_hops = 0;
+  // The stored hops and nodes are reserved exactly: grown by doubling, the
+  // buffers' chains of reallocations would raise the peak RSS of repeated
+  // phases (hpbench oracle_phase_q24).
+  std::uint64_t stored_hops = 0;
+  std::uint64_t stored_routes = 0;
   for (const OracleEdge& e : edges) {
     slot_order(oracle, e, hops, order);
-    for (int j = 0; j < p; ++j) total_hops += hops[order[j % order.size()]];
+    const int slots = std::min<int>(p, static_cast<int>(order.size()));
+    for (int s = 0; s < slots; ++s) stored_hops += hops[order[s]];
+    stored_routes += slots;
   }
-  glinks.reserve(glinks.size() + total_hops);
-  // One edge's distinct bundle paths, back to back: slot s holds the nodes
-  // [stage_off[s], stage_off[s + 1]).
-  std::vector<Node> stage_nodes;
-  std::vector<std::uint32_t> stage_off;
-  VectorSink sink(stage_nodes);
+  glinks.reserve(glinks.size() + stored_hops);
   plan.reserve(plan.num_routes() + edges.size() * static_cast<std::size_t>(p),
                0);
+  plan.route_nodes.reserve(plan.route_nodes.size() + stored_hops +
+                           stored_routes);
+  VectorSink sink(plan.route_nodes);
   for (const OracleEdge& e : edges) {
     slot_order(oracle, e, hops, order);
     const int w = static_cast<int>(order.size());
-    stage_nodes.clear();
-    stage_off.assign(1, 0);
+    const std::uint32_t first = plan.num_routes();
     for (int j = 0; j < p; ++j) {
-      const int s = j % w;
-      if (j < w) {  // first packet on slot s: stream its path, once
-        oracle.path(e, order[s], sink);
-        stage_off.push_back(static_cast<std::uint32_t>(stage_nodes.size()));
+      if (j < w) {  // first packet on slot j: stream its path, once
+        plan.begin_route(0);
+        oracle.path(e, order[j], sink);
+        plan.end_route_unlinked(dims, glinks, "oracle route invalid");
+      } else {  // later packets ride the slot's compiled hops
+        plan.repeat_route(first + static_cast<std::uint32_t>(j % w), 0);
       }
-      const std::uint32_t first = stage_off[s];
-      const std::uint32_t last = stage_off[s + 1];
-      plan.begin_route(0);
-      plan.push_nodes({stage_nodes.data() + first, last - first});
-      plan.end_route_unlinked(dims, glinks, "oracle route invalid");
     }
   }
 }
@@ -93,19 +90,30 @@ OraclePhaseResult run_oracle_phase(const PathOracle& oracle,
 
   simcore::RoutePlan plan;
   {
-    std::vector<std::uint64_t> glinks;  // global link id per hop, in hop order
+    std::vector<std::uint64_t> glinks;  // global link id per stored hop
     {
       HP_PROFILE_SPAN("compile");
       compile_oracle_phase(oracle, edges, spec.packets_per_edge, plan, glinks);
     }
     HP_PROFILE_SPAN("renumber");
-    result.peak_congestion = plan.compact_links(std::move(glinks), dims);
+    plan.compact_links(std::move(glinks), dims);
+    // Peak static load, counted per route: a shared segment counts once
+    // for each packet that rides it.
+    std::vector<std::uint32_t> load(plan.global_link.size(), 0);
+    std::uint32_t peak = 0;
+    for (std::uint32_t r = 0; r < plan.num_routes(); ++r) {
+      const std::uint32_t* hop =
+          plan.link_of_hop.data() + plan.route_offsets[r];
+      for (std::uint32_t h = 0; h < plan.route_len[r]; ++h) {
+        peak = std::max(peak, ++load[hop[h]]);
+      }
+    }
+    result.peak_congestion = peak;
   }
 
   const std::uint32_t num_routes = plan.num_routes();
   const std::uint64_t num_links = plan.global_link.size();
   result.unique_links = num_links;
-  result.route_nodes = plan.route_nodes.size();
   result.compiled_bytes =
       plan.route_nodes.size() * sizeof(Node) +
       plan.route_offsets.size() * sizeof(std::uint32_t) +
@@ -126,6 +134,8 @@ OraclePhaseResult run_oracle_phase(const PathOracle& oracle,
   result.total_transmissions = r.total_transmissions;
   result.max_queue = static_cast<std::uint32_t>(r.max_queue);
   result.dim_transmissions = std::move(r.dim_transmissions);
+  // Each packet's route has one node more than it has hops.
+  result.route_nodes = num_routes + r.total_transmissions;
   // Hand the phase-sized kernel state back rather than pin it in this
   // thread's scratch after the phase is over.
   simcore::step_scratch() = simcore::StepScratch{};

@@ -13,17 +13,17 @@
 //      paths from the oracle into a RoutePlan (no HostPath, no Packet, no
 //      bundle vector); end_route_unlinked records each hop's 64-bit
 //      *global* link id u·n + dim on the side.  An edge's p packets ride
-//      its w bundle paths round-robin, so each of the min(p, w) distinct
-//      paths is streamed once into a small per-edge staging buffer and its
-//      node slice is copied into the plan once per packet.
-//   2. RoutePlan::compact_links radix-sorts the global ids (tagged with
-//      their hop index) and rewrites each hop to its rank among the
-//      distinct ids — a plan-local 32-bit link id — in one scan that also
-//      yields the peak static link load.  The arena is sized by the number
-//      of *distinct links the traffic touches* (≤ total hops), not by the
+//      its w bundle paths round-robin, so only its min(p, w) distinct
+//      paths are streamed and stored; each further packet is a
+//      RoutePlan::repeat_route onto its slot's hop segment.
+//   2. RoutePlan::compact_links radix-sorts the stored global ids (tagged
+//      with their hop index) and rewrites each hop to its rank among the
+//      distinct ids — a plan-local 32-bit link id.  The arena is sized by
+//      the number of *distinct links the traffic touches*, not by the
 //      host: memory is proportional to the active packet set, and hosts
 //      past the n = 27 dense-id ceiling work unchanged.  The per-hop id
-//      buffer is freed before the sweep.
+//      buffer is freed before the sweep, and the peak static link load is
+//      counted per route over the compact ids.
 //   3. run_plan (store_forward.hpp) — the kernel every serial
 //      store-and-forward simulation runs — steps the compact plan to
 //      completion under FIFO arbitration.
@@ -56,7 +56,7 @@ struct OraclePhaseResult {
   std::uint64_t peak_congestion = 0;    // max packets routed over one link
   std::uint32_t max_queue = 0;          // deepest FIFO seen in the sweep
   std::uint64_t unique_links = 0;       // distinct host links touched
-  std::uint64_t route_nodes = 0;        // nodes stored in the compiled plan
+  std::uint64_t route_nodes = 0;        // per packet: its hops + 1, summed
   std::uint64_t compiled_bytes = 0;     // plan + renumber table + arena
   std::vector<std::uint64_t> dim_transmissions;  // per host dimension
 };
@@ -72,9 +72,10 @@ void add_oracle_route(const PathOracle& oracle, const OracleEdge& edge,
 
 /// Step 1 of run_oracle_phase: appends `packets_per_edge` unlinked routes
 /// per demanded guest edge to `plan`, in phase_packets order, and each
-/// hop's global link id to `glinks`.  The plan is byte-equal to one built
-/// by add_oracle_route per packet; each distinct bundle path is generated
-/// once per edge.
+/// stored hop's global link id to `glinks`.  Each distinct bundle path is
+/// streamed and stored once per edge; packet j ≥ w repeats route
+/// first + j mod w.  Route for route, the plan rides the hops that
+/// add_oracle_route per packet would give.
 void compile_oracle_phase(const PathOracle& oracle,
                           std::span<const OracleEdge> edges,
                           int packets_per_edge, simcore::RoutePlan& plan,

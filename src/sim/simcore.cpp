@@ -22,20 +22,26 @@ std::uint32_t checked_hop_offset(std::uint64_t hops_total) {
   return static_cast<std::uint32_t>(hops_total);
 }
 
+std::uint32_t checked_route_len(std::uint64_t hops) {
+  HP_CHECK(hops <= 0xffffffffull, "route plan route length overflow");
+  return static_cast<std::uint32_t>(hops);
+}
+
 void RoutePlan::clear() {
   route_nodes.clear();
-  route_offsets.assign(1, 0);
+  route_offsets.clear();
   link_of_hop.clear();
   route_len.clear();
   release.clear();
   global_link.clear();
   dim_of.clear();
   compact_ = false;
+  stored_hops_ = 0;
 }
 
 void RoutePlan::reserve(std::size_t routes, std::size_t total_nodes) {
   route_nodes.reserve(total_nodes);
-  route_offsets.reserve(routes + 1);
+  route_offsets.reserve(routes);
   link_of_hop.reserve(total_nodes);  // hops < nodes; one reserve covers both
   route_len.reserve(routes);
   release.reserve(routes);
@@ -50,8 +56,23 @@ void RoutePlan::add_route(const Hypercube& host, const HostPath& route,
     link_of_hop.push_back(
         static_cast<std::uint32_t>(host.edge_id(route[h], route[h + 1])));
   }
-  route_offsets.push_back(checked_hop_offset(link_of_hop.size()));
-  route_len.push_back(static_cast<std::uint32_t>(route.size() - 1));
+  append_stored(route.size() - 1, release_step);
+}
+
+void RoutePlan::append_stored(std::uint64_t hops,
+                              std::uint32_t release_step) {
+  const std::uint32_t start = static_cast<std::uint32_t>(stored_hops_);
+  stored_hops_ += hops;
+  checked_hop_offset(stored_hops_);  // start and every hop index fit too
+  route_offsets.push_back(start);
+  route_len.push_back(checked_route_len(hops));
+  release.push_back(release_step);
+}
+
+void RoutePlan::repeat_route(std::uint32_t src, std::uint32_t release_step) {
+  HP_CHECK(src < num_routes(), "repeat_route: source route out of range");
+  route_offsets.push_back(std::uint32_t{route_offsets[src]});
+  route_len.push_back(std::uint32_t{route_len[src]});
   release.push_back(release_step);
 }
 
@@ -79,17 +100,11 @@ void RoutePlan::end_route_unlinked(int dims,
     glinks.push_back(static_cast<std::uint64_t>(nodes[h]) * dims +
                      std::countr_zero(diff));
   }
-  // Offsets still accumulate hop counts so nodes(r) indexing holds even
-  // though link_of_hop waits for compact_links.
-  route_offsets.push_back(checked_hop_offset(
-      static_cast<std::uint64_t>(route_offsets.back()) + (len - 1)));
-  route_len.push_back(static_cast<std::uint32_t>(len - 1));
-  release.push_back(stream_release_);
+  append_stored(len - 1, stream_release_);
 }
 
-std::uint64_t RoutePlan::compact_links(std::vector<std::uint64_t> glinks,
-                                       int dims) {
-  HP_CHECK(link_of_hop.empty() && glinks.size() == route_offsets.back(),
+void RoutePlan::compact_links(std::vector<std::uint64_t> glinks, int dims) {
+  HP_CHECK(link_of_hop.empty() && glinks.size() == stored_hops_,
            "compact_links needs an unlinked plan and one global id per hop");
   HP_CHECK(dims >= 1 && dims <= 32, "compact_links: dims outside [1, 32]");
   const std::size_t num_hops = glinks.size();
@@ -134,13 +149,10 @@ std::uint64_t RoutePlan::compact_links(std::vector<std::uint64_t> glinks,
   }
   scratch = {};
 
-  // One scan of the sorted keys: ranks, the per-hop scatter, dimensions,
-  // and the max static link load (the longest run of one id).
+  // One scan of the sorted keys: ranks, the per-hop scatter, dimensions.
   global_link.clear();
   dim_of.clear();
   link_of_hop.resize(num_hops);
-  std::uint64_t peak = 0;
-  std::uint64_t run = 0;
   std::uint64_t prev = ~std::uint64_t{0};
   for (const std::uint64_t key : glinks) {
     const std::uint64_t g = key >> hop_bits;
@@ -150,14 +162,11 @@ std::uint64_t RoutePlan::compact_links(std::vector<std::uint64_t> glinks,
       global_link.push_back(g);
       dim_of.push_back(static_cast<std::uint8_t>(g % dims));
       prev = g;
-      run = 0;
     }
-    if (++run > peak) peak = run;
     link_of_hop[key & hop_mask] =
         static_cast<std::uint32_t>(global_link.size() - 1);
   }
   compact_ = true;
-  return peak;
 }
 
 void RoutePlan::rebuild(const Hypercube& host,

@@ -204,18 +204,23 @@ class LinkBitmap {
 
 /// Narrows a plan's running hop total to its 32-bit route offset — the one
 /// place route_offsets is narrowed.  Throws "route plan hop count overflow"
-/// past 2^32 - 1 hops (an oracle phase of ~1.5·10^9 packets) instead of
-/// wrapping.
+/// past 2^32 - 1 stored hops instead of wrapping.
 std::uint32_t checked_hop_offset(std::uint64_t hops_total);
+
+/// The same for one route's route_len entry: "route plan route length
+/// overflow".
+std::uint32_t checked_route_len(std::uint64_t hops);
 
 /// Structure-of-arrays compilation of a route set, built once per run.
 ///
 /// Hops of route r are the 32-bit link ids
 ///     link_of_hop[route_offsets[r] ... route_offsets[r] + route_len[r])
-/// and its node sequence is nodes(r).  route_len[r] and release[r] are
-/// parallel 32-bit arrays.  After compilation the step kernel reads only
-/// these flat arrays — it never touches a Packet and never recomputes
-/// Hypercube::edge_id.
+/// — its hop segment.  route_offsets, route_len and release are parallel
+/// 32-bit arrays, one entry per route.  Segments may be shared
+/// (repeat_route), so route_nodes and link_of_hop hold each stored
+/// segment once, and the plan counts its stored hops itself.  After
+/// compilation the step kernel reads only these flat arrays — it never
+/// touches a Packet and never recomputes Hypercube::edge_id.
 ///
 /// A plan's link ids are in one of two spaces:
 ///   * dense (compile/rebuild) — host ids tail·n + dim, narrowed to 32 bits,
@@ -262,18 +267,22 @@ class RoutePlan {
   void end_route_unlinked(int dims, std::vector<std::uint64_t>& glinks,
                           const char* invalid_msg = "packet route invalid");
 
-  /// Makes an unlinked plan compact.  `glinks` holds each hop's 64-bit host
-  /// id (tail·dims + dim) in hop order; the sorted distinct ids become
-  /// global_link, each hop's rank among them its link_of_hop entry, and
-  /// dim_of their dimensions.  Returns the peak static load — the most hops
-  /// any one link carries.
+  /// Appends a route on route `src`'s (already validated) hop segment,
+  /// released at `release_step`.  Stores no nodes and no hops, so it adds
+  /// nothing to glinks either.  Requires src < num_routes().
+  void repeat_route(std::uint32_t src, std::uint32_t release_step);
+
+  /// Makes an unlinked plan compact.  `glinks` holds each stored hop's
+  /// 64-bit host id (tail·dims + dim) in hop order; the sorted distinct ids
+  /// become global_link, each hop's rank among them its link_of_hop entry,
+  /// and dim_of their dimensions.
   ///
   /// Taken by value so a caller done with the ids can move them in: the
   /// buffer is reused in place as (id << hop_bits) | hop keys, LSD
   /// radix-sorted on the id bits with one scratch buffer, and both are
   /// freed on return.  Every id must be below dims·2^dims, and the id bits
   /// plus the hop-index bits must fit 64; both are checked.
-  std::uint64_t compact_links(std::vector<std::uint64_t> glinks, int dims);
+  void compact_links(std::vector<std::uint64_t> glinks, int dims);
 
   /// True once compact_links ran, until the next clear() — also for a
   /// plan without hops, whose compact link space is empty.
@@ -283,24 +292,20 @@ class RoutePlan {
     return static_cast<std::uint32_t>(route_len.size());
   }
 
-  /// Node sequence of route r (route_len[r] + 1 nodes).  Nodes share the
-  /// hop offsets: route r's nodes start at route_offsets[r] + r, because
-  /// every preceding route stores exactly one more node than hops.
-  std::span<const Node> nodes(std::uint32_t r) const {
-    return {route_nodes.data() + route_offsets[r] + r, route_len[r] + 1u};
-  }
-
-  std::vector<Node> route_nodes;            // concatenated node sequences
-  // Per route into link_of_hop; num_routes() + 1 entries, {0} when empty.
-  std::vector<std::uint32_t> route_offsets = {0};
-  std::vector<std::uint32_t> link_of_hop;   // plan link id per hop
-  std::vector<std::uint32_t> route_len;     // hops per route (nodes - 1)
+  std::vector<Node> route_nodes;            // stored segments' node sequences
+  std::vector<std::uint32_t> route_offsets; // per route: its segment's start
+  std::vector<std::uint32_t> link_of_hop;   // plan link id per stored hop
+  std::vector<std::uint32_t> route_len;     // hops per route
   std::vector<std::uint32_t> release;       // earliest step a route may move
   std::vector<std::uint64_t> global_link;   // compact id -> host link id
   std::vector<std::uint8_t> dim_of;         // compact id -> dimension
 
  private:
+  /// Appends the record of a route whose hops were just stored last.
+  void append_stored(std::uint64_t hops, std::uint32_t release_step);
+
   bool compact_ = false;              // link ids are compact (see above)
+  std::uint64_t stored_hops_ = 0;     // size of the stored segments
   std::size_t stream_start_ = 0;      // route_nodes index of the open route
   std::uint32_t stream_release_ = 0;  // release step of the open route
 };

@@ -52,7 +52,8 @@ TEST(OracleSample, Q30Torus) {
 /// Streaming compilation must produce byte-for-byte the plan that
 /// RoutePlan::compile builds from materialized phase packets, up to the
 /// compact renumbering: each hop's compact id maps back through
-/// global_link to the dense id compile() gave it.
+/// global_link to the dense id compile() gave it.  Neither plan repeats a
+/// route, so both store every packet's nodes, back to back.
 TEST(OracleSample, RoutePlanStreamingMatchesCompile) {
   const MultiPathEmbedding emb = theorem1_cycle_embedding(8);
   const Hypercube& host = emb.host();
@@ -68,7 +69,12 @@ TEST(OracleSample, RoutePlanStreamingMatchesCompile) {
   }
   streamed.compact_links(std::move(glinks), host.dims());
   ASSERT_TRUE(streamed.compact());
-  EXPECT_EQ(streamed.route_nodes, compiled.route_nodes);
+  std::vector<Node> all_nodes;
+  for (const Packet& p : packets) {
+    all_nodes.insert(all_nodes.end(), p.route.begin(), p.route.end());
+  }
+  EXPECT_EQ(streamed.route_nodes, all_nodes);
+  EXPECT_EQ(compiled.route_nodes, all_nodes);
   EXPECT_EQ(streamed.route_offsets, compiled.route_offsets);
   EXPECT_EQ(streamed.route_len, compiled.route_len);
   EXPECT_EQ(streamed.release, compiled.release);
@@ -98,11 +104,10 @@ TEST(OracleSample, RoutePlanUnlinkedOffsets) {
                                             host.edge_id(Node{7}, Node{5})};
   EXPECT_EQ(glinks, want);
   ASSERT_EQ(plan.num_routes(), 2u);
-  EXPECT_EQ(plan.route_offsets, (std::vector<std::uint32_t>{0, 2, 3}));
+  EXPECT_EQ(plan.route_offsets, (std::vector<std::uint32_t>{0, 2}));
   EXPECT_EQ(plan.route_len, (std::vector<std::uint32_t>{2, 1}));
   EXPECT_EQ(plan.release, (std::vector<std::uint32_t>{0, 2}));
-  EXPECT_EQ(plan.nodes(0)[0], 0u);
-  EXPECT_EQ(plan.nodes(1)[1], 5u);
+  EXPECT_EQ(plan.route_nodes, (std::vector<Node>{0, 1, 3, 7, 5}));
   EXPECT_TRUE(plan.link_of_hop.empty());
 }
 
@@ -115,12 +120,20 @@ TEST(OracleSample, RoutePlanUnlinkedRejectsBadWalk) {
 }
 
 /// compile_oracle_phase streams each distinct bundle path once per edge
-/// and replicates it; the plan and its global link ids must be byte-equal
-/// to streaming every packet's path through add_oracle_route in
-/// phase_packets order — and so must the renumbered plan.
+/// and repeats it for the edge's further packets.  Route for route, its
+/// plan must ride the same host links, with the same lengths and releases,
+/// as streaming every packet's path through add_oracle_route in
+/// phase_packets order; it must renumber to the same compact link set and
+/// run, and give run_oracle_phase its peak, exactly as the per-packet plan
+/// does.
 void expect_compile_once_matches_per_packet(const PathOracle& oracle) {
+  const int dims = oracle.host_dims();
   const std::vector<OracleEdge> edges = sample_guest_edges(oracle, 300, 11);
   const int w = oracle.width(edges.front());
+  int min_width = w;
+  for (const OracleEdge& e : edges) {
+    min_width = std::min(min_width, oracle.width(e));
+  }
   for (const int p : {1, w - 1, w, w + 1, 32}) {
     if (p < 1) continue;
     SCOPED_TRACE(std::string(oracle.family()) + " p=" + std::to_string(p));
@@ -142,16 +155,58 @@ void expect_compile_once_matches_per_packet(const PathOracle& oracle) {
       }
     }
 
-    EXPECT_EQ(once.route_nodes, per_packet.route_nodes);
-    EXPECT_EQ(once.route_offsets, per_packet.route_offsets);
+    ASSERT_EQ(once.num_routes(), per_packet.num_routes());
     EXPECT_EQ(once.route_len, per_packet.route_len);
     EXPECT_EQ(once.release, per_packet.release);
-    EXPECT_EQ(once_links, per_packet_links);
-    EXPECT_EQ(once.compact_links(std::move(once_links), oracle.host_dims()),
-              per_packet.compact_links(per_packet_links, oracle.host_dims()));
-    EXPECT_EQ(once.link_of_hop, per_packet.link_of_hop);
+    // Each distinct path is stored once: fewer hops exactly when some
+    // edge has more packets than paths.
+    EXPECT_EQ(once_links.size() == per_packet_links.size(), p <= min_width);
+    // The peak static load over every packet's hops.
+    std::vector<std::uint64_t> sorted = per_packet_links;
+    std::sort(sorted.begin(), sorted.end());
+    std::uint64_t want_peak = 0;
+    for (std::size_t i = 0, run = 0; i < sorted.size(); ++i) {
+      run = (i > 0 && sorted[i] == sorted[i - 1]) ? run + 1 : 1;
+      want_peak = std::max<std::uint64_t>(want_peak, run);
+    }
+
+    once.compact_links(std::move(once_links), dims);
+    per_packet.compact_links(std::move(per_packet_links), dims);
     EXPECT_EQ(once.global_link, per_packet.global_link);
     EXPECT_EQ(once.dim_of, per_packet.dim_of);
+    // Same compact ids, so each route's hop sequence of host ids is equal
+    // when its compact ids are.
+    for (std::uint32_t r = 0; r < once.num_routes(); ++r) {
+      for (std::uint32_t h = 0; h < once.route_len[r]; ++h) {
+        ASSERT_EQ(once.link_of_hop[once.route_offsets[r] + h],
+                  per_packet.link_of_hop[per_packet.route_offsets[r] + h])
+            << "route " << r << " hop " << h;
+      }
+    }
+
+    const SimResult want = run_plan<false, false>(
+        per_packet, dims, Arbitration::kFifo, 1 << 22, nullptr, nullptr,
+        false, nullptr);
+    const SimResult got = run_plan<false, false>(
+        once, dims, Arbitration::kFifo, 1 << 22, nullptr, nullptr, false,
+        nullptr);
+    EXPECT_EQ(got.makespan, want.makespan);
+    EXPECT_EQ(got.total_transmissions, want.total_transmissions);
+    EXPECT_EQ(got.max_queue, want.max_queue);
+    EXPECT_EQ(got.link_visits, want.link_visits);
+    EXPECT_EQ(got.dim_transmissions, want.dim_transmissions);
+    EXPECT_EQ(got.latency, want.latency);
+
+    OraclePhaseSpec spec;
+    spec.packets_per_edge = p;
+    const OraclePhaseResult phase = run_oracle_phase(oracle, edges, spec);
+    EXPECT_EQ(phase.peak_congestion, want_peak);
+    EXPECT_EQ(phase.makespan, want.makespan);
+    EXPECT_EQ(phase.total_transmissions, want.total_transmissions);
+    EXPECT_EQ(phase.max_queue, want.max_queue);
+    EXPECT_EQ(phase.dim_transmissions, want.dim_transmissions);
+    EXPECT_EQ(phase.unique_links, per_packet.global_link.size());
+    EXPECT_EQ(phase.route_nodes, per_packet.route_nodes.size());
   }
 }
 

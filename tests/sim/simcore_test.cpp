@@ -7,7 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
+#include <fstream>
+#include <iterator>
 #include <numeric>
 #include <set>
 #include <string>
@@ -195,19 +196,16 @@ TEST(RoutePlan, CompileLaysOutHopsNodesAndReleases) {
   const auto plan = simcore::RoutePlan::compile(q, packets);
 
   ASSERT_EQ(plan.num_routes(), packets.size());
-  ASSERT_EQ(plan.route_offsets.size(), packets.size() + 1);
-  EXPECT_EQ(plan.route_offsets.front(), 0u);
+  ASSERT_EQ(plan.route_offsets.size(), packets.size());
   std::size_t total_hops = 0;
+  std::vector<Node> all_nodes;
   for (std::uint32_t r = 0; r < plan.num_routes(); ++r) {
     const HostPath& route = packets[r].route;
     ASSERT_EQ(plan.route_len[r], route.size() - 1) << "route " << r;
     EXPECT_EQ(plan.release[r], static_cast<std::uint32_t>(packets[r].release));
-    EXPECT_EQ(plan.route_offsets[r + 1] - plan.route_offsets[r],
-              plan.route_len[r]);
-    // The node span shares the hop offsets (nodes start at offset + r).
-    const auto nodes = plan.nodes(r);
-    ASSERT_EQ(nodes.size(), route.size());
-    EXPECT_TRUE(std::equal(nodes.begin(), nodes.end(), route.begin()));
+    // Without repeats the segments are back to back.
+    EXPECT_EQ(plan.route_offsets[r], total_hops) << "route " << r;
+    all_nodes.insert(all_nodes.end(), route.begin(), route.end());
     // Each hop's dense link id is exactly Hypercube::edge_id — the kernel
     // never recomputes it, so compile must get every one right.
     for (std::uint32_t h = 0; h < plan.route_len[r]; ++h) {
@@ -218,14 +216,15 @@ TEST(RoutePlan, CompileLaysOutHopsNodesAndReleases) {
     total_hops += plan.route_len[r];
   }
   EXPECT_EQ(plan.link_of_hop.size(), total_hops);
-  EXPECT_EQ(plan.route_offsets.back(), total_hops);
+  EXPECT_EQ(plan.route_nodes, all_nodes);
 }
 
 TEST(RoutePlan, EmptyPacketSetCompilesToEmptyPlan) {
   const auto plan = simcore::RoutePlan::compile(Hypercube(3), {});
   EXPECT_EQ(plan.num_routes(), 0u);
-  ASSERT_EQ(plan.route_offsets.size(), 1u);
-  EXPECT_EQ(plan.route_offsets.front(), 0u);
+  EXPECT_TRUE(plan.route_offsets.empty());
+  EXPECT_TRUE(plan.route_nodes.empty());
+  EXPECT_TRUE(plan.link_of_hop.empty());
 }
 
 TEST(RoutePlan, ReportsInvalidRouteBeforeNegativeRelease) {
@@ -311,16 +310,11 @@ TEST(RoutePlan, CompactPlanRunsLikeDense) {
     }
   }
   EXPECT_EQ(glinks, edge_ids);
-  // The peak static load is the largest per-link hop count.
-  std::map<std::uint64_t, std::uint64_t> load;
-  for (const std::uint64_t g : glinks) ++load[g];
-  std::uint64_t want_peak = 0;
-  for (const auto& [g, n] : load) want_peak = std::max(want_peak, n);
-  const std::uint64_t peak = plan.compact_links(glinks, dims);
+  const std::set<std::uint64_t> distinct(glinks.begin(), glinks.end());
+  EXPECT_LT(distinct.size(), glinks.size());  // routes share links
+  plan.compact_links(glinks, dims);
   ASSERT_TRUE(plan.compact());
-  EXPECT_EQ(peak, want_peak);
-  EXPECT_GT(peak, 1u);
-  EXPECT_EQ(plan.global_link.size(), load.size());
+  EXPECT_EQ(plan.global_link.size(), distinct.size());
   ASSERT_EQ(plan.link_of_hop.size(), glinks.size());
   EXPECT_TRUE(std::is_sorted(plan.global_link.begin(), plan.global_link.end()));
   for (std::size_t h = 0; h < glinks.size(); ++h) {
@@ -363,8 +357,9 @@ TEST(RoutePlan, HopFreeCompactPlanRunsInZeroStepsAtQ24) {
   plan.push_nodes(std::vector<Node>{5});
   std::vector<std::uint64_t> glinks;
   plan.end_route_unlinked(24, glinks);
-  EXPECT_EQ(plan.compact_links(std::move(glinks), 24), 0u);
+  plan.compact_links(std::move(glinks), 24);
   ASSERT_TRUE(plan.compact());
+  EXPECT_TRUE(plan.global_link.empty());
   const SimResult r = run_plan<false, false>(
       plan, 24, Arbitration::kFifo, 1 << 22, nullptr, nullptr, false,
       nullptr);
@@ -403,7 +398,6 @@ struct CompactReference {
   std::vector<std::uint64_t> global_link;
   std::vector<std::uint32_t> link_of_hop;
   std::vector<std::uint8_t> dim_of;
-  std::uint64_t peak = 0;
 };
 
 CompactReference compact_reference(const std::vector<std::uint64_t>& glinks,
@@ -411,10 +405,6 @@ CompactReference compact_reference(const std::vector<std::uint64_t>& glinks,
   CompactReference ref;
   std::vector<std::uint64_t> sorted = glinks;
   std::sort(sorted.begin(), sorted.end());
-  for (std::size_t i = 0, run = 0; i < sorted.size(); ++i) {
-    run = (i > 0 && sorted[i] == sorted[i - 1]) ? run + 1 : 1;
-    ref.peak = std::max<std::uint64_t>(ref.peak, run);
-  }
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
   ref.global_link = sorted;
   for (const std::uint64_t g : glinks) {
@@ -427,20 +417,23 @@ CompactReference compact_reference(const std::vector<std::uint64_t>& glinks,
   return ref;
 }
 
-/// An unlinked plan of `routes` routes with `hops` hops in all
-/// (compact_links reads only the hop offsets; the last route takes the
-/// remainder, and empty routes are allowed).
+/// An unlinked plan of `routes` routes with `hops` stored hops in all
+/// (compact_links reads only the stored-hop count; the last route takes
+/// the remainder, and empty routes are allowed).  Each route is a 0-1-0
+/// walk, valid in any Q_dims; its own host ids are discarded.
 simcore::RoutePlan unlinked_plan(std::size_t hops, std::size_t routes,
                                  Rng& rng) {
   simcore::RoutePlan plan;
+  std::vector<std::uint64_t> discarded;
   std::size_t left = hops;
   for (std::size_t r = 0; r < routes; ++r) {
     const std::size_t len = r + 1 == routes ? left : rng.below(left + 1);
     left -= len;
-    plan.route_offsets.push_back(
-        static_cast<std::uint32_t>(plan.route_offsets.back() + len));
-    plan.route_len.push_back(static_cast<std::uint32_t>(len));
-    plan.release.push_back(0);
+    std::vector<Node> walk(len + 1);
+    for (std::size_t i = 0; i <= len; ++i) walk[i] = static_cast<Node>(i & 1);
+    plan.begin_route(0);
+    plan.push_nodes(walk);
+    plan.end_route_unlinked(1, discarded);
   }
   return plan;
 }
@@ -468,8 +461,7 @@ TEST(RoutePlan, CompactLinksRadixMatchesSortReference) {
                    std::to_string(glinks.size()));
       simcore::RoutePlan plan = unlinked_plan(glinks.size(), 7, rng);
       const CompactReference ref = compact_reference(glinks, dims);
-      const std::uint64_t peak = plan.compact_links(glinks, dims);
-      EXPECT_EQ(peak, ref.peak);
+      plan.compact_links(glinks, dims);
       EXPECT_EQ(plan.global_link, ref.global_link);
       EXPECT_EQ(plan.link_of_hop, ref.link_of_hop);
       EXPECT_EQ(plan.dim_of, ref.dim_of);
@@ -501,6 +493,212 @@ TEST(RoutePlan, CheckedHopOffsetAcceptsU32MaxAndRejectsPast) {
     EXPECT_NE(std::string(e.what()).find("route plan hop count overflow"),
               std::string::npos);
   }
+}
+
+TEST(RoutePlan, CheckedRouteLenAcceptsU32MaxAndRejectsPast) {
+  constexpr std::uint64_t kMax = 0xffffffffull;
+  EXPECT_EQ(simcore::checked_route_len(0), 0u);
+  EXPECT_EQ(simcore::checked_route_len(kMax), 0xffffffffu);
+  try {
+    simcore::checked_route_len(kMax + 1);
+    ADD_FAILURE() << "no throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("route plan route length overflow"),
+              std::string::npos);
+  }
+}
+
+/// A bundle-shaped workload on Q_5, as the oracle phase lays it out: each
+/// of `groups` edges has `width` distinct paths (one of them hop-free on
+/// edge 0, non-geodesic walks among them), ridden round-robin by
+/// `per_edge` packets with their own release steps.
+struct BundleWorkload {
+  static constexpr int kDims = 5;
+  static constexpr int kWidth = 3;
+  std::vector<Packet> packets;  // one per packet, in plan order
+};
+
+BundleWorkload bundle_workload(int groups, int per_edge, std::uint64_t seed) {
+  const Hypercube q(BundleWorkload::kDims);
+  Rng rng(seed);
+  BundleWorkload w;
+  for (int g = 0; g < groups; ++g) {
+    std::vector<HostPath> paths;
+    for (int s = 0; s < BundleWorkload::kWidth; ++s) {
+      const Node a = static_cast<Node>(rng.below(q.num_nodes()));
+      const Node b = static_cast<Node>(rng.below(q.num_nodes()));
+      if (g == 0 && s == 1) {
+        paths.push_back({a});
+      } else if (s == 2) {
+        paths.push_back(zigzag_walk(a, 3 + static_cast<int>(rng.below(4))));
+      } else {
+        paths.push_back(ecube_route(q, a, b));
+      }
+    }
+    for (int j = 0; j < per_edge; ++j) {
+      w.packets.push_back({paths[j % BundleWorkload::kWidth],
+                           static_cast<int>(rng.below(4)), 0});
+    }
+  }
+  return w;
+}
+
+/// The workload's plan, per packet or with packets j ≥ width of an edge
+/// repeating route first + j mod width; dense (add_route) or compact
+/// (streamed, then compact_links).
+simcore::RoutePlan bundle_plan(const BundleWorkload& w, int per_edge,
+                               bool repeat, bool compact) {
+  const Hypercube q(BundleWorkload::kDims);
+  simcore::RoutePlan plan;
+  std::vector<std::uint64_t> glinks;
+  for (std::size_t k = 0; k < w.packets.size(); ++k) {
+    const Packet& p = w.packets[k];
+    const auto release = static_cast<std::uint32_t>(p.release);
+    const int j = static_cast<int>(k % per_edge);
+    if (repeat && j >= BundleWorkload::kWidth) {
+      const auto first = static_cast<std::uint32_t>(k - j);
+      plan.repeat_route(first + j % BundleWorkload::kWidth, release);
+    } else if (compact) {
+      plan.begin_route(release);
+      plan.push_nodes(p.route);
+      plan.end_route_unlinked(BundleWorkload::kDims, glinks);
+    } else {
+      plan.add_route(q, p.route, release);
+    }
+  }
+  if (compact) plan.compact_links(std::move(glinks), BundleWorkload::kDims);
+  return plan;
+}
+
+/// One traced run of `plan`: its result and its JSONL trace's bytes.
+std::pair<SimResult, std::string> traced_run(const simcore::RoutePlan& plan,
+                                             Arbitration policy,
+                                             const std::string& name) {
+  const std::string path = ::testing::TempDir() + name + ".jsonl";
+  SimResult r;
+  {
+    obs::JsonlFileSink sink(path);
+    r = run_plan<true, false>(plan, BundleWorkload::kDims, policy, 1 << 22,
+                              &sink, nullptr, false, nullptr);
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  return {r, bytes};
+}
+
+void expect_same_sim(const SimResult& a, const SimResult& b) {
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.total_transmissions, b.total_transmissions);
+  EXPECT_EQ(a.max_queue, b.max_queue);
+  EXPECT_EQ(a.link_visits, b.link_visits);
+  EXPECT_EQ(a.dim_transmissions, b.dim_transmissions);
+  EXPECT_EQ(a.latency, b.latency);
+}
+
+TEST(RoutePlan, RepeatRouteSharesSegmentsAndStoresNothing) {
+  constexpr int kPerEdge = 7;
+  const BundleWorkload w = bundle_workload(6, kPerEdge, 3);
+  for (const bool compact : {false, true}) {
+    SCOPED_TRACE(compact ? "compact" : "dense");
+    const auto shared = bundle_plan(w, kPerEdge, true, compact);
+    const auto per_packet = bundle_plan(w, kPerEdge, false, compact);
+    ASSERT_EQ(shared.num_routes(), w.packets.size());
+    EXPECT_EQ(shared.route_len, per_packet.route_len);
+    EXPECT_EQ(shared.release, per_packet.release);
+    EXPECT_EQ(shared.global_link, per_packet.global_link);
+    EXPECT_EQ(shared.dim_of, per_packet.dim_of);
+    // Only the first `width` packets of an edge store nodes and hops.
+    std::size_t stored_nodes = 0;
+    std::size_t stored_hops = 0;
+    for (std::size_t k = 0; k < w.packets.size(); ++k) {
+      if (static_cast<int>(k % kPerEdge) >= BundleWorkload::kWidth) continue;
+      stored_nodes += w.packets[k].route.size();
+      stored_hops += w.packets[k].route.size() - 1;
+    }
+    EXPECT_EQ(shared.route_nodes.size(), stored_nodes);
+    EXPECT_EQ(shared.link_of_hop.size(), stored_hops);
+    EXPECT_LT(stored_hops, per_packet.link_of_hop.size());
+    for (std::uint32_t r = 0; r < shared.num_routes(); ++r) {
+      const int j = static_cast<int>(r % kPerEdge);
+      if (j >= BundleWorkload::kWidth) {
+        EXPECT_EQ(shared.route_offsets[r],
+                  shared.route_offsets[r - j + j % BundleWorkload::kWidth]);
+      }
+      for (std::uint32_t h = 0; h < shared.route_len[r]; ++h) {
+        ASSERT_EQ(shared.link_of_hop[shared.route_offsets[r] + h],
+                  per_packet.link_of_hop[per_packet.route_offsets[r] + h])
+            << "route " << r << " hop " << h;
+      }
+    }
+  }
+}
+
+TEST(RoutePlan, RepeatRouteRunsLikePerPacketPlan) {
+  constexpr int kPerEdge = 7;
+  const BundleWorkload w = bundle_workload(40, kPerEdge, 11);
+  for (const bool compact : {false, true}) {
+    const auto shared = bundle_plan(w, kPerEdge, true, compact);
+    const auto per_packet = bundle_plan(w, kPerEdge, false, compact);
+    for (const Arbitration policy :
+         {Arbitration::kFifo, Arbitration::kFarthestFirst}) {
+      SCOPED_TRACE(std::string(compact ? "compact" : "dense") +
+                   (policy == Arbitration::kFifo ? " fifo" : " farthest"));
+      const auto [want, want_trace] =
+          traced_run(per_packet, policy, "repeat_per_packet");
+      const auto [got, got_trace] = traced_run(shared, policy, "repeat_shared");
+      EXPECT_GT(want.max_queue, 1u);  // packets really contend
+      expect_same_sim(got, want);
+      EXPECT_FALSE(want_trace.empty());
+      EXPECT_EQ(got_trace, want_trace);
+    }
+  }
+}
+
+TEST(RoutePlan, RepeatRouteFatesMatchPerPacketPlanUnderFaults) {
+  constexpr int kPerEdge = 7;
+  const int dims = BundleWorkload::kDims;
+  const BundleWorkload w = bundle_workload(40, kPerEdge, 19);
+  // Cut links of the first edge's walk (slot 2, ≥ 3 hops) while its
+  // packets queue on them, and a node of the second edge's walk for a
+  // while.
+  FaultSchedule schedule(dims);
+  const HostPath& walk = w.packets[2].route;
+  schedule.transient_link(0, 4, walk[0], walk[1]);
+  schedule.link_down(1, walk[1], walk[2]);
+  schedule.transient_node(2, 5, w.packets[kPerEdge + 2].route[1]);
+  for (const bool compact : {false, true}) {
+    const auto shared = bundle_plan(w, kPerEdge, true, compact);
+    const auto per_packet = bundle_plan(w, kPerEdge, false, compact);
+    for (const Arbitration policy :
+         {Arbitration::kFifo, Arbitration::kFarthestFirst}) {
+      SCOPED_TRACE(std::string(compact ? "compact" : "dense") +
+                   (policy == Arbitration::kFifo ? " fifo" : " farthest"));
+      FaultRunResult want;
+      want.sim = run_plan<false, true>(per_packet, dims, policy, 1 << 22,
+                                       nullptr, &schedule, false, &want);
+      FaultRunResult got;
+      got.sim = run_plan<false, true>(shared, dims, policy, 1 << 22, nullptr,
+                                      &schedule, false, &got);
+      EXPECT_GT(want.lost, 0u);
+      EXPECT_EQ(got.fates, want.fates);
+      EXPECT_EQ(got.lost, want.lost);
+      EXPECT_EQ(got.delivered, want.delivered);
+      expect_same_sim(got.sim, want.sim);
+    }
+  }
+}
+
+TEST(RoutePlan, RepeatRouteRejectsMissingSource) {
+  simcore::RoutePlan plan;
+  EXPECT_THROW(plan.repeat_route(0, 0), Error);
+  const Hypercube q(3);
+  plan.add_route(q, ecube_route(q, 0, 7), 0);
+  plan.repeat_route(0, 2);
+  EXPECT_THROW(plan.repeat_route(2, 0), Error);
+  EXPECT_EQ(plan.num_routes(), 2u);
+  EXPECT_EQ(plan.release, (std::vector<std::uint32_t>{0, 2}));
 }
 
 TEST(StepKernel, SortMovedMatchesStdSortOnBothPathsAndClearsMask) {

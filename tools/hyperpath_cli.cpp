@@ -70,6 +70,7 @@
 #include <string>
 #include <vector>
 
+#include "base/bits.hpp"
 #include "base/moment.hpp"
 #include "ccc/ccc_embed.hpp"
 #include "core/algebraic_oracle.hpp"
@@ -101,6 +102,15 @@ using tools::parse_number;
 // fits a Q_30 host, and route and bundle-path counts fit 32 bits.
 constexpr Node kMaxSide = Node{1} << 30;
 constexpr long long kMaxU32LL = UINT32_MAX;
+
+/// Theorem 3's domain: n a power of two, at least 2.  Outside it, names
+/// the argument on stderr and returns false, like parse_number.
+bool ccc_dims_supported(const char* what, int n) {
+  if (n >= 2 && is_pow2(static_cast<std::uint64_t>(n))) return true;
+  std::fprintf(stderr, "%s: Theorem 3 needs a power of two >= 2, got %d\n",
+               what, n);
+  return false;
+}
 
 int cmd_cycle(int n) {
   if (!cycle_multipath_supported(n)) {
@@ -1071,7 +1081,8 @@ int cmd_trace(int argc, char** argv) {
     if (!parse_number("trace ccc <n>", opt.positional[0].c_str(), 1, 30, n) ||
         (p <= 0 && opt.positional.size() > 1 &&
          !parse_number("trace ccc [p]", opt.positional[1].c_str(), 1, INT_MAX,
-                       p))) {
+                       p)) ||
+        !ccc_dims_supported("trace ccc <n>", n)) {
       std::fprintf(stderr, "usage: trace ccc <n> [p]\n");
       return 1;
     }
@@ -1143,7 +1154,9 @@ int main(int argc, char** argv) {
     if (cmd == "grid") return cmd_grid(argc - 2, argv + 2);
     if (cmd == "route") return cmd_route(argc - 2, argv + 2);
     if (cmd == "ccc" && argc >= 3) {
-      return dims_arg("ccc <n>") ? cmd_ccc(n) : usage();
+      return dims_arg("ccc <n>") && ccc_dims_supported("ccc <n>", n)
+                 ? cmd_ccc(n)
+                 : usage();
     }
     if (cmd == "decomp" && argc >= 3) {
       return dims_arg("decomp <n>") ? cmd_decomp(n) : usage();
