@@ -52,7 +52,6 @@ CampaignConfig campaign_config(const MultiPathEmbedding& emb) {
   cfg.recovery.timeout = 4;
   cfg.recovery.max_retries = 5;
   cfg.recovery.threshold = emb.width() - 1;
-  cfg.live_metrics = false;  // gates re-run the campaign; don't double-count
   return cfg;
 }
 
@@ -141,10 +140,8 @@ void congestion_bracket(bench::Report& report, const MultiPathEmbedding& emb,
   calm.node_rate = 0;
   const FaultSchedule schedule =
       FaultSchedule::random(emb.host().dims(), calm, rng);
-  RecoveryConfig rcfg = cfg.recovery;
-  rcfg.update_registry = false;
   obs::FlightRecorder rec;
-  const RecoveryResult r = run_recovery(emb, schedule, rcfg, &rec);
+  const RecoveryResult r = run_recovery(emb, schedule, cfg.recovery, &rec);
   const obs::TraceAnalysis a = obs::analyze_flights(rec);
   const PhaseCongestionBounds bounds =
       phase_congestion_bounds(emb, emb.width());

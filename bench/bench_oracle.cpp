@@ -314,7 +314,6 @@ void print_q24_recovery_table(bench::Report& report) {
   RecoveryConfig config;
   config.timeout = 4;
   config.threshold = static_cast<int>(bundle.size()) - 1;
-  config.update_registry = false;
 
   const double rss0 = rss_kb();
   RecoveryResult r;

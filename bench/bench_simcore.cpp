@@ -16,7 +16,6 @@
 
 #include "bench/table.hpp"
 #include "core/bitserial.hpp"
-#include "obs/telemetry.hpp"
 #include "core/cycle_multipath.hpp"
 #include "core/grid_multipath.hpp"
 #include "par/task_pool.hpp"
@@ -87,43 +86,24 @@ void print_store_forward_table(bench::Report& report) {
 }
 
 void print_tracing_table(bench::Report& report) {
-  // Observation overhead of the flat core on the Q_12 phase workload:
-  // trace sink (every event) and live telemetry (one ring-buffer sample
-  // every period steps) against the plain run.  Both must leave the
-  // simulation bit-identical; the sample counts are deterministic outputs
-  // (gated by the baseline diff), the overhead ratios are wall-clock and live
-  // in the timings section only.  The telemetry acceptance bound is <= 5%
-  // at the default period of 64.
-  bench::Table t("S2: flat core observation overhead (tracing + telemetry)",
-                 {"n", "packets", "plain ms", "traced ms", "tele64 ms",
-                  "tele1 ms", "events", "samples64", "samples1"});
+  // Tracing overhead of the flat core on the Q_12 phase workload: the run
+  // with a trace sink (every event) against the plain run.  Tracing must
+  // leave the simulation bit-identical; the event count is a deterministic
+  // output (gated by the baseline diff), the times are wall-clock and live
+  // in the timings section only.
+  bench::Table t("S2: flat core tracing overhead",
+                 {"n", "packets", "plain ms", "traced ms", "events"});
   const int n = 12;
   const auto emb = phase_embedding(n);
   const auto packets = phase_packets(emb, n);
   const StoreForwardSim flat(n);
 
-  SimResult rp, rt, r64, r1;
+  SimResult rp, rt;
   obs::RingBufferSink ring;
   HP_PROFILE_SPAN("simulate");
   const double s_plain = seconds_of([&] { rp = flat.run(packets); });
   const double s_traced = seconds_of(
       [&] { rt = flat.run(packets, Arbitration::kFifo, 1 << 22, &ring); });
-
-  // Telemetry at the default period and at the worst case (every step),
-  // ring-only so no I/O rides the measurement.
-  obs::TelemetryBus& bus = obs::TelemetryBus::global();
-  const auto telemetry_run = [&](int period, SimResult* out) {
-    obs::TelemetryBus::Config cfg;
-    cfg.period_steps = period;
-    bus.enable(cfg);
-    const double s = seconds_of([&] { *out = flat.run(packets); });
-    bus.disable();
-    return s;
-  };
-  const double s_tele64 = telemetry_run(64, &r64);
-  const std::uint64_t samples64 = bus.total_samples();
-  const double s_tele1 = telemetry_run(1, &r1);
-  const std::uint64_t samples1 = bus.total_samples();
 
   const auto same = [&](const SimResult& r) {
     return r.makespan == rp.makespan &&
@@ -132,24 +112,17 @@ void print_tracing_table(bench::Report& report) {
            r.dim_transmissions == rp.dim_transmissions &&
            r.latency == rp.latency && r.utilization == rp.utilization;
   };
-  if (!same(rt) || !same(r64) || !same(r1)) {
+  if (!same(rt)) {
     std::fprintf(stderr, "FATAL: observation changed the simulation\n");
     std::exit(1);
   }
-  t.row(n, packets.size(), s_plain * 1e3, s_traced * 1e3, s_tele64 * 1e3,
-        s_tele1 * 1e3, ring.total(), samples64, samples1);
+  t.row(n, packets.size(), s_plain * 1e3, s_traced * 1e3, ring.total());
   t.print();
   report.table(t);
   auto& reg = obs::MetricsRegistry::global();
   reg.record_span("flat_plain_n12", s_plain);
   reg.record_span("flat_traced_n12", s_traced);
-  reg.record_span("flat_telemetry64_n12", s_tele64);
-  reg.record_span("flat_telemetry1_n12", s_tele1);
-  reg.record_span("telemetry64_overhead_ratio", s_tele64 / s_plain);
-  reg.record_span("telemetry1_overhead_ratio", s_tele1 / s_plain);
   report.metric("trace_events_n12", ring.total());
-  report.metric("telemetry_samples_p64_n12", samples64);
-  report.metric("telemetry_samples_p1_n12", samples1);
 }
 
 void print_wormhole_table(bench::Report& report) {
@@ -232,7 +205,6 @@ void print_engine_table(bench::Report& report) {
   cfg.recovery.timeout = 4;
   cfg.recovery.max_retries = 5;
   cfg.recovery.threshold = emb10.width() - 1;
-  cfg.live_metrics = false;
 
   par::TaskPool pool(8);
   par::PoolScope scope(pool);

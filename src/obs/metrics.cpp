@@ -4,7 +4,6 @@
 
 #include "base/error.hpp"
 #include "obs/json.hpp"
-#include "obs/profile.hpp"
 
 namespace hyperpath::obs {
 
@@ -130,34 +129,6 @@ MetricsRegistry& MetricsRegistry::global() {
   return *r;
 }
 
-Counter& MetricsRegistry::counter(const std::string& name) {
-  std::scoped_lock lock(mu_);
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
-}
-
-std::uint64_t MetricsRegistry::counter_value(const std::string& name) const {
-  std::scoped_lock lock(mu_);
-  const auto it = counters_.find(name);
-  return it != counters_.end() ? it->second->value() : 0;
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  std::scoped_lock lock(mu_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
-FixedHistogram& MetricsRegistry::histogram(const std::string& name,
-                                           std::vector<double> bounds) {
-  std::scoped_lock lock(mu_);
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<FixedHistogram>(std::move(bounds));
-  return *slot;
-}
-
 void MetricsRegistry::record_span(const std::string& name, double seconds) {
   std::scoped_lock lock(mu_);
   Span& s = timings_[name];
@@ -187,42 +158,8 @@ void MetricsRegistry::write_timings(JsonWriter& w) const {
   w.end_object();
 }
 
-void MetricsRegistry::write_json(JsonWriter& w) const {
-  w.begin_object();
-  {
-    std::scoped_lock lock(mu_);
-    w.key("counters").begin_object();
-    for (const auto& [name, c] : counters_) w.field(name, c->value());
-    w.end_object();
-    w.key("gauges").begin_object();
-    for (const auto& [name, g] : gauges_) w.field(name, g->value());
-    w.end_object();
-    w.key("histograms").begin_object();
-    for (const auto& [name, h] : histograms_) {
-      w.key(name);
-      h->write_json(w);
-    }
-    w.end_object();
-  }
-  write_timings(w);
-  // The process-wide span tree rides along in every metrics document;
-  // empty object when nothing was profiled.
-  w.key("profile");
-  Profiler::global().write_json(w);
-  w.end_object();
-}
-
-std::string MetricsRegistry::to_json() const {
-  JsonWriter w;
-  write_json(w);
-  return w.str();
-}
-
 void MetricsRegistry::reset() {
   std::scoped_lock lock(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
   timings_.clear();
 }
 

@@ -1,24 +1,18 @@
-// Process-wide metrics: named counters, gauges, fixed-bucket histograms and
-// wall-clock timings, all exportable as one JSON document.
+// Metric value types and the process-wide span-timing registry.
 //
 // Two layers:
 //
 //   * Plain value types (FixedHistogram, UtilizationProfile) with no
-//     locking — embedded in results (SimResult) and registry entries alike.
-//   * MetricsRegistry — a process-wide named registry.  Creation of entries
-//     is mutex-protected; Counter/Gauge updates are atomic and can be hit
-//     from any thread.  Histogram observation is single-writer (the
-//     simulators deliver from one thread).
-//
-// The timings section accumulates the global profiler's root spans
-// (obs/profile.hpp), so a bench brackets its "construct" and "simulate"
-// phases with HP_PROFILE_SPAN and exports both.
+//     locking — embedded in results (SimResult, CampaignStats).
+//   * MetricsRegistry — process-wide named span timings, mutex-protected.
+//     It holds nothing else: it accumulates the global profiler's root
+//     spans (obs/profile.hpp) plus the spans benches and the task pool
+//     record by hand, so a bench brackets its "construct" and "simulate"
+//     phases with HP_PROFILE_SPAN and exports both as its "timings".
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -26,28 +20,6 @@
 namespace hyperpath::obs {
 
 class JsonWriter;
-
-/// Monotone event counter.
-class Counter {
- public:
-  void add(std::uint64_t delta = 1) {
-    v_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> v_{0};
-};
-
-/// Last-write-wins instantaneous value.
-class Gauge {
- public:
-  void set(double v) { v_.store(v, std::memory_order_relaxed); }
-  double value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> v_{0.0};
-};
 
 /// Histogram over fixed, caller-supplied bucket upper bounds (ascending).
 /// A sample lands in the first bucket whose bound is >= the sample; samples
@@ -85,9 +57,9 @@ class FixedHistogram {
   double quantile(double q) const;
 
   /// Folds `other` into this histogram.  Requires identical bounds (an
-  /// empty histogram adopts the other's shape), so per-worker histograms
+  /// empty histogram adopts the other's shape), so per-chunk histograms
   /// built from the same template combine deterministically when merged in
-  /// worker order — the telemetry reducer's contract.  Equivalent to
+  /// chunk order — the Monte-Carlo campaign fold's contract.  Equivalent to
   /// observing both sample multisets into one histogram: counts, count,
   /// sum and max all add/maximize exactly.
   void merge(const FixedHistogram& other);
@@ -151,25 +123,13 @@ class UtilizationProfile {
   std::size_t steps_ = 0;
 };
 
-/// Named registry of counters, gauges, histograms and timer spans.  Entry
-/// addresses are stable for the registry's lifetime, so call sites may
-/// cache the reference returned by counter()/gauge()/histogram().
+/// Named registry of wall-clock timer spans: the "timings" block every
+/// report carries.
 class MetricsRegistry {
  public:
   /// The process-wide registry fed by the global profiler's root spans
   /// and the bench harness.
   static MetricsRegistry& global();
-
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  /// Value of `name` if that counter exists, else 0 — without creating an
-  /// entry.  The telemetry sampler reads through this so sampling never
-  /// changes what a later metrics export contains.
-  std::uint64_t counter_value(const std::string& name) const;
-  /// Creates with the given bounds on first use; later calls ignore
-  /// `bounds` and return the existing histogram.
-  FixedHistogram& histogram(const std::string& name,
-                            std::vector<double> bounds);
 
   /// Accumulates one wall-clock span measurement under `name`.
   void record_span(const std::string& name, double seconds);
@@ -182,27 +142,12 @@ class MetricsRegistry {
   };
   std::vector<SpanView> timings() const;
 
-  /// One JSON document: {"counters":{...},"gauges":{...},
-  /// "histograms":{...},"timings":{...}}.
-  std::string to_json() const;
-
-  /// Emits the same document into an open writer (as an object value).
-  void write_json(JsonWriter& w) const;
-
   /// Emits the "timings" member — {"name":{"seconds":s,"count":n},...} —
-  /// into an open object: the one writer of the block every report
-  /// (metrics document, bench report, CLI summary) carries.
+  /// into an open object: the one writer of the block every report (bench
+  /// report, CLI summary) carries.
   void write_timings(JsonWriter& w) const;
 
-  /// The whole registry in Prometheus text exposition format (the /metrics
-  /// payload hyperpathd will serve): counters as `hyperpath_<name>_total`,
-  /// gauges verbatim, histograms as cumulative `_bucket{le=...}` series
-  /// with `_sum`/`_count`, timing spans as `_seconds_total`/`_calls_total`
-  /// counter pairs.  Names are sanitized to the Prometheus charset;
-  /// defined in telemetry.cpp next to validate_prometheus_text.
-  std::string expose_prometheus() const;
-
-  /// Drops every entry (tests and repeated bench runs).
+  /// Drops every span (tests and repeated bench runs).
   void reset();
 
  private:
@@ -212,9 +157,6 @@ class MetricsRegistry {
   };
 
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<FixedHistogram>> histograms_;
   std::map<std::string, Span> timings_;
 };
 

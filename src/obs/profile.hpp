@@ -13,14 +13,14 @@
 // ProfileSpan is the only span type.  Every span of the global profiler
 // that closes at depth 0 on its thread is also added, by name and wall
 // seconds, to MetricsRegistry::global()'s timings: the "timings" sections
-// of bench reports and `hyperpath_cli trace --json`, and the Prometheus
-// `_seconds_total` series.  Instance profilers write nothing there.
+// of bench reports and `hyperpath_cli trace --json`.  Instance profilers
+// write nothing there.
 //
 // Two exports:
 //
 //   * write_json        — the aggregated span tree, nested objects mirroring
-//                         the call structure.  Embedded in MetricsRegistry
-//                         documents and bench::Report records as "profile".
+//                         the call structure.  Embedded in bench::Report
+//                         records as "profile".
 //   * write_chrome_trace — chrome://tracing "traceEvents" JSON ("X" complete
 //                         events, microsecond timestamps), loadable in
 //                         Perfetto / chrome://tracing.  Individual span

@@ -105,8 +105,7 @@ std::vector<std::string> check_bounds(
 
 std::string comparison_key(const LedgerEntry& e) {
   return e.hostname + "|" + e.compiler + "|" + e.flags +
-         "|threads=" + std::to_string(e.effective_threads) +
-         "|period=" + std::to_string(e.telemetry_period_steps);
+         "|threads=" + std::to_string(e.effective_threads);
 }
 
 std::optional<LedgerEntry> parse_ledger_entry(const JsonValue& doc,
@@ -128,7 +127,6 @@ std::optional<LedgerEntry> parse_ledger_entry(const JsonValue& doc,
   e.flags = string_field(doc, "flags");
   e.build_type = string_field(doc, "build_type");
   e.effective_threads = int_field(doc, "effective_threads");
-  e.telemetry_period_steps = int_field(doc, "telemetry_period_steps");
   read_number_map(doc.find("metrics"), &e.metrics);
   read_number_map(doc.find("timings"), &e.timings);
   if (e.metrics.empty()) {
@@ -148,7 +146,6 @@ void write_ledger_entry(JsonWriter& w, const LedgerEntry& e) {
   w.field("flags", e.flags);
   w.field("build_type", e.build_type);
   w.field("effective_threads", e.effective_threads);
-  w.field("telemetry_period_steps", e.telemetry_period_steps);
   w.key("metrics");
   write_number_map(w, e.metrics);
   w.key("timings");

@@ -6,9 +6,8 @@
 // compiler, flags) plus every report metric flattened to
 // "<bench>.<metric>" and every timing span to "<bench>.<span>" seconds.
 // analyze_trend reads the last N entries that share a comparison key —
-// host | compiler | flags | effective_threads | telemetry_period_steps;
-// series recorded under different thread counts or sampling rates are
-// never compared — and looks for step changes:
+// host | compiler | flags | effective_threads; series recorded under
+// different thread counts are never compared — and looks for step changes:
 //
 //   * metrics  — deterministic outputs; median-based step detection with
 //     tolerance 0 by default, so any persistent change is a step (a noisy
@@ -46,14 +45,14 @@ struct LedgerEntry {
   std::string flags;
   std::string build_type;
   int effective_threads = 0;
-  /// Telemetry sampling period the suite ran with; 0 = telemetry off.
-  int telemetry_period_steps = 0;
   std::map<std::string, double> metrics;  // "<bench>.<metric>" -> value
   std::map<std::string, double> timings;  // "<bench>.<span>" -> seconds
 };
 
 /// Series sampled under different configurations are incomparable; this is
-/// the grouping key ("host|compiler|flags|threads=N|period=P").
+/// the grouping key ("host|compiler|flags|threads=N").  Fields a line
+/// carries beyond these (older rows also stamp a sampling period, always
+/// 0) are ignored, so old rows and new ones fall in one series.
 std::string comparison_key(const LedgerEntry& e);
 
 /// Parses one ledger line; nullopt (with `error`) on shape mismatch.
@@ -67,8 +66,7 @@ void write_ledger_entry(JsonWriter& w, const LedgerEntry& e);
 /// LedgerEntry: provenance from "meta", reports.<name>.metrics.* (numbers
 /// only) and reports.<name>.timings.*.seconds.  A bare BENCH_<name>.json
 /// report (object with "experiment") is a one-report suite.  Throws
-/// hyperpath::Error on any other shape.  `telemetry_period_steps` is
-/// stamped by the caller (the suite itself does not know it).
+/// hyperpath::Error on any other shape.
 LedgerEntry flatten_suite(const JsonValue& suite);
 
 struct TrendOptions {
@@ -98,7 +96,7 @@ struct TrendReport {
   std::vector<TrendFinding> timing_steps;
   std::vector<std::string> bounds_violations;
   /// Comparison keys present in the ledger but excluded from this
-  /// analysis (different host/threads/sampling rate).
+  /// analysis (different host/compiler/flags/threads).
   std::vector<std::string> skipped_keys;
   /// compare_to_baseline only: metric series on one side.  Not gating.
   std::vector<std::string> missing;  // in the baseline, not in current

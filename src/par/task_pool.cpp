@@ -9,7 +9,6 @@
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/run_metadata.hpp"
-#include "obs/telemetry.hpp"
 
 namespace hyperpath::par {
 
@@ -244,13 +243,9 @@ void TaskPool::run_chunks(std::size_t num_chunks,
   region_steals -= steals_before;
   stat_steals_.fetch_add(region_steals, std::memory_order_relaxed);
 
-  // par.* metrics group: counters for tasks/steals, busy-time spans per
-  // worker.  Steal counts are scheduling artifacts — they live here and in
-  // the timings section, never in gated report metrics.
+  // Per-worker busy time goes to the timings section; like the steal
+  // counts in stats(), it is a scheduling artifact, never a gated metric.
   auto& reg = obs::MetricsRegistry::global();
-  reg.counter("par.regions").add(1);
-  reg.counter("par.tasks_executed").add(num_chunks);
-  reg.counter("par.steals").add(region_steals);
   for (int w = 0; w < threads_; ++w) {
     const double busy = parts_[w].busy_seconds - busy_before[w];
     if (busy > 0) {
@@ -303,28 +298,6 @@ TaskPool& global_locked() {
   }
   return *slot;
 }
-
-// Registered at static-init time so the telemetry bus can sample pool
-// stats without obs ever depending on par (the same one-way arrow as
-// RunMetadata::set_effective_threads).  Reads the slot directly — a
-// telemetry sample must not create the pool — and only ever runs on the
-// simulator's main thread, which is also the thread that launches regions,
-// so the pool is quiescent whenever the provider reads its stats.
-const bool g_worker_stats_registered = [] {
-  obs::TelemetryBus::set_worker_stats_provider([]() -> obs::WorkerSnapshot {
-    obs::WorkerSnapshot snap;
-    std::scoped_lock lock(g_global_mu);
-    auto& slot = global_slot();
-    if (!slot) return snap;
-    TaskPool::Stats s = slot->stats();
-    snap.regions = s.regions;
-    snap.tasks = s.tasks;
-    snap.steals = s.steals;
-    snap.busy_seconds = std::move(s.busy_seconds);
-    return snap;
-  });
-  return true;
-}();
 
 }  // namespace
 

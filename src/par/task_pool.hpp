@@ -29,10 +29,10 @@
 // selection is as deterministic as the body itself (the set of throwing
 // chunks is a function of the input, not of the schedule).
 //
-// Observability: each region accumulates into the process-wide par.* group
-// of obs::MetricsRegistry — par.regions / par.tasks_executed / par.steals
-// counters plus par.worker<i>.busy timing spans — and brackets itself in an
-// obs::Profiler span ("par/region") on the calling thread.
+// Observability: each region adds its workers' busy time to the
+// par.worker<i>.busy timing spans of obs::MetricsRegistry and brackets
+// itself in an obs::Profiler span ("par/region") on the calling thread.
+// Region, task and steal totals are read from stats().
 #pragma once
 
 #include <atomic>

@@ -123,9 +123,7 @@ RecoveryResult MonteCarloDriver::run_trial(const CampaignConfig& config,
   Rng rng(trial_seed(config.seed, trial));
   FaultSchedule schedule =
       FaultSchedule::random(emb_->host().dims(), config.schedule, rng);
-  RecoveryConfig rcfg = config.recovery;
-  rcfg.update_registry = false;
-  RecoveryResult r = run_recovery(*emb_, schedule, rcfg);
+  RecoveryResult r = run_recovery(*emb_, schedule, config.recovery);
   if (schedule_out) *schedule_out = std::move(schedule);
   return r;
 }
@@ -137,18 +135,6 @@ CampaignStats MonteCarloDriver::run(const CampaignConfig& config) const {
       config.trial_end ? config.trial_end : config.trials;
   HP_CHECK(begin < end, "empty campaign trial range");
   const std::size_t grain = config.grain ? config.grain : 1;
-
-  // Live progress counters: atomic adds from worker threads, observable by
-  // a running telemetry bus, never part of the deterministic result.
-  obs::Counter* live_trials = nullptr;
-  obs::Counter* live_complete = nullptr;
-  obs::Counter* live_retx = nullptr;
-  if (config.live_metrics) {
-    auto& reg = obs::MetricsRegistry::global();
-    live_trials = &reg.counter("mc.trials_done");
-    live_complete = &reg.counter("mc.messages_complete");
-    live_retx = &reg.counter("mc.retransmissions");
-  }
 
   // One CampaignStats per chunk, folded in ascending chunk order.  The sum
   // digest is order-insensitive anyway; the ordered fold makes every other
@@ -162,9 +148,8 @@ CampaignStats MonteCarloDriver::run(const CampaignConfig& config) const {
           Rng rng(trial_seed(config.seed, trial));
           const FaultSchedule schedule =
               FaultSchedule::random(emb_->host().dims(), config.schedule, rng);
-          RecoveryConfig rcfg = config.recovery;
-          rcfg.update_registry = false;
-          const RecoveryResult r = run_recovery(*emb_, schedule, rcfg);
+          const RecoveryResult r =
+              run_recovery(*emb_, schedule, config.recovery);
           const TrialOutcome t = summarize(
               trial, static_cast<std::uint32_t>(schedule.size()), r);
           chunk.add_trial(t);
@@ -175,11 +160,6 @@ CampaignStats MonteCarloDriver::run(const CampaignConfig& config) const {
                   static_cast<double>(m.retransmissions));
             }
           }
-          if (live_trials) {
-            live_trials->add(1);
-            live_complete->add(r.messages_complete);
-            live_retx->add(r.retransmissions);
-          }
         }
         return chunk;
       },
@@ -188,13 +168,6 @@ CampaignStats MonteCarloDriver::run(const CampaignConfig& config) const {
         return acc;
       });
 
-  if (config.live_metrics) {
-    auto& reg = obs::MetricsRegistry::global();
-    reg.counter("mc.trials_total").add(stats.trials);
-    reg.gauge("mc.delivery_rate").set(stats.delivery_rate());
-    reg.gauge("mc.survival_rate").set(stats.survival_rate());
-    reg.gauge("mc.max_makespan").set(stats.max_makespan);
-  }
   return stats;
 }
 

@@ -59,18 +59,11 @@ struct CampaignConfig {
   /// Per-trial randomized schedule shape; `schedule.link_rate` is the
   /// campaign's fault-intensity knob.
   RandomScheduleSpec schedule;
-  /// Recovery engine settings for every trial.  `update_registry` is
-  /// forced off per trial — the campaign publishes aggregated "mc.*"
-  /// metrics itself.
+  /// Recovery engine settings for every trial.
   RecoveryConfig recovery;
   /// Trials per pool task.  Part of the determinism contract only through
   /// chunk *boundaries*; any grain yields the same digest.
   std::size_t grain = 8;
-  /// Stream mc.* counters (trials_done, messages_complete, retransmissions)
-  /// into the global MetricsRegistry while the campaign runs, so a live
-  /// telemetry bus sees campaign progress.  Atomic counter adds only —
-  /// never part of the deterministic result.
-  bool live_metrics = true;
 };
 
 /// Compact outcome of one trial — everything the reducer and the digest
@@ -149,9 +142,7 @@ class MonteCarloDriver {
   explicit MonteCarloDriver(const MultiPathEmbedding& emb) : emb_(&emb) {}
 
   /// Runs the configured trial range and returns the reduced statistics.
-  /// Throws on a malformed config (empty trial range).  Also publishes
-  /// "mc.*" aggregates to the global MetricsRegistry from the calling
-  /// thread when live_metrics is set.
+  /// Throws on a malformed config (empty trial range).
   CampaignStats run(const CampaignConfig& config) const;
 
   /// One trial exactly as the campaign runs it (tests, post-mortem replay

@@ -74,26 +74,6 @@ RecoveryResult run_recovery_impl(Ctx& ctx, const FaultSchedule& schedule,
   }
   result.fragments_sent = frags.size();
 
-  // Registry counters update live, per event inside the wave loop, so a
-  // telemetry sample taken while a wave simulates sees recovery progress
-  // as it happens.  Final totals are identical to the single end-of-run
-  // accumulation this replaces.  Entry addresses are stable, so the
-  // references stay valid across waves.  Null when the caller opted out
-  // (Monte-Carlo trials run concurrently and must not touch the registry).
-  obs::MetricsRegistry* reg =
-      config.update_registry ? &obs::MetricsRegistry::global() : nullptr;
-  obs::Counter* live_delivered = nullptr;
-  obs::Counter* live_lost = nullptr;
-  obs::Counter* live_retx = nullptr;
-  obs::Counter* live_complete = nullptr;
-  if (reg) {
-    reg->counter("recovery.messages_total").add(result.messages_total);
-    live_delivered = &reg->counter("recovery.fragments_delivered");
-    live_lost = &reg->counter("recovery.fragments_lost");
-    live_retx = &reg->counter("recovery.retransmissions");
-    live_complete = &reg->counter("recovery.messages_complete");
-  }
-
   simcore::RoutePlan& plan = simcore::step_scratch().plan;
   std::vector<std::uint64_t> glinks;  // host link id per hop of the wave
   const auto run_wave =
@@ -180,7 +160,6 @@ RecoveryResult run_recovery_impl(Ctx& ctx, const FaultSchedule& schedule,
       const Frag& fg = frags[i];
       const PacketFate& fate = wave.fates[i];
       ++result.fragments_delivered;
-      if (live_delivered) live_delivered->add(1);
       result.useful_transmissions += plan.route_len[i];
       MessageState& ms = state[fg.message];
       MessageOutcome& out = result.messages[fg.message];
@@ -191,7 +170,6 @@ RecoveryResult run_recovery_impl(Ctx& ctx, const FaultSchedule& schedule,
       if (ms.delivered >= threshold[fg.message]) {
         out.complete = true;
         out.complete_step = fate.step;
-        if (live_complete) live_complete->add(1);
       }
     }
 
@@ -204,7 +182,6 @@ RecoveryResult run_recovery_impl(Ctx& ctx, const FaultSchedule& schedule,
       Frag fg = frags[i];
       const PacketFate& fate = wave.fates[i];
       ++result.fragments_lost;
-      if (live_lost) live_lost->add(1);
       MessageOutcome& out = result.messages[fg.message];
       const bool pre_completion = !out.complete || fate.step < out.complete_step;
       if (pre_completion &&
@@ -252,7 +229,6 @@ RecoveryResult run_recovery_impl(Ctx& ctx, const FaultSchedule& schedule,
         fg.path_idx = chosen;
         fg.release = static_cast<int>(detect);
         ++result.retransmissions;
-        if (live_retx) live_retx->add(1);
         ++result.fragments_sent;
         ++out.retransmissions;
         next_frags.push_back(fg);
@@ -274,17 +250,6 @@ RecoveryResult run_recovery_impl(Ctx& ctx, const FaultSchedule& schedule,
     }
   }
 
-  if (reg) {
-    reg->gauge("recovery.delivery_rate").set(result.delivery_rate());
-    reg->gauge("recovery.goodput").set(result.goodput());
-    auto& hist = reg->histogram("recovery.time_to_recover",
-                                obs::FixedHistogram::exponential().bounds());
-    for (const MessageOutcome& m : result.messages) {
-      if (m.recovered()) {
-        hist.observe(static_cast<double>(m.complete_step - m.first_loss_step));
-      }
-    }
-  }
   return result;
 }
 

@@ -58,12 +58,6 @@ struct RecoveryConfig {
   int threshold = 0;
   /// Per-wave simulation step budget.
   int max_steps = 1 << 22;
-  /// Publish the outcome into the process-wide obs::MetricsRegistry
-  /// ("recovery.*").  The Monte-Carlo driver turns this off for its trials:
-  /// registry histograms are single-writer, and thousands of concurrent
-  /// trials would race on them — the campaign publishes its own aggregated
-  /// "mc.*" metrics instead.
-  bool update_registry = true;
 };
 
 /// Per-message (= per guest edge) outcome.
@@ -113,10 +107,9 @@ struct RecoveryResult {
 };
 
 /// Runs one message per guest edge of `emb` (w fragments each) through the
-/// fault schedule with sender-side recovery.  Also accumulates the outcome
-/// into the global obs::MetricsRegistry under "recovery.*" (counters:
-/// retransmissions, fragments_lost, messages_complete, messages_total;
-/// gauges: delivery_rate, goodput; histogram: time_to_recover).
+/// fault schedule with sender-side recovery.  The outcome is the returned
+/// RecoveryResult alone; nothing is published to the metrics registry
+/// beyond the run's profiler span.
 RecoveryResult run_recovery(const MultiPathEmbedding& emb,
                             const FaultSchedule& schedule,
                             const RecoveryConfig& config = {},

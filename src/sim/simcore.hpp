@@ -37,7 +37,7 @@
 // Width discipline: queue depths are uniformly std::uint32_t inside the
 // core (a queue can never hold more packets than the 32-bit packet ids that
 // exist); widening to std::size_t/std::uint64_t happens exactly once, at
-// the SimResult / telemetry boundary.  Debug builds assert the (absurd)
+// the SimResult boundary.  Debug builds assert the (absurd)
 // depth-overflow case instead of silently wrapping.
 //
 // Determinism: the arena itself is strictly FIFO-ordered and the worklist

@@ -7,7 +7,6 @@
 
 #include "base/error.hpp"
 #include "obs/profile.hpp"
-#include "obs/telemetry.hpp"
 #include "sim/faults.hpp"
 #include "sim/simcore.hpp"
 #include "sim/step_kernel.hpp"
@@ -21,7 +20,7 @@ using simcore::kPrefetchDistance;
 namespace {
 
 /// The one store-and-forward step loop: setup, release, fault events and
-/// truncation, the sweep, arrivals, telemetry, drain.  State is reused
+/// truncation, the sweep, arrivals, drain.  State is reused
 /// from the thread's StepScratch; scratch.active is the one worklist of
 /// links with nonempty queues.  `links` is the plan's link space
 /// (step_kernel.hpp): every id that enters or leaves the loop — trace
@@ -115,7 +114,6 @@ SimResult run_plan_in(const simcore::RoutePlan& plan, int dims, Links links,
   std::uint32_t max_queue = 0;
   std::size_t next_release = 0;
   std::vector<std::uint32_t>& moved = scratch.moved;
-  obs::TelemetryBus& telemetry = obs::TelemetryBus::global();
   // One transmission per active link (step_kernel.hpp); the worklist is
   // compacted in place, carrying only links whose queue is still nonempty
   // into the next step.  The packets that moved land in `moved`, unsorted.
@@ -262,26 +260,6 @@ SimResult run_plan_in(const simcore::RoutePlan& plan, int dims, Links links,
     }
 
     result.utilization.add(static_cast<double>(swept.busy) / host_links);
-
-    // Telemetry rides the step counter, reads sim state, writes nothing
-    // back: results and traces are bit-identical at any sampling period.
-    // After the sweep's compaction and the arrival enqueues, the worklist
-    // holds exactly the links with nonempty queues.
-    if (telemetry.should_sample(step)) {
-      obs::SimTelemetry t;
-      t.step = step;
-      t.undelivered = undelivered;
-      t.transmissions = result.total_transmissions;
-      t.depth_hist = obs::telemetry_depth_histogram();
-      for (const std::uint32_t link : active) {
-        const std::uint64_t d = arena.depth(link);
-        t.queued_packets += d;
-        t.max_queue_depth = std::max(t.max_queue_depth, d);
-        t.depth_hist.observe(static_cast<double>(d));
-      }
-      t.active_links = active.size();
-      telemetry.sample(std::move(t));
-    }
 
     trace.end_step();
     ++step;

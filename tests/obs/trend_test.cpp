@@ -1,13 +1,14 @@
 // Tests for the cross-run performance ledger (obs/trend.hpp): median step
-// detection, comparison-key grouping (series sampled at different thread
-// counts or telemetry rates are never compared), analytic-bounds checks,
-// LedgerEntry round-trips through JSONL, and the baseline diff: unchanged
-// suites pass, perturbed metrics regress, timings never gate, and
-// suite/report shape handling.
+// detection, comparison-key grouping (series run at different thread
+// counts are never compared; the committed ledger's older rows group with
+// new ones), analytic-bounds checks, LedgerEntry round-trips through
+// JSONL, and the baseline diff: unchanged suites pass, perturbed metrics
+// regress, timings never gate, and suite/report shape handling.
 #include "obs/trend.hpp"
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -33,7 +34,6 @@ LedgerEntry entry(std::map<std::string, double> metrics,
   e.hostname = "host";
   e.compiler = "GNU 12";
   e.effective_threads = 4;
-  e.telemetry_period_steps = 64;
   e.metrics = std::move(metrics);
   e.timings = std::move(timings);
   return e;
@@ -74,17 +74,48 @@ TEST(DetectStep, ToleranceSuppressesSmallSteps) {
   EXPECT_TRUE(detect_step("m", {1.0, 1.0, 1.5, 1.5}, 0.30).has_value());
 }
 
-TEST(ComparisonKey, EncodesThreadCountAndSamplingRate) {
-  LedgerEntry e = entry({{"b.m", 1}});
-  const std::string base = comparison_key(e);
-  EXPECT_NE(base.find("threads=4"), std::string::npos);
-  EXPECT_NE(base.find("period=64"), std::string::npos);
-  LedgerEntry other = e;
-  other.effective_threads = 8;
-  EXPECT_NE(comparison_key(other), base);
-  other = e;
-  other.telemetry_period_steps = 1;
-  EXPECT_NE(comparison_key(other), base);
+TEST(ComparisonKey, OldLedgerRowsShareTheNewRowsKey) {
+  // The committed ledger's older rows carry a field new rows no longer
+  // write.  Every committed row must still parse, and the same row written
+  // in the current format must land under the same key — so analyze_trend
+  // over the committed ledger plus one new row counts that row in the
+  // newest series.
+  std::ifstream in(HP_SOURCE_DIR "/bench/history/BENCH_HISTORY.jsonl");
+  ASSERT_TRUE(in.good());
+  std::vector<LedgerEntry> ledger;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty()) continue;
+    const auto doc = obs::json_parse(line);
+    ASSERT_TRUE(doc.has_value()) << "ledger row " << ledger.size() + 1;
+    std::string error;
+    const auto row = obs::parse_ledger_entry(*doc, &error);
+    ASSERT_TRUE(row.has_value()) << error;
+    obs::JsonWriter w;
+    obs::write_ledger_entry(w, *row);
+    const auto redoc = obs::json_parse(w.str());
+    ASSERT_TRUE(redoc.has_value()) << w.str();
+    const auto rewritten = obs::parse_ledger_entry(*redoc);
+    ASSERT_TRUE(rewritten.has_value()) << w.str();
+    EXPECT_EQ(comparison_key(*rewritten), comparison_key(*row))
+        << "ledger row " << ledger.size() + 1;
+    ledger.push_back(*row);
+  }
+  ASSERT_FALSE(ledger.empty());
+
+  const std::string newest = comparison_key(ledger.back());
+  EXPECT_EQ(newest.find("period="), std::string::npos) << newest;
+  std::size_t same_key = 0;
+  for (const LedgerEntry& e : ledger) same_key += comparison_key(e) == newest;
+  ledger.push_back(ledger.back());  // a new row from the same host and build
+  TrendOptions opt;
+  opt.window = ledger.size();
+  EXPECT_EQ(analyze_trend(ledger, opt).runs, same_key + 1);
+
+  // A row run at another thread count still gets its own key.
+  LedgerEntry other = ledger.back();
+  other.effective_threads += 1;
+  EXPECT_NE(comparison_key(other), newest);
 }
 
 TEST(AnalyzeTrend, GroupsByTheNewestKeyAndSkipsTheRest) {
@@ -208,7 +239,6 @@ TEST(LedgerEntry, RoundTripsThroughJsonl) {
   EXPECT_EQ(back->flags, e.flags);
   EXPECT_EQ(back->build_type, e.build_type);
   EXPECT_EQ(back->effective_threads, e.effective_threads);
-  EXPECT_EQ(back->telemetry_period_steps, e.telemetry_period_steps);
   EXPECT_EQ(back->metrics, e.metrics);
   EXPECT_EQ(back->timings, e.timings);
   EXPECT_EQ(comparison_key(*back), comparison_key(e));

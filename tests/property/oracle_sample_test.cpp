@@ -327,7 +327,6 @@ TEST(OracleSample, RecoveryMatchesEmbeddingBackend) {
   config.timeout = 4;
   config.max_retries = 3;
   config.threshold = 0;
-  config.update_registry = false;
 
   const RecoveryResult a = run_recovery(emb, schedule, config);
   const RecoveryResult b = run_recovery(mat, edges, schedule, config);
@@ -372,7 +371,6 @@ TEST(OracleSample, Q24RecoverySurvivesSingleFault) {
   RecoveryConfig config;
   config.timeout = 4;
   config.threshold = static_cast<int>(bundle.size()) - 1;
-  config.update_registry = false;
 
   const RecoveryResult r = run_recovery(*oracle, edges, schedule, config);
   EXPECT_EQ(r.messages_total, edges.size());

@@ -30,7 +30,6 @@ CampaignConfig small_config() {
   cfg.recovery.timeout = 4;
   cfg.recovery.max_retries = 4;
   cfg.grain = 5;
-  cfg.live_metrics = false;
   return cfg;
 }
 

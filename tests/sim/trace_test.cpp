@@ -14,6 +14,7 @@
 #include "base/rng.hpp"
 #include "core/cycle_multipath.hpp"
 #include "obs/flight.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "par/task_pool.hpp"
 #include "sim/faults.hpp"
@@ -307,24 +308,26 @@ TEST(FaultTraceInterleaving, RecoveryStreamMixesDropsFaultsAndRetransmits) {
 }
 
 TEST(Metrics, RegistryRoundTrip) {
+  // The registry holds span timings only: repeated spans accumulate, the
+  // "timings" block carries them, and reset drops them.
   obs::MetricsRegistry reg;
-  reg.counter("events").add(3);
-  reg.counter("events").add(2);
-  reg.gauge("depth").set(7);
-  auto& h = reg.histogram("lat", {1, 2, 4});
-  h.observe(1);
-  h.observe(3);
-  h.observe(100);
   reg.record_span("span", 0.5);
-  EXPECT_EQ(reg.counter("events").value(), 5u);
-  EXPECT_EQ(reg.gauge("depth").value(), 7);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_EQ(h.max(), 100u);
-  const std::string json = reg.to_json();
-  EXPECT_NE(json.find("\"events\":5"), std::string::npos);
-  EXPECT_NE(json.find("\"span\""), std::string::npos);
+  reg.record_span("span", 0.25);
+  reg.record_span("other", 1.0);
+  const auto spans = reg.timings();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[1].name, "span");
+  EXPECT_EQ(spans[1].seconds, 0.75);
+  EXPECT_EQ(spans[1].count, 2u);
+  obs::JsonWriter w;
+  w.begin_object();
+  reg.write_timings(w);
+  w.end_object();
+  EXPECT_NE(w.str().find("\"span\":{\"seconds\":0.75,\"count\":2}"),
+            std::string::npos)
+      << w.str();
   reg.reset();
-  EXPECT_EQ(reg.counter("events").value(), 0u);
+  EXPECT_TRUE(reg.timings().empty());
 }
 
 TEST(Metrics, UtilizationProfileDownsamplesButKeepsExactMean) {

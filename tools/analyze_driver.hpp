@@ -400,25 +400,6 @@ inline int run_analyze(int argc, char** argv) {
   std::printf("%s: %zu events on %zu lines%s\n", opt.trace_path.c_str(),
               load.events, load.lines,
               rec.worm_trace() ? " (wormhole trace)" : "");
-  // Cross-reference the live-telemetry toolchain: a traced run made with
-  // --telemetry leaves its time-series next to the trace under the
-  // <stem>.telemetry.jsonl convention.
-  {
-    std::string sibling = opt.trace_path;
-    const std::string ext = ".jsonl";
-    if (sibling.size() > ext.size() &&
-        sibling.compare(sibling.size() - ext.size(), ext.size(), ext) == 0) {
-      sibling.resize(sibling.size() - ext.size());
-    }
-    sibling += ".telemetry.jsonl";
-    if (std::FILE* f = std::fopen(sibling.c_str(), "r")) {
-      std::fclose(f);
-      std::printf(
-          "telemetry time-series alongside this trace: %s "
-          "(hyperpath_cli watch %s)\n",
-          sibling.c_str(), sibling.c_str());
-    }
-  }
   std::printf(
       "reconstruction: makespan %d, %llu delivered, %llu dropped, %llu "
       "transmissions, %llu retransmissions\n",

@@ -2,15 +2,14 @@
 // mode and merges their reports into one BENCH_SUITE.json.
 //
 //   bench_runner [--json [FILE]] [--bench-dir DIR] [--only a,b,c]
-//                [--history [FILE]] [--telemetry-period N]
+//                [--history [FILE]]
 //
 // --history additionally appends the run to the cross-run performance
 // ledger (default bench/history/BENCH_HISTORY.jsonl): one JSONL line with
-// the run's provenance, effective thread count and telemetry sampling
-// period plus every report metric flattened to "<bench>.<metric>".
-// tools/bench_trend reads that ledger for median-based drift detection;
-// the threads/period stamps keep it from ever comparing series sampled
-// under different configurations.
+// the run's provenance and effective thread count plus every report metric
+// flattened to "<bench>.<metric>".  tools/bench_trend reads that ledger for
+// median-based drift detection; the provenance and thread stamps keep it
+// from ever comparing series run under different configurations.
 //
 // Each bench runs as `bench_<name> --json BENCH_<name>.json
 // --benchmark_filter=NONE` (tables only, no google-benchmark timings — the
@@ -27,7 +26,6 @@
 //
 // Exit status is nonzero if any bench fails to run or emits an unparsable
 // report; the suite is still written with whatever succeeded.
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -41,8 +39,6 @@
 #include "obs/run_metadata.hpp"
 #include "obs/trend.hpp"
 #include "par/task_pool.hpp"
-
-#include "parse_number.hpp"
 
 namespace fs = std::filesystem;
 
@@ -70,17 +66,14 @@ void usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--json [FILE]] [--bench-dir DIR] [--only a,b,c]\n"
-      "          [--history [FILE]] [--telemetry-period N]\n"
+      "          [--history [FILE]]\n"
       "  --json [FILE]   suite output path (default BENCH_SUITE.json)\n"
       "  --bench-dir DIR directory holding bench_<name> binaries\n"
       "                  (default: <runner dir>/../bench)\n"
       "  --only a,b,c    run a subset of the suite\n"
       "  --history [FILE]\n"
       "                  append this run to the performance ledger\n"
-      "                  (default bench/history/BENCH_HISTORY.jsonl)\n"
-      "  --telemetry-period N\n"
-      "                  stamp the ledger entry with the telemetry sampling\n"
-      "                  period the benches ran under (0 = telemetry off)\n",
+      "                  (default bench/history/BENCH_HISTORY.jsonl)\n",
       argv0);
 }
 
@@ -111,7 +104,6 @@ int main(int argc, char** argv) {
 
   bool history = false;
   fs::path history_path = "bench/history/BENCH_HISTORY.jsonl";
-  int telemetry_period = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--json") {
@@ -125,13 +117,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--history") {
       history = true;
       if (i + 1 < argc && argv[i + 1][0] != '-') history_path = argv[++i];
-    } else if (arg == "--telemetry-period" && i + 1 < argc) {
-      if (!hyperpath::tools::parse_number("--telemetry-period", argv[++i], 0,
-                                          INT_MAX, telemetry_period)) {
-        usage(argv[0]);
-        return 2;
-      }
     } else {
+      std::fprintf(stderr, "bench_runner: unknown argument %s\n",
+                   arg.c_str());
       usage(argv[0]);
       return 2;
     }
@@ -225,8 +213,8 @@ int main(int argc, char** argv) {
               out_path.string().c_str(), reports.size(), names.size());
 
   // Ledger append: flatten the suite document just written into one
-  // "<bench>.<metric>" line and stamp the sampling configuration, so
-  // bench_trend can group comparable runs and refuse the rest.
+  // "<bench>.<metric>" line; its provenance and thread count let
+  // bench_trend group comparable runs and refuse the rest.
   if (history && failures == 0) {
     const auto suite = hyperpath::obs::json_parse(w.str());
     if (!suite) {
@@ -236,7 +224,6 @@ int main(int argc, char** argv) {
     }
     hyperpath::obs::LedgerEntry entry =
         hyperpath::obs::flatten_suite(*suite);
-    entry.telemetry_period_steps = telemetry_period;
     if (history_path.has_parent_path()) {
       std::error_code ec;
       fs::create_directories(history_path.parent_path(), ec);

@@ -7,8 +7,8 @@
 //
 // Ledger mode reads the JSONL ledger bench_runner --history appends to,
 // groups the newest run with its predecessors sharing the same comparison
-// key (host | compiler | flags | threads | telemetry period — series
-// sampled under different configurations are never compared), and runs
+// key (host | compiler | flags | threads — series run under different
+// configurations are never compared), and runs
 // median-based step detection over every "<bench>.<metric>" series plus
 // the analytic floor/ceiling bracket check on the newest run (see
 // obs/trend.hpp).  --expect-stable turns an unstable report — or a ledger

@@ -10,7 +10,6 @@
 //   hyperpath_cli campaign <n> [...]    Monte-Carlo reliability campaign
 //   hyperpath_cli trace <cycle|grid|ccc> ...  traced phase simulation
 //   hyperpath_cli analyze <trace.jsonl> ...   offline trace analytics
-//   hyperpath_cli watch <telemetry.jsonl> ... live telemetry dashboard
 //
 // The global `--threads N` (or `--threads=N`) flag, accepted anywhere on
 // the command line, sizes the process-wide par::TaskPool — overriding the
@@ -81,7 +80,6 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
-#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "par/task_pool.hpp"
 #include "sim/faults.hpp"
@@ -91,7 +89,6 @@
 
 #include "analyze_driver.hpp"
 #include "parse_number.hpp"
-#include "watch_driver.hpp"
 
 namespace hyperpath {
 namespace {
@@ -722,17 +719,13 @@ struct TraceOptions {
   std::string chrome_path;  // chrome://tracing span timeline output
   bool json = false;        // write summary (default path if json_path empty)
   int packets = -1;         // packets per guest edge (-1 = kind default)
-  bool telemetry = false;       // stream live samples alongside the trace
-  std::string telemetry_path;   // default: <trace-stem>.telemetry.jsonl
-  int telemetry_period = 64;    // sample every N simulation steps
-  bool prom = false;            // dump a Prometheus snapshot after the run
-  std::string prom_path;        // default: METRICS_<kind>.prom
   std::vector<std::string> positional;
 };
 
 // Accepts --flag value and --flag=value; bare --json selects the default
 // summary path (SUMMARY_<kind>.json), mirroring the bench --json handling.
-// Returns false, having named the flag, on a malformed numeric value.
+// Returns false, having named the argument, on a malformed numeric value
+// or on any "--" argument that is not a known flag (or lacks its value).
 bool parse_trace_args(int argc, char** argv, TraceOptions& opt) {
   const auto next_or_eq = [&](const std::string& a, const std::string& flag,
                               int& i, std::string* out) {
@@ -758,28 +751,15 @@ bool parse_trace_args(int argc, char** argv, TraceOptions& opt) {
     } else if (next_or_eq(a, "--json", i, &v)) {
       opt.json = true;
       opt.json_path = v;
-    } else if (a == "--telemetry" &&
-               (i + 1 >= argc || argv[i + 1][0] == '-')) {
-      opt.telemetry = true;
-    } else if (next_or_eq(a, "--telemetry", i, &v)) {
-      opt.telemetry = true;
-      opt.telemetry_path = v;
-    } else if (next_or_eq(a, "--telemetry-period", i, &v)) {
-      opt.telemetry = true;
-      if (!parse_number("--telemetry-period", v.c_str(), 1, INT_MAX,
-                        opt.telemetry_period)) {
-        return false;
-      }
-    } else if (a == "--prom" && (i + 1 >= argc || argv[i + 1][0] == '-')) {
-      opt.prom = true;
-    } else if (next_or_eq(a, "--prom", i, &v)) {
-      opt.prom = true;
-      opt.prom_path = v;
     } else if (next_or_eq(a, "--packets", i, &v) ||
                next_or_eq(a, "-p", i, &v)) {
       if (!parse_number("--packets", v.c_str(), 1, INT_MAX, opt.packets)) {
         return false;
       }
+    } else if (a.rfind("--", 0) == 0) {
+      std::fprintf(stderr, "trace: unknown flag or missing value %s\n",
+                   a.c_str());
+      return false;
     } else {
       opt.positional.push_back(a);
     }
@@ -862,58 +842,6 @@ void dump_chrome_trace(TraceOptions& opt, const char* kind) {
   }
 }
 
-// Enable the process-wide telemetry bus for a traced run.  The time-series
-// lands next to the trace (<trace-stem>.telemetry.jsonl) unless an explicit
-// path was given.  The thread pool is touched first so the stream header's
-// effective_threads stamp reflects the pool the run will actually use.
-void begin_telemetry(const TraceOptions& opt) {
-  if (!opt.telemetry) return;
-  par::global_threads();
-  obs::TelemetryBus::Config cfg;
-  cfg.period_steps = opt.telemetry_period;
-  if (!opt.telemetry_path.empty()) {
-    cfg.jsonl_path = opt.telemetry_path;
-  } else {
-    std::string stem = opt.trace_path;
-    const std::string ext = ".jsonl";
-    if (stem.size() > ext.size() &&
-        stem.compare(stem.size() - ext.size(), ext.size(), ext) == 0) {
-      stem.resize(stem.size() - ext.size());
-    }
-    cfg.jsonl_path = stem + ".telemetry.jsonl";
-  }
-  obs::TelemetryBus::global().enable(cfg);
-}
-
-// Stop sampling, report what the bus captured, and (with --prom) write a
-// Prometheus text snapshot of the whole metrics registry.
-void end_telemetry(TraceOptions& opt, const char* kind) {
-  if (opt.telemetry) {
-    obs::TelemetryBus& bus = obs::TelemetryBus::global();
-    const std::uint64_t samples = bus.total_samples();
-    const std::string path = bus.jsonl_path();
-    bus.disable();
-    std::printf("telemetry: %llu samples (every %d steps) → %s\n",
-                static_cast<unsigned long long>(samples),
-                opt.telemetry_period, path.c_str());
-  }
-  if (opt.prom) {
-    if (opt.prom_path.empty()) {
-      opt.prom_path = std::string("METRICS_") + kind + ".prom";
-    }
-    const std::string text =
-        obs::MetricsRegistry::global().expose_prometheus();
-    FILE* f = std::fopen(opt.prom_path.c_str(), "w");
-    if (!f) {
-      std::perror(opt.prom_path.c_str());
-      return;
-    }
-    std::fputs(text.c_str(), f);
-    std::fclose(f);
-    std::printf("prometheus snapshot: %s\n", opt.prom_path.c_str());
-  }
-}
-
 void trace_help(std::FILE* out) {
   std::fputs(
       "usage: trace <cycle|grid|ccc> ... [options]\n"
@@ -932,19 +860,6 @@ void trace_help(std::FILE* out) {
       "                       host dimension, then one event per line\n"
       "  --json [FILE]        summary JSON (default SUMMARY_<kind>.json)\n"
       "  --chrome FILE        chrome://tracing span timeline\n"
-      "  --telemetry [FILE]   stream live queue/worker/recovery gauges to a\n"
-      "                       JSONL time-series (default "
-      "<trace-stem>.telemetry.jsonl);\n"
-      "                       view live with `hyperpath_cli watch FILE "
-      "--follow`\n"
-      "  --telemetry-period N sample every N simulator steps (default 64;\n"
-      "                       implies --telemetry).  Results are "
-      "bit-identical\n"
-      "                       at any period — sampling only reads sim "
-      "state\n"
-      "  --prom [FILE]        Prometheus text snapshot of the metrics\n"
-      "                       registry after the run (default "
-      "METRICS_<kind>.prom)\n"
       "  --threads N          global thread-pool size\n"
       "\n"
       "Feed the trace to `analyze` (or the standalone trace_query binary)\n"
@@ -960,8 +875,8 @@ void trace_help(std::FILE* out) {
 
 /// The tail every trace kind shares: opens the JSONL sink (its meta header
 /// counts `packets` routes), runs one phase of `emb` at `p` packets per
-/// guest edge, then prints the summary and writes the telemetry, chrome
-/// and JSON outputs.
+/// guest edge, then prints the summary and writes the chrome and JSON
+/// outputs.
 template <typename Embedding>
 int run_trace(TraceOptions& opt, const char* kind, const Embedding& emb, int p,
               std::uint64_t packets,
@@ -971,14 +886,12 @@ int run_trace(TraceOptions& opt, const char* kind, const Embedding& emb, int p,
   }
   obs::JsonlFileSink sink(opt.trace_path);
   sink.write_meta(emb.host().dims(), packets);
-  begin_telemetry(opt);
   SimResult r;
   {
     HP_PROFILE_SPAN("simulate");
     r = measure_phase_cost(emb, p, Arbitration::kFifo, &sink);
   }
   print_trace_summary(kind, r, emb.host(), sink);
-  end_telemetry(opt, kind);
   dump_chrome_trace(opt, kind);
   if (opt.json) {
     if (opt.json_path.empty()) {
@@ -1115,7 +1028,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: %s [--threads N] "
                  "cycle|grid|route|ccc|decomp|moments|faults|campaign|trace|"
-                 "analyze|watch ...\n",
+                 "analyze ...\n",
                  argv[0]);
     return 1;
   };
@@ -1181,7 +1094,6 @@ int main(int argc, char** argv) {
     }
     if (cmd == "trace") return cmd_trace(argc - 2, argv + 2);
     if (cmd == "analyze") return tools::run_analyze(argc - 2, argv + 2);
-    if (cmd == "watch") return tools::run_watch(argc - 2, argv + 2);
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
