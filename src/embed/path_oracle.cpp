@@ -73,6 +73,16 @@ void MaterializedOracle::path(const OracleEdge& edge, int index,
   for (Node v : bundle[index]) sink.push(v);
 }
 
+std::vector<OracleEdge> all_guest_edges(const PathOracle& oracle) {
+  std::vector<OracleEdge> edges;
+  edges.reserve(oracle.guest_edges());
+  for (OracleId g = 0; g < oracle.guest_nodes(); ++g) {
+    const int deg = oracle.out_degree(g);
+    for (int s = 0; s < deg; ++s) edges.push_back(oracle.out_edge(g, s));
+  }
+  return edges;
+}
+
 // --- sampling verification -------------------------------------------------
 
 std::vector<OracleEdge> sample_guest_edges(const PathOracle& oracle,

@@ -147,6 +147,11 @@ class MaterializedOracle final : public PathOracle {
   const MultiPathEmbedding& emb_;
 };
 
+/// Every guest edge in (node, slot) order.  On a MaterializedOracle that is
+/// the embedding's edge-id order: entry e is guest edge e.  Materializes
+/// guest_edges() entries, so it is for hosts small enough to enumerate.
+std::vector<OracleEdge> all_guest_edges(const PathOracle& oracle);
+
 // --- sampling verification -------------------------------------------------
 
 /// Seeded uniform sample of `count` guest edges: each draw picks a guest

@@ -10,46 +10,81 @@
 
 namespace hyperpath {
 
-void FaultSet::add_dead(std::uint64_t id) { ++dead_[id]; }
+void FaultSet::add_dead(std::uint64_t id,
+                        std::vector<std::uint64_t>* flipped) {
+  if (++dead_[id] == 1 && flipped != nullptr) flipped->push_back(id);
+}
 
-void FaultSet::remove_dead(std::uint64_t id) {
+void FaultSet::remove_dead(std::uint64_t id,
+                           std::vector<std::uint64_t>* flipped,
+                           const char* what) {
   auto it = dead_.find(id);
-  HP_CHECK(it != dead_.end(), "reviving a link that is not dead");
-  if (--it->second == 0) dead_.erase(it);
+  if (it == dead_.end()) throw Error(what);
+  if (--it->second == 0) {
+    dead_.erase(it);
+    if (flipped != nullptr) flipped->push_back(id);
+  }
+}
+
+void FaultSet::apply(const FaultEvent& e,
+                     std::vector<std::uint64_t>* flipped) {
+  const bool link = e.kind == FaultEventKind::kLinkDown ||
+                    e.kind == FaultEventKind::kLinkUp;
+  if (link) {
+    HP_CHECK(host_.is_edge(e.u, e.v), "not a hypercube link");
+  } else {
+    HP_CHECK(e.u < host_.num_nodes(), "node outside the hypercube");
+  }
+  switch (e.kind) {
+    case FaultEventKind::kLinkDown:
+      add_dead(host_.edge_id(e.u, e.v), flipped);
+      add_dead(host_.edge_id(e.v, e.u), flipped);
+      break;
+    case FaultEventKind::kLinkUp: {
+      const char* what = "link-up repairs a link that is not down";
+      remove_dead(host_.edge_id(e.u, e.v), flipped, what);
+      remove_dead(host_.edge_id(e.v, e.u), flipped, what);
+      break;
+    }
+    case FaultEventKind::kNodeDown:
+      ++dead_nodes_[e.u];
+      for (Dim d = 0; d < host_.dims(); ++d) {
+        const Node w = host_.neighbor(e.u, d);
+        add_dead(host_.edge_id(e.u, w), flipped);
+        add_dead(host_.edge_id(w, e.u), flipped);
+      }
+      break;
+    case FaultEventKind::kNodeUp: {
+      auto it = dead_nodes_.find(e.u);
+      if (it == dead_nodes_.end()) {
+        throw Error("node-up repairs a node that is not down");
+      }
+      if (--it->second == 0) dead_nodes_.erase(it);
+      const char* what = "node-up repairs a link already repaired by link-up";
+      for (Dim d = 0; d < host_.dims(); ++d) {
+        const Node w = host_.neighbor(e.u, d);
+        remove_dead(host_.edge_id(e.u, w), flipped, what);
+        remove_dead(host_.edge_id(w, e.u), flipped, what);
+      }
+      break;
+    }
+  }
 }
 
 void FaultSet::kill_link(Node u, Node v) {
-  HP_CHECK(host_.is_edge(u, v), "not a hypercube link");
-  add_dead(host_.edge_id(u, v));
-  add_dead(host_.edge_id(v, u));
+  apply({0, FaultEventKind::kLinkDown, u, v});
 }
 
 void FaultSet::revive_link(Node u, Node v) {
-  HP_CHECK(host_.is_edge(u, v), "not a hypercube link");
-  remove_dead(host_.edge_id(u, v));
-  remove_dead(host_.edge_id(v, u));
+  apply({0, FaultEventKind::kLinkUp, u, v});
 }
 
 void FaultSet::kill_node(Node v) {
-  HP_CHECK(v < host_.num_nodes(), "node outside the hypercube");
-  ++dead_nodes_[v];
-  for (Dim d = 0; d < host_.dims(); ++d) {
-    const Node w = host_.neighbor(v, d);
-    add_dead(host_.edge_id(v, w));
-    add_dead(host_.edge_id(w, v));
-  }
+  apply({0, FaultEventKind::kNodeDown, v, 0});
 }
 
 void FaultSet::revive_node(Node v) {
-  HP_CHECK(v < host_.num_nodes(), "node outside the hypercube");
-  auto it = dead_nodes_.find(v);
-  HP_CHECK(it != dead_nodes_.end(), "reviving a node that is not dead");
-  if (--it->second == 0) dead_nodes_.erase(it);
-  for (Dim d = 0; d < host_.dims(); ++d) {
-    const Node w = host_.neighbor(v, d);
-    remove_dead(host_.edge_id(v, w));
-    remove_dead(host_.edge_id(w, v));
-  }
+  apply({0, FaultEventKind::kNodeUp, v, 0});
 }
 
 FaultSet FaultSet::random(int dims, int count, Rng& rng) {
@@ -262,12 +297,7 @@ FaultSet FaultSchedule::state_at(int step) const {
   FaultSet f(host_.dims());
   for (const FaultEvent& e : events_) {
     if (e.step > step) break;
-    switch (e.kind) {
-      case FaultEventKind::kLinkDown: f.kill_link(e.u, e.v); break;
-      case FaultEventKind::kLinkUp: f.revive_link(e.u, e.v); break;
-      case FaultEventKind::kNodeDown: f.kill_node(e.u); break;
-      case FaultEventKind::kNodeUp: f.revive_node(e.u); break;
-    }
+    f.apply(e);
   }
   return f;
 }
@@ -317,6 +347,9 @@ FaultSchedule FaultSchedule::parse(const std::string& text) {
                  msg);
   };
   std::vector<std::string> tok;
+  // (step, line) of every event in file order.  Stable-sorted by step, as
+  // the schedule sorts its events, entry i is the line of event i.
+  std::vector<std::pair<int, std::size_t>> event_lines;
   while (std::getline(in, line)) {
     ++lineno;
     const auto hash = line.find('#');
@@ -367,12 +400,27 @@ FaultSchedule FaultSchedule::parse(const std::string& text) {
       } else {
         throw Error("unknown fault event kind: " + kind);
       }
+      event_lines.emplace_back(step, lineno);
     } catch (const Error& e) {
       throw fail(e.what());
     }
   }
   if (out.empty()) {
     throw Error("fault schedule must start with a dims header");
+  }
+  // A repair with no live fault to undo is reported at the repair's line.
+  std::stable_sort(
+      event_lines.begin(), event_lines.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  FaultSet replay(dims);
+  const std::vector<FaultEvent>& events = out.back().events();
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    try {
+      replay.apply(events[i]);
+    } catch (const Error& e) {
+      lineno = event_lines[i].second;
+      throw fail(e.what());
+    }
   }
   return std::move(out.back());
 }
@@ -381,74 +429,26 @@ FaultSchedule FaultSchedule::parse(const std::string& text) {
 // FaultTimeline
 
 FaultTimeline::FaultTimeline(const FaultSchedule& schedule)
-    : host_(schedule.dims()), events_(&schedule.events()) {}
-
-void FaultTimeline::kill(std::uint64_t id) {
-  if (++dead_[id] == 1) delta_.died.push_back(id);
-}
-
-void FaultTimeline::revive(std::uint64_t id) {
-  auto it = dead_.find(id);
-  HP_CHECK(it != dead_.end(), "fault schedule repairs a link that is alive");
-  if (--it->second == 0) {
-    dead_.erase(it);
-    delta_.repaired.push_back(id);
-  }
-}
-
-void FaultTimeline::apply(const FaultEvent& e) {
-  switch (e.kind) {
-    case FaultEventKind::kLinkDown:
-      kill(host_.edge_id(e.u, e.v));
-      kill(host_.edge_id(e.v, e.u));
-      break;
-    case FaultEventKind::kLinkUp:
-      revive(host_.edge_id(e.u, e.v));
-      revive(host_.edge_id(e.v, e.u));
-      break;
-    case FaultEventKind::kNodeDown:
-      for (Dim d = 0; d < host_.dims(); ++d) {
-        const Node w = host_.neighbor(e.u, d);
-        kill(host_.edge_id(e.u, w));
-        kill(host_.edge_id(w, e.u));
-      }
-      break;
-    case FaultEventKind::kNodeUp:
-      for (Dim d = 0; d < host_.dims(); ++d) {
-        const Node w = host_.neighbor(e.u, d);
-        revive(host_.edge_id(e.u, w));
-        revive(host_.edge_id(w, e.u));
-      }
-      break;
-  }
-}
+    : state_(schedule.dims()), events_(&schedule.events()) {}
 
 const FaultTimeline::StepDelta& FaultTimeline::advance_to(int step) {
-  delta_.died.clear();
-  delta_.repaired.clear();
+  delta_.clear();
   while (cursor_ < events_->size() && (*events_)[cursor_].step <= step) {
-    apply((*events_)[cursor_]);
+    state_.apply((*events_)[cursor_], &delta_);
     ++cursor_;
   }
-  // A link that died and was repaired within the same advance never shows
-  // up dead to the simulator — report neither transition.
-  auto& died = delta_.died;
-  auto& rep = delta_.repaired;
-  std::sort(died.begin(), died.end());
-  std::sort(rep.begin(), rep.end());
-  std::vector<std::uint64_t> d2, r2;
-  std::set_difference(died.begin(), died.end(), rep.begin(), rep.end(),
-                      std::back_inserter(d2));
-  std::set_difference(rep.begin(), rep.end(), died.begin(), died.end(),
-                      std::back_inserter(r2));
-  d2.erase(std::unique(d2.begin(), d2.end()), d2.end());
-  r2.erase(std::unique(r2.begin(), r2.end()), r2.end());
-  died = std::move(d2);
-  rep = std::move(r2);
-  // Links the delta reports dead must actually still be dead (a repair may
-  // have fired later within the same advance at a higher kill count).
-  std::erase_if(died, [this](std::uint64_t id) { return !dead_.contains(id); });
-  std::erase_if(rep, [this](std::uint64_t id) { return dead_.contains(id); });
+  // Each link's state alternates with every flip it records, so the links
+  // whose state differs across the advance are those flipped an odd number
+  // of times.
+  std::sort(delta_.begin(), delta_.end());
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < delta_.size();) {
+    std::size_t j = i + 1;
+    while (j < delta_.size() && delta_[j] == delta_[i]) ++j;
+    if ((j - i) % 2 == 1) delta_[kept++] = delta_[i];
+    i = j;
+  }
+  delta_.resize(kept);
   return delta_;
 }
 

@@ -13,13 +13,15 @@
 //
 //   * FaultSchedule / FaultTimeline — *timed* fault and repair events
 //     (permanent and transient, links and nodes) that arrive mid-simulation.
-//     The store-and-forward simulators replay a schedule step by step
+//     Every replay applies events through the one FaultSet::apply: a
+//     snapshot (FaultSchedule::state_at), the parser's repair check, and
+//     FaultTimeline, which is a FaultSet plus an event cursor.  The
+//     store-and-forward simulators advance a timeline step by step
 //     (run_with_faults), truncating in-flight packets at the break point;
 //     the recovery engine (recovery.hpp) adds sender-side failover onto the
 //     surviving paths of each bundle.
 #pragma once
 
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -31,6 +33,8 @@
 
 namespace hyperpath {
 
+struct FaultEvent;
+
 class FaultSet {
  public:
   explicit FaultSet(int dims) : host_(dims) {}
@@ -40,7 +44,7 @@ class FaultSet {
 
   /// Revives one prior kill of the physical link between u and v.  A link
   /// killed twice (e.g. directly and via a node fault) stays dead until
-  /// both kills are revived.
+  /// both kills are revived.  Throws if the link is not dead.
   void revive_link(Node u, Node v);
 
   /// Marks node v dead: v itself plus all 2n directed links incident to it
@@ -48,8 +52,15 @@ class FaultSet {
   /// bundles can be exercised.
   void kill_node(Node v);
 
-  /// Revives one prior kill_node(v).
+  /// Revives one prior kill_node(v).  Throws if v is not dead, or if one
+  /// of its links was already repaired by a link event.
   void revive_node(Node v);
+
+  /// Applies one timed event (the four calls above).  With `flipped`,
+  /// appends every directed link id whose dead/alive state the event
+  /// changes, in the order it changes.
+  void apply(const FaultEvent& e,
+             std::vector<std::uint64_t>* flipped = nullptr);
 
   /// Kills `count` distinct random physical links.  Throws if `count` is
   /// negative or exceeds the number of physical links of Q_dims.
@@ -60,7 +71,10 @@ class FaultSet {
   static FaultSet random_nodes(int dims, int count, Rng& rng);
 
   bool link_dead(Node u, Node v) const {
-    return dead_.contains(host_.edge_id(u, v));
+    return link_dead(host_.edge_id(u, v));
+  }
+  bool link_dead(std::uint64_t directed_id) const {
+    return dead_.contains(directed_id);
   }
 
   bool node_dead(Node v) const { return dead_nodes_.contains(v); }
@@ -72,8 +86,9 @@ class FaultSet {
   std::size_t num_dead_nodes() const { return dead_nodes_.size(); }
 
  private:
-  void add_dead(std::uint64_t id);
-  void remove_dead(std::uint64_t id);
+  void add_dead(std::uint64_t id, std::vector<std::uint64_t>* flipped);
+  void remove_dead(std::uint64_t id, std::vector<std::uint64_t>* flipped,
+                   const char* what);
 
   Hypercube host_;
   // Directed link id -> number of active kills (a link can be dead both
@@ -212,7 +227,8 @@ class FaultSchedule {
 
   std::string serialize() const;
   /// Parses the serialize() format; throws hyperpath::Error on malformed
-  /// input (unknown directive, bad endpoints, missing dims header).  Error
+  /// input (unknown directive, bad endpoints, missing dims header, a
+  /// repair with no live fault to undo once events are sorted).  Error
   /// messages carry the 1-based line number of the offending line
   /// ("fault schedule line N: ..."), matching the JsonlReader convention,
   /// so CLI replay reports point at the exact line of the file.
@@ -225,40 +241,31 @@ class FaultSchedule {
   std::vector<FaultEvent> events_;  // sorted by step, stable
 };
 
-/// Replay cursor over a FaultSchedule, expanded to directed-link
-/// granularity.  The simulators advance it once per step and purge queues
-/// of currently-dead links; dead links are kept in a sorted map so the
-/// purge order (and hence the emitted trace) is canonical.
+/// Replay cursor over a FaultSchedule: a FaultSet the simulators advance
+/// once per step.  They keep their own ordered lists of dead links, updated
+/// from each advance's delta, so purge order (and hence the emitted trace)
+/// is canonical.
 class FaultTimeline {
  public:
   explicit FaultTimeline(const FaultSchedule& schedule);
 
-  /// Applies every event with step <= `step` (monotone per replay).
-  /// Returns the directed link ids that died / were repaired by the newly
-  /// applied events (sorted, deduplicated; empty when none fired).
-  struct StepDelta {
-    std::vector<std::uint64_t> died;
-    std::vector<std::uint64_t> repaired;
-  };
+  /// Directed link ids whose dead/alive state differs across one advance,
+  /// sorted ascending.  A link that flips an even number of times within
+  /// the advance (down and up again) is not in it.
+  using StepDelta = std::vector<std::uint64_t>;
+
+  /// Applies every event with step <= `step` (monotone per replay) and
+  /// returns the links it flipped; link_dead tells which way.
   const StepDelta& advance_to(int step);
 
   bool link_dead(std::uint64_t directed_id) const {
-    return dead_.contains(directed_id);
+    return state_.link_dead(directed_id);
   }
 
-  /// Currently dead directed link ids -> active kill count, in sorted id
-  /// order (deterministic iteration).
-  const std::map<std::uint64_t, int>& dead_links() const { return dead_; }
-
  private:
-  void apply(const FaultEvent& e);
-  void kill(std::uint64_t id);
-  void revive(std::uint64_t id);
-
-  Hypercube host_;
+  FaultSet state_;
   const std::vector<FaultEvent>* events_;
   std::size_t cursor_ = 0;
-  std::map<std::uint64_t, int> dead_;
   StepDelta delta_;
 };
 

@@ -117,13 +117,17 @@ TrialOutcome MonteCarloDriver::summarize(std::uint32_t trial,
   return t;
 }
 
+MonteCarloDriver::MonteCarloDriver(const MultiPathEmbedding& emb)
+    : oracle_(emb), edges_(all_guest_edges(oracle_)) {}
+
 RecoveryResult MonteCarloDriver::run_trial(const CampaignConfig& config,
                                            std::uint32_t trial,
                                            FaultSchedule* schedule_out) const {
   Rng rng(trial_seed(config.seed, trial));
   FaultSchedule schedule =
-      FaultSchedule::random(emb_->host().dims(), config.schedule, rng);
-  RecoveryResult r = run_recovery(*emb_, schedule, config.recovery);
+      FaultSchedule::random(oracle_.host_dims(), config.schedule, rng);
+  RecoveryResult r =
+      run_recovery(oracle_, edges_, schedule, config.recovery);
   if (schedule_out) *schedule_out = std::move(schedule);
   return r;
 }
@@ -145,11 +149,8 @@ CampaignStats MonteCarloDriver::run(const CampaignConfig& config) const {
         CampaignStats chunk;
         for (std::size_t i = lo; i < hi; ++i) {
           const auto trial = static_cast<std::uint32_t>(i);
-          Rng rng(trial_seed(config.seed, trial));
-          const FaultSchedule schedule =
-              FaultSchedule::random(emb_->host().dims(), config.schedule, rng);
-          const RecoveryResult r =
-              run_recovery(*emb_, schedule, config.recovery);
+          FaultSchedule schedule(oracle_.host_dims());
+          const RecoveryResult r = run_trial(config, trial, &schedule);
           const TrialOutcome t = summarize(
               trial, static_cast<std::uint32_t>(schedule.size()), r);
           chunk.add_trial(t);

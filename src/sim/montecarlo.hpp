@@ -136,10 +136,13 @@ struct CampaignStats {
   void merge(const CampaignStats& other);
 };
 
-/// Fans a campaign's trials across par::current_pool().
+/// Fans a campaign's trials across par::current_pool().  Every trial runs
+/// the oracle recovery engine over one MaterializedOracle of the embedding
+/// and its full guest edge list, both built once here; message e of a
+/// trial is guest edge e.  The embedding must outlive the driver.
 class MonteCarloDriver {
  public:
-  explicit MonteCarloDriver(const MultiPathEmbedding& emb) : emb_(&emb) {}
+  explicit MonteCarloDriver(const MultiPathEmbedding& emb);
 
   /// Runs the configured trial range and returns the reduced statistics.
   /// Throws on a malformed config (empty trial range).
@@ -155,7 +158,8 @@ class MonteCarloDriver {
                                 const RecoveryResult& r);
 
  private:
-  const MultiPathEmbedding* emb_;
+  MaterializedOracle oracle_;
+  std::vector<OracleEdge> edges_;
 };
 
 /// One point of a reliability envelope: the campaign statistics at one

@@ -19,7 +19,7 @@ using obs::TraceEventKind;
 
 /// One in-flight fragment of one message.
 struct Frag {
-  std::uint32_t message = 0;  // guest edge id
+  std::uint32_t message = 0;  // index into the demanded edges
   int index = 0;              // fragment index within the bundle
   int path_idx = 0;           // bundle path it currently rides
   int attempts = 0;           // retransmissions consumed so far
@@ -32,28 +32,33 @@ struct MessageState {
   int delivered = 0;
 };
 
-/// The wave loop, templated on where bundles come from.  A context supplies
-/// num_messages()/dims()/width(m), path_alive(faults, m, k) — the probe of
-/// bundle path k — and add_route(m, k, release, plan, glinks), which
-/// streams that path into an unlinked plan with its hops' host link ids.
-/// The materialized context reads spans of the embedding's storage (the
-/// zero-copy hot path Monte-Carlo campaigns run thousands of times), the
-/// oracle context streams the demanded edge's paths from the oracle.
-/// Identical control flow either way — the engine itself never knows which
-/// backend is probing.  Each wave is one compact plan in the thread's
-/// scratch RoutePlan and one faulted run_plan.
-template <typename Ctx>
-RecoveryResult run_recovery_impl(Ctx& ctx, const FaultSchedule& schedule,
-                                 const RecoveryConfig& config,
-                                 obs::TraceSink* sink) {
+}  // namespace
+
+RecoveryResult run_recovery(const MultiPathEmbedding& emb,
+                            const FaultSchedule& schedule,
+                            const RecoveryConfig& config,
+                            obs::TraceSink* sink) {
+  const MaterializedOracle oracle(emb);
+  return run_recovery(oracle, all_guest_edges(oracle), schedule, config,
+                      sink);
+}
+
+/// The wave loop.  Each wave is one compact plan in the thread's scratch
+/// RoutePlan, streamed from the oracle fragment by fragment, and one
+/// faulted run_plan.
+RecoveryResult run_recovery(const PathOracle& oracle,
+                            std::span<const OracleEdge> edges,
+                            const FaultSchedule& schedule,
+                            const RecoveryConfig& config,
+                            obs::TraceSink* sink) {
   HP_PROFILE_SPAN("sim/recovery");
-  HP_CHECK(schedule.dims() == ctx.dims(),
-           "fault schedule dims mismatch embedding host dims");
+  HP_CHECK(schedule.dims() == oracle.host_dims(),
+           "fault schedule dims mismatch oracle host dims");
   HP_CHECK(config.timeout > 0, "recovery timeout must be positive");
   HP_CHECK(config.max_retries >= 0, "negative retry budget");
 
-  const std::size_t num_messages = ctx.num_messages();
-  const int dims = ctx.dims();
+  const std::size_t num_messages = edges.size();
+  const int dims = oracle.host_dims();
 
   RecoveryResult result;
   result.messages.assign(num_messages, MessageOutcome{});
@@ -63,10 +68,10 @@ RecoveryResult run_recovery_impl(Ctx& ctx, const FaultSchedule& schedule,
   std::vector<MessageState> state(num_messages);
   std::vector<int> threshold(num_messages, 0);
 
-  // Wave 0: one fragment per bundle path of every guest edge.
+  // Wave 0: one fragment per bundle path of every demanded edge.
   std::vector<Frag> frags;
   for (std::uint32_t e = 0; e < num_messages; ++e) {
-    const int w = ctx.width(e);
+    const int w = oracle.width(edges[e]);
     threshold[e] = (config.threshold <= 0) ? w
                                            : std::min(config.threshold, w);
     state[e].got.assign(w, false);
@@ -76,6 +81,8 @@ RecoveryResult run_recovery_impl(Ctx& ctx, const FaultSchedule& schedule,
 
   simcore::RoutePlan& plan = simcore::step_scratch().plan;
   std::vector<std::uint64_t> glinks;  // host link id per hop of the wave
+  HostPath probed;  // the bundle path the retransmit probe last streamed
+  VectorSink probed_sink(probed);
   const auto run_wave =
       sink != nullptr ? run_plan<true, true> : run_plan<false, true>;
 
@@ -116,8 +123,8 @@ RecoveryResult run_recovery_impl(Ctx& ctx, const FaultSchedule& schedule,
       plan.clear();
       for (const Frag& fg : frags) {
         const std::size_t first = glinks.size();
-        ctx.add_route(fg.message, fg.path_idx,
-                      static_cast<std::uint32_t>(fg.release), plan, glinks);
+        add_oracle_route(oracle, edges[fg.message], fg.path_idx,
+                         static_cast<std::uint32_t>(fg.release), plan, glinks);
         // A later wave carries only retransmissions: announce each with
         // the first link of its new route.
         if (rtrace.enabled() && result.waves > 0) {
@@ -190,7 +197,8 @@ RecoveryResult run_recovery_impl(Ctx& ctx, const FaultSchedule& schedule,
       }
       if (out.complete) continue;  // message already reconstructed
 
-      const int w = ctx.width(fg.message);
+      const OracleEdge& edge = edges[fg.message];
+      const int w = oracle.width(edge);
       bool scheduled = false;
       while (fg.attempts < config.max_retries) {
         ++fg.attempts;
@@ -213,7 +221,9 @@ RecoveryResult run_recovery_impl(Ctx& ctx, const FaultSchedule& schedule,
         int chosen = -1;
         for (int k = 1; k <= w; ++k) {
           const int cand = (fg.path_idx + k) % w;
-          if (ctx.path_alive(probe, fg.message, cand)) {
+          probed.clear();
+          oracle.path(edge, cand, probed_sink);
+          if (probe.path_alive(probed)) {
             chosen = cand;
             break;
           }
@@ -251,70 +261,6 @@ RecoveryResult run_recovery_impl(Ctx& ctx, const FaultSchedule& schedule,
   }
 
   return result;
-}
-
-/// Materialized context: bundle paths are spans of the embedding's
-/// storage, pushed into the wave plan as they are.
-struct EmbeddingCtx {
-  const MultiPathEmbedding& emb;
-
-  std::size_t num_messages() const { return emb.guest().num_edges(); }
-  int dims() const { return emb.host().dims(); }
-  int width(std::uint32_t m) const {
-    return static_cast<int>(emb.paths(m).size());
-  }
-  bool path_alive(const FaultSet& faults, std::uint32_t m, int k) const {
-    return faults.path_alive(emb.paths(m)[k]);
-  }
-  void add_route(std::uint32_t m, int k, std::uint32_t release,
-                 simcore::RoutePlan& plan,
-                 std::vector<std::uint64_t>& glinks) const {
-    plan.begin_route(release);
-    plan.push_nodes(emb.paths(m)[k]);
-    plan.end_route_unlinked(dims(), glinks);
-  }
-};
-
-/// Oracle context: one message per demanded guest edge, each bundle path
-/// streamed from the oracle whenever the loop probes or sends it.
-struct OracleCtx {
-  const PathOracle& oracle;
-  std::span<const OracleEdge> edges;
-  HostPath probed;  // scratch: the path path_alive last streamed
-
-  std::size_t num_messages() const { return edges.size(); }
-  int dims() const { return oracle.host_dims(); }
-  int width(std::uint32_t m) const { return oracle.width(edges[m]); }
-  bool path_alive(const FaultSet& faults, std::uint32_t m, int k) {
-    probed.clear();
-    VectorSink sink(probed);
-    oracle.path(edges[m], k, sink);
-    return faults.path_alive(probed);
-  }
-  void add_route(std::uint32_t m, int k, std::uint32_t release,
-                 simcore::RoutePlan& plan,
-                 std::vector<std::uint64_t>& glinks) const {
-    add_oracle_route(oracle, edges[m], k, release, plan, glinks);
-  }
-};
-
-}  // namespace
-
-RecoveryResult run_recovery(const MultiPathEmbedding& emb,
-                            const FaultSchedule& schedule,
-                            const RecoveryConfig& config,
-                            obs::TraceSink* sink) {
-  EmbeddingCtx ctx{emb};
-  return run_recovery_impl(ctx, schedule, config, sink);
-}
-
-RecoveryResult run_recovery(const PathOracle& oracle,
-                            std::span<const OracleEdge> edges,
-                            const FaultSchedule& schedule,
-                            const RecoveryConfig& config,
-                            obs::TraceSink* sink) {
-  OracleCtx ctx{oracle, edges, {}};
-  return run_recovery_impl(ctx, schedule, config, sink);
 }
 
 }  // namespace hyperpath

@@ -23,10 +23,13 @@
 // The engine is wave-based: every retransmission round is a fresh simulator
 // run on one absolute clock (retransmitted fragments release at their
 // detect step, and the schedule replays from step 0, so faults hold across
-// waves).  Each wave streams its fragments' paths into one compact
-// RoutePlan and runs it once through the serial run_plan, so its memory
-// follows the links the fragments touch, never the host; the Monte-Carlo
-// driver parallelizes across trials instead.  Trace output: the wave-0
+// waves).  There is one wave loop, over a PathOracle and its demanded guest
+// edges: each wave streams its fragments' paths from the oracle into one
+// compact RoutePlan and runs it once through the serial run_plan, so its
+// memory follows the links the fragments touch, never the host.  The
+// embedding overload is an adapter onto it (a MaterializedOracle and every
+// guest edge); the Monte-Carlo driver parallelizes across trials instead.
+// Trace output: the wave-0
 // run announces kFault/kRepair, every truncation is a kDrop, and each
 // retransmission emits kRetransmit (packet = message id, link = first link
 // of the new route, value = attempt number); waves appear in the stream
@@ -107,9 +110,10 @@ struct RecoveryResult {
 };
 
 /// Runs one message per guest edge of `emb` (w fragments each) through the
-/// fault schedule with sender-side recovery.  The outcome is the returned
-/// RecoveryResult alone; nothing is published to the metrics registry
-/// beyond the run's profiler span.
+/// fault schedule with sender-side recovery: the oracle overload below on
+/// MaterializedOracle(emb) and all_guest_edges of it, so message e is guest
+/// edge e.  The outcome is the returned RecoveryResult alone; nothing is
+/// published to the metrics registry beyond the run's profiler span.
 RecoveryResult run_recovery(const MultiPathEmbedding& emb,
                             const FaultSchedule& schedule,
                             const RecoveryConfig& config = {},
@@ -118,10 +122,7 @@ RecoveryResult run_recovery(const MultiPathEmbedding& emb,
 /// Oracle-backed recovery: one message per *demanded* guest edge, bundles
 /// generated on demand from the oracle (the next-surviving-path probe
 /// included), so the engine runs on hosts whose full embedding was never
-/// materialized.  Message m in the result corresponds to edges[m].  On a
-/// MaterializedOracle over the same embedding and edges covering every
-/// guest edge in id order, results are bit-identical to the overload
-/// above; the property suite enforces it.
+/// materialized.  Message m in the result corresponds to edges[m].
 RecoveryResult run_recovery(const PathOracle& oracle,
                             std::span<const OracleEdge> edges,
                             const FaultSchedule& schedule,

@@ -135,23 +135,24 @@ SimResult run_plan_in(const simcore::RoutePlan& plan, int dims, Links links,
     // (= host) id order; a dead link no route uses has no plan id and no
     // effect.
     if constexpr (Faulted) {
-      const FaultTimeline::StepDelta& delta = timeline->advance_to(step);
-      const auto fire = [&](std::uint64_t g, TraceEventKind kind) {
+      for (const std::uint64_t g : timeline->advance_to(step)) {
+        const bool now_dead = timeline->link_dead(g);
         if constexpr (Traced) {
           if (announce_faults) {
-            trace.record({step, kind, TraceEvent::kNoPacket, g, 0});
+            trace.record({step,
+                          now_dead ? TraceEventKind::kFault
+                                   : TraceEventKind::kRepair,
+                          TraceEvent::kNoPacket, g, 0});
           }
         }
         const std::uint32_t link = links.find(g);
-        if (link == simcore::kNil) return;
+        if (link == simcore::kNil) continue;
         const auto it = std::lower_bound(dead.begin(), dead.end(), link);
-        const bool listed = it != dead.end() && *it == link;
-        if (timeline->link_dead(g) && !listed) dead.insert(it, link);
-        if (!timeline->link_dead(g) && listed) dead.erase(it);
-      };
-      for (const std::uint64_t g : delta.died) fire(g, TraceEventKind::kFault);
-      for (const std::uint64_t g : delta.repaired) {
-        fire(g, TraceEventKind::kRepair);
+        if (now_dead) {
+          dead.insert(it, link);
+        } else {
+          dead.erase(it);
+        }
       }
     }
 

@@ -227,12 +227,7 @@ TEST(OracleSample, PhaseCompileOnceMatchesPerPacketRoutes) {
 std::vector<std::uint64_t> expect_phase_pipelines_agree(
     const MultiPathEmbedding& emb, const PathOracle& alg, int p) {
   const MaterializedOracle mat(emb);
-  std::vector<OracleEdge> edges;
-  for (OracleId g = 0; g < alg.guest_nodes(); ++g) {
-    for (int s = 0; s < alg.out_degree(g); ++s) {
-      edges.push_back(alg.out_edge(g, s));
-    }
-  }
+  const std::vector<OracleEdge> edges = all_guest_edges(alg);
 
   OraclePhaseSpec spec;
   spec.packets_per_edge = p;
@@ -305,18 +300,18 @@ TEST(OracleSample, Q24PhaseRespectsCongestionFloor) {
 }
 
 /// Oracle-backed recovery must be bit-identical to the embedding overload
-/// when the demanded edges cover every guest edge in id order.
+/// when the demanded edges cover every guest edge in id order, which is
+/// the order all_guest_edges lists them in.
 TEST(OracleSample, RecoveryMatchesEmbeddingBackend) {
   const MultiPathEmbedding emb = theorem1_cycle_embedding(8);
   const MaterializedOracle mat(emb);
 
-  std::vector<OracleEdge> edges;
-  for (OracleId g = 0; g < mat.guest_nodes(); ++g) {
-    for (int s = 0; s < mat.out_degree(g); ++s) {
-      edges.push_back(mat.out_edge(g, s));
-    }
-  }
+  const std::vector<OracleEdge> edges = all_guest_edges(mat);
   ASSERT_EQ(edges.size(), mat.guest_edges());
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    const Edge& g = emb.guest().edge(static_cast<std::uint32_t>(e));
+    ASSERT_EQ(edges[e], (OracleEdge{g.from, g.to})) << "edge " << e;
+  }
 
   FaultSchedule schedule(emb.host().dims());
   schedule.link_down(1, 0, 1);

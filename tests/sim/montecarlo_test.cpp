@@ -72,6 +72,18 @@ TEST(MonteCarloCampaign, DigestBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// `hyperpath_cli campaign 10` at its defaults — 1000 trials, seed 1,
+// link rate 0.05, IDA threshold w − 1 — pinned to its digest, the value
+// hpbench's campaign_q10 checks too.
+TEST(MonteCarloCampaign, Q10CliDefaultsDigestIsPinned) {
+  const MultiPathEmbedding emb = theorem1_cycle_embedding(10);
+  CampaignConfig cfg;
+  cfg.recovery.threshold = emb.width() - 1;
+  const CampaignStats stats = MonteCarloDriver(emb).run(cfg);
+  EXPECT_EQ(stats.trials, 1000u);
+  EXPECT_EQ(stats.digest, 0x3f73a5571ef0e3b5ull);
+}
+
 TEST(MonteCarloCampaign, GrainDoesNotChangeTheDigest) {
   const auto emb = theorem1_cycle_embedding(6);
   CampaignConfig cfg = small_config();

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "base/error.hpp"
 #include "base/rng.hpp"
@@ -221,19 +223,53 @@ TEST(FaultSchedule, ParseRejectsOutOfRangeDimsWithLineNumber) {
   EXPECT_EQ(FaultSchedule::parse("dims 30\n").dims(), 30);
 }
 
+// A repair with no live fault to undo is a parse error at the repair's own
+// line, found by replaying the step-sorted events.
+TEST(FaultSchedule, ParseRejectsLinkUpWithNoFault) {
+  const std::string msg = parse_error("dims 8\n0 link-up 0 1\n");
+  EXPECT_NE(msg.find("fault schedule line 2: link-up repairs a link that is "
+                     "not down"),
+            std::string::npos)
+      << msg;
+}
+
+TEST(FaultSchedule, ParseRejectsNodeUpWithNoFault) {
+  const std::string msg = parse_error("dims 8\n0 node-up 5\n");
+  EXPECT_NE(msg.find("fault schedule line 2: node-up repairs a node that is "
+                     "not down"),
+            std::string::npos)
+      << msg;
+}
+
+TEST(FaultSchedule, ParseRejectsSecondRepairOfOneFault) {
+  const std::string msg = parse_error(
+      "dims 8\n"
+      "# one fault, two repairs\n"
+      "4 link-up 0 1\n"
+      "0 link-down 0 1\n"
+      "9 link-up 1 0\n");
+  // Sorted by step, the line-3 repair undoes the line-4 fault and the
+  // line-5 repair has nothing left to undo.
+  EXPECT_NE(msg.find("fault schedule line 5"), std::string::npos) << msg;
+  EXPECT_EQ(FaultSchedule::parse("dims 8\n4 link-up 0 1\n0 link-down 0 1\n")
+                .size(),
+            2u);
+}
+
 TEST(FaultTimeline, ExpandsNodeEventsAndReportsDeltas) {
   FaultSchedule s(3);
   s.node_down(2, 0b000);
   s.node_up(7, 0b000);
   FaultTimeline t(s);
-  EXPECT_TRUE(t.advance_to(0).died.empty());
-  const auto& at2 = t.advance_to(2);
-  EXPECT_EQ(at2.died.size(), 6u);
-  EXPECT_TRUE(std::is_sorted(at2.died.begin(), at2.died.end()));
+  EXPECT_TRUE(t.advance_to(0).empty());
+  const std::vector<std::uint64_t> at2 = t.advance_to(2);
+  EXPECT_EQ(at2.size(), 6u);
+  EXPECT_TRUE(std::is_sorted(at2.begin(), at2.end()));
+  for (const std::uint64_t id : at2) EXPECT_TRUE(t.link_dead(id));
   EXPECT_TRUE(t.link_dead(Hypercube(3).edge_id(Node{0b000}, Node{0b001})));
-  const auto& at7 = t.advance_to(7);
-  EXPECT_EQ(at7.repaired.size(), 6u);
-  EXPECT_TRUE(t.dead_links().empty());
+  // The repair flips the same six links back.
+  EXPECT_EQ(t.advance_to(7), at2);
+  for (const std::uint64_t id : at2) EXPECT_FALSE(t.link_dead(id));
 }
 
 TEST(FaultTimeline, SameAdvanceDownUpCancelsOut) {
@@ -241,10 +277,68 @@ TEST(FaultTimeline, SameAdvanceDownUpCancelsOut) {
   s.transient_link(3, 4, 0b000, 0b001);
   FaultTimeline t(s);
   // Jumping past both events in one advance reports neither transition.
-  const auto& delta = t.advance_to(10);
-  EXPECT_TRUE(delta.died.empty());
-  EXPECT_TRUE(delta.repaired.empty());
-  EXPECT_TRUE(t.dead_links().empty());
+  EXPECT_TRUE(t.advance_to(10).empty());
+  EXPECT_FALSE(t.link_dead(Hypercube(3).edge_id(Node{0b000}, Node{0b001})));
+}
+
+/// The directed links dead in `f`, sorted: every directed link of Q_dims
+/// probed one by one.
+std::vector<std::uint64_t> dead_directed(const FaultSet& f, int dims) {
+  const Hypercube q(dims);
+  std::vector<std::uint64_t> out;
+  for (Node u = 0; u < q.num_nodes(); ++u) {
+    for (Dim d = 0; d < dims; ++d) {
+      const Node v = q.neighbor(u, d);
+      if (f.link_dead(u, v)) out.push_back(q.edge_id(u, v));
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Property: over random schedules with node and transient faults and
+// random advance strides, each delta is exactly the set of directed links
+// whose state differs between state_at(previous advance) and
+// state_at(step), and link_dead agrees with the snapshot.
+TEST(FaultTimeline, DeltaIsTheStateDifferenceAcrossEachAdvance) {
+  Rng meta(20261019);
+  int advances = 0;
+  for (int iter = 0; iter < 400; ++iter) {
+    const int dims = 3 + static_cast<int>(meta.below(4));  // Q_3 .. Q_6
+    RandomScheduleSpec spec;
+    spec.window = 1 + static_cast<int>(meta.below(10));
+    spec.link_rate = 0.05 * static_cast<double>(1 + meta.below(6));
+    spec.node_rate = 0.05 * static_cast<double>(meta.below(4));
+    spec.transient_fraction = 0.25 * static_cast<double>(meta.below(5));
+    spec.min_repair = 1 + static_cast<int>(meta.below(3));
+    spec.max_repair = spec.min_repair + static_cast<int>(meta.below(8));
+    Rng rng(500 + static_cast<std::uint64_t>(iter));
+    const FaultSchedule s = FaultSchedule::random(dims, spec, rng);
+    const int last = s.empty() ? 0 : s.events().back().step;
+
+    FaultTimeline t(s);
+    std::vector<std::uint64_t> before;  // nothing is dead before step 0
+    for (int step = static_cast<int>(meta.below(3));;
+         step += 1 + static_cast<int>(meta.below(4))) {
+      const FaultTimeline::StepDelta& delta = t.advance_to(step);
+      const std::vector<std::uint64_t> after =
+          dead_directed(s.state_at(step), dims);
+      std::vector<std::uint64_t> flipped;
+      std::set_symmetric_difference(before.begin(), before.end(),
+                                    after.begin(), after.end(),
+                                    std::back_inserter(flipped));
+      EXPECT_EQ(delta, flipped) << "iter " << iter << " step " << step;
+      for (const std::uint64_t id : delta) {
+        EXPECT_EQ(t.link_dead(id),
+                  std::binary_search(after.begin(), after.end(), id))
+            << "iter " << iter << " step " << step << " link " << id;
+      }
+      before = after;
+      ++advances;
+      if (step > last) break;
+    }
+  }
+  EXPECT_GT(advances, 1000);
 }
 
 // ---------------------------------------------------------------------------

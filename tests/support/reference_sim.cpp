@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <deque>
 #include <optional>
+#include <set>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -63,6 +64,7 @@ SimResult RefStoreForwardSim::run_impl(const std::vector<Packet>& packets,
 
   std::optional<FaultTimeline> timeline;
   if (schedule != nullptr) timeline.emplace(*schedule);
+  std::set<std::uint64_t> dead;  // currently dead links, in host id order
   if (fault_out != nullptr) {
     fault_out->fates.assign(packets.size(), PacketFate{});
   }
@@ -105,15 +107,18 @@ SimResult RefStoreForwardSim::run_impl(const std::vector<Packet>& packets,
     HP_CHECK(step < max_steps, "simulation exceeded max_steps");
 
     if (timeline) {
-      const FaultTimeline::StepDelta& delta = timeline->advance_to(step);
-      if (announce_faults && trace.enabled()) {
-        for (std::uint64_t link : delta.died) {
-          trace.record({step, TraceEventKind::kFault, TraceEvent::kNoPacket,
-                        link, 0});
+      for (std::uint64_t link : timeline->advance_to(step)) {
+        const bool now_dead = timeline->link_dead(link);
+        if (now_dead) {
+          dead.insert(link);
+        } else {
+          dead.erase(link);
         }
-        for (std::uint64_t link : delta.repaired) {
-          trace.record({step, TraceEventKind::kRepair, TraceEvent::kNoPacket,
-                        link, 0});
+        if (announce_faults && trace.enabled()) {
+          trace.record({step,
+                        now_dead ? TraceEventKind::kFault
+                                 : TraceEventKind::kRepair,
+                        TraceEvent::kNoPacket, link, 0});
         }
       }
     }
@@ -127,22 +132,20 @@ SimResult RefStoreForwardSim::run_impl(const std::vector<Packet>& packets,
       }
     }
 
-    if (timeline && !timeline->dead_links().empty()) {
-      for (const auto& [link, kills] : timeline->dead_links()) {
-        auto it = queues.find(link);
-        if (it == queues.end() || it->second.q.empty()) continue;
-        for (std::uint32_t id : it->second.q) {
-          --undelivered;
-          if (fault_out != nullptr) {
-            fault_out->fates[id] = {PacketFate::Kind::kLost, step, link,
-                                    static_cast<int>(hop[id])};
-          }
-          if (trace.enabled()) {
-            trace.record({step, TraceEventKind::kDrop, id, link, hop[id]});
-          }
+    for (const std::uint64_t link : dead) {
+      auto it = queues.find(link);
+      if (it == queues.end() || it->second.q.empty()) continue;
+      for (std::uint32_t id : it->second.q) {
+        --undelivered;
+        if (fault_out != nullptr) {
+          fault_out->fates[id] = {PacketFate::Kind::kLost, step, link,
+                                  static_cast<int>(hop[id])};
         }
-        it->second.q.clear();
+        if (trace.enabled()) {
+          trace.record({step, TraceEventKind::kDrop, id, link, hop[id]});
+        }
       }
+      it->second.q.clear();
     }
 
     // One transmission per nonempty link queue — full scan of every queue

@@ -25,7 +25,9 @@
 //    "reports": {"theorem1": {...}, ...}}
 //
 // Exit status is nonzero if any bench fails to run or emits an unparsable
-// report; the suite is still written with whatever succeeded.
+// report; the suite is still written with whatever succeeded.  A suite
+// path that cannot be opened is a usage error (exit 2) before any bench
+// runs.
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -135,6 +137,15 @@ int main(int argc, char** argv) {
   const fs::path report_dir =
       out_path.has_parent_path() ? out_path.parent_path() : fs::path(".");
 
+  // Opened before any bench runs: a path that cannot be written would
+  // otherwise fail every bench's report and only then be skipped.
+  std::ofstream out(out_path);
+  if (!out) {
+    std::fprintf(stderr, "bench_runner: cannot open %s\n",
+                 out_path.string().c_str());
+    return 2;
+  }
+
   // Run every bench as one pool task (the bench itself is a child process,
   // so tasks block in std::system and the pool size caps how many benches
   // run at once).  Each task only touches its own slot; diagnostics are
@@ -206,7 +217,6 @@ int main(int argc, char** argv) {
   w.end_object();
   w.end_object();
 
-  std::ofstream out(out_path);
   out << w.str() << "\n";
   out.close();
   std::printf("bench_runner: wrote %s (%zu/%zu reports)\n",

@@ -362,7 +362,7 @@ int cmd_faults_replay(int argc, char** argv) {
     const std::string a = argv[i];
     bool ok = true;
     if (a == "--timeout" && i + 1 < argc) {
-      ok = parse_number("--timeout", argv[++i], 0, INT_MAX, cfg.timeout);
+      ok = parse_number("--timeout", argv[++i], 1, INT_MAX, cfg.timeout);
     } else if (a == "--retries" && i + 1 < argc) {
       ok = parse_number("--retries", argv[++i], 0, INT_MAX, cfg.max_retries);
     } else if (a == "--threshold" && i + 1 < argc) {
@@ -590,7 +590,7 @@ int cmd_campaign(int argc, char** argv) {
       ok = parse_number("--transient", argv[++i], 0.0, 1.0,
                         cfg.schedule.transient_fraction);
     } else if (a == "--timeout" && has_value) {
-      ok = parse_number("--timeout", argv[++i], 0, INT_MAX,
+      ok = parse_number("--timeout", argv[++i], 1, INT_MAX,
                         cfg.recovery.timeout);
     } else if (a == "--retries" && has_value) {
       ok = parse_number("--retries", argv[++i], 0, INT_MAX,
