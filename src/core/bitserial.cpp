@@ -188,8 +188,8 @@ std::vector<Worm> x_two_phase_worms(int m, const MultiPathEmbedding& x,
         HP_CHECK(xe != static_cast<std::size_t>(-1),
                  "two-phase route leaves X(butterfly)");
         const auto bundle = x.paths(xe);
-        const HostPath& seg = bundle[static_cast<std::size_t>(k) %
-                                     bundle.size()];
+        const PathView seg = bundle[static_cast<std::size_t>(k) %
+                                    bundle.size()];
         HP_CHECK(seg.front() == host.back(), "route discontinuity");
         host.insert(host.end(), seg.begin() + 1, seg.end());
       }

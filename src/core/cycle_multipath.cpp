@@ -10,7 +10,6 @@
 #include "graph/euler.hpp"
 #include "hamdecomp/directed.hpp"
 #include "obs/profile.hpp"
-#include "par/task_pool.hpp"
 
 namespace hyperpath {
 
@@ -41,18 +40,15 @@ struct Fields {
   bool is_row_dim(Dim d) const { return d >= col_bits; }
 };
 
-/// The detour bundle of Theorems 1/2: for guest edge (a, b) across
-/// dimension `edge_dim`, the j-th path crosses dimension detour_dims[j],
-/// follows the projected edge, and crosses back.
-std::vector<HostPath> detour_bundle(Node a, Node b, Dim edge_dim,
-                                    const std::vector<Dim>& detour_dims) {
-  std::vector<HostPath> bundle;
-  bundle.reserve(detour_dims.size());
+/// Appends the detour paths of Theorems 1/2 to the open bundle: for guest
+/// edge (a, b) across dimension `edge_dim`, the j-th path crosses dimension
+/// detour_dims[j], follows the projected edge, and crosses back.
+void add_detour_paths(MultiPathEmbedding& emb, Node a, Node b, Dim edge_dim,
+                      const std::vector<Dim>& detour_dims) {
   for (Dim d : detour_dims) {
     const Node a1 = flip_bit(a, d);
-    bundle.push_back({a, a1, flip_bit(a1, edge_dim), b});
+    emb.add_path({a, a1, flip_bit(a1, edge_dim), b});
   }
-  return bundle;
 }
 
 }  // namespace
@@ -117,23 +113,21 @@ MultiPathEmbedding theorem1_cycle_embedding(int n) {
 
   {
     HP_PROFILE_SPAN("bundles");
-    // Per-edge fan-out: every iteration writes its own bundle slot, so the
-    // edge range shards onto the pool directly.
+    // 2k detours of 4 nodes plus the 2-node direct path per edge.
     const Digraph& g = emb.guest();
-    par::parallel_for(
-        0, g.num_edges(), par::suggested_grain(g.num_edges()),
-        [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t e = lo; e < hi; ++e) {
-            const Edge& ge = g.edge(e);
-            const Node a = emb.host_of(ge.from);
-            const Node b = emb.host_of(ge.to);
-            const Dim i = count_trailing_zeros(a ^ b);
-            std::vector<HostPath> bundle = detour_bundle(
-                a, b, i, f.is_row_dim(i) ? col_detours : row_detours);
-            bundle.push_back({a, b});  // the direct path (the 2k+1st)
-            emb.set_paths(e, std::move(bundle));
-          }
-        });
+    const std::size_t detours = 2 * static_cast<std::size_t>(f.k);
+    emb.reserve(g.num_edges() * (detours + 1),
+                g.num_edges() * (4 * detours + 2));
+    for (std::size_t e = 0; e < g.num_edges(); ++e) {
+      const Edge& ge = g.edge(e);
+      const Node a = emb.host_of(ge.from);
+      const Node b = emb.host_of(ge.to);
+      const Dim i = count_trailing_zeros(a ^ b);
+      emb.begin_bundle(e);
+      add_detour_paths(emb, a, b, i,
+                       f.is_row_dim(i) ? col_detours : row_detours);
+      emb.add_path({a, b});  // the direct path (the 2k+1st)
+    }
   }
   HP_PROFILE_SPAN("verify");
   emb.verify_or_throw(/*expected_width=*/2 * f.k + 1, /*expected_load=*/1);
@@ -152,20 +146,18 @@ std::vector<Packet> theorem1_schedule_packets(const MultiPathEmbedding& emb,
     // last.  Packet 0 rides the direct path at step 1; packets 1..w−1 ride
     // the detours; packet w goes direct again, released for step 3.
     const std::size_t direct = w - 1;
-    for (int j = 0; j < p; ++j) {
-      Packet pk;
-      pk.tag = static_cast<std::uint32_t>(e);
-      if (j == 0) {
-        pk.route = bundle[direct];
-      } else if (static_cast<std::size_t>(j) < w) {
-        pk.route = bundle[j - 1];
-      } else if (static_cast<std::size_t>(j) == w) {
-        pk.route = bundle[direct];
-        pk.release = 2;
-      } else {
-        pk.route = bundle[j % w];  // overflow: round-robin, natural queueing
+    for (std::size_t j = 0; j < static_cast<std::size_t>(p); ++j) {
+      std::size_t slot = j % w;  // overflow: round-robin, natural queueing
+      if (j == 0 || j == w) {
+        slot = direct;
+      } else if (j < w) {
+        slot = j - 1;
       }
-      packets.push_back(std::move(pk));
+      const PathView route = bundle[slot];
+      Packet& pk = packets.emplace_back();
+      pk.route.assign(route.begin(), route.end());
+      pk.release = j == w ? 2 : 0;
+      pk.tag = static_cast<std::uint32_t>(e);
     }
   }
   return packets;
@@ -228,24 +220,22 @@ MultiPathEmbedding theorem2_impl(int n, bool use_moments) {
   {
     HP_PROFILE_SPAN("bundles");
     const Digraph& g = emb.guest();
-    par::parallel_for(
-        0, g.num_edges(), par::suggested_grain(g.num_edges()),
-        [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t e = lo; e < hi; ++e) {
-            const Edge& ge = g.edge(e);
-            const Node a = emb.host_of(ge.from);
-            const Node b = emb.host_of(ge.to);
-            const Dim i = count_trailing_zeros(a ^ b);
-            // Column special edges flip row dimensions and detour through
-            // position neighbors; row special edges flip low dimensions and
-            // detour through row neighbors.  No direct path exists (Theorem
-            // 2's proof): each family's direct edges are consumed by the
-            // other family's first and last edges.
-            emb.set_paths(e, detour_bundle(a, b, i,
-                                           f.is_row_dim(i) ? col_detours
-                                                           : row_detours));
-          }
-        });
+    const std::size_t detours = 2 * static_cast<std::size_t>(f.k);
+    emb.reserve(g.num_edges() * detours, g.num_edges() * 4 * detours);
+    for (std::size_t e = 0; e < g.num_edges(); ++e) {
+      const Edge& ge = g.edge(e);
+      const Node a = emb.host_of(ge.from);
+      const Node b = emb.host_of(ge.to);
+      const Dim i = count_trailing_zeros(a ^ b);
+      // Column special edges flip row dimensions and detour through
+      // position neighbors; row special edges flip low dimensions and
+      // detour through row neighbors.  No direct path exists (Theorem 2's
+      // proof): each family's direct edges are consumed by the other
+      // family's first and last edges.
+      emb.begin_bundle(e);
+      add_detour_paths(emb, a, b, i,
+                       f.is_row_dim(i) ? col_detours : row_detours);
+    }
   }
   HP_PROFILE_SPAN("verify");
   emb.verify_or_throw(/*expected_width=*/2 * f.k, /*expected_load=*/2);

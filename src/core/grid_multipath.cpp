@@ -77,45 +77,34 @@ MultiPathEmbedding grid_multipath_embedding(const GridSpec& spec) {
   // all other fields fixed; the reverse grid direction reverses the paths.
   {
   HP_PROFILE_SPAN("bundles");
-  // Edges translate independently (reads of the per-axis embeddings are
-  // shared, each write lands in its own bundle slot), so the edge range
-  // shards onto the pool.
   const Digraph& g = emb.guest();
-  par::parallel_for(
-      0, g.num_edges(), par::suggested_grain(g.num_edges()),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t e = lo; e < hi; ++e) {
-          const Edge& ge = g.edge(e);
-          const auto cf = spec.coords(ge.from);
-          const auto ct = spec.coords(ge.to);
-          int a = -1;
-          for (int i = 0; i < k; ++i) {
-            if (cf[i] != ct[i]) {
-              HP_CHECK(a < 0, "grid edge changes two axes");
-              a = i;
-            }
-          }
-          HP_CHECK(a >= 0, "degenerate grid edge");
+  for (std::size_t e = 0; e < g.num_edges(); ++e) {
+    const Edge& ge = g.edge(e);
+    const auto cf = spec.coords(ge.from);
+    const auto ct = spec.coords(ge.to);
+    int a = -1;
+    for (int i = 0; i < k; ++i) {
+      if (cf[i] != ct[i]) {
+        HP_CHECK(a < 0, "grid edge changes two axes");
+        a = i;
+      }
+    }
+    HP_CHECK(a >= 0, "degenerate grid edge");
 
-          // The guest is directed: every edge goes c → c+1 (or the wrap
-          // side−1 → 0), matching the axis cycle's orientation.
-          const std::size_t cycle_edge =
-              axis[a].guest().find_edge(cf[a], ct[a]);
-          HP_CHECK(cycle_edge != static_cast<std::size_t>(-1),
-                   "axis cycle edge missing");
+    // The guest is directed: every edge goes c → c+1 (or the wrap
+    // side−1 → 0), matching the axis cycle's orientation.
+    const std::size_t cycle_edge = axis[a].guest().find_edge(cf[a], ct[a]);
+    HP_CHECK(cycle_edge != static_cast<std::size_t>(-1),
+             "axis cycle edge missing");
 
-          const Node fixed =
-              emb.host_of(ge.from) & ~((bit(bits[a]) - 1) << offset[a]);
-          std::vector<HostPath> bundle;
-          for (const HostPath& p : axis[a].paths(cycle_edge)) {
-            HostPath q;
-            q.reserve(p.size());
-            for (Node hop : p) q.push_back(fixed | (hop << offset[a]));
-            bundle.push_back(std::move(q));
-          }
-          emb.set_paths(e, std::move(bundle));
-        }
-      });
+    const Node fixed =
+        emb.host_of(ge.from) & ~((bit(bits[a]) - 1) << offset[a]);
+    emb.begin_bundle(e);
+    for (const PathView p : axis[a].paths(cycle_edge)) {
+      emb.begin_path();
+      for (Node hop : p) emb.push_node(fixed | (hop << offset[a]));
+    }
+  }
   }
 
   HP_PROFILE_SPAN("verify");

@@ -6,24 +6,21 @@
 #include "hamdecomp/decomposition.hpp"
 #include "hamdecomp/directed.hpp"
 #include "obs/profile.hpp"
-#include "par/task_pool.hpp"
 
 namespace hyperpath {
 
 namespace {
 
-/// Sharded per-edge fan-out shared by the large-copy constructions: every
-/// guest edge maps to the single direct path between its endpoints' images.
+/// Shared by the large-copy constructions: every guest edge maps to the
+/// single direct path between its endpoints' images.
 void set_direct_paths(MultiPathEmbedding& emb) {
   const Digraph& g = emb.guest();
-  par::parallel_for(
-      0, g.num_edges(), par::suggested_grain(g.num_edges()),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t e = lo; e < hi; ++e) {
-          const Edge& ge = g.edge(e);
-          emb.set_paths(e, {{emb.host_of(ge.from), emb.host_of(ge.to)}});
-        }
-      });
+  emb.reserve(g.num_edges(), 2 * g.num_edges());
+  for (std::size_t e = 0; e < g.num_edges(); ++e) {
+    const Edge& ge = g.edge(e);
+    emb.begin_bundle(e);
+    emb.add_path({emb.host_of(ge.from), emb.host_of(ge.to)});
+  }
 }
 
 }  // namespace
@@ -108,20 +105,18 @@ MultiPathEmbedding collapse_columns(Digraph guest, const LevelColumnLayout& lay,
   emb.set_node_map(std::move(eta));
 
   const Digraph& g = emb.guest();
-  par::parallel_for(
-      0, g.num_edges(), par::suggested_grain(g.num_edges()),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t e = lo; e < hi; ++e) {
-          const Edge& ge = g.edge(e);
-          const Node a = emb.host_of(ge.from);
-          const Node b = emb.host_of(ge.to);
-          if (a == b) {
-            emb.set_paths(e, {{a}});  // internal: zero communication
-          } else {
-            emb.set_paths(e, {{a, b}});
-          }
-        }
-      });
+  emb.reserve(g.num_edges(), 2 * g.num_edges());
+  for (std::size_t e = 0; e < g.num_edges(); ++e) {
+    const Edge& ge = g.edge(e);
+    const Node a = emb.host_of(ge.from);
+    const Node b = emb.host_of(ge.to);
+    emb.begin_bundle(e);
+    if (a == b) {
+      emb.add_path({a});  // internal: zero communication
+    } else {
+      emb.add_path({a, b});
+    }
+  }
   emb.verify_or_throw(/*expected_width=*/1, /*expected_load=*/load);
   return emb;
 }

@@ -32,7 +32,7 @@ PhaseCongestionBounds phase_congestion_bounds(const MultiPathEmbedding& emb,
   for (std::size_t e = 0; e < emb.guest().num_edges(); ++e) {
     const auto bundle = emb.paths(e);
     HP_CHECK(!bundle.empty(), "guest edge without paths");
-    const HostPath& any = bundle.front();
+    const PathView any = bundle.front();
     b.demand_edges += static_cast<std::int64_t>(packets_per_edge) *
                       host.distance(any.front(), any.back());
   }
@@ -83,7 +83,7 @@ std::int64_t edge_slot_slack(const MultiPathEmbedding& emb, int cost) {
   HP_CHECK(cost >= 1, "cost must be positive");
   std::int64_t used = 0;
   for (std::size_t e = 0; e < emb.guest().num_edges(); ++e) {
-    for (const HostPath& p : emb.paths(e)) {
+    for (const PathView p : emb.paths(e)) {
       used += static_cast<std::int64_t>(p.size()) - 1;
     }
   }

@@ -33,37 +33,31 @@ MultiPathEmbedding theorem4_transform(const KCopyEmbedding& copies) {
   }
 
   // Bundles.  We re-enumerate X(G)'s edges exactly as the product was
-  // built, looking each up in the digraph to attach its bundle.
-  const auto bundle_for_row_edge = [&](Node i, const HostPath& copy_path) {
+  // built, looking each up in the digraph to write its bundle.
+  const auto write_row_bundle = [&](std::size_t xe, Node i,
+                                    const HostPath& copy_path) {
     // Path lives in the low n bits; detours flip high bits n + k.
-    std::vector<HostPath> bundle;
-    bundle.reserve(n);
+    emb.begin_bundle(xe);
     const Node row_base = i << n;
     for (int k = 0; k < n; ++k) {
       const Node detour_base = (i ^ bit(k)) << n;
-      HostPath p;
-      p.reserve(copy_path.size() + 2);
-      p.push_back(row_base | copy_path.front());
-      for (Node hop : copy_path) p.push_back(detour_base | hop);
-      p.push_back(row_base | copy_path.back());
-      bundle.push_back(std::move(p));
+      emb.begin_path();
+      emb.push_node(row_base | copy_path.front());
+      for (Node hop : copy_path) emb.push_node(detour_base | hop);
+      emb.push_node(row_base | copy_path.back());
     }
-    return bundle;
   };
-  const auto bundle_for_col_edge = [&](Node j, const HostPath& copy_path) {
+  const auto write_col_bundle = [&](std::size_t xe, Node j,
+                                    const HostPath& copy_path) {
     // Path lives in the high n bits; detours flip low bits k.
-    std::vector<HostPath> bundle;
-    bundle.reserve(n);
+    emb.begin_bundle(xe);
     for (int k = 0; k < n; ++k) {
       const Node detour_col = j ^ bit(k);
-      HostPath p;
-      p.reserve(copy_path.size() + 2);
-      p.push_back((copy_path.front() << n) | j);
-      for (Node hop : copy_path) p.push_back((hop << n) | detour_col);
-      p.push_back((copy_path.back() << n) | j);
-      bundle.push_back(std::move(p));
+      emb.begin_path();
+      emb.push_node((copy_path.front() << n) | j);
+      for (Node hop : copy_path) emb.push_node((hop << n) | detour_col);
+      emb.push_node((copy_path.back() << n) | j);
     }
-    return bundle;
   };
 
   const Digraph& g = copies.guest();
@@ -77,7 +71,7 @@ MultiPathEmbedding theorem4_transform(const KCopyEmbedding& copies) {
                                            (line << n) | p.back());
         HP_CHECK(xe != static_cast<std::size_t>(-1),
                  "row edge missing from X(G)");
-        emb.set_paths(xe, bundle_for_row_edge(line, p));
+        write_row_bundle(xe, line, p);
       }
       // Column `line`: X edge from ⟨p.front(), line⟩ to ⟨p.back(), line⟩.
       {
@@ -85,7 +79,7 @@ MultiPathEmbedding theorem4_transform(const KCopyEmbedding& copies) {
                                            (p.back() << n) | line);
         HP_CHECK(xe != static_cast<std::size_t>(-1),
                  "column edge missing from X(G)");
-        emb.set_paths(xe, bundle_for_col_edge(line, p));
+        write_col_bundle(xe, line, p);
       }
     }
   }

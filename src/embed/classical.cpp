@@ -18,7 +18,8 @@ MultiPathEmbedding gray_code_cycle_embedding(int n) {
   const Digraph& g = emb.guest();
   for (std::size_t e = 0; e < g.num_edges(); ++e) {
     const Edge& ge = g.edge(e);
-    emb.set_paths(e, {{emb.host_of(ge.from), emb.host_of(ge.to)}});
+    emb.begin_bundle(e);
+    emb.add_path({emb.host_of(ge.from), emb.host_of(ge.to)});
   }
   return emb;
 }
@@ -58,7 +59,8 @@ MultiPathEmbedding gray_code_grid_embedding(const GridSpec& spec) {
     const Node a = emb.host_of(ge.from);
     const Node b = emb.host_of(ge.to);
     HP_CHECK(is_pow2(a ^ b), "gray grid neighbor images must be adjacent");
-    emb.set_paths(e, {{a, b}});
+    emb.begin_bundle(e);
+    emb.add_path({a, b});
   }
   return emb;
 }
@@ -78,7 +80,8 @@ MultiPathEmbedding spanning_binomial_tree_embedding(int n) {
   const Digraph& g = emb.guest();
   for (std::size_t e = 0; e < g.num_edges(); ++e) {
     const Edge& ge = g.edge(e);
-    emb.set_paths(e, {{ge.from, ge.to}});
+    emb.begin_bundle(e);
+    emb.add_path({ge.from, ge.to});
   }
   return emb;
 }

@@ -27,10 +27,15 @@ struct SweepShard {
 // MultiPathEmbedding
 // ---------------------------------------------------------------------------
 
+std::uint32_t checked_path_offset(std::uint64_t offset) {
+  HP_CHECK(offset <= 0xffffffffull, "multipath store offset overflow");
+  return static_cast<std::uint32_t>(offset);
+}
+
 MultiPathEmbedding::MultiPathEmbedding(Digraph guest, int host_dims)
     : guest_(std::move(guest)), host_(host_dims) {
   eta_.assign(guest_.num_nodes(), kNoNode);
-  bundles_.assign(guest_.num_edges(), {});
+  bundle_.assign(guest_.num_edges(), {});
 }
 
 void MultiPathEmbedding::set_node_map(std::vector<Node> eta) {
@@ -38,11 +43,39 @@ void MultiPathEmbedding::set_node_map(std::vector<Node> eta) {
   eta_ = std::move(eta);
 }
 
+void MultiPathEmbedding::reserve(std::size_t paths, std::size_t nodes) {
+  offset_.reserve(offset_.size() + paths);
+  nodes_.reserve(nodes_.size() + nodes);
+}
+
+void MultiPathEmbedding::begin_bundle(std::size_t edge_id) {
+  HP_CHECK(edge_id < bundle_.size(), "edge id out of range");
+  const std::uint32_t next = checked_path_offset(offset_.size() - 1);
+  bundle_[edge_id] = {next, next};
+  open_edge_ = edge_id;
+  path_open_ = false;
+}
+
+void MultiPathEmbedding::begin_path() {
+  HP_CHECK(open_edge_ < bundle_.size(), "no open bundle (begin_bundle)");
+  offset_.push_back(offset_.back());
+  bundle_[open_edge_].last = checked_path_offset(offset_.size() - 1);
+  path_open_ = true;
+}
+
+void MultiPathEmbedding::add_path(std::span<const Node> nodes) {
+  begin_path();
+  nodes_.insert(nodes_.end(), nodes.begin(), nodes.end());
+  offset_.back() = checked_path_offset(nodes_.size());
+  path_open_ = false;
+}
+
 void MultiPathEmbedding::set_paths(std::size_t edge_id,
-                                   std::vector<HostPath> bundle) {
-  HP_CHECK(edge_id < bundles_.size(), "edge id out of range");
+                                   const std::vector<HostPath>& bundle) {
+  HP_CHECK(edge_id < bundle_.size(), "edge id out of range");
   HP_CHECK(!bundle.empty(), "bundle must contain at least one path");
-  bundles_[edge_id] = std::move(bundle);
+  begin_bundle(edge_id);
+  for (const HostPath& p : bundle) add_path(p);
 }
 
 int MultiPathEmbedding::load() const {
@@ -57,23 +90,25 @@ int MultiPathEmbedding::load() const {
 
 int MultiPathEmbedding::dilation() const {
   std::size_t mx = 0;
-  for (const auto& bundle : bundles_) {
-    for (const HostPath& p : bundle) mx = std::max(mx, p.size() - 1);
+  for (std::size_t e = 0; e < bundle_.size(); ++e) {
+    for (const PathView p : paths(e)) mx = std::max(mx, p.size() - 1);
   }
   return static_cast<int>(mx);
 }
 
 int MultiPathEmbedding::width() const {
   std::size_t mn = SIZE_MAX;
-  for (const auto& bundle : bundles_) mn = std::min(mn, bundle.size());
-  return bundles_.empty() ? 0 : static_cast<int>(mn);
+  for (const PathRange& r : bundle_) {
+    mn = std::min<std::size_t>(mn, r.last - r.first);
+  }
+  return bundle_.empty() ? 0 : static_cast<int>(mn);
 }
 
 EmbeddingMetrics MultiPathEmbedding::metrics() const {
   EmbeddingMetrics m;
   m.load = load();
 
-  const std::size_t nedges = bundles_.size();
+  const std::size_t nedges = bundle_.size();
   const std::size_t nlinks = host_.num_directed_edges();
   m.congestion_per_link.reserve(nlinks);
   m.congestion_per_link.assign(nlinks, 0);
@@ -87,9 +122,9 @@ EmbeddingMetrics MultiPathEmbedding::metrics() const {
         SweepShard& sh = shard[w];
         if (sh.cong.empty()) sh.cong.assign(nlinks, 0);
         for (std::size_t e = lo; e < hi; ++e) {
-          const auto& bundle = bundles_[e];
+          const BundleView bundle = paths(e);
           sh.min_width = std::min(sh.min_width, bundle.size());
-          for (const HostPath& p : bundle) {
+          for (const PathView p : bundle) {
             sh.max_dilation = std::max(sh.max_dilation, p.size() - 1);
             for (std::size_t i = 0; i + 1 < p.size(); ++i) {
               ++sh.cong[host_.edge_id(p[i], p[i + 1])];
@@ -153,21 +188,23 @@ void MultiPathEmbedding::verify_or_throw(int expected_width,
   const std::size_t nedges = guest_.num_edges();
   const int workers = par::current_pool().threads();
   std::vector<std::size_t> shard_min_width(workers, SIZE_MAX);
+  std::vector<std::vector<std::uint64_t>> shard_hops(workers);
   par::parallel_for_chunks(
       0, nedges, par::suggested_grain(nedges, 32),
       [&](std::size_t, std::size_t lo, std::size_t hi, int w) {
         std::size_t mn = shard_min_width[w];
+        std::vector<std::uint64_t>& hops = shard_hops[w];
         for (std::size_t e = lo; e < hi; ++e) {
           const Edge& ge = guest_.edge(e);
-          const auto& bundle = bundles_[e];
+          const BundleView bundle = paths(e);
           HP_CHECK(!bundle.empty(), "guest edge has no image path");
-          for (const HostPath& p : bundle) {
+          for (const PathView p : bundle) {
             HP_CHECK(is_valid_path(host_, p),
                      "image path is not a hypercube walk");
             HP_CHECK(p.front() == eta_[ge.from], "path does not start at η(u)");
             HP_CHECK(p.back() == eta_[ge.to], "path does not end at η(v)");
           }
-          HP_CHECK(paths_edge_disjoint(host_, bundle),
+          HP_CHECK(paths_edge_disjoint(host_, bundle, hops),
                    "bundle paths are not edge-disjoint");
           mn = std::min(mn, bundle.size());
         }

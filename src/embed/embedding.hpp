@@ -15,12 +15,26 @@
 // MultiPathEmbedding stores the full structure and re-derives every metric;
 // verify_or_throw() re-checks the paper's structural requirements so that a
 // construction bug can never silently flow into a measurement.
+//
+// Storage: every path of every bundle lives in one flat node array.  Path p
+// is nodes[offset[p], offset[p+1]), and guest edge e owns the contiguous
+// path range [first, last) of its bundle.  Writers stream
+// a bundle in — begin_bundle(e), then add_path() or begin_path() plus
+// push_node() per path — with no per-path heap object; edges may be written
+// in any order, and rewriting an edge starts a new range (the old nodes stay
+// behind as unused space).  Readers get a BundleView of PathViews
+// (std::span<const Node>) into the store.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <iterator>
 #include <span>
 #include <vector>
 
+#include "base/error.hpp"
 #include "base/types.hpp"
 #include "graph/digraph.hpp"
 #include "graph/hypercube.hpp"
@@ -38,6 +52,83 @@ struct EmbeddingMetrics {
   std::vector<std::uint32_t> congestion_per_link;  // by Hypercube::edge_id
 };
 
+/// Narrows a running node or path count of MultiPathEmbedding's flat store
+/// to its 32-bit offset — the one place the store narrows.  Throws
+/// "multipath store offset overflow" past 2^32 − 1 instead of wrapping.
+std::uint32_t checked_path_offset(std::uint64_t offset);
+
+/// One path of a bundle: a std::span<const Node> into the embedding's flat
+/// store, valid until the embedding is next written to.  It converts to an
+/// owning HostPath (a copy), so a loop over `const HostPath&` still reads a
+/// bundle; use `auto` to read without copying.
+class PathView : public std::span<const Node> {
+ public:
+  using std::span<const Node>::span;
+  PathView(std::span<const Node> nodes) : std::span<const Node>(nodes) {}
+
+  operator HostPath() const { return HostPath(begin(), end()); }
+
+  friend bool operator==(PathView a, PathView b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+};
+
+/// The bundle of one guest edge: its paths, in the order they were written.
+/// Like its PathViews, valid until the embedding is next written to.
+class BundleView {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = PathView;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = PathView;
+
+    iterator() = default;
+    iterator(const Node* nodes, const std::uint32_t* offset)
+        : nodes_(nodes), offset_(offset) {}
+    PathView operator*() const {
+      return {nodes_ + offset_[0], nodes_ + offset_[1]};
+    }
+    iterator& operator++() {
+      ++offset_;
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator old = *this;
+      ++offset_;
+      return old;
+    }
+    friend bool operator==(iterator a, iterator b) {
+      return a.offset_ == b.offset_;
+    }
+
+   private:
+    const Node* nodes_ = nullptr;
+    const std::uint32_t* offset_ = nullptr;  // this path's start; [1] its end
+  };
+
+  /// Path j is nodes[offset[j], offset[j+1]) for j < count.
+  BundleView(const Node* nodes, const std::uint32_t* offset, std::size_t count)
+      : nodes_(nodes), offset_(offset), count_(count) {}
+
+  std::size_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
+  PathView operator[](std::size_t j) const {
+    return {nodes_ + offset_[j], nodes_ + offset_[j + 1]};
+  }
+  PathView front() const { return (*this)[0]; }
+  PathView back() const { return (*this)[count_ - 1]; }
+  iterator begin() const { return {nodes_, offset_}; }
+  iterator end() const { return {nodes_, offset_ + count_}; }
+
+ private:
+  const Node* nodes_;
+  const std::uint32_t* offset_;
+  std::size_t count_;
+};
+
 /// A multiple-path embedding of a guest digraph into Q_host_dims.
 /// A width-1 instance is an ordinary (single-path) embedding.
 class MultiPathEmbedding {
@@ -53,11 +144,37 @@ class MultiPathEmbedding {
   Node host_of(Node guest_node) const { return eta_[guest_node]; }
   std::span<const Node> node_map() const { return eta_; }
 
-  /// Assigns the path bundle of guest edge `edge_id` (id in guest().edges()).
-  void set_paths(std::size_t edge_id, std::vector<HostPath> bundle);
+  // --- writing bundles -----------------------------------------------------
 
-  std::span<const HostPath> paths(std::size_t edge_id) const {
-    return bundles_[edge_id];
+  /// Capacity hint: room for `paths` more paths of `nodes` more nodes in all.
+  void reserve(std::size_t paths, std::size_t nodes);
+
+  /// Starts the bundle of guest edge `edge_id` (id in guest().edges()),
+  /// replacing any earlier one; the paths added next belong to it.  A
+  /// bundle left with no path fails verify_or_throw like an unset edge.
+  void begin_bundle(std::size_t edge_id);
+
+  /// Appends an empty path to the open bundle; push_node() extends it
+  /// until the next begin_path(), add_path() or begin_bundle().
+  void begin_path();
+  void push_node(Node v) {
+    HP_CHECK(path_open_, "push_node needs an open path (begin_path)");
+    nodes_.push_back(v);
+    offset_.back() = checked_path_offset(nodes_.size());
+  }
+
+  /// Appends one path, given whole, to the open bundle.
+  void add_path(std::span<const Node> nodes);
+  void add_path(std::initializer_list<Node> nodes) {
+    add_path(std::span<const Node>(nodes.begin(), nodes.size()));
+  }
+
+  /// Writes guest edge `edge_id`'s whole bundle from owning paths.
+  void set_paths(std::size_t edge_id, const std::vector<HostPath>& bundle);
+
+  BundleView paths(std::size_t edge_id) const {
+    const PathRange r = bundle_[edge_id];
+    return {nodes_.data(), offset_.data() + r.first, r.last - r.first};
   }
 
   // --- metrics (computed on demand; all O(total path length)) -------------
@@ -96,17 +213,28 @@ class MultiPathEmbedding {
   /// the paper's default (one-to-one when the guest fits).
   ///
   /// The per-edge checks and the width computation run as one sweep
-  /// sharded over guest edges on the par::TaskPool.  Failure selection is
+  /// sharded over guest edges on the par::TaskPool; disjointness sorts each
+  /// bundle's hop ids in a per-worker buffer.  Failure selection is
   /// deterministic: the error thrown is always the first failing edge's
   /// (chunks partition the edge range in order and the pool rethrows the
   /// lowest throwing chunk), identical to the serial scan.
   void verify_or_throw(int expected_width = -1, int expected_load = -1) const;
 
  private:
+  /// A guest edge's paths: [first, last) in offset_ order.
+  struct PathRange {
+    std::uint32_t first = 0;
+    std::uint32_t last = 0;
+  };
+
   Digraph guest_;
   Hypercube host_;
   std::vector<Node> eta_;
-  std::vector<std::vector<HostPath>> bundles_;
+  std::vector<Node> nodes_;              // every path's nodes, back to back
+  std::vector<std::uint32_t> offset_{0};  // path p: [offset_[p], offset_[p+1])
+  std::vector<PathRange> bundle_;        // by guest edge id
+  std::size_t open_edge_ = SIZE_MAX;     // the bundle new paths join
+  bool path_open_ = false;               // push_node() may extend the last path
 };
 
 /// A k-copy embedding (Section 3): k one-to-one node maps of the same guest

@@ -146,7 +146,7 @@ MultiPathEmbedding compose_multipath(const MultiPathEmbedding& outer,
     for (std::size_t k = 0; k < w; ++k) {
       HostPath full{outer.paths(hop_edges[0])[k].front()};
       for (std::size_t h : hop_edges) {
-        const HostPath& seg = outer.paths(h)[k];
+        const PathView seg = outer.paths(h)[k];
         HP_CHECK(seg.front() == full.back(), "composition discontinuity");
         full.insert(full.end(), seg.begin() + 1, seg.end());
       }

@@ -42,7 +42,7 @@ void save_multipath(std::ostream& os, const MultiPathEmbedding& emb) {
   for (std::size_t e = 0; e < g.num_edges(); ++e) {
     const auto bundle = emb.paths(e);
     os << "bundle " << e << ' ' << bundle.size() << '\n';
-    for (const HostPath& p : bundle) {
+    for (const PathView p : bundle) {
       os << "path " << p.size();
       for (Node v : p) os << ' ' << v;
       os << '\n';
@@ -80,15 +80,16 @@ MultiPathEmbedding load_multipath(std::istream& is, int expected_load) {
     HP_CHECK(id == e, "bundles out of order");
     const std::size_t count = read_value<std::size_t>(is, "bundle size");
     HP_CHECK(count >= 1 && count <= 4096, "implausible bundle size");
-    std::vector<HostPath> bundle(count);
-    for (auto& p : bundle) {
+    emb.begin_bundle(e);
+    for (std::size_t j = 0; j < count; ++j) {
       expect_token(is, "path");
       const std::size_t len = read_value<std::size_t>(is, "path length");
       HP_CHECK(len >= 1 && len <= 1u << 20, "implausible path length");
-      p.resize(len);
-      for (Node& v : p) v = read_value<Node>(is, "path node");
+      emb.begin_path();
+      for (std::size_t i = 0; i < len; ++i) {
+        emb.push_node(read_value<Node>(is, "path node"));
+      }
     }
-    emb.set_paths(e, std::move(bundle));
   }
   emb.verify_or_throw(-1, expected_load);
   return emb;

@@ -178,9 +178,7 @@ OracleSampleReport oracle_sample_check(const PathOracle& oracle,
       report.node_digest ^=
           std::rotl(sink.digest(), static_cast<int>(i % 63));
     }
-    std::sort(bundle_links.begin(), bundle_links.end());
-    HP_CHECK(std::adjacent_find(bundle_links.begin(), bundle_links.end()) ==
-                 bundle_links.end(),
+    HP_CHECK(hops_distinct(bundle_links),
              "bundle paths are not pairwise edge-disjoint");
     ++report.edges_checked;
   }

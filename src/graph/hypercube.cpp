@@ -1,7 +1,7 @@
 #include "graph/hypercube.hpp"
 
+#include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "base/error.hpp"
 #include "graph/digraph.hpp"
@@ -25,7 +25,7 @@ Digraph Hypercube::to_digraph() const {
   return std::move(b).build();
 }
 
-bool is_valid_path(const Hypercube& q, const HostPath& path) {
+bool is_valid_path(const Hypercube& q, std::span<const Node> path) {
   if (path.empty()) return false;
   for (Node v : path) {
     if (!q.contains(v)) return false;
@@ -54,16 +54,9 @@ HostPath erase_loops(const HostPath& walk) {
   return out;
 }
 
-bool paths_edge_disjoint(const Hypercube& q,
-                         const std::vector<HostPath>& bundle) {
-  std::unordered_set<std::uint64_t> used;
-  for (const HostPath& p : bundle) {
-    for (std::size_t i = 0; i + 1 < p.size(); ++i) {
-      const std::uint64_t id = q.edge_id(p[i], p[i + 1]);
-      if (!used.insert(id).second) return false;
-    }
-  }
-  return true;
+bool hops_distinct(std::vector<std::uint64_t>& hop_ids) {
+  std::sort(hop_ids.begin(), hop_ids.end());
+  return std::adjacent_find(hop_ids.begin(), hop_ids.end()) == hop_ids.end();
 }
 
 }  // namespace hyperpath

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "base/bits.hpp"
@@ -81,11 +82,29 @@ using HostPath = std::vector<Node>;
 
 /// True iff `path` is a valid directed walk in `q` (length >= 1 node; every
 /// hop flips exactly one bit).
-bool is_valid_path(const Hypercube& q, const HostPath& path);
+bool is_valid_path(const Hypercube& q, std::span<const Node> path);
+
+/// Sorts `hop_ids` (directed link ids, Hypercube::edge_id) and returns
+/// true iff no id repeats — the one test behind every edge-disjointness
+/// check.
+bool hops_distinct(std::vector<std::uint64_t>& hop_ids);
 
 /// True iff the paths in `bundle` are pairwise edge-disjoint as *directed*
 /// paths (the paper's multiple-path requirement).  Node sharing is allowed.
-bool paths_edge_disjoint(const Hypercube& q, const std::vector<HostPath>& bundle);
+/// `bundle` is any range of node sequences (a std::vector<HostPath>, a
+/// MultiPathEmbedding's BundleView); `scratch` receives the hop ids, so a
+/// caller checking many bundles reuses one buffer.
+template <typename Bundle>
+bool paths_edge_disjoint(const Hypercube& q, const Bundle& bundle,
+                         std::vector<std::uint64_t>& scratch) {
+  scratch.clear();
+  for (const auto& p : bundle) {
+    for (std::size_t i = 0; i + 1 < p.size(); ++i) {
+      scratch.push_back(q.edge_id(p[i], p[i + 1]));
+    }
+  }
+  return hops_distinct(scratch);
+}
 
 /// Loop-erasure: removes cycles from a walk, yielding a simple path with
 /// the same endpoints (used when concatenating per-hop detour paths, which

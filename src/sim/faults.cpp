@@ -26,6 +26,11 @@ void FaultSet::remove_dead(std::uint64_t id,
   }
 }
 
+int FaultSet::node_faults(Node v) const {
+  const auto it = dead_nodes_.find(v);
+  return it == dead_nodes_.end() ? 0 : it->second;
+}
+
 void FaultSet::apply(const FaultEvent& e,
                      std::vector<std::uint64_t>* flipped) {
   const bool link = e.kind == FaultEventKind::kLinkDown ||
@@ -41,7 +46,13 @@ void FaultSet::apply(const FaultEvent& e,
       add_dead(host_.edge_id(e.v, e.u), flipped);
       break;
     case FaultEventKind::kLinkUp: {
+      // A directed link's kills are its live link faults plus one per
+      // live node fault of an endpoint; a link-up may undo only the former.
       const char* what = "link-up repairs a link that is not down";
+      const auto kills = dead_.find(host_.edge_id(e.u, e.v));
+      const int link_faults = (kills == dead_.end() ? 0 : kills->second) -
+                              node_faults(e.u) - node_faults(e.v);
+      if (link_faults <= 0) throw Error(what);
       remove_dead(host_.edge_id(e.u, e.v), flipped, what);
       remove_dead(host_.edge_id(e.v, e.u), flipped, what);
       break;
@@ -60,7 +71,7 @@ void FaultSet::apply(const FaultEvent& e,
         throw Error("node-up repairs a node that is not down");
       }
       if (--it->second == 0) dead_nodes_.erase(it);
-      const char* what = "node-up repairs a link already repaired by link-up";
+      const char* what = "node-up repairs a link that is not down";
       for (Dim d = 0; d < host_.dims(); ++d) {
         const Node w = host_.neighbor(e.u, d);
         remove_dead(host_.edge_id(e.u, w), flipped, what);
@@ -115,7 +126,7 @@ FaultSet FaultSet::random_nodes(int dims, int count, Rng& rng) {
   return f;
 }
 
-bool FaultSet::path_alive(const HostPath& path) const {
+bool FaultSet::path_alive(std::span<const Node> path) const {
   for (Node v : path) {
     if (node_dead(v)) return false;
   }
@@ -123,16 +134,6 @@ bool FaultSet::path_alive(const HostPath& path) const {
     if (link_dead(path[i], path[i + 1])) return false;
   }
   return true;
-}
-
-BundleDelivery deliver_over_bundle(const FaultSet& faults,
-                                   std::span<const HostPath> bundle) {
-  BundleDelivery d;
-  d.paths_total = static_cast<int>(bundle.size());
-  for (const HostPath& p : bundle) {
-    if (faults.path_alive(p)) ++d.paths_alive;
-  }
-  return d;
 }
 
 std::vector<BundleDelivery> deliver_phase(const FaultSet& faults,

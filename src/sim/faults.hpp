@@ -22,6 +22,7 @@
 //     surviving paths of each bundle.
 #pragma once
 
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -42,9 +43,10 @@ class FaultSet {
   /// Marks the physical link between u and v dead (both directions).
   void kill_link(Node u, Node v);
 
-  /// Revives one prior kill of the physical link between u and v.  A link
-  /// killed twice (e.g. directly and via a node fault) stays dead until
-  /// both kills are revived.  Throws if the link is not dead.
+  /// Revives one prior kill_link(u, v).  A link killed twice (e.g.
+  /// directly and via a node fault) stays dead until both kills are
+  /// revived.  Throws if the link has no live link fault: a node fault's
+  /// kill is undone only by revive_node.
   void revive_link(Node u, Node v);
 
   /// Marks node v dead: v itself plus all 2n directed links incident to it
@@ -52,8 +54,7 @@ class FaultSet {
   /// bundles can be exercised.
   void kill_node(Node v);
 
-  /// Revives one prior kill_node(v).  Throws if v is not dead, or if one
-  /// of its links was already repaired by a link event.
+  /// Revives one prior kill_node(v).  Throws if v is not dead.
   void revive_node(Node v);
 
   /// Applies one timed event (the four calls above).  With `flipped`,
@@ -80,7 +81,7 @@ class FaultSet {
   bool node_dead(Node v) const { return dead_nodes_.contains(v); }
 
   /// True iff every hop of the path is alive and no node on it is dead.
-  bool path_alive(const HostPath& path) const;
+  bool path_alive(std::span<const Node> path) const;
 
   std::size_t num_dead_directed() const { return dead_.size(); }
   std::size_t num_dead_nodes() const { return dead_nodes_.size(); }
@@ -89,6 +90,7 @@ class FaultSet {
   void add_dead(std::uint64_t id, std::vector<std::uint64_t>* flipped);
   void remove_dead(std::uint64_t id, std::vector<std::uint64_t>* flipped,
                    const char* what);
+  int node_faults(Node v) const;  // live node-down events of v
 
   Hypercube host_;
   // Directed link id -> number of active kills (a link can be dead both
@@ -104,9 +106,18 @@ struct BundleDelivery {
   int paths_alive = 0;
 };
 
-/// Evaluates which of the bundle's paths survive the fault set.
+/// Evaluates which of the bundle's paths survive the fault set.  `bundle`
+/// is a MultiPathEmbedding's BundleView or any other range of paths.
+template <typename Bundle>
 BundleDelivery deliver_over_bundle(const FaultSet& faults,
-                                   std::span<const HostPath> bundle);
+                                   const Bundle& bundle) {
+  BundleDelivery d;
+  for (const auto& p : bundle) {
+    ++d.paths_total;
+    d.paths_alive += faults.path_alive(p) ? 1 : 0;
+  }
+  return d;
+}
 
 /// For every guest edge of a multipath embedding, the number of surviving
 /// paths.  Used to measure fault tolerance of width-w embeddings.

@@ -13,20 +13,21 @@ std::vector<Packet> phase_packets(const MultiPathEmbedding& emb, int p) {
   HP_CHECK(p >= 1, "phase needs at least one packet per edge");
   std::vector<Packet> packets;
   packets.reserve(emb.guest().num_edges() * static_cast<std::size_t>(p));
+  std::vector<std::size_t> order;  // slot order, reused across edges
   for (std::size_t e = 0; e < emb.guest().num_edges(); ++e) {
-    const auto bundle = emb.paths(e);
+    const BundleView bundle = emb.paths(e);
     // Order paths by length so packet 0 takes the shortest (direct) path.
-    std::vector<std::size_t> order(bundle.size());
+    order.resize(bundle.size());
     std::iota(order.begin(), order.end(), 0u);
     std::stable_sort(order.begin(), order.end(),
                      [&](std::size_t a, std::size_t b) {
                        return bundle[a].size() < bundle[b].size();
                      });
     for (int j = 0; j < p; ++j) {
-      Packet pk;
-      pk.route = bundle[order[j % order.size()]];
+      const PathView route = bundle[order[j % order.size()]];
+      Packet& pk = packets.emplace_back();
+      pk.route.assign(route.begin(), route.end());
       pk.tag = static_cast<std::uint32_t>(e);
-      packets.push_back(std::move(pk));
     }
   }
   return packets;

@@ -27,6 +27,11 @@ std::uint32_t checked_route_len(std::uint64_t hops) {
   return static_cast<std::uint32_t>(hops);
 }
 
+std::uint32_t checked_release(int release) {
+  HP_CHECK(release >= 0, "negative release time");
+  return static_cast<std::uint32_t>(release);
+}
+
 void RoutePlan::clear() {
   route_nodes.clear();
   route_offsets.clear();
@@ -51,6 +56,11 @@ void RoutePlan::add_route(const Hypercube& host, const HostPath& route,
                           std::uint32_t release_step,
                           const char* invalid_msg) {
   HP_CHECK(is_valid_path(host, route), invalid_msg);
+  append_route(host, route, release_step);
+}
+
+void RoutePlan::append_route(const Hypercube& host, const HostPath& route,
+                             std::uint32_t release_step) {
   route_nodes.insert(route_nodes.end(), route.begin(), route.end());
   for (std::size_t h = 0; h + 1 < route.size(); ++h) {
     link_of_hop.push_back(
@@ -182,10 +192,9 @@ void RoutePlan::rebuild(const Hypercube& host,
   reserve(packets.size(), total_nodes);
   for (const Packet& p : packets) {
     // A packet with a broken route AND a negative release reports the
-    // route first.  The narrowing cast is harmless when release < 0 — the
-    // check right after throws and the half-built plan is discarded.
-    add_route(host, p.route, static_cast<std::uint32_t>(p.release));
-    HP_CHECK(p.release >= 0, "negative release time");
+    // route first; the release is narrowed only once both are checked.
+    HP_CHECK(is_valid_path(host, p.route), "packet route invalid");
+    append_route(host, p.route, checked_release(p.release));
   }
 }
 

@@ -211,6 +211,10 @@ std::uint32_t checked_hop_offset(std::uint64_t hops_total);
 /// overflow".
 std::uint32_t checked_route_len(std::uint64_t hops);
 
+/// Narrows a Packet's int release to its 32-bit release entry: "negative
+/// release time" below 0.
+std::uint32_t checked_release(int release);
+
 /// Structure-of-arrays compilation of a route set, built once per run.
 ///
 /// Hops of route r are the 32-bit link ids
@@ -303,6 +307,9 @@ class RoutePlan {
  private:
   /// Appends the record of a route whose hops were just stored last.
   void append_stored(std::uint64_t hops, std::uint32_t release_step);
+  /// add_route() after its validity check.
+  void append_route(const Hypercube& host, const HostPath& route,
+                    std::uint32_t release_step);
 
   bool compact_ = false;              // link ids are compact (see above)
   std::uint64_t stored_hops_ = 0;     // size of the stored segments

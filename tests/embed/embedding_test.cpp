@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 
 #include "base/error.hpp"
+#include "embed/classical.hpp"
 #include "graph/builders.hpp"
 
 namespace hyperpath {
@@ -90,6 +92,97 @@ TEST(MultiPathEmbedding, WidthIsMinimumBundleSize) {
   const std::size_t e10 = emb.guest().find_edge(1, 0);
   emb.set_paths(e10, {{0b11, 0b01, 0b00}});
   EXPECT_EQ(emb.width(), 1);
+}
+
+std::string error_of(const std::function<void()>& f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(MultiPathEmbedding, OutOfOrderWritesReadBackInEdgeOrder) {
+  // The Gray-code 8-cycle in Q_3, its bundles written last edge first and
+  // the middle one streamed node by node.
+  const MultiPathEmbedding ref = gray_code_cycle_embedding(3);
+  MultiPathEmbedding emb(ref.guest(), 3);
+  emb.set_node_map({ref.node_map().begin(), ref.node_map().end()});
+  for (std::size_t e = ref.guest().num_edges(); e-- > 0;) {
+    const Edge& ge = emb.guest().edge(e);
+    emb.begin_bundle(e);
+    if (e == 4) {
+      emb.begin_path();
+      emb.push_node(emb.host_of(ge.from));
+      emb.push_node(emb.host_of(ge.to));
+    } else {
+      emb.add_path({emb.host_of(ge.from), emb.host_of(ge.to)});
+    }
+  }
+  EXPECT_NO_THROW(emb.verify_or_throw(1, 1));
+  for (std::size_t e = 0; e < ref.guest().num_edges(); ++e) {
+    ASSERT_EQ(emb.paths(e).size(), 1u) << e;
+    EXPECT_EQ(emb.paths(e)[0], ref.paths(e)[0]) << e;
+  }
+}
+
+TEST(MultiPathEmbedding, SecondWriteReplacesFirst) {
+  auto emb = tiny_width2();
+  const std::size_t e01 = emb.guest().find_edge(0, 1);
+  const std::size_t e10 = emb.guest().find_edge(1, 0);
+  emb.set_paths(e01, {{0b00, 0b10, 0b11}});
+  ASSERT_EQ(emb.paths(e01).size(), 1u);
+  EXPECT_EQ(emb.paths(e01)[0], HostPath({0b00, 0b10, 0b11}));
+  emb.begin_bundle(e10);  // streamed rewrite, one path longer than before
+  emb.add_path({0b11, 0b10, 0b00});
+  emb.add_path({0b11, 0b01, 0b00});
+  ASSERT_EQ(emb.paths(e10).size(), 2u);
+  EXPECT_EQ(emb.paths(e10)[0], HostPath({0b11, 0b10, 0b00}));
+  EXPECT_EQ(emb.paths(e10)[1], HostPath({0b11, 0b01, 0b00}));
+  EXPECT_EQ(emb.paths(e01)[0], HostPath({0b00, 0b10, 0b11}));  // untouched
+  EXPECT_EQ(emb.width(), 1);
+  EXPECT_EQ(emb.congestion(), 1);
+  EXPECT_NO_THROW(emb.verify_or_throw(1, 1));
+}
+
+TEST(MultiPathEmbedding, RejectsEmptyBundleAndUnsetEdge) {
+  auto emb = tiny_width2();
+  const std::size_t e01 = emb.guest().find_edge(0, 1);
+  EXPECT_NE(error_of([&] { emb.set_paths(e01, {}); })
+                .find("bundle must contain at least one path"),
+            std::string::npos);
+  EXPECT_NE(error_of([&] { emb.set_paths(7, {{0b00}}); })
+                .find("edge id out of range"),
+            std::string::npos);
+  EXPECT_NO_THROW(emb.verify_or_throw(2, 1));  // the failed writes changed nothing
+
+  DigraphBuilder b(2);
+  b.add_edge(0, 1);
+  b.add_edge(1, 0);
+  MultiPathEmbedding unset(std::move(b).build(), 2);
+  unset.set_node_map({0b00, 0b01});
+  unset.set_paths(unset.guest().find_edge(0, 1), {{0b00, 0b01}});
+  EXPECT_NE(error_of([&] { unset.verify_or_throw(); })
+                .find("guest edge has no image path"),
+            std::string::npos);
+  // A bundle begun but given no path is as unset as one never begun.
+  unset.begin_bundle(unset.guest().find_edge(1, 0));
+  EXPECT_TRUE(unset.paths(unset.guest().find_edge(1, 0)).empty());
+  EXPECT_NE(error_of([&] { unset.verify_or_throw(); })
+                .find("guest edge has no image path"),
+            std::string::npos);
+  EXPECT_THROW(unset.push_node(0b01), Error);  // no begin_path yet
+}
+
+TEST(MultiPathEmbedding, CheckedPathOffsetAcceptsU32MaxAndRejectsPast) {
+  constexpr std::uint64_t kMax = 0xffffffffull;
+  EXPECT_EQ(checked_path_offset(0), 0u);
+  EXPECT_EQ(checked_path_offset(kMax), 0xffffffffu);
+  EXPECT_NE(error_of([] { checked_path_offset(kMax + 1); })
+                .find("multipath store offset overflow"),
+            std::string::npos);
+  EXPECT_THROW(checked_path_offset(std::uint64_t{1} << 40), Error);
 }
 
 TEST(KCopyEmbedding, TwoCopiesCongestionSums) {

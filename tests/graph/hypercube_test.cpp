@@ -76,25 +76,26 @@ TEST(Hypercube, RejectsBadDims) {
 
 TEST(HostPathCheck, ValidPaths) {
   const Hypercube q(4);
-  EXPECT_TRUE(is_valid_path(q, {0b0000}));
-  EXPECT_TRUE(is_valid_path(q, {0b0000, 0b0001, 0b0011}));
-  EXPECT_FALSE(is_valid_path(q, {}));
-  EXPECT_FALSE(is_valid_path(q, {0b0000, 0b0011}));   // two bits flip
-  EXPECT_FALSE(is_valid_path(q, {0b0000, 0b10000}));  // out of Q_4
+  EXPECT_TRUE(is_valid_path(q, HostPath{0b0000}));
+  EXPECT_TRUE(is_valid_path(q, HostPath{0b0000, 0b0001, 0b0011}));
+  EXPECT_FALSE(is_valid_path(q, HostPath{}));
+  EXPECT_FALSE(is_valid_path(q, HostPath{0b0000, 0b0011}));   // two bits flip
+  EXPECT_FALSE(is_valid_path(q, HostPath{0b0000, 0b10000}));  // out of Q_4
 }
 
 TEST(HostPathCheck, EdgeDisjointness) {
   const Hypercube q(3);
+  std::vector<std::uint64_t> scratch;
   // Two node-sharing but edge-disjoint paths 000→011.
   const std::vector<HostPath> ok{{0b000, 0b001, 0b011}, {0b000, 0b010, 0b011}};
-  EXPECT_TRUE(paths_edge_disjoint(q, ok));
+  EXPECT_TRUE(paths_edge_disjoint(q, ok, scratch));
   // Same directed edge twice.
   const std::vector<HostPath> bad{{0b000, 0b001, 0b011},
                                   {0b000, 0b001, 0b101}};
-  EXPECT_FALSE(paths_edge_disjoint(q, bad));
+  EXPECT_FALSE(paths_edge_disjoint(q, bad, scratch));
   // Opposite directions of one link are distinct directed edges.
   const std::vector<HostPath> opposite{{0b000, 0b001}, {0b001, 0b000}};
-  EXPECT_TRUE(paths_edge_disjoint(q, opposite));
+  EXPECT_TRUE(paths_edge_disjoint(q, opposite, scratch));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <sstream>
 
 #include "base/bits.hpp"
 #include "core/cycle_multipath.hpp"
@@ -10,6 +11,7 @@
 #include "core/largecopy.hpp"
 #include "core/transform.hpp"
 #include "embed/classical.hpp"
+#include "embed/io.hpp"
 #include "sim/phase.hpp"
 
 namespace hyperpath {
@@ -117,6 +119,19 @@ TEST(EmbeddingInvariants, TamperingIsAlwaysCaught) {
         EXPECT_THROW(emb.verify_or_throw(), Error) << m.name;
       }
     }
+  }
+}
+
+TEST(MultiPathEmbedding, SaveLoadSaveIsByteIdenticalForEveryConstruction) {
+  for (const auto& m : all_multipath_makers()) {
+    const auto emb = m.make();
+    std::stringstream first;
+    save_multipath(first, emb);
+    std::stringstream in(first.str());
+    const MultiPathEmbedding back = load_multipath(in, emb.load());
+    std::stringstream second;
+    save_multipath(second, back);
+    EXPECT_EQ(first.str(), second.str()) << m.name;
   }
 }
 

@@ -28,9 +28,9 @@ TEST(FaultSet, RandomKillsRequestedCount) {
 TEST(FaultSet, PathAliveness) {
   FaultSet f(3);
   f.kill_link(0b001, 0b011);
-  EXPECT_TRUE(f.path_alive({0b000, 0b010, 0b011}));
-  EXPECT_FALSE(f.path_alive({0b000, 0b001, 0b011}));
-  EXPECT_TRUE(f.path_alive({0b101}));  // trivial path
+  EXPECT_TRUE(f.path_alive(HostPath{0b000, 0b010, 0b011}));
+  EXPECT_FALSE(f.path_alive(HostPath{0b000, 0b001, 0b011}));
+  EXPECT_TRUE(f.path_alive(HostPath{0b101}));  // trivial path
 }
 
 TEST(FaultSet, RejectsNonLink) {

@@ -81,10 +81,10 @@ TEST(FaultSetNode, KillNodeKillsAllIncidentLinks) {
 TEST(FaultSetNode, PathWithDeadIntermediateNodeIsDead) {
   FaultSet f(3);
   f.kill_node(0b001);
-  EXPECT_FALSE(f.path_alive({0b000, 0b001, 0b011}));
-  EXPECT_TRUE(f.path_alive({0b000, 0b010, 0b011}));
+  EXPECT_FALSE(f.path_alive(HostPath{0b000, 0b001, 0b011}));
+  EXPECT_TRUE(f.path_alive(HostPath{0b000, 0b010, 0b011}));
   // Even a path that only *ends* at the dead node is dead.
-  EXPECT_FALSE(f.path_alive({0b011, 0b001}));
+  EXPECT_FALSE(f.path_alive(HostPath{0b011, 0b001}));
 }
 
 TEST(FaultSetNode, ReviveRestoresOverlappingLinkKills) {
@@ -239,6 +239,26 @@ TEST(FaultSchedule, ParseRejectsNodeUpWithNoFault) {
                      "not down"),
             std::string::npos)
       << msg;
+}
+
+// A link repair undoes only a link fault: the links a node fault kills
+// come back with node-up alone.
+TEST(FaultSchedule, ParseRejectsLinkUpOfNodeFaultLink) {
+  const std::string msg =
+      parse_error("dims 8\n0 node-down 5\n0 link-up 5 4\n");
+  EXPECT_NE(msg.find("fault schedule line 3: link-up repairs a link that is "
+                     "not down"),
+            std::string::npos)
+      << msg;
+  FaultSet f(8);
+  f.kill_node(5);
+  EXPECT_THROW(f.revive_link(5, 4), Error);
+  EXPECT_EQ(f.num_dead_directed(), 16u);  // 2n links of the dead node
+  f.kill_link(5, 4);
+  f.revive_link(4, 5);  // either orientation names the physical link
+  EXPECT_TRUE(f.link_dead(5, 4));
+  f.revive_node(5);
+  EXPECT_EQ(f.num_dead_directed(), 0u);
 }
 
 TEST(FaultSchedule, ParseRejectsSecondRepairOfOneFault) {
@@ -467,17 +487,17 @@ TEST(Recovery, RetransmitsOntoSurvivingPathAfterLoss) {
   // Kill one link of one bundle path mid-run; with threshold w the lost
   // fragment must be retransmitted on another path and still arrive.
   const auto emb = theorem1_cycle_embedding(6);
-  const std::span<const HostPath> bundle = emb.paths(0);
+  const BundleView bundle = emb.paths(0);
   ASSERT_GE(bundle.size(), 2u);
   // Break the longest path of bundle 0 on its middle link at step 0, so its
   // fragment is truncated before crossing.
-  const HostPath* victim = &bundle[0];
-  for (const HostPath& p : bundle) {
-    if (p.size() > victim->size()) victim = &p;
+  PathView victim = bundle[0];
+  for (const PathView p : bundle) {
+    if (p.size() > victim.size()) victim = p;
   }
-  ASSERT_GE(victim->size(), 3u);
+  ASSERT_GE(victim.size(), 3u);
   FaultSchedule s(6);
-  s.link_down(0, (*victim)[1], (*victim)[2]);
+  s.link_down(0, victim[1], victim[2]);
 
   RecoveryConfig cfg;
   cfg.timeout = 4;
@@ -498,13 +518,13 @@ TEST(Recovery, IdaThresholdCompletesWithoutRetransmission) {
   // other w-1 fragments complete the message, and the engine suppresses
   // the retransmit of the lost fragment.
   const auto emb = theorem1_cycle_embedding(6);
-  const std::span<const HostPath> bundle = emb.paths(0);
-  const HostPath* victim = &bundle[0];
-  for (const HostPath& p : bundle) {
-    if (p.size() > victim->size()) victim = &p;
+  const BundleView bundle = emb.paths(0);
+  PathView victim = bundle[0];
+  for (const PathView p : bundle) {
+    if (p.size() > victim.size()) victim = p;
   }
   FaultSchedule s(6);
-  s.link_down(0, (*victim)[1], (*victim)[2]);
+  s.link_down(0, victim[1], victim[2]);
 
   RecoveryConfig cfg;
   cfg.threshold = emb.width() - 1;
@@ -542,9 +562,9 @@ TEST(Recovery, TransientFaultHealsAndMessageCompletes) {
   // are down initially and one heals.  The fragment retries with backoff
   // until the repair lands, then completes.
   const auto emb = gray_code_cycle_embedding(4);  // width 1
-  const std::span<const HostPath> bundle = emb.paths(0);
+  const BundleView bundle = emb.paths(0);
   ASSERT_EQ(bundle.size(), 1u);
-  const HostPath& path = bundle[0];
+  const PathView path = bundle[0];
   ASSERT_GE(path.size(), 2u);
   FaultSchedule s(4);
   s.transient_link(0, 40, path[0], path[1]);
@@ -567,7 +587,7 @@ TEST(Recovery, HugeRetryBudgetSaturatesBackoffInsteadOfOverflowing) {
   // horizon and resolve the fragment as exhausted — same bookkeeping as a
   // small budget, no overflow (the sanitizer jobs run this test).
   const auto emb = gray_code_cycle_embedding(4);  // width 1, nowhere to go
-  const std::span<const HostPath> bundle = emb.paths(0);
+  const BundleView bundle = emb.paths(0);
   FaultSchedule s(4);
   // Repair lands just inside the horizon, so a repair stays pending and
   // every attempt really probes (the all-paths-dead shortcut never fires).
@@ -591,7 +611,7 @@ TEST(Recovery, OversizedTimeoutSaturatesOnTheFirstAttempt) {
   // means detection can never happen inside the run, so the fragment is
   // exhausted immediately even though a repair is still pending.
   const auto emb = gray_code_cycle_embedding(4);
-  const std::span<const HostPath> bundle = emb.paths(0);
+  const BundleView bundle = emb.paths(0);
   RecoveryConfig cfg;
   cfg.timeout = 1 << 30;
   cfg.max_retries = 70;

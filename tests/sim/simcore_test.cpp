@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <string>
@@ -506,6 +507,46 @@ TEST(RoutePlan, CheckedRouteLenAcceptsU32MaxAndRejectsPast) {
     EXPECT_NE(std::string(e.what()).find("route plan route length overflow"),
               std::string::npos);
   }
+}
+
+TEST(RoutePlan, CheckedReleaseNarrowsOnlyNonNegativeReleases) {
+  EXPECT_EQ(simcore::checked_release(0), 0u);
+  EXPECT_EQ(simcore::checked_release(std::numeric_limits<int>::max()),
+            0x7fffffffu);
+  for (const int bad : {-1, std::numeric_limits<int>::min()}) {
+    try {
+      simcore::checked_release(bad);
+      ADD_FAILURE() << "no throw for " << bad;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("negative release time"),
+                std::string::npos);
+    }
+  }
+}
+
+TEST(RoutePlan, RebuildReportsBrokenRouteOfALaterPacketBeforeItsRelease) {
+  // A valid packet first, then one with both a broken route and the most
+  // negative release: rebuild names the route, never the release, and
+  // never stores a wrapped release.
+  const Hypercube q(3);
+  Packet good;
+  good.route = ecube_route(q, 0, 7);
+  Packet both;
+  both.route = {Node{1}, Node{6}};
+  both.release = std::numeric_limits<int>::min();
+  simcore::RoutePlan plan;
+  try {
+    plan.rebuild(q, {good, both});
+    FAIL() << "broken packet accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("packet route invalid"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(plan.num_routes(), 1u);
+  both.route = ecube_route(q, 1, 6);
+  EXPECT_THROW(plan.rebuild(q, {good, both}), Error);
+  EXPECT_EQ(plan.num_routes(), 1u);
 }
 
 /// A bundle-shaped workload on Q_5, as the oracle phase lays it out: each
