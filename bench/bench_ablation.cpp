@@ -43,8 +43,8 @@ void print_table(bench::Report& report) {
             disj.edge_congestion(), "≥ copies on some dim");
     }
     t.print();
-    report.metric("ccc_overlapping_congestion_q8", good_cong);
-    report.metric("ccc_same_windows_congestion_q8", naive_cong);
+    report.metric("ccc_overlapping_congestion_q8", good_cong, "count");
+    report.metric("ccc_same_windows_congestion_q8", naive_cong, "count");
     report.table(t);
   }
   {
@@ -70,8 +70,8 @@ void print_table(bench::Report& report) {
       }
     }
     t.print();
-    report.metric("moments_cost_q16", good_cost_16);
-    report.metric("naive_cost_q16", naive_cost_16);
+    report.metric("moments_cost_q16", good_cost_16, "steps");
+    report.metric("naive_cost_q16", naive_cost_16, "steps");
     report.table(t);
   }
   {

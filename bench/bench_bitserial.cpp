@@ -64,7 +64,7 @@ void print_table(bench::Report& report) {
   }
   t.print();
   report.param("stages", stages);
-  report.metric("split_speedup_m1024", speedup_at_1024);
+  report.metric("split_speedup_m1024", speedup_at_1024, "ratio");
   report.table(t);
 }
 
@@ -99,7 +99,7 @@ void print_two_phase_table(bench::Report& report) {
     t.row(mflits, worms.size(), r.makespan, last_ratio);
   }
   t.print();
-  report.metric("two_phase_makespan_per_flit_m384", last_ratio);
+  report.metric("two_phase_makespan_per_flit_m384", last_ratio, "ratio");
   report.table(t);
 }
 

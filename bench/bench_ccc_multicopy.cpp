@@ -43,8 +43,8 @@ void print_table(bench::Report& report) {
             emb.edge_congestion(), dim1, r.makespan);
     }
     t.print();
-    report.metric("directed_ccc_worst_congestion", worst_congestion);
-    report.metric("paper_claimed_congestion", 2);
+    report.metric("directed_ccc_worst_congestion", worst_congestion, "count");
+    report.metric("paper_claimed_congestion", 2, "count");
     report.table(t);
   }
   {
@@ -62,7 +62,7 @@ void print_table(bench::Report& report) {
             n % 2 == 0 ? "1 (even)" : "2 (odd)");
     }
     t.print();
-    report.metric("lemma4_worst_dilation", worst_dilation);
+    report.metric("lemma4_worst_dilation", worst_dilation, "count");
     report.table(t);
   }
   {
@@ -89,8 +89,8 @@ void print_table(bench::Report& report) {
             std::to_string(bf.edge_congestion()) + " (O(1), <=8)");
     }
     t.print();
-    report.metric("undirected_ccc_worst_congestion", und_worst);
-    report.metric("butterfly_worst_congestion", bf_worst);
+    report.metric("undirected_ccc_worst_congestion", und_worst, "count");
+    report.metric("butterfly_worst_congestion", bf_worst, "count");
     report.table(t);
   }
 }

@@ -55,9 +55,9 @@ void print_table(bench::Report& report) {
   t.print();
   report.param("n", n);
   report.param("max_faults", 128);
-  report.metric("gray_dead_at_128_faults", last_gray_dead);
-  report.metric("multi_dead_at_128_faults", last_full_dead);
-  report.metric("ida_recoverable_at_128_faults", last_ida_ok);
+  report.metric("gray_dead_at_128_faults", last_gray_dead, "count");
+  report.metric("multi_dead_at_128_faults", last_full_dead, "count");
+  report.metric("ida_recoverable_at_128_faults", last_ida_ok, "count");
   report.table(t);
 
   // End-to-end check: one IDA transfer over a faulty bundle.
@@ -81,8 +81,8 @@ void print_table(bench::Report& report) {
   std::printf("IDA end-to-end: %zu/%zu guest edges recovered a 4 KiB message "
               "under 32 link faults\n\n",
               recovered, attempted);
-  report.metric("ida_end_to_end_recovered", recovered);
-  report.metric("ida_end_to_end_attempted", attempted);
+  report.metric("ida_end_to_end_recovered", recovered, "count");
+  report.metric("ida_end_to_end_attempted", attempted, "count");
 
   // Node faults: a dead processor takes out all 2n incident links at once,
   // so the damage per fault is much larger — but a width-w bundle still
@@ -114,9 +114,9 @@ void print_table(bench::Report& report) {
            std::to_string(intact) + "/" + std::to_string(edges));
   }
   tn.print();
-  report.metric("gray_dead_at_32_node_faults", last_gray_node_dead);
-  report.metric("multi_dead_at_32_node_faults", last_full_node_dead);
-  report.metric("ida_recoverable_at_32_node_faults", last_node_ida_ok);
+  report.metric("gray_dead_at_32_node_faults", last_gray_node_dead, "count");
+  report.metric("multi_dead_at_32_node_faults", last_full_node_dead, "count");
+  report.metric("ida_recoverable_at_32_node_faults", last_node_ida_ok, "count");
   report.table(tn);
 }
 

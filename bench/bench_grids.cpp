@@ -54,9 +54,9 @@ void print_table(bench::Report& report) {
   t.print();
   report.param("specs", static_cast<int>(specs.size()));
   report.param("packets_per_edge", 2);
-  report.metric("embeddings_built", built);
-  report.metric("worst_phase_cost", worst_cost);
-  report.metric("worst_expansion", worst_expansion);
+  report.metric("embeddings_built", built, "count");
+  report.metric("worst_phase_cost", worst_cost, "steps");
+  report.metric("worst_expansion", worst_expansion, "ratio");
   report.table(t);
 }
 

@@ -43,8 +43,8 @@ void print_table(bench::Report& report) {
   }
   t.print();
   report.param("dims_max", 13);
-  report.metric("worst_joint_congestion", worst_congestion);
-  report.metric("worst_phase_cost", worst_cost);
+  report.metric("worst_joint_congestion", worst_congestion, "count");
+  report.metric("worst_phase_cost", worst_cost, "steps");
   report.table(t);
 }
 

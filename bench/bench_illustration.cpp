@@ -44,7 +44,7 @@ void print_table(bench::Report& report) {
     }
   }
   t.print();
-  report.metric("best_speedup", best_speedup);
+  report.metric("best_speedup", best_speedup, "ratio");
   report.table(t);
 }
 

@@ -49,7 +49,7 @@ void print_table(bench::Report& report) {
             fft.congestion(), measure_phase_cost(fft, 1).makespan, "");
     }
     t.print();
-    report.metric("directed_cycle_util_q8", cycle_util_at_8);
+    report.metric("directed_cycle_util_q8", cycle_util_at_8, "ratio");
     report.table(t);
   }
   {
@@ -79,8 +79,8 @@ void print_table(bench::Report& report) {
             s_large, "no");
     }
     t.print();
-    report.metric("multipath_steps_m16", multi_steps_16);
-    report.metric("largecopy_steps_m16", large_steps_16);
+    report.metric("multipath_steps_m16", multi_steps_16, "steps");
+    report.metric("largecopy_steps_m16", large_steps_16, "steps");
     report.table(t);
   }
 }

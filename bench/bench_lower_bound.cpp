@@ -38,7 +38,7 @@ void print_table(bench::Report& report) {
           t1.dilation(), s1, s2);
   }
   t.print();
-  report.metric("min_slot_slack_at_cost3", min_slack);
+  report.metric("min_slot_slack_at_cost3", min_slack, "steps");
   report.table(t);
 }
 

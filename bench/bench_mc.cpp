@@ -99,34 +99,27 @@ CampaignStats gated_campaign(const char* name, const MultiPathEmbedding& emb,
   return t1;
 }
 
-/// uint64 digests do not survive a JSON double round-trip (> 2^53), so the
-/// report carries each digest as two exact 32-bit halves.
-void report_digest(bench::Report& report, const std::string& prefix,
-                   std::uint64_t digest) {
-  report.metric(prefix + "_digest_hi",
-                static_cast<std::uint64_t>(digest >> 32));
-  report.metric(prefix + "_digest_lo",
-                static_cast<std::uint64_t>(digest & 0xffffffffull));
-}
-
 void report_campaign(bench::Report& report, const std::string& prefix,
                      const CampaignStats& s) {
-  report_digest(report, prefix, s.digest);
-  report.metric(prefix + "_trials", s.trials);
-  report.metric(prefix + "_schedule_events", s.schedule_events);
-  report.metric(prefix + "_messages_total", s.messages_total);
-  report.metric(prefix + "_messages_complete", s.messages_complete);
-  report.metric(prefix + "_messages_recovered", s.messages_recovered);
-  report.metric(prefix + "_retransmissions", s.retransmissions);
-  report.metric(prefix + "_fragments_exhausted", s.fragments_exhausted);
-  report.metric(prefix + "_delivery_rate", s.delivery_rate());
-  report.metric(prefix + "_survival_rate", s.survival_rate());
-  report.metric(prefix + "_max_makespan", s.max_makespan);
-  report.metric(prefix + "_max_waves", s.max_waves);
-  report.metric(prefix + "_recovery_latency_mean", s.recovery_latency.mean());
-  report.metric(prefix + "_recovery_latency_max", s.recovery_latency.max());
+  report.digest(prefix + "_digest_hi", prefix + "_digest_lo", s.digest);
+  report.metric(prefix + "_trials", s.trials, "count");
+  report.metric(prefix + "_schedule_events", s.schedule_events, "count");
+  report.metric(prefix + "_messages_total", s.messages_total, "count");
+  report.metric(prefix + "_messages_complete", s.messages_complete, "count");
+  report.metric(prefix + "_messages_recovered", s.messages_recovered, "count");
+  report.metric(prefix + "_retransmissions", s.retransmissions, "count");
+  report.metric(prefix + "_fragments_exhausted",
+                s.fragments_exhausted, "count");
+  report.metric(prefix + "_delivery_rate", s.delivery_rate(), "ratio");
+  report.metric(prefix + "_survival_rate", s.survival_rate(), "ratio");
+  report.metric(prefix + "_max_makespan", s.max_makespan, "steps");
+  report.metric(prefix + "_max_waves", s.max_waves, "count");
+  report.metric(prefix + "_recovery_latency_mean",
+                s.recovery_latency.mean(), "steps");
+  report.metric(prefix + "_recovery_latency_max",
+                s.recovery_latency.max(), "steps");
   report.metric(prefix + "_retransmit_generations_mean",
-                s.retransmit_generations.mean());
+                s.retransmit_generations.mean(), "count");
 }
 
 /// Gate 3: wave 0 of a fault-free trial is the p = w phase workload
@@ -162,13 +155,13 @@ void congestion_bracket(bench::Report& report, const MultiPathEmbedding& emb,
               static_cast<unsigned long long>(a.peak_congestion),
               static_cast<long long>(bounds.floor),
               static_cast<long long>(bounds.ceiling));
-  report.metric("congestion_floor", bounds.floor);
-  report.metric("congestion_ceiling", bounds.ceiling);
-  report.metric("congestion_peak", a.peak_congestion);
+  report.metric("congestion_floor", bounds.floor, "count");
+  report.metric("congestion_ceiling", bounds.ceiling, "count");
+  report.metric("congestion_peak", a.peak_congestion, "count");
   report.metric("congestion_in_bounds",
                 bounds.contains(static_cast<std::int64_t>(a.peak_congestion))
                     ? 1
-                    : 0);
+                    : 0, "count");
 }
 
 std::string rate_tag(double rate) {
@@ -254,11 +247,12 @@ void print_table(bench::Report& report) {
     e.row(rates[i], md, multi_env[i].stats.survival_rate(), gd,
           gray_env[i].stats.survival_rate(), md - gd);
     const std::string tag = rate_tag(rates[i]);
-    report.metric("multi_delivery_" + tag, md);
+    report.metric("multi_delivery_" + tag, md, "ratio");
     report.metric("multi_survival_" + tag,
-                  multi_env[i].stats.survival_rate());
-    report.metric("gray_delivery_" + tag, gd);
-    report.metric("gray_survival_" + tag, gray_env[i].stats.survival_rate());
+                  multi_env[i].stats.survival_rate(), "ratio");
+    report.metric("gray_delivery_" + tag, gd, "ratio");
+    report.metric("gray_survival_" + tag,
+                  gray_env[i].stats.survival_rate(), "ratio");
   }
   e.print();
 
@@ -267,8 +261,8 @@ void print_table(bench::Report& report) {
   std::printf("critical link rate (delivery < 99%%): theorem1+ida %.4f, "
               "gray %.4f\n\n",
               multi_critical, gray_critical);
-  report.metric("multi_critical_rate", multi_critical);
-  report.metric("gray_critical_rate", gray_critical);
+  report.metric("multi_critical_rate", multi_critical, "ratio");
+  report.metric("gray_critical_rate", gray_critical, "ratio");
 
   congestion_bracket(report, multi, cfg8);
 

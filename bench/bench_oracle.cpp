@@ -21,11 +21,11 @@
 //        the host's 24·2^24 links).  It runs first, before anything
 //        else has raised the process high-water mark.
 //
-// Metric discipline: everything in the metrics section is a deterministic
-// algorithmic output (digests, counts, makespans, gate booleans) held to
-// exact equality by bench_trend --baseline; wall-clock seconds and RSS
-// deltas are machine-dependent and go to record_span timings, which the
-// ledger records and bench_trend reports without gating.
+// Record discipline: every `exact` record is a deterministic algorithmic
+// output (digests, counts, makespans, gate booleans) held to exact
+// equality by bench_trend --baseline; wall-clock seconds, RSS deltas and
+// their ratios are machine-dependent timing, memory and rate records,
+// which the ledger records and bench_trend reports without gating.
 //
 // RSS note: getrusage's ru_maxrss is a process-lifetime high-water mark,
 // so phases are measured as deltas and the algebraic (small) measurements
@@ -36,7 +36,6 @@
 
 #include <sys/resource.h>
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -56,12 +55,8 @@
 namespace hyperpath {
 namespace {
 
-double seconds_of(const std::function<void()>& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  fn();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
+using bench::seconds_of;
+using obs::RecordClass;
 
 double rss_kb() {
   rusage u{};
@@ -125,11 +120,8 @@ void print_equivalence_table(bench::Report& report) {
     t.row(c.tag, alg->host_dims(), ra.edges_checked, ra.paths_checked,
           std::string(digest), "yes");
     const std::string tag = c.tag;
-    report.metric("digest_hi_" + tag,
-                  static_cast<std::uint64_t>(ra.node_digest >> 32));
-    report.metric("digest_lo_" + tag,
-                  static_cast<std::uint64_t>(ra.node_digest & 0xffffffffull));
-    report.metric("equiv_" + tag, 1);
+    report.digest("digest_hi_" + tag, "digest_lo_" + tag, ra.node_digest);
+    report.metric("equiv_" + tag, 1, "count");
   }
   t.print();
   report.table(t);
@@ -143,7 +135,6 @@ void print_ttfr_table(bench::Report& report) {
   bench::Table t("O2: time-to-first-route and peak RSS — mat vs alg",
                  {"host", "mat ms", "alg ms", "ttfr ratio", "mat MB",
                   "alg MB", "rss ratio", "alg Mpaths/s"});
-  auto& reg = obs::MetricsRegistry::global();
 
   struct Case {
     const char* tag;
@@ -206,17 +197,20 @@ void print_ttfr_table(bench::Report& report) {
           mat_rss / 1024.0, alg_rss / 1024.0, rss_ratio, mpaths);
 
     const std::string tag = c.tag;
-    reg.record_span("ttfr_alg_" + tag, s_alg);
-    reg.record_span("alg_rss_kb_" + tag, alg_rss);
-    reg.record_span("alg_mpaths_per_s_" + tag, mpaths);
+    report.record("ttfr_alg_" + tag, s_alg, "s", RecordClass::kTiming);
+    report.record("alg_rss_kb_" + tag, alg_rss, "KiB", RecordClass::kMemory);
+    report.record("alg_paths_per_s_" + tag, mpaths * 1e6, "1/s",
+                  RecordClass::kRate);
     if (c.materialize) {
-      reg.record_span("ttfr_mat_" + tag, s_mat);
-      reg.record_span("mat_rss_kb_" + tag, mat_rss);
-      reg.record_span("ttfr_ratio_" + tag, ttfr_ratio);
-      reg.record_span("rss_ratio_" + tag, rss_ratio);
+      report.record("ttfr_mat_" + tag, s_mat, "s", RecordClass::kTiming);
+      report.record("mat_rss_kb_" + tag, mat_rss, "KiB", RecordClass::kMemory);
+      report.record("ttfr_ratio_" + tag, ttfr_ratio, "ratio",
+                    RecordClass::kTiming);
+      report.record("rss_ratio_" + tag, rss_ratio, "ratio",
+                    RecordClass::kMemory);
     }
-    report.metric("stream_paths_" + tag, paths);
-    report.metric("stream_nodes_" + tag, sink.nodes());
+    report.metric("stream_paths_" + tag, paths, "count");
+    report.metric("stream_nodes_" + tag, sink.nodes(), "count");
 
     if (c.tag == std::string("q20")) {
       const bool ttfr_ok = ttfr_ratio >= 10.0;
@@ -228,8 +222,8 @@ void print_ttfr_table(bench::Report& report) {
                      ttfr_ratio, rss_ratio);
         std::exit(1);
       }
-      report.metric("ttfr_gate_10x_q20", 1);
-      report.metric("rss_gate_5x_q20", 1);
+      report.metric("ttfr_gate_10x_q20", 1, "count");
+      report.metric("rss_gate_5x_q20", 1, "count");
     }
   }
   t.print();
@@ -243,7 +237,6 @@ void print_q24_phase_table(bench::Report& report) {
   bench::Table t("O3: Q_24 phase from the algebraic backend",
                  {"edges", "p", "packets", "makespan", "peak", "floor",
                   "links", "plan MB", "sim s"});
-  auto& reg = obs::MetricsRegistry::global();
 
   const auto oracle = algebraic_grid_oracle(GridSpec{{256, 256, 256}, true});
   const auto edges = sample_guest_edges(*oracle, 50000, 7);
@@ -282,18 +275,18 @@ void print_q24_phase_table(bench::Report& report) {
   t.row(edges.size(), p, expect, r.makespan, r.peak_congestion, floor.floor,
         r.unique_links, static_cast<double>(r.compiled_bytes) / 1048576.0,
         s_sim);
-  report.metric("q24_makespan", r.makespan);
-  report.metric("q24_delivered", r.delivered);
-  report.metric("q24_transmissions", r.total_transmissions);
-  report.metric("q24_peak_congestion", r.peak_congestion);
-  report.metric("q24_floor", floor.floor);
-  report.metric("q24_unique_links", r.unique_links);
-  report.metric("q24_route_nodes", r.route_nodes);
-  report.metric("q24_compiled_bytes", r.compiled_bytes);
-  report.metric("q24_congestion_gate", 1);
-  report.metric("q24_rss_gate_2gib", 1);
-  reg.record_span("q24_phase_sim", s_sim);
-  reg.record_span("q24_phase_rss_kb", rss_delta);
+  report.metric("q24_makespan", r.makespan, "steps");
+  report.metric("q24_delivered", r.delivered, "count");
+  report.metric("q24_transmissions", r.total_transmissions, "count");
+  report.metric("q24_peak_congestion", r.peak_congestion, "count");
+  report.metric("q24_floor", floor.floor, "count");
+  report.metric("q24_unique_links", r.unique_links, "count");
+  report.metric("q24_route_nodes", r.route_nodes, "count");
+  report.metric("q24_compiled_bytes", r.compiled_bytes, "B");
+  report.metric("q24_congestion_gate", 1, "count");
+  report.metric("q24_rss_gate_2gib", 1, "count");
+  report.record("q24_phase_sim", s_sim, "s", RecordClass::kTiming);
+  report.record("q24_phase_rss_kb", rss_delta, "KiB", RecordClass::kMemory);
   t.print();
   report.table(t);
 }
@@ -304,7 +297,6 @@ void print_q24_recovery_table(bench::Report& report) {
   bench::Table t("O4: Q_24 single-fault recovery from the algebraic backend",
                  {"messages", "complete", "waves", "sent", "lost", "rss MB",
                   "sim s"});
-  auto& reg = obs::MetricsRegistry::global();
 
   const auto oracle = algebraic_grid_oracle(GridSpec{{256, 256, 256}, true});
   const auto edges = sample_guest_edges(*oracle, 16, 5);
@@ -336,12 +328,12 @@ void print_q24_recovery_table(bench::Report& report) {
 
   t.row(edges.size(), r.messages_complete, r.waves, r.fragments_sent,
         r.fragments_lost, rss_delta / 1024.0, s_sim);
-  report.metric("q24_recovery_messages_complete", r.messages_complete);
-  report.metric("q24_recovery_waves", r.waves);
-  report.metric("q24_recovery_fragments_sent", r.fragments_sent);
-  report.metric("q24_recovery_rss_gate_256mib", 1);
-  reg.record_span("q24_recovery_sim", s_sim);
-  reg.record_span("q24_recovery_rss_kb", rss_delta);
+  report.metric("q24_recovery_messages_complete", r.messages_complete, "count");
+  report.metric("q24_recovery_waves", r.waves, "count");
+  report.metric("q24_recovery_fragments_sent", r.fragments_sent, "count");
+  report.metric("q24_recovery_rss_gate_256mib", 1, "count");
+  report.record("q24_recovery_sim", s_sim, "s", RecordClass::kTiming);
+  report.record("q24_recovery_rss_kb", rss_delta, "KiB", RecordClass::kMemory);
   t.print();
   report.table(t);
 }

@@ -5,15 +5,14 @@
 // Not a paper experiment — this measures the library itself: construction
 // and verification wall-clock serial (threads=1 PoolScope) vs parallel
 // (threads=8 PoolScope), plus the fused metrics() sweep against the four
-// legacy single-metric re-walks.  Every metric in the report is a
+// legacy single-metric re-walks.  Every exact record in the report is a
 // deterministic output (metric values, congestion checksums, and
 // serial==parallel equality flags, which the determinism contract pins to
 // 1) and is held to exact equality by the baseline CI gate;
 // wall-clock — and with it any speedup, which depends on the host's core
-// count — goes into the timings section only.
+// count — goes into timing records only.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -31,12 +30,8 @@ namespace {
 
 constexpr int kParThreads = 8;
 
-double seconds_of(const std::function<void()>& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  fn();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
+using bench::seconds_of;
+constexpr auto kTiming = obs::RecordClass::kTiming;
 
 std::uint64_t checksum(const std::vector<std::uint32_t>& v) {
   // Order-sensitive FNV-1a so any per-link difference, including a swap,
@@ -72,7 +67,6 @@ void print_construct_verify_table(bench::Report& report) {
                  {"workload", "edges", "construct s1 ms",
                   "construct p8 ms", "speedup", "verify s1 ms",
                   "verify p8 ms", "speedup", "identical"});
-  auto& reg = obs::MetricsRegistry::global();
   for (const auto& w : workloads()) {
     par::TaskPool pool1(1), poolN(kParThreads);
 
@@ -126,12 +120,12 @@ void print_construct_verify_table(bench::Report& report) {
           s_verifyN * 1e3, s_verify1 / s_verifyN, 1);
 
     const std::string key(w.name);
-    reg.record_span("construct_serial_" + key, s_construct1);
-    reg.record_span("construct_par8_" + key, s_constructN);
-    reg.record_span("verify_serial_" + key, s_verify1);
-    reg.record_span("verify_par8_" + key, s_verifyN);
-    report.metric("identical_" + key, 1);
-    report.metric("edges_" + key, serial.guest().num_edges());
+    report.record("construct_serial_" + key, s_construct1, "s", kTiming);
+    report.record("construct_par8_" + key, s_constructN, "s", kTiming);
+    report.record("verify_serial_" + key, s_verify1, "s", kTiming);
+    report.record("verify_par8_" + key, s_verifyN, "s", kTiming);
+    report.metric("identical_" + key, 1, "count");
+    report.metric("edges_" + key, serial.guest().num_edges(), "count");
   }
   t.print();
   report.table(t);
@@ -145,7 +139,6 @@ void print_metrics_table(bench::Report& report) {
                  {"workload", "4-pass s1 ms", "fused s1 ms", "speedup",
                   "fused p8 ms", "speedup vs 4-pass", "congestion",
                   "checksum ok"});
-  auto& reg = obs::MetricsRegistry::global();
   for (const auto& w : workloads()) {
     const MultiPathEmbedding emb = w.make();
     par::TaskPool pool1(1), poolN(kParThreads);
@@ -189,16 +182,16 @@ void print_metrics_table(bench::Report& report) {
           s_fusedN * 1e3, s_four / s_fusedN, congestion, 1);
 
     const std::string key(w.name);
-    reg.record_span("metrics_four_pass_" + key, s_four);
-    reg.record_span("metrics_fused_serial_" + key, s_fused1);
-    reg.record_span("metrics_fused_par8_" + key, s_fusedN);
-    report.metric("load_" + key, fused1.load);
-    report.metric("dilation_" + key, fused1.dilation);
-    report.metric("width_" + key, fused1.width);
-    report.metric("congestion_" + key, fused1.congestion);
+    report.record("metrics_four_pass_" + key, s_four, "s", kTiming);
+    report.record("metrics_fused_serial_" + key, s_fused1, "s", kTiming);
+    report.record("metrics_fused_par8_" + key, s_fusedN, "s", kTiming);
+    report.metric("load_" + key, fused1.load, "count");
+    report.metric("dilation_" + key, fused1.dilation, "count");
+    report.metric("width_" + key, fused1.width, "count");
+    report.metric("congestion_" + key, fused1.congestion, "count");
     report.metric("congestion_checksum_" + key,
-                  checksum(fused1.congestion_per_link));
-    report.metric("metrics_agree_" + key, 1);
+                  checksum(fused1.congestion_per_link), "count");
+    report.metric("metrics_agree_" + key, 1, "count");
   }
   t.print();
   report.table(t);
@@ -208,10 +201,9 @@ void print_pool_table(bench::Report& report) {
   // P3: pool accounting for one parallel verification region — how many
   // tasks ran and how much total worker time the region consumed.  Steal
   // counts are scheduling artifacts (nondeterministic), so they appear here
-  // and in the timings only, never as gated metrics.
+  // and in timing records only, never as exact ones.
   bench::Table t("P3: pool accounting (threads=8 verification region)",
                  {"workload", "regions", "tasks", "steals", "busy ms"});
-  auto& reg = obs::MetricsRegistry::global();
   for (const auto& w : workloads()) {
     const MultiPathEmbedding emb = w.make();
     par::TaskPool pool(kParThreads);
@@ -221,11 +213,11 @@ void print_pool_table(bench::Report& report) {
     double busy = 0;
     for (double b : s.busy_seconds) busy += b;
     t.row(w.label, s.regions, s.tasks, s.steals, busy * 1e3);
-    reg.record_span("pool_busy_" + std::string(w.name), busy);
+    report.record("pool_busy_" + std::string(w.name), busy, "s", kTiming);
   }
   t.print();
   report.table(t);
-  report.metric("pool_threads", kParThreads);
+  report.metric("pool_threads", kParThreads, "count");
 }
 
 void BM_VerifySerial(benchmark::State& state) {

@@ -123,30 +123,33 @@ void print_table(bench::Report& report) {
   report.param("timeout", cfg.timeout);
   report.param("max_retries", cfg.max_retries);
 
-  report.metric("multi_delivery_rate", multi_r.delivery_rate());
-  report.metric("multi_messages_complete", multi_r.messages_complete);
-  report.metric("multi_messages_recovered", multi_r.messages_recovered);
-  report.metric("multi_retransmissions", multi_r.retransmissions);
-  report.metric("multi_recovery_latency_mean", multi_r.recovery_latency.mean());
-  report.metric("multi_recovery_latency_max", multi_r.recovery_latency.max());
-  report.metric("multi_goodput", multi_r.goodput());
-  report.metric("multi_makespan", multi_r.makespan);
-  report.metric("multi_waves", multi_r.waves);
-  report.metric("multi_flight_makespan", fa.makespan);
-  report.metric("multi_flight_retransmits", fa.retransmissions);
-  report.metric("multi_flight_dropped", fa.dropped);
-  report.metric("multi_flight_faults", fa.faults);
+  report.metric("multi_delivery_rate", multi_r.delivery_rate(), "ratio");
+  report.metric("multi_messages_complete", multi_r.messages_complete, "count");
+  report.metric("multi_messages_recovered",
+                multi_r.messages_recovered, "count");
+  report.metric("multi_retransmissions", multi_r.retransmissions, "count");
+  report.metric("multi_recovery_latency_mean",
+                multi_r.recovery_latency.mean(), "steps");
+  report.metric("multi_recovery_latency_max",
+                multi_r.recovery_latency.max(), "steps");
+  report.metric("multi_goodput", multi_r.goodput(), "ratio");
+  report.metric("multi_makespan", multi_r.makespan, "steps");
+  report.metric("multi_waves", multi_r.waves, "count");
+  report.metric("multi_flight_makespan", fa.makespan, "steps");
+  report.metric("multi_flight_retransmits", fa.retransmissions, "count");
+  report.metric("multi_flight_dropped", fa.dropped, "count");
+  report.metric("multi_flight_faults", fa.faults, "count");
   report.metric("multi_flight_max_generation",
-                static_cast<std::uint64_t>(rec.max_generation()));
-  report.metric("multi_queue_wait_p50", fa.queue_wait.quantile(0.5));
-  report.metric("multi_queue_wait_p99", fa.queue_wait.quantile(0.99));
-  report.metric("multi_critical_path", fa.critical_path.length());
-  report.metric("multi_peak_congestion", fa.peak_congestion);
-  report.metric("gray_delivery_rate", gray_r.delivery_rate());
-  report.metric("gray_messages_complete", gray_r.messages_complete);
+                static_cast<std::uint64_t>(rec.max_generation()), "count");
+  report.metric("multi_queue_wait_p50", fa.queue_wait.quantile(0.5), "steps");
+  report.metric("multi_queue_wait_p99", fa.queue_wait.quantile(0.99), "steps");
+  report.metric("multi_critical_path", fa.critical_path.length(), "steps");
+  report.metric("multi_peak_congestion", fa.peak_congestion, "count");
+  report.metric("gray_delivery_rate", gray_r.delivery_rate(), "ratio");
+  report.metric("gray_messages_complete", gray_r.messages_complete, "count");
   report.metric("gray_messages_lost",
-                gray_r.messages_total - gray_r.messages_complete);
-  report.metric("gray_retransmissions", gray_r.retransmissions);
+                gray_r.messages_total - gray_r.messages_complete, "count");
+  report.metric("gray_retransmissions", gray_r.retransmissions, "count");
   report.table(t);
 }
 

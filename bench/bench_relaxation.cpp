@@ -52,7 +52,7 @@ void print_table(bench::Report& report) {
       }
     }
     t.print();
-    report.metric("unidir_norm_cost_largest", last_norm_cost);
+    report.metric("unidir_norm_cost_largest", last_norm_cost, "ratio");
     report.table(t);
   }
   {

@@ -5,14 +5,12 @@
 // and packet-hops/sec throughput of the store-and-forward core (traced and
 // untraced) and the wormhole core, on Theorem-1-phase
 // workloads (the heaviest traffic the paper's tables run) and a bit-reversal
-// wormhole permutation.  Every simulation metric in the report is a
+// wormhole permutation.  Every exact record in the report is a
 // deterministic output (makespans, transmissions, active-set visits, trace
 // event counts, campaign digests) and is held to exact equality by the
-// baseline CI gate; wall-clock goes into the timings section only.
+// baseline CI gate; wall-clock goes into timing and rate records only.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <functional>
 
 #include "bench/table.hpp"
 #include "core/bitserial.hpp"
@@ -28,16 +26,8 @@
 namespace hyperpath {
 namespace {
 
-double seconds_of(const std::function<void()>& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  fn();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-double mhops_per_sec(std::uint64_t hops, double seconds) {
-  return static_cast<double>(hops) / seconds / 1e6;
-}
+using bench::seconds_of;
+using obs::RecordClass;
 
 // Theorem-1 phase traffic on Q_n with p = n packets per guest edge.
 // theorem1_cycle_embedding's direct range needs ⌊n/4⌋ to be a power of two,
@@ -49,48 +39,12 @@ MultiPathEmbedding phase_embedding(int n) {
   return grid_multipath_embedding(GridSpec{{side, side}, true});
 }
 
-void print_store_forward_table(bench::Report& report) {
-  // Theorem-1 phases with p = n packets per guest edge on Q_12..Q_16.
-  // Q_12 and Q_14 are not in theorem1_cycle_embedding's direct range
-  // (⌊n/4⌋ must be a power of two), so they run the Corollary-1 torus
-  // product — every axis embedded by Theorem 1 — at 64×64 and 128×128;
-  // Q_16 is the direct Theorem-1 cycle.
-  bench::Table t("S1: store-and-forward core",
-                 {"n", "packets", "makespan", "Mhops", "flat ms",
-                  "flat Mhops/s"});
-  auto& reg = obs::MetricsRegistry::global();
-  for (int n : {12, 14, 16}) {
-    const auto emb = [&] {
-      HP_PROFILE_SPAN("construct");
-      return phase_embedding(n);
-    }();
-    const auto packets = phase_packets(emb, n);
-    const StoreForwardSim flat(n);
-
-    SimResult rf;
-    HP_PROFILE_SPAN("simulate");
-    const double s_flat = seconds_of([&] { rf = flat.run(packets); });
-    t.row(n, packets.size(), rf.makespan,
-          static_cast<double>(rf.total_transmissions) / 1e6, s_flat * 1e3,
-          mhops_per_sec(rf.total_transmissions, s_flat));
-
-    const std::string sn = std::to_string(n);
-    reg.record_span("flat_serial_n" + sn, s_flat);
-    report.metric("makespan_n" + sn, rf.makespan);
-    report.metric("hops_n" + sn, rf.total_transmissions);
-    report.metric("link_visits_n" + sn, rf.link_visits);
-    report.metric("max_queue_n" + sn, rf.max_queue);
-  }
-  t.print();
-  report.table(t);
-}
-
 void print_tracing_table(bench::Report& report) {
   // Tracing overhead of the flat core on the Q_12 phase workload: the run
   // with a trace sink (every event) against the plain run.  Tracing must
   // leave the simulation bit-identical; the event count is a deterministic
-  // output (gated by the baseline diff), the times are wall-clock and live
-  // in the timings section only.
+  // output (gated by the baseline diff), the times are wall-clock timing
+  // records.
   bench::Table t("S2: flat core tracing overhead",
                  {"n", "packets", "plain ms", "traced ms", "events"});
   const int n = 12;
@@ -119,10 +73,9 @@ void print_tracing_table(bench::Report& report) {
   t.row(n, packets.size(), s_plain * 1e3, s_traced * 1e3, ring.total());
   t.print();
   report.table(t);
-  auto& reg = obs::MetricsRegistry::global();
-  reg.record_span("flat_plain_n12", s_plain);
-  reg.record_span("flat_traced_n12", s_traced);
-  report.metric("trace_events_n12", ring.total());
+  report.record("flat_plain_n12", s_plain, "s", RecordClass::kTiming);
+  report.record("flat_traced_n12", s_traced, "s", RecordClass::kTiming);
+  report.metric("trace_events_n12", ring.total(), "count");
 }
 
 void print_wormhole_table(bench::Report& report) {
@@ -131,7 +84,6 @@ void print_wormhole_table(bench::Report& report) {
   // dimension-ordered routes.
   bench::Table t("S3: wormhole core — bitmap worklists",
                  {"n", "worms", "flits", "makespan", "flat ms"});
-  auto& reg = obs::MetricsRegistry::global();
   for (int n : {10, 12}) {
     const auto pattern = bit_reversal_pattern(n);
     const auto worms = ecube_worms(n, pattern, 32);
@@ -142,24 +94,25 @@ void print_wormhole_table(bench::Report& report) {
     const double s_flat = seconds_of([&] { rf = flat.run(worms); });
     t.row(n, worms.size(), 32, rf.makespan, s_flat * 1e3);
     const std::string sn = std::to_string(n);
-    reg.record_span("flat_wormhole_n" + sn, s_flat);
-    report.metric("worm_makespan_n" + sn, rf.makespan);
-    report.metric("worm_flit_hops_n" + sn, rf.total_flit_hops);
+    report.record("flat_wormhole_n" + sn, s_flat, "s", RecordClass::kTiming);
+    report.metric("worm_makespan_n" + sn, rf.makespan, "steps");
+    report.metric("worm_flit_hops_n" + sn, rf.total_flit_hops, "count");
   }
   t.print();
   report.table(t);
 }
 
 void print_engine_table(bench::Report& report) {
-  // S4: the serial step sweep on the same Theorem-1 phase workloads as S1,
-  // untraced and fault-free — exactly the branch-light specialization
-  // step_sweep<false, false>.  The packet-steps/second column is the
-  // first-class throughput metric (SimResult::packet_steps_per_sec) and
-  // lands in the timings section as pps_* spans so bench_runner --history
-  // and bench_trend chart it.
+  // S4: the serial step sweep on the phase workloads of phase_embedding
+  // (Q_12..Q_16, p = n packets per guest edge), untraced and fault-free —
+  // exactly the branch-light specialization step_sweep<false, false>.  The
+  // store-and-forward outputs (makespan, hops, link visits, max queue) are
+  // exact records.  The packet-steps/second column is the first-class
+  // throughput number (SimResult::packet_steps_per_sec), a `rate` record
+  // that bench_trend prints for the newest ledger run.
   bench::Table t("S4: step sweep — SoA route plan throughput",
-                 {"n", "packets", "makespan", "soa ms", "soa Mpps"});
-  auto& reg = obs::MetricsRegistry::global();
+                 {"n", "packets", "makespan", "max queue", "soa ms",
+                  "soa Mpps"});
   for (int n : {12, 14, 16}) {
     const auto emb = [&] {
       HP_PROFILE_SPAN("construct");
@@ -174,15 +127,17 @@ void print_engine_table(bench::Report& report) {
     (void)soa.run(packets);
     const SimResult rs = soa.run(packets);
     const double pps_soa = rs.packet_steps_per_sec();
-    t.row(n, packets.size(), rs.makespan, rs.elapsed_seconds * 1e3,
-          pps_soa / 1e6);
+    t.row(n, packets.size(), rs.makespan, rs.max_queue,
+          rs.elapsed_seconds * 1e3, pps_soa / 1e6);
 
     const std::string sn = std::to_string(n);
-    reg.record_span("soa_serial_n" + sn, rs.elapsed_seconds);
-    reg.record_span("pps_soa_serial_n" + sn, pps_soa);
-    report.metric("s4_makespan_n" + sn, rs.makespan);
-    report.metric("s4_hops_n" + sn, rs.total_transmissions);
-    report.metric("s4_link_visits_n" + sn, rs.link_visits);
+    report.record("soa_serial_n" + sn, rs.elapsed_seconds, "s",
+                  RecordClass::kTiming);
+    report.record("pps_soa_serial_n" + sn, pps_soa, "1/s", RecordClass::kRate);
+    report.metric("s4_makespan_n" + sn, rs.makespan, "steps");
+    report.metric("s4_hops_n" + sn, rs.total_transmissions, "count");
+    report.metric("s4_link_visits_n" + sn, rs.link_visits, "count");
+    report.metric("max_queue_n" + sn, rs.max_queue, "count");
   }
   t.print();
   report.table(t);
@@ -214,14 +169,10 @@ void print_engine_table(bench::Report& report) {
   const double s_mc = seconds_of([&] { mc = driver.run(cfg); });
   std::printf("S4 Monte-Carlo: Q_10 x %u trials, digest %016llx (%.2fs)\n\n",
               cfg.trials, static_cast<unsigned long long>(mc.digest), s_mc);
-  reg.record_span("mc_soa_q10", s_mc);
-  // uint64 digests do not survive a JSON double round-trip (> 2^53): carry
-  // the gated value as two exact 32-bit halves.
-  report.metric("s4_mc_digest_hi", static_cast<std::uint64_t>(mc.digest >> 32));
-  report.metric("s4_mc_digest_lo",
-                static_cast<std::uint64_t>(mc.digest & 0xffffffffull));
-  report.metric("s4_mc_messages_complete", mc.messages_complete);
-  report.metric("s4_mc_retransmissions", mc.retransmissions);
+  report.record("mc_soa_q10", s_mc, "s", RecordClass::kTiming);
+  report.digest("s4_mc_digest_hi", "s4_mc_digest_lo", mc.digest);
+  report.metric("s4_mc_messages_complete", mc.messages_complete, "count");
+  report.metric("s4_mc_retransmissions", mc.retransmissions, "count");
 }
 
 void BM_FlatSerialPhase(benchmark::State& state) {
@@ -255,7 +206,6 @@ BENCHMARK(BM_FlatWormhole)->Arg(10)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   hyperpath::bench::Report report("simcore", &argc, argv);
-  hyperpath::print_store_forward_table(report);
   hyperpath::print_tracing_table(report);
   hyperpath::print_wormhole_table(report);
   hyperpath::print_engine_table(report);

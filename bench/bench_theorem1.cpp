@@ -52,26 +52,28 @@ void report_q16_flight_metrics(bench::Report& report) {
               a.critical_path.length(), a.critical_path.handoffs,
               a.queue_wait.quantile(0.99));
 
-  report.metric("q16_flight_makespan", a.makespan);
-  report.metric("q16_flight_delivered", a.delivered);
-  report.metric("q16_peak_congestion", a.peak_congestion);
-  report.metric("q16_congestion_floor", bounds.floor);
-  report.metric("q16_congestion_ceiling", bounds.ceiling);
+  report.metric("q16_flight_makespan", a.makespan, "steps");
+  report.metric("q16_flight_delivered", a.delivered, "count");
+  report.metric("q16_peak_congestion", a.peak_congestion, "count");
+  report.metric("q16_congestion_floor", bounds.floor, "count");
+  report.metric("q16_congestion_ceiling", bounds.ceiling, "count");
   report.metric("q16_congestion_in_bounds",
                 bounds.contains(static_cast<std::int64_t>(
                     a.peak_congestion))
                     ? 1
-                    : 0);
+                    : 0, "count");
   report.metric("q16_congestion_floor_margin",
-                static_cast<std::int64_t>(a.peak_congestion) - bounds.floor);
+                static_cast<std::int64_t>(a.peak_congestion) - bounds.floor,
+                "count");
   report.metric("q16_congestion_ceiling_margin",
                 bounds.ceiling -
-                    static_cast<std::int64_t>(a.peak_congestion));
-  report.metric("q16_critical_path_length", a.critical_path.length());
-  report.metric("q16_critical_path_handoffs", a.critical_path.handoffs);
-  report.metric("q16_queue_wait_p50", a.queue_wait.quantile(0.5));
-  report.metric("q16_queue_wait_p99", a.queue_wait.quantile(0.99));
-  report.metric("q16_depth_mismatches", a.depth_mismatches);
+                    static_cast<std::int64_t>(a.peak_congestion), "count");
+  report.metric("q16_critical_path_length", a.critical_path.length(), "steps");
+  report.metric("q16_critical_path_handoffs",
+                a.critical_path.handoffs, "count");
+  report.metric("q16_queue_wait_p50", a.queue_wait.quantile(0.5), "steps");
+  report.metric("q16_queue_wait_p99", a.queue_wait.quantile(0.99), "steps");
+  report.metric("q16_depth_mismatches", a.depth_mismatches, "count");
 }
 
 void print_table(bench::Report& report) {
@@ -100,8 +102,8 @@ void print_table(bench::Report& report) {
   t.print();
   report.param("dims_min", dims.front());
   report.param("dims_max", dims.back());
-  report.metric("worst_phase_cost", worst_cost);
-  report.metric("paper_claimed_cost", 3);
+  report.metric("worst_phase_cost", worst_cost, "steps");
+  report.metric("paper_claimed_cost", 3, "steps");
   report.table(t);
 }
 

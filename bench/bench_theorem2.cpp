@@ -38,9 +38,9 @@ void print_table(bench::Report& report) {
           lemma3_max_cost3_packets(n));
   }
   t.print();
-  report.metric("worst_phase_cost", worst_cost);
-  report.metric("paper_claimed_cost", 3);
-  report.metric("worst_min_util_n_mod4_0", worst_min_util);
+  report.metric("worst_phase_cost", worst_cost, "steps");
+  report.metric("paper_claimed_cost", 3, "steps");
+  report.metric("worst_min_util_n_mod4_0", worst_min_util, "ratio");
   report.table(t);
 }
 

@@ -44,13 +44,13 @@ void print_table(bench::Report& report) {
     }();
     HP_PROFILE_SPAN("simulate");
     const auto r = measure_phase_cost(emb, n);
-    report.metric("butterfly_x_cost", r.makespan);
+    report.metric("butterfly_x_cost", r.makespan, "steps");
     t.row("sym. butterfly (m=4)", n, emb.guest().num_nodes(), emb.width(),
           emb.dilation(), r.makespan, "c + 8, c = multicopy cost");
   }
   t.print();
-  report.metric("cycle_x_cost_n4", cycle_cost_n4);
-  report.metric("paper_claimed_cost", 3);
+  report.metric("cycle_x_cost_n4", cycle_cost_n4, "steps");
+  report.metric("paper_claimed_cost", 3, "steps");
   report.table(t);
 }
 

@@ -30,9 +30,9 @@ void print_table(bench::Report& report) {
       const int n = emb.host().dims() / 2;
       HP_PROFILE_SPAN("simulate");
       const auto r = measure_phase_cost(emb, n);
-      report.metric("cbt_width", emb.width());
-      report.metric("cbt_load", emb.load());
-      report.metric("cbt_phase_cost", r.makespan);
+      report.metric("cbt_width", emb.width(), "count");
+      report.metric("cbt_load", emb.load(), "count");
+      report.metric("cbt_phase_cost", r.makespan, "steps");
       t.row(m, emb.guest().num_nodes(), emb.host().dims(), emb.width(),
             emb.load(), emb.dilation(), r.makespan);
     }
@@ -61,7 +61,7 @@ void print_table(bench::Report& report) {
             8);
     }
     t.print();
-    report.metric("arbitrary_tree_worst_cost", worst_cost);
+    report.metric("arbitrary_tree_worst_cost", worst_cost, "steps");
     report.table(t);
   }
 }

@@ -7,16 +7,19 @@
 //
 // JSON export: constructing a bench::Report strips a `--json [path]` flag
 // from argv (before benchmark::Initialize sees it).  When the flag is
-// present the report writes one machine-readable record — params, metrics,
-// every registered table, and the wall-clock timer spans accumulated in
-// obs::MetricsRegistry — to `path` (default BENCH_<experiment>.json), so
-// perf trajectories can be tracked across PRs instead of eyeballed.
+// present the report writes one machine-readable document — params, every
+// measured number as a {name, value, unit, class} record, every
+// registered table, and the profiler's span tree — to `path` (default
+// BENCH_<experiment>.json), so perf trajectories can be tracked across PRs
+// instead of eyeballed.
 #pragma once
 
 #include <algorithm>
-#include <cmath>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -28,6 +31,14 @@
 #include "obs/run_metadata.hpp"
 
 namespace hyperpath::bench {
+
+/// Wall-clock seconds one call of `fn` takes (steady_clock).
+inline double seconds_of(const std::function<void()>& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
 
 class Table {
  public:
@@ -98,13 +109,16 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Machine-readable record of one bench run:
+/// Machine-readable document of one bench run:
 ///   {"experiment":..., "meta":{git sha, compiler, flags, host, ...},
-///    "params":{...}, "metrics":{...},
+///    "params":{...},
+///    "records":[{"name":..., "value":..., "unit":..., "class":...}],
 ///    "tables":[{"title":..., "columns":[...], "rows":[[...]]}],
-///    "timings":{"name":{"seconds":...,"count":...}},
 ///    "profile":{span tree}}
-/// Written on destruction when `--json [path]` was passed.
+/// Written on destruction when `--json [path]` was passed.  `records`
+/// holds the bench's metric() and record() numbers in call order, then one
+/// timing record per root span of the global profiler
+/// (obs::write_root_span_records).
 ///
 /// Constructing a Report also enables the global span profiler, so the
 /// construction/simulation spans the library brackets (HP_PROFILE_SPAN)
@@ -159,9 +173,26 @@ class Report {
     params_.emplace_back(key, number(v));
   }
 
+  /// A deterministic output: an `exact` record, which the baseline diff
+  /// holds at tolerance 0.
   template <typename T>
-  void metric(const std::string& key, T v) {
-    metrics_.emplace_back(key, number(v));
+  void metric(const std::string& key, T v, const char* unit) {
+    add(key, number(v), unit, obs::RecordClass::kExact);
+  }
+
+  /// A uint64 digest as two exact 32-bit halves: the trend tools read
+  /// values as doubles, which would round a digest past 2^53.
+  void digest(const std::string& hi_key, const std::string& lo_key,
+              std::uint64_t v) {
+    metric(hi_key, v >> 32, "count");
+    metric(lo_key, v & 0xffffffffull, "count");
+  }
+
+  /// A machine-dependent number — a timing, memory or rate record —
+  /// which the trend tools report and never gate.
+  void record(const std::string& key, double v, const char* unit,
+              obs::RecordClass cls) {
+    add(key, obs::json_number(v), unit, cls);
   }
 
   /// Registers a table for export (call after the table's rows are final).
@@ -176,9 +207,10 @@ class Report {
     w.key("params").begin_object();
     for (const auto& [k, v] : params_) w.key(k).raw_value(v);
     w.end_object();
-    w.key("metrics").begin_object();
-    for (const auto& [k, v] : metrics_) w.key(k).raw_value(v);
-    w.end_object();
+    w.key("records").begin_array();
+    for (const std::string& r : records_) w.raw_value(r);
+    obs::write_root_span_records(w, obs::Profiler::global());
+    w.end_array();
     w.key("tables").begin_array();
     for (const Table& t : tables_) {
       w.begin_object();
@@ -196,7 +228,6 @@ class Report {
       w.end_object();
     }
     w.end_array();
-    obs::MetricsRegistry::global().write_timings(w);
     w.key("profile");
     obs::Profiler::global().write_json(w);
     w.end_object();
@@ -215,14 +246,9 @@ class Report {
   template <typename T>
   static std::string number(T v) {
     if constexpr (std::is_floating_point_v<T>) {
-      // %.17g would print "nan"/"inf" — not JSON tokens.  Match
-      // JsonWriter::value(double): non-finite becomes null.
-      if (!std::isfinite(static_cast<double>(v))) return "null";
-      char buf[48];
-      std::snprintf(buf, sizeof buf, "%.17g", static_cast<double>(v));
-      return buf;
+      return obs::json_number(static_cast<double>(v));
     } else {
-      return std::to_string(v);
+      return std::to_string(v);  // integers past 2^53 keep every digit
     }
   }
 
@@ -230,7 +256,14 @@ class Report {
   std::string path_;
   bool enabled_ = false;
   std::vector<std::pair<std::string, std::string>> params_;
-  std::vector<std::pair<std::string, std::string>> metrics_;
+  void add(const std::string& key, const std::string& value_json,
+           const char* unit, obs::RecordClass cls) {
+    obs::JsonWriter r;
+    obs::write_record(r, key, value_json, unit, cls);
+    records_.push_back(r.str());
+  }
+
+  std::vector<std::string> records_;  // encoded records, in call order
   std::vector<Table> tables_;
 };
 

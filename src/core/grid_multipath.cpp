@@ -60,8 +60,9 @@ MultiPathEmbedding grid_multipath_embedding(const GridSpec& spec) {
     HP_PROFILE_SPAN("node_map");
     const Node n_guest = spec.num_nodes();
     std::vector<Node> eta(n_guest);
+    std::vector<Node> coords(k);
     for (Node v = 0; v < n_guest; ++v) {
-      const auto coords = spec.coords(v);
+      spec.coords(v, coords);
       Node addr = 0;
       for (int a = 0; a < k; ++a) {
         addr |= axis[a].host_of(coords[a]) << offset[a];
@@ -78,10 +79,11 @@ MultiPathEmbedding grid_multipath_embedding(const GridSpec& spec) {
   {
   HP_PROFILE_SPAN("bundles");
   const Digraph& g = emb.guest();
+  std::vector<Node> cf(k), ct(k);  // endpoint coordinates, reused
   for (std::size_t e = 0; e < g.num_edges(); ++e) {
     const Edge& ge = g.edge(e);
-    const auto cf = spec.coords(ge.from);
-    const auto ct = spec.coords(ge.to);
+    spec.coords(ge.from, cf);
+    spec.coords(ge.to, ct);
     int a = -1;
     for (int i = 0; i < k; ++i) {
       if (cf[i] != ct[i]) {

@@ -91,7 +91,8 @@ CriticalPath extract_critical_path(const FlightRecorder& rec,
                                    const TransmitIndex& index,
                                    std::size_t terminal);
 
-/// Everything trace_query and the benches report about one trace.
+/// Everything `hyperpath_cli analyze` and the benches report about one
+/// trace.
 struct TraceAnalysis {
   int makespan = 0;
   std::uint64_t delivered = 0;

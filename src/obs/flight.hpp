@@ -39,8 +39,8 @@
 //
 // The recorder reproduces run-level results from the stream alone —
 // makespan, delivered/dropped counts, transmissions — which is what proves
-// a trace is complete: tools/trace_query gates on matching SimResult bit
-// for bit, and tests assert it for every simulator mode.
+// a trace is complete: `hyperpath_cli analyze` gates on matching
+// SimResult bit for bit, and tests assert it for every simulator mode.
 #pragma once
 
 #include <cstdint>

@@ -95,15 +95,16 @@ JsonWriter& JsonWriter::value(std::string_view v) {
   return *this;
 }
 
-JsonWriter& JsonWriter::value(double v) {
-  comma();
-  if (!std::isfinite(v)) {
-    out_ += "null";  // JSON has no inf/nan
-    return *this;
-  }
+std::string json_number(double v) {
+  if (!std::isfinite(v)) return "null";  // JSON has no inf/nan
   char buf[48];
   std::snprintf(buf, sizeof buf, "%.17g", v);
-  out_ += buf;
+  return buf;
+}
+
+JsonWriter& JsonWriter::value(double v) {
+  comma();
+  out_ += json_number(v);
   return *this;
 }
 

@@ -17,6 +17,10 @@ namespace hyperpath::obs {
 /// Escapes a string for inclusion inside JSON quotes (adds no quotes).
 std::string json_escape(std::string_view s);
 
+/// `v` as a JSON number ("%.17g", round-trips exactly); non-finite values
+/// become null.
+std::string json_number(double v);
+
 class JsonWriter {
  public:
   JsonWriter& begin_object();

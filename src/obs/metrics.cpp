@@ -1,9 +1,12 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <map>
+#include <string>
 
 #include "base/error.hpp"
 #include "obs/json.hpp"
+#include "obs/profile.hpp"
 
 namespace hyperpath::obs {
 
@@ -124,43 +127,42 @@ void UtilizationProfile::write_json(JsonWriter& w) const {
   w.end_object();
 }
 
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry* r = new MetricsRegistry;  // never destroyed
-  return *r;
+namespace {
+
+constexpr const char* kClassNames[] = {"exact", "timing", "memory", "rate"};
+
+}  // namespace
+
+const char* record_class_name(RecordClass c) {
+  return kClassNames[static_cast<int>(c)];
 }
 
-void MetricsRegistry::record_span(const std::string& name, double seconds) {
-  std::scoped_lock lock(mu_);
-  Span& s = timings_[name];
-  s.seconds += seconds;
-  ++s.count;
-}
-
-std::vector<MetricsRegistry::SpanView> MetricsRegistry::timings() const {
-  std::scoped_lock lock(mu_);
-  std::vector<SpanView> out;
-  out.reserve(timings_.size());
-  for (const auto& [name, s] : timings_) {
-    out.push_back({name, s.seconds, s.count});
+std::optional<RecordClass> parse_record_class(std::string_view name) {
+  for (int c = 0; c < 4; ++c) {
+    if (name == kClassNames[c]) return static_cast<RecordClass>(c);
   }
-  return out;
+  return std::nullopt;
 }
 
-void MetricsRegistry::write_timings(JsonWriter& w) const {
-  std::scoped_lock lock(mu_);
-  w.key("timings").begin_object();
-  for (const auto& [name, s] : timings_) {
-    w.key(name).begin_object();
-    w.field("seconds", s.seconds);
-    w.field("count", s.count);
-    w.end_object();
-  }
+void write_record(JsonWriter& w, std::string_view name,
+                  std::string_view value_json, std::string_view unit,
+                  RecordClass cls) {
+  w.begin_object();
+  w.field("name", name);
+  w.key("value").raw_value(value_json);
+  w.field("unit", unit);
+  w.field("class", record_class_name(cls));
   w.end_object();
 }
 
-void MetricsRegistry::reset() {
-  std::scoped_lock lock(mu_);
-  timings_.clear();
+void write_root_span_records(JsonWriter& w, const Profiler& p) {
+  std::map<std::string, double> seconds;
+  for (const Profiler::NodeView& n : p.nodes()) {
+    if (n.depth == 0) seconds[n.name] += n.wall_seconds;
+  }
+  for (const auto& [name, s] : seconds) {
+    write_record(w, name, json_number(s), "s", RecordClass::kTiming);
+  }
 }
 
 }  // namespace hyperpath::obs

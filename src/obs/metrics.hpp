@@ -1,25 +1,23 @@
-// Metric value types and the process-wide span-timing registry.
-//
-// Two layers:
+// Metric value types and the measurement record.
 //
 //   * Plain value types (FixedHistogram, UtilizationProfile) with no
 //     locking — embedded in results (SimResult, CampaignStats).
-//   * MetricsRegistry — process-wide named span timings, mutex-protected.
-//     It holds nothing else: it accumulates the global profiler's root
-//     spans (obs/profile.hpp) plus the spans benches and the task pool
-//     record by hand, so a bench brackets its "construct" and "simulate"
-//     phases with HP_PROFILE_SPAN and exports both as its "timings".
+//   * The measurement record — one number with its unit and class, the
+//     {"name","value","unit","class"} shape of bench reports, ledger rows
+//     and hpbench.  Only `exact` records are deterministic outputs; the
+//     trend gate compares them at tolerance 0 and only reports the rest.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace hyperpath::obs {
 
 class JsonWriter;
+class Profiler;
 
 /// Histogram over fixed, caller-supplied bucket upper bounds (ascending).
 /// A sample lands in the first bucket whose bound is >= the sample; samples
@@ -123,41 +121,27 @@ class UtilizationProfile {
   std::size_t steps_ = 0;
 };
 
-/// Named registry of wall-clock timer spans: the "timings" block every
-/// report carries.
-class MetricsRegistry {
- public:
-  /// The process-wide registry fed by the global profiler's root spans
-  /// and the bench harness.
-  static MetricsRegistry& global();
+/// What kind of number a record carries.  `exact` values repeat bit for
+/// bit on any machine (counts, makespans, digests); the other three are
+/// machine-dependent.
+enum class RecordClass { kExact, kTiming, kMemory, kRate };
 
-  /// Accumulates one wall-clock span measurement under `name`.
-  void record_span(const std::string& name, double seconds);
+/// "exact", "timing", "memory" or "rate".
+const char* record_class_name(RecordClass c);
+std::optional<RecordClass> parse_record_class(std::string_view name);
 
-  /// Snapshot of every recorded timer span.
-  struct SpanView {
-    std::string name;
-    double seconds = 0;
-    std::uint64_t count = 0;
-  };
-  std::vector<SpanView> timings() const;
+/// Emits one record {"name":..,"value":..,"unit":..,"class":..} as a
+/// value of an open array.  `value_json` is the value already encoded as
+/// JSON (json_number for a double), so an exact integer past 2^53 keeps
+/// every digit.  `unit` is one of hpbench's unit words: "s", "1/s", "KiB",
+/// "B", "count", "steps" or "ratio".
+void write_record(JsonWriter& w, std::string_view name,
+                  std::string_view value_json, std::string_view unit,
+                  RecordClass cls);
 
-  /// Emits the "timings" member — {"name":{"seconds":s,"count":n},...} —
-  /// into an open object: the one writer of the block every report (bench
-  /// report, CLI summary) carries.
-  void write_timings(JsonWriter& w) const;
-
-  /// Drops every span (tests and repeated bench runs).
-  void reset();
-
- private:
-  struct Span {
-    double seconds = 0;
-    std::uint64_t count = 0;
-  };
-
-  mutable std::mutex mu_;
-  std::map<std::string, Span> timings_;
-};
+/// Emits the root spans of `p` (spans that closed at depth 0 on their
+/// thread) as timing records in "s" into an open array: one per name,
+/// sorted, wall seconds summed over every visit on every thread.
+void write_root_span_records(JsonWriter& w, const Profiler& p);
 
 }  // namespace hyperpath::obs

@@ -8,7 +8,6 @@
 
 #include "base/error.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -177,10 +176,6 @@ void Profiler::end() {
     tp.event_head = (tp.event_head + 1) % kMaxEvents;
   }
   ++tp.events_total;
-  // A root span of the global profiler is also a timing of the run.
-  if (tp.stack.empty() && this == &global()) {
-    MetricsRegistry::global().record_span(node.name, wall);
-  }
 }
 
 std::vector<Profiler::NodeView> Profiler::nodes() const {

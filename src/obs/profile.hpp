@@ -10,11 +10,11 @@
 // — memory blowups show up in the span tree the same way time regressions
 // do.
 //
-// ProfileSpan is the only span type.  Every span of the global profiler
-// that closes at depth 0 on its thread is also added, by name and wall
-// seconds, to MetricsRegistry::global()'s timings: the "timings" sections
-// of bench reports and `hyperpath_cli trace --json`.  Instance profilers
-// write nothing there.
+// ProfileSpan is the only span type.  The root spans of the global
+// profiler (depth 0 on their thread) are also the `timing` records of
+// bench reports and `hyperpath_cli trace --json`:
+// obs::write_root_span_records (obs/metrics.hpp) reads them from nodes()
+// when a report is written.
 //
 // Two exports:
 //

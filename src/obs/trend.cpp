@@ -33,23 +33,59 @@ int int_field(const JsonValue& doc, const char* key) {
                                         : 0;
 }
 
-void read_number_map(const JsonValue* obj, std::map<std::string, double>* out) {
-  if (obj == nullptr || !obj->is_object()) return;
-  for (const auto& [key, val] : obj->as_object()) {
-    if (val.is_number()) (*out)[key] = val.as_number();
+bool is_exact(const Record& r) { return r.cls == RecordClass::kExact; }
+
+// Adds every {"name","value","unit","class"} object of `array` under
+// prefix + name.  Anything else — a null (non-finite) value included — is
+// skipped.
+void read_records(const JsonValue* array, const std::string& prefix,
+                  std::map<std::string, Record>* out) {
+  if (array == nullptr || !array->is_array()) return;
+  for (const JsonValue& doc : array->as_array()) {
+    const JsonValue* name = doc.find("name");
+    const JsonValue* value = doc.find("value");
+    const auto cls = parse_record_class(string_field(doc, "class"));
+    if (name != nullptr && name->is_string() && value != nullptr &&
+        value->is_number() && cls) {
+      (*out)[prefix + name->as_string()] = {value->as_number(),
+                                            string_field(doc, "unit"), *cls};
+    }
   }
 }
 
-void write_number_map(JsonWriter& w, const std::map<std::string, double>& m) {
-  w.begin_object();
-  for (const auto& [key, val] : m) w.field(key, val);
-  w.end_object();
+// A pre-record ledger row's {"name": number} object, read as records of
+// one class and unit.
+void read_legacy_map(const JsonValue* obj, RecordClass cls, const char* unit,
+                     std::map<std::string, Record>* out) {
+  if (obj == nullptr || !obj->is_object()) return;
+  for (const auto& [key, val] : obj->as_object()) {
+    if (val.is_number()) (*out)[key] = {val.as_number(), unit, cls};
+  }
+}
+
+// Files the step of one series, if any: gating for an exact record `r`,
+// informational for the other classes.
+void file_step(TrendReport* report, const std::string& name,
+               const std::vector<double>& values, const Record& r,
+               const TrendOptions& options) {
+  const bool exact = is_exact(r);
+  auto f = detect_step(name, values,
+                       exact ? options.metric_tol : options.timing_tol);
+  if (!f) return;
+  f->unit = r.unit;
+  f->cls = r.cls;
+  (exact ? report->metric_steps : report->timing_steps)
+      .push_back(std::move(*f));
 }
 
 // Analytic-bounds check on one run: every floor/ceiling pair must bracket
 // its measured series, and every *_in_bounds flag must hold.
 std::vector<std::string> check_bounds(
-    const std::map<std::string, double>& metrics) {
+    const std::map<std::string, Record>& records) {
+  std::map<std::string, double> metrics;
+  for (const auto& [name, r] : records) {
+    if (is_exact(r)) metrics[name] = r.value;
+  }
   std::vector<std::string> violations;
   for (const auto& [name, floor_v] : metrics) {
     const std::string suffix = "_floor";
@@ -127,10 +163,12 @@ std::optional<LedgerEntry> parse_ledger_entry(const JsonValue& doc,
   e.flags = string_field(doc, "flags");
   e.build_type = string_field(doc, "build_type");
   e.effective_threads = int_field(doc, "effective_threads");
-  read_number_map(doc.find("metrics"), &e.metrics);
-  read_number_map(doc.find("timings"), &e.timings);
-  if (e.metrics.empty()) {
-    if (error != nullptr) *error = "ledger entry carries no metrics";
+  read_records(doc.find("records"), "", &e.records);
+  read_legacy_map(doc.find("metrics"), RecordClass::kExact, "", &e.records);
+  read_legacy_map(doc.find("timings"), RecordClass::kTiming, "s",
+                  &e.records);
+  if (e.records.empty()) {
+    if (error != nullptr) *error = "ledger entry carries no records";
     return std::nullopt;
   }
   return e;
@@ -146,10 +184,11 @@ void write_ledger_entry(JsonWriter& w, const LedgerEntry& e) {
   w.field("flags", e.flags);
   w.field("build_type", e.build_type);
   w.field("effective_threads", e.effective_threads);
-  w.key("metrics");
-  write_number_map(w, e.metrics);
-  w.key("timings");
-  write_number_map(w, e.timings);
+  w.key("records").begin_array();
+  for (const auto& [name, r] : e.records) {
+    write_record(w, name, json_number(r.value), r.unit, r.cls);
+  }
+  w.end_array();
   w.end_object();
 }
 
@@ -177,21 +216,7 @@ LedgerEntry flatten_suite(const JsonValue& suite) {
     e.effective_threads = int_field(*meta, "effective_threads");
   }
   for (const auto& [name, report] : reports) {
-    if (const JsonValue* metrics = report.find("metrics");
-        metrics != nullptr && metrics->is_object()) {
-      for (const auto& [key, val] : metrics->as_object()) {
-        if (val.is_number()) e.metrics[name + "." + key] = val.as_number();
-      }
-    }
-    if (const JsonValue* timings = report.find("timings");
-        timings != nullptr && timings->is_object()) {
-      for (const auto& [key, val] : timings->as_object()) {
-        const JsonValue* secs = val.find("seconds");
-        if (secs != nullptr && secs->is_number()) {
-          e.timings[name + "." + key] = secs->as_number();
-        }
-      }
-    }
+    read_records(report.find("records"), name + ".", &e.records);
   }
   return e;
 }
@@ -212,7 +237,7 @@ std::optional<TrendFinding> detect_step(const std::string& name,
     const double rel = (m2 - m1) / std::max(std::abs(m1), kEpsilon);
     if (std::abs(rel) > best_abs) {
       best_abs = std::abs(rel);
-      best = {name, false, k, m1, m2, rel};
+      best = {name, "", RecordClass::kExact, k, m1, m2, rel};
       found = true;
     }
   }
@@ -243,44 +268,26 @@ TrendReport analyze_trend(const std::vector<LedgerEntry>& entries,
   }
   report.runs = group.size();
 
-  // Series present in every run of the window (suites grow; a series that
-  // appears or disappears is surfaced by the baseline diff, not as a
-  // step).
-  const auto collect = [&](bool timings) {
-    std::vector<std::pair<std::string, std::vector<double>>> out;
-    const auto& first = timings ? group.front()->timings
-                                : group.front()->metrics;
-    for (const auto& [name, v0] : first) {
-      std::vector<double> series{v0};
-      bool complete = true;
+  // Series present, with one class, in every run of the window (suites
+  // grow; a series that appears or disappears is surfaced by the baseline
+  // diff, not as a step).
+  if (!group.empty()) {
+    for (const auto& [name, r0] : group.front()->records) {
+      std::vector<double> series{r0.value};
       for (std::size_t i = 1; i < group.size(); ++i) {
-        const auto& m = timings ? group[i]->timings : group[i]->metrics;
-        const auto it = m.find(name);
-        if (it == m.end()) {
-          complete = false;
+        const auto it = group[i]->records.find(name);
+        if (it == group[i]->records.end() ||
+            is_exact(it->second) != is_exact(r0)) {
           break;
         }
-        series.push_back(it->second);
+        series.push_back(it->second.value);
       }
-      if (complete) out.emplace_back(name, std::move(series));
+      if (series.size() < group.size()) continue;
+      if (is_exact(r0)) ++report.series;
+      file_step(&report, name, series, group.back()->records.at(name),
+                options);
     }
-    return out;
-  };
-
-  if (!group.empty()) {
-    for (auto& [name, series] : collect(/*timings=*/false)) {
-      ++report.series;
-      if (auto f = detect_step(name, series, options.metric_tol)) {
-        report.metric_steps.push_back(std::move(*f));
-      }
-    }
-    for (auto& [name, series] : collect(/*timings=*/true)) {
-      if (auto f = detect_step(name, series, options.timing_tol)) {
-        f->is_timing = true;
-        report.timing_steps.push_back(std::move(*f));
-      }
-    }
-    report.bounds_violations = check_bounds(group.back()->metrics);
+    report.bounds_violations = check_bounds(group.back()->records);
   }
   return report;
 }
@@ -291,29 +298,24 @@ TrendReport compare_to_baseline(const LedgerEntry& baseline,
   TrendReport report;
   report.key = comparison_key(current);
   report.runs = 2;
-  for (const auto& [name, b] : baseline.metrics) {
-    const auto it = current.metrics.find(name);
-    if (it == current.metrics.end()) {
-      report.missing.push_back(name);
+  for (const auto& [name, b] : baseline.records) {
+    const auto it = current.records.find(name);
+    if (it == current.records.end() || is_exact(it->second) != is_exact(b)) {
+      if (is_exact(b)) report.missing.push_back(name);
       continue;
     }
-    ++report.series;
-    if (auto f = detect_step(name, {b, it->second}, options.metric_tol)) {
-      report.metric_steps.push_back(std::move(*f));
+    if (is_exact(b)) ++report.series;
+    file_step(&report, name, {b.value, it->second.value}, it->second,
+              options);
+  }
+  for (const auto& [name, c] : current.records) {
+    const auto it = baseline.records.find(name);
+    if (is_exact(c) &&
+        (it == baseline.records.end() || !is_exact(it->second))) {
+      report.added.push_back(name);
     }
   }
-  for (const auto& [name, c] : current.metrics) {
-    if (baseline.metrics.count(name) == 0) report.added.push_back(name);
-  }
-  for (const auto& [name, b] : baseline.timings) {
-    const auto it = current.timings.find(name);
-    if (it == current.timings.end()) continue;
-    if (auto f = detect_step(name, {b, it->second}, options.timing_tol)) {
-      f->is_timing = true;
-      report.timing_steps.push_back(std::move(*f));
-    }
-  }
-  report.bounds_violations = check_bounds(current.metrics);
+  report.bounds_violations = check_bounds(current.records);
   return report;
 }
 

@@ -3,26 +3,26 @@
 //
 // bench_runner --history appends one LedgerEntry line per suite run to
 // bench/history/BENCH_HISTORY.jsonl: run provenance (git sha, host,
-// compiler, flags) plus every report metric flattened to
-// "<bench>.<metric>" and every timing span to "<bench>.<span>" seconds.
-// analyze_trend reads the last N entries that share a comparison key —
-// host | compiler | flags | effective_threads; series recorded under
-// different thread counts are never compared — and looks for step changes:
+// compiler, flags) plus every report record (obs/metrics.hpp) named
+// "<bench>.<record>" with its value, unit and class.  analyze_trend reads
+// the last N entries that share a comparison key — host | compiler |
+// flags | effective_threads; series recorded under different thread
+// counts are never compared — and looks for step changes:
 //
-//   * metrics  — deterministic outputs; median-based step detection with
+//   * exact     — deterministic outputs; median-based step detection with
 //     tolerance 0 by default, so any persistent change is a step (a noisy
 //     single-run blip moves the split-medians much less than a real step).
-//   * timings  — wall-clock; same detector with a generous default
-//     tolerance, reported but never gating.
-//   * bounds   — any "<base>_floor"/"<base>_ceiling" metric pair must
+//   * timing, memory, rate — machine-dependent; same detector with a
+//     generous default tolerance, reported but never gating.
+//   * bounds   — any "<base>_floor"/"<base>_ceiling" exact pair must
 //     bracket the measured "<base>" (or "<base>" with "congestion" →
 //     "peak_congestion", matching the congestion benches) in the newest
-//     run, and any "*_in_bounds" metric must equal 1.  This keeps the
+//     run, and any "*_in_bounds" record must equal 1.  This keeps the
 //     analytic floor/ceiling argument attached to the trend gate.
 //
 // compare_to_baseline applies the same detector to two runs, a committed
 // baseline suite and the current one, with the same gate.  Its comparison
-// key is not enforced: the metrics are host-independent.
+// key is not enforced: the exact records are host-independent.
 #pragma once
 
 #include <cstddef>
@@ -31,10 +31,20 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 namespace hyperpath::obs {
 
 class JsonValue;
 class JsonWriter;
+
+/// One measured number of a run, read back from a report or ledger row.
+struct Record {
+  double value = 0;
+  std::string unit;
+  RecordClass cls = RecordClass::kExact;
+  friend bool operator==(const Record&, const Record&) = default;
+};
 
 /// One suite run in the ledger (one JSONL line).
 struct LedgerEntry {
@@ -45,8 +55,7 @@ struct LedgerEntry {
   std::string flags;
   std::string build_type;
   int effective_threads = 0;
-  std::map<std::string, double> metrics;  // "<bench>.<metric>" -> value
-  std::map<std::string, double> timings;  // "<bench>.<span>" -> seconds
+  std::map<std::string, Record> records;  // "<bench>.<record>" -> record
 };
 
 /// Series sampled under different configurations are incomparable; this is
@@ -56,6 +65,9 @@ struct LedgerEntry {
 std::string comparison_key(const LedgerEntry& e);
 
 /// Parses one ledger line; nullopt (with `error`) on shape mismatch.
+/// Rows written before records carried units hold "metrics" and "timings"
+/// objects instead: their metrics read as exact records with no unit,
+/// their timings as timing records in "s".
 std::optional<LedgerEntry> parse_ledger_entry(const JsonValue& doc,
                                               std::string* error = nullptr);
 
@@ -63,25 +75,26 @@ std::optional<LedgerEntry> parse_ledger_entry(const JsonValue& doc,
 void write_ledger_entry(JsonWriter& w, const LedgerEntry& e);
 
 /// Flattens a BENCH_SUITE.json document (object with "reports") into a
-/// LedgerEntry: provenance from "meta", reports.<name>.metrics.* (numbers
-/// only) and reports.<name>.timings.*.seconds.  A bare BENCH_<name>.json
-/// report (object with "experiment") is a one-report suite.  Throws
-/// hyperpath::Error on any other shape.
+/// LedgerEntry: provenance from "meta" and every reports.<name>.records
+/// entry with a numeric value (a null — non-finite — value is skipped).
+/// A bare BENCH_<name>.json report (object with "experiment") is a
+/// one-report suite.  Throws hyperpath::Error on any other shape.
 LedgerEntry flatten_suite(const JsonValue& suite);
 
 struct TrendOptions {
   /// Newest runs (sharing the newest entry's comparison key) to analyze.
   std::size_t window = 8;
-  /// Relative step tolerance for metrics (0 = any persistent change).
+  /// Relative step tolerance for exact records (0 = any persistent change).
   double metric_tol = 0.0;
-  /// Relative step tolerance for timings.
+  /// Relative step tolerance for timing, memory and rate records.
   double timing_tol = 0.30;
 };
 
 /// A detected step change in one series.
 struct TrendFinding {
   std::string name;
-  bool is_timing = false;
+  std::string unit;
+  RecordClass cls = RecordClass::kExact;
   std::size_t split = 0;   // first analyzed-run index after the step
   double median_before = 0;
   double median_after = 0;
@@ -91,18 +104,18 @@ struct TrendFinding {
 struct TrendReport {
   std::string key;          // comparison key analyzed
   std::size_t runs = 0;     // entries analyzed (<= window)
-  std::size_t series = 0;   // metric series examined
-  std::vector<TrendFinding> metric_steps;
-  std::vector<TrendFinding> timing_steps;
+  std::size_t series = 0;   // exact series examined
+  std::vector<TrendFinding> metric_steps;  // exact records: gating
+  std::vector<TrendFinding> timing_steps;  // every other class: not gating
   std::vector<std::string> bounds_violations;
   /// Comparison keys present in the ledger but excluded from this
   /// analysis (different host/compiler/flags/threads).
   std::vector<std::string> skipped_keys;
-  /// compare_to_baseline only: metric series on one side.  Not gating.
+  /// compare_to_baseline only: exact series on one side.  Not gating.
   std::vector<std::string> missing;  // in the baseline, not in current
   std::vector<std::string> added;    // in current, not in the baseline
 
-  /// The gate: no metric steps and no bounds violations.  Timing steps
+  /// The gate: no exact steps and no bounds violations.  Timing steps
   /// are informational.
   bool stable() const {
     return metric_steps.empty() && bounds_violations.empty();
@@ -110,16 +123,17 @@ struct TrendReport {
 };
 
 /// Analyzes the ledger (entries in append order; the newest entry picks
-/// the comparison key).  Metrics absent from some runs of the window are
+/// the comparison key).  Records absent from some runs of the window are
 /// skipped — suites grow, and a missing series is not a step.
 TrendReport analyze_trend(const std::vector<LedgerEntry>& entries,
                           const TrendOptions& options = {});
 
 /// Checks `current` against `baseline` series by series, through
-/// detect_step on the two values: every metric series both carry
-/// (`series` counts them) steps past `metric_tol`, every shared timing
-/// past `timing_tol` (informational).  Metric series on one side only are
-/// listed in `missing`/`added`; the bounds check runs on `current`.
+/// detect_step on the two values: every exact series both carry
+/// (`series` counts them) steps past `metric_tol`, every other shared
+/// series past `timing_tol` (informational).  Exact series on one side
+/// only are listed in `missing`/`added`; the bounds check runs on
+/// `current`.
 TrendReport compare_to_baseline(const LedgerEntry& baseline,
                                 const LedgerEntry& current,
                                 const TrendOptions& options = {});

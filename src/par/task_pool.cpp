@@ -3,10 +3,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <memory>
-#include <string>
 
 #include "base/error.hpp"
-#include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/run_metadata.hpp"
 
@@ -214,11 +212,6 @@ void TaskPool::run_chunks(std::size_t num_chunks,
     for (int w = 0; w < threads_; ++w) s += parts_[w].steals;
     return s;
   }();
-  const std::vector<double> busy_before = [&] {
-    std::vector<double> b(static_cast<std::size_t>(threads_));
-    for (int w = 0; w < threads_; ++w) b[w] = parts_[w].busy_seconds;
-    return b;
-  }();
 
   remaining_.store(num_chunks, std::memory_order_release);
   {
@@ -242,16 +235,6 @@ void TaskPool::run_chunks(std::size_t num_chunks,
   for (int w = 0; w < threads_; ++w) region_steals += parts_[w].steals;
   region_steals -= steals_before;
   stat_steals_.fetch_add(region_steals, std::memory_order_relaxed);
-
-  // Per-worker busy time goes to the timings section; like the steal
-  // counts in stats(), it is a scheduling artifact, never a gated metric.
-  auto& reg = obs::MetricsRegistry::global();
-  for (int w = 0; w < threads_; ++w) {
-    const double busy = parts_[w].busy_seconds - busy_before[w];
-    if (busy > 0) {
-      reg.record_span("par.worker" + std::to_string(w) + ".busy", busy);
-    }
-  }
 
   // Deterministic error selection: the lowest throwing chunk wins.
   std::exception_ptr err;

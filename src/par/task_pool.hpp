@@ -29,10 +29,9 @@
 // selection is as deterministic as the body itself (the set of throwing
 // chunks is a function of the input, not of the schedule).
 //
-// Observability: each region adds its workers' busy time to the
-// par.worker<i>.busy timing spans of obs::MetricsRegistry and brackets
-// itself in an obs::Profiler span ("par/region") on the calling thread.
-// Region, task and steal totals are read from stats().
+// Observability: each region brackets itself in an obs::Profiler span
+// ("par/region") on the calling thread.  Region, task and steal totals and
+// per-worker busy time are read from stats().
 #pragma once
 
 #include <atomic>
@@ -118,7 +117,6 @@ class TaskPool {
   void worker_loop(int index);
   void participate(int index);
   void execute(std::uint64_t chunk, int worker);
-  void flush_region_metrics(std::size_t num_chunks);
 
   int threads_ = 1;
   // Fixed array, not a vector: Participant holds atomics and is neither

@@ -10,6 +10,9 @@ namespace hyperpath {
 
 namespace {
 
+/// Trials per pool task; any value gives the same statistics.
+constexpr std::size_t kTrialsPerChunk = 8;
+
 /// splitmix64 finalizer (same constants as base/rng.cpp's seeding stage).
 std::uint64_t mix64(std::uint64_t z) {
   z ^= z >> 30;
@@ -138,13 +141,12 @@ CampaignStats MonteCarloDriver::run(const CampaignConfig& config) const {
   const std::uint32_t end =
       config.trial_end ? config.trial_end : config.trials;
   HP_CHECK(begin < end, "empty campaign trial range");
-  const std::size_t grain = config.grain ? config.grain : 1;
 
   // One CampaignStats per chunk, folded in ascending chunk order.  The sum
   // digest is order-insensitive anyway; the ordered fold makes every other
   // aggregate (histogram merges, maxima) deterministic by construction.
   CampaignStats stats = par::parallel_reduce(
-      begin, end, grain, CampaignStats{},
+      begin, end, kTrialsPerChunk, CampaignStats{},
       [&](std::size_t lo, std::size_t hi) {
         CampaignStats chunk;
         for (std::size_t i = lo; i < hi; ++i) {

@@ -14,7 +14,7 @@
 //
 // Determinism contract (the same one src/par enforces for construction):
 // trial outcomes are a pure function of (embedding, config, trial index).
-// Chunk boundaries depend only on (range, grain); per-chunk accumulators
+// Chunk boundaries depend only on the trial range; per-chunk accumulators
 // are merged in ascending chunk order; and the campaign digest combines
 // position-mixed per-trial hashes with a commutative wrapping sum — so the
 // digest and every aggregate statistic are bit-identical at any thread
@@ -61,9 +61,6 @@ struct CampaignConfig {
   RandomScheduleSpec schedule;
   /// Recovery engine settings for every trial.
   RecoveryConfig recovery;
-  /// Trials per pool task.  Part of the determinism contract only through
-  /// chunk *boundaries*; any grain yields the same digest.
-  std::size_t grain = 8;
 };
 
 /// Compact outcome of one trial — everything the reducer and the digest

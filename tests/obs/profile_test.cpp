@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -323,52 +324,48 @@ TEST(Profiler, GlobalProfilerSpansViaMacro) {
   g.set_enabled(was_enabled);
 }
 
-TEST(Profiler, RootSpansFeedGlobalRegistryTimings) {
-  // Only spans of the global profiler that close at depth 0 land in the
-  // global registry's timings, by name and wall seconds.  Names unique to
-  // this test keep other registry entries out of the way.
-  auto& reg = obs::MetricsRegistry::global();
-  const auto timing = [&](const std::string& name) {
-    for (const auto& s : reg.timings()) {
-      if (s.name == name) return s;
-    }
-    return obs::MetricsRegistry::SpanView{name, 0, 0};
-  };
-  auto& g = Profiler::global();
-  const bool was_enabled = g.enabled();
-  g.set_enabled(true);
-  g.reset();
+TEST(Profiler, RootSpansBecomeTimingRecords) {
+  // Only spans that close at depth 0 on their thread become records: one
+  // timing record in seconds per name, summing every visit on every
+  // thread.  Nested spans stay in the tree.
+  Profiler p;
+  p.set_enabled(true);
   for (int i = 0; i < 3; ++i) {
-    HP_PROFILE_SPAN("feed_root");
-    HP_PROFILE_SPAN("feed_child");
+    ProfileSpan root("feed_root", &p);
+    ProfileSpan child("feed_child", &p);
     spin(1000);
   }
-  EXPECT_EQ(timing("feed_root").count, 3u);
-  EXPECT_EQ(timing("feed_child").count, 0u) << "nested spans stay local";
-  double root_wall = -1;
-  for (const auto& n : g.nodes()) {
-    if (n.name == "feed_root") root_wall = n.wall_seconds;
+  std::thread([&] {
+    ProfileSpan root("feed_root", &p);
+    spin(1000);
+  }).join();
+  {
+    ProfileSpan other("feed_other", &p);
+  }
+
+  double root_wall = 0;
+  for (const auto& n : p.nodes()) {
+    if (n.name == "feed_root") root_wall += n.wall_seconds;
   }
   EXPECT_GT(root_wall, 0);
-  EXPECT_DOUBLE_EQ(timing("feed_root").seconds, root_wall);
-  {
-    HP_PROFILE_SPAN("feed_root");
-  }
-  EXPECT_EQ(timing("feed_root").count, 4u);
 
-  {
-    Profiler p;
-    p.set_enabled(true);
-    ProfileSpan s("feed_instance", &p);
-  }
-  EXPECT_EQ(timing("feed_instance").count, 0u);
-  g.set_enabled(false);
-  {
-    HP_PROFILE_SPAN("feed_disabled");
-  }
-  EXPECT_EQ(timing("feed_disabled").count, 0u);
-  g.reset();
-  g.set_enabled(was_enabled);
+  obs::JsonWriter w;
+  w.begin_array();
+  obs::write_root_span_records(w, p);
+  w.end_array();
+  const auto doc = json_parse(w.str());
+  ASSERT_TRUE(doc.has_value()) << w.str();
+  const auto& records = doc->as_array();
+  ASSERT_EQ(records.size(), 2u) << w.str();  // feed_other, feed_root
+  const JsonValue& root = records[1];
+  EXPECT_EQ(root.find("name")->as_string(), "feed_root");
+  EXPECT_DOUBLE_EQ(root.find("value")->as_number(), root_wall)
+      << "both threads' visits sum";
+  EXPECT_EQ(root.find("unit")->as_string(), "s");
+  EXPECT_EQ(root.find("class")->as_string(), "timing");
+  EXPECT_EQ(records[0].find("name")->as_string(), "feed_other");
+  EXPECT_EQ(w.str().find("feed_child"), std::string::npos)
+      << "nested spans stay local";
 }
 
 }  // namespace

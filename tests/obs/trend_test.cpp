@@ -2,18 +2,24 @@
 // detection, comparison-key grouping (series run at different thread
 // counts are never compared; the committed ledger's older rows group with
 // new ones), analytic-bounds checks, LedgerEntry round-trips through
-// JSONL, and the baseline diff: unchanged suites pass, perturbed metrics
-// regress, timings never gate, and suite/report shape handling.
+// JSONL with their units, and the baseline diff: unchanged suites pass,
+// perturbed exact records regress, timing/memory/rate records never gate,
+// and suite/report shape handling.
 #include "obs/trend.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "base/error.hpp"
+#include "bench/table.hpp"
 #include "obs/json.hpp"
 #include "obs/json_parse.hpp"
 
@@ -21,6 +27,8 @@ namespace hyperpath {
 namespace {
 
 using obs::LedgerEntry;
+using obs::Record;
+using obs::RecordClass;
 using obs::TrendOptions;
 using obs::TrendReport;
 using obs::analyze_trend;
@@ -28,14 +36,19 @@ using obs::compare_to_baseline;
 using obs::comparison_key;
 using obs::detect_step;
 
+// A ledger row of exact records (unit "count") plus timing records in "s".
 LedgerEntry entry(std::map<std::string, double> metrics,
                   std::map<std::string, double> timings = {}) {
   LedgerEntry e;
   e.hostname = "host";
   e.compiler = "GNU 12";
   e.effective_threads = 4;
-  e.metrics = std::move(metrics);
-  e.timings = std::move(timings);
+  for (const auto& [name, v] : metrics) {
+    e.records[name] = {v, "count", RecordClass::kExact};
+  }
+  for (const auto& [name, v] : timings) {
+    e.records[name] = {v, "s", RecordClass::kTiming};
+  }
   return e;
 }
 
@@ -159,7 +172,8 @@ TEST(AnalyzeTrend, TimingStepsAreInformationalOnly) {
   }
   const TrendReport r = analyze_trend(ledger);
   ASSERT_EQ(r.timing_steps.size(), 1u);
-  EXPECT_TRUE(r.timing_steps[0].is_timing);
+  EXPECT_EQ(r.timing_steps[0].cls, RecordClass::kTiming);
+  EXPECT_EQ(r.timing_steps[0].unit, "s");
   EXPECT_TRUE(r.metric_steps.empty());
   EXPECT_TRUE(r.stable()) << "timing drift must not gate";
 }
@@ -220,6 +234,8 @@ TEST(AnalyzeTrend, BoundsViolationsGateOnTheNewestRun) {
 
 TEST(LedgerEntry, RoundTripsThroughJsonl) {
   LedgerEntry e = entry({{"b.m", 1.5}, {"b.n", 2}}, {{"b.total", 0.25}});
+  e.records["b.pps"] = {1.5e7, "1/s", RecordClass::kRate};
+  e.records["b.rss"] = {2048, "KiB", RecordClass::kMemory};
   e.timestamp = "2026-08-08T00:00:00Z";
   e.git_sha = "abc123";
   e.flags = "-O2";
@@ -239,22 +255,46 @@ TEST(LedgerEntry, RoundTripsThroughJsonl) {
   EXPECT_EQ(back->flags, e.flags);
   EXPECT_EQ(back->build_type, e.build_type);
   EXPECT_EQ(back->effective_threads, e.effective_threads);
-  EXPECT_EQ(back->metrics, e.metrics);
-  EXPECT_EQ(back->timings, e.timings);
+  EXPECT_EQ(back->records, e.records);  // values, units and classes
+  EXPECT_EQ(back->records.at("b.pps").unit, "1/s");
   EXPECT_EQ(comparison_key(*back), comparison_key(e));
 }
 
 TEST(LedgerEntry, ParseRejectsEntriesWithoutMetrics) {
-  const auto doc = obs::json_parse(
-      R"({"kind":"bench_run","hostname":"h","metrics":{}})");
-  ASSERT_TRUE(doc.has_value());
-  std::string error;
-  EXPECT_FALSE(obs::parse_ledger_entry(*doc, &error).has_value());
-  EXPECT_FALSE(error.empty());
+  for (const char* text :
+       {R"({"kind":"bench_run","hostname":"h","metrics":{}})",
+        R"({"kind":"bench_run","hostname":"h","records":[]})"}) {
+    const auto doc = obs::json_parse(text);
+    ASSERT_TRUE(doc.has_value());
+    std::string error;
+    EXPECT_FALSE(obs::parse_ledger_entry(*doc, &error).has_value()) << text;
+    EXPECT_FALSE(error.empty());
+  }
 
   const auto wrong_kind = obs::json_parse(R"({"kind":"sample"})");
   ASSERT_TRUE(wrong_kind.has_value());
   EXPECT_FALSE(obs::parse_ledger_entry(*wrong_kind).has_value());
+}
+
+TEST(LedgerEntry, OldRowsReadAsExactAndTimingRecords) {
+  // Rows written before records carried units: metrics become exact
+  // records with no unit, timings become timing records in seconds.
+  const auto doc = obs::json_parse(
+      R"({"kind":"bench_run","hostname":"h","metrics":{"b.m":3},)"
+      R"("timings":{"b.alg_rss_kb":640}})");
+  ASSERT_TRUE(doc.has_value());
+  const auto e = obs::parse_ledger_entry(*doc);
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->records.at("b.m"), (Record{3, "", RecordClass::kExact}));
+  EXPECT_EQ(e->records.at("b.alg_rss_kb"),
+            (Record{640, "s", RecordClass::kTiming}));
+}
+
+// One {"name","value","unit","class"} record as JSON text.
+std::string rec(const std::string& name, const std::string& value,
+                const std::string& unit, const std::string& cls) {
+  return R"({"name":")" + name + R"(","value":)" + value + R"(,"unit":")" +
+         unit + R"(","class":")" + cls + R"("})";
 }
 
 TEST(FlattenSuite, LiftsMetricsAndSpanSecondsFromASuiteDocument) {
@@ -263,22 +303,25 @@ TEST(FlattenSuite, LiftsMetricsAndSpanSecondsFromASuiteDocument) {
              "compiler": "c", "flags": "-O2", "build_type": "Release",
              "effective_threads": 4},
     "reports": {
-      "simcore": {
-        "metrics": {"makespan": 128, "label": "not-a-number"},
-        "timings": {"flat_run": {"seconds": 0.5, "calls": 3}}
-      },
-      "theorem1": {"metrics": {"paths": 8}}
+      "simcore": {"records": [)" +
+      rec("makespan", "128", "steps", "exact") + "," +
+      rec("pps", "null", "1/s", "rate") + "," +
+      R"({"name": "label", "value": "not-a-number"},)" +
+      rec("flat_run", "0.5", "s", "timing") + R"(]},
+      "theorem1": {"records": [)" + rec("paths", "8", "count", "exact") +
+      R"(]}
     }
   })");
   ASSERT_TRUE(suite.has_value());
   const LedgerEntry e = obs::flatten_suite(*suite);
   EXPECT_EQ(e.hostname, "h");
   EXPECT_EQ(e.effective_threads, 4);
-  ASSERT_EQ(e.metrics.size(), 2u);
-  EXPECT_DOUBLE_EQ(e.metrics.at("simcore.makespan"), 128.0);
-  EXPECT_DOUBLE_EQ(e.metrics.at("theorem1.paths"), 8.0);
-  ASSERT_EQ(e.timings.size(), 1u);
-  EXPECT_DOUBLE_EQ(e.timings.at("simcore.flat_run"), 0.5);
+  EXPECT_EQ(e.records,
+            (std::map<std::string, Record>{
+                {"simcore.makespan", {128, "steps", RecordClass::kExact}},
+                {"simcore.flat_run", {0.5, "s", RecordClass::kTiming}},
+                {"theorem1.paths", {8, "count", RecordClass::kExact}}}))
+      << "a null value and a record without unit and class are skipped";
 }
 
 LedgerEntry flat(const std::string& text) {
@@ -287,20 +330,26 @@ LedgerEntry flat(const std::string& text) {
   return obs::flatten_suite(*doc);
 }
 
-const char* kBaseline = R"({
-  "meta": {"hostname": "ci-runner", "effective_threads": 4},
-  "reports": {
-    "theorem1": {
-      "experiment": "theorem1",
-      "metrics": {"worst_phase_cost": 3, "paper_claimed_cost": 3},
-      "timings": {"construct": {"seconds": 1.0, "count": 1}}
-    },
-    "theorem2": {
-      "experiment": "theorem2",
-      "metrics": {"worst_phase_cost": 3}
-    }
+// A two-report suite: theorem1 and theorem2 with the given exact
+// worst_phase_cost values (theorem2 omitted when empty), theorem1's
+// construct timing in seconds, and `extra` records appended to theorem1.
+std::string suite(const std::string& t1_cost, const std::string& t2_cost,
+                  const std::string& construct_s = "1.0",
+                  const std::string& extra = "") {
+  std::string text = R"({"meta": {"hostname": "ci-runner",
+      "effective_threads": 4}, "reports": {"theorem1": {
+      "experiment": "theorem1", "records": [)" +
+      rec("worst_phase_cost", t1_cost, "steps", "exact") + "," +
+      rec("paper_claimed_cost", "3", "steps", "exact") + "," +
+      rec("construct", construct_s, "s", "timing") + extra + "]}";
+  if (!t2_cost.empty()) {
+    text += R"(, "theorem2": {"experiment": "theorem2", "records": [)" +
+            rec("worst_phase_cost", t2_cost, "steps", "exact") + "]}";
   }
-})";
+  return text + "}}";
+}
+
+const std::string kBaseline = suite("3", "3");
 
 TEST(TrendBaseline, UnchangedSuitePasses) {
   const LedgerEntry base = flat(kBaseline);
@@ -314,40 +363,29 @@ TEST(TrendBaseline, UnchangedSuitePasses) {
 }
 
 TEST(TrendBaseline, PerturbedMetricRegresses) {
-  const LedgerEntry cur = flat(R"({
-    "reports": {
-      "theorem1": {
-        "metrics": {"worst_phase_cost": 4, "paper_claimed_cost": 3},
-        "timings": {"construct": {"seconds": 1.0}}
-      },
-      "theorem2": {"metrics": {"worst_phase_cost": 3}}
-    }
-  })");
-  const TrendReport r = compare_to_baseline(flat(kBaseline), cur);
+  const TrendReport r = compare_to_baseline(flat(kBaseline),
+                                            flat(suite("4", "3")));
   EXPECT_FALSE(r.stable());
   ASSERT_EQ(r.metric_steps.size(), 1u);
   EXPECT_EQ(r.metric_steps[0].name, "theorem1.worst_phase_cost");
+  EXPECT_EQ(r.metric_steps[0].unit, "steps");
   EXPECT_EQ(r.metric_steps[0].median_before, 3);
   EXPECT_EQ(r.metric_steps[0].median_after, 4);
   EXPECT_EQ(r.series, 3u);
 }
 
 TEST(TrendBaseline, MetricImprovementStillRegressesAtZeroTolerance) {
-  // Deterministic metrics gate both directions: a lower makespan than the
+  // Deterministic outputs gate both directions: a lower cost than the
   // committed baseline means the baseline is stale, not that all is well.
-  const LedgerEntry cur = flat(R"({
-    "reports": {"theorem2": {"metrics": {"worst_phase_cost": 2}}}
-  })");
-  const TrendReport r = compare_to_baseline(flat(kBaseline), cur);
+  const TrendReport r =
+      compare_to_baseline(flat(kBaseline), flat(suite("3", "2")));
   ASSERT_EQ(r.metric_steps.size(), 1u);
   EXPECT_LT(r.metric_steps[0].rel_change, 0);
   EXPECT_FALSE(r.stable());
 }
 
 TEST(TrendBaseline, MetricTolerancePermitsSmallDrift) {
-  const LedgerEntry cur = flat(R"({
-    "reports": {"theorem2": {"metrics": {"worst_phase_cost": 3.2}}}
-  })");
+  const LedgerEntry cur = flat(suite("3", "3.2"));
   // 3 -> 3.2 is a 6.7% relative change.
   TrendOptions opt;
   opt.metric_tol = 0.05;
@@ -360,32 +398,51 @@ TEST(TrendBaseline, TimingDeltasAreInformationalOnly) {
   // A 2x slower span is listed past the timing tolerance and never gates;
   // neither does a faster one.
   for (const char* secs : {"2.0", "0.1"}) {
-    const LedgerEntry cur = flat(std::string(R"({
-      "reports": {
-        "theorem1": {
-          "metrics": {"worst_phase_cost": 3, "paper_claimed_cost": 3},
-          "timings": {"construct": {"seconds": )") + secs + R"(}}
-        },
-        "theorem2": {"metrics": {"worst_phase_cost": 3}}
-      }
-    })");
-    const TrendReport r = compare_to_baseline(flat(kBaseline), cur);
+    const TrendReport r =
+        compare_to_baseline(flat(kBaseline), flat(suite("3", "3", secs)));
     ASSERT_EQ(r.timing_steps.size(), 1u) << secs;
     EXPECT_EQ(r.timing_steps[0].name, "theorem1.construct");
-    EXPECT_TRUE(r.timing_steps[0].is_timing);
+    EXPECT_EQ(r.timing_steps[0].cls, RecordClass::kTiming);
     EXPECT_TRUE(r.stable()) << "timing drift must not gate";
   }
 }
 
+TEST(AnalyzeTrend, MemoryAndRateStepsNeverGateButExactOnesDo) {
+  // Flattened suites whose memory and rate records grew 5x or shrank 10x
+  // are reported against the timing tolerance and never gate; a changed
+  // exact record beside them still gates.
+  const auto run = [](const char* rss, const char* pps, const char* bytes) {
+    return flat(suite("3", "3", "1.0",
+                      "," + rec("rss_kb", rss, "KiB", "memory") + "," +
+                          rec("pps", pps, "1/s", "rate") + "," +
+                          rec("plan_bytes", bytes, "B", "exact")));
+  };
+  const LedgerEntry base = run("1000", "2e7", "4096");
+  for (const LedgerEntry& later :
+       {run("5000", "1e8", "4096"), run("100", "2e6", "4096")}) {
+    const TrendReport r = analyze_trend({base, base, later, later});
+    EXPECT_TRUE(r.stable());
+    EXPECT_EQ(r.series, 4u);  // the three costs and plan_bytes
+    ASSERT_EQ(r.timing_steps.size(), 2u);
+    EXPECT_EQ(r.timing_steps[0].cls, RecordClass::kRate);  // theorem1.pps
+    EXPECT_EQ(r.timing_steps[0].unit, "1/s");
+    EXPECT_EQ(r.timing_steps[1].cls, RecordClass::kMemory);  // .rss_kb
+    EXPECT_TRUE(compare_to_baseline(base, later).stable());
+  }
+  const LedgerEntry changed = run("1000", "2e7", "4097");
+  const TrendReport r = analyze_trend({base, base, changed, changed});
+  ASSERT_EQ(r.metric_steps.size(), 1u);
+  EXPECT_EQ(r.metric_steps[0].name, "theorem1.plan_bytes");
+  EXPECT_EQ(r.metric_steps[0].unit, "B");
+  EXPECT_FALSE(r.stable());
+  EXPECT_FALSE(compare_to_baseline(base, changed).stable());
+}
+
 TEST(TrendBaseline, MissingAndNewSeriesAreNotRegressions) {
-  const LedgerEntry cur = flat(R"({
-    "reports": {
-      "theorem1": {"metrics": {"worst_phase_cost": 3,
-                                "paper_claimed_cost": 3}},
-      "brand_new": {"metrics": {"x": 1}}
-    }
-  })");
-  const TrendReport r = compare_to_baseline(flat(kBaseline), cur);
+  const LedgerEntry cur = flat(suite("3", ""));
+  LedgerEntry with_new = cur;
+  with_new.records["brand_new.x"] = {1, "count", RecordClass::kExact};
+  const TrendReport r = compare_to_baseline(flat(kBaseline), with_new);
   EXPECT_TRUE(r.stable());
   EXPECT_EQ(r.series, 2u);
   EXPECT_EQ(r.missing, std::vector<std::string>{"theorem2.worst_phase_cost"});
@@ -393,17 +450,62 @@ TEST(TrendBaseline, MissingAndNewSeriesAreNotRegressions) {
 }
 
 TEST(TrendBaseline, BareReportActsAsOneReportSuite) {
-  const LedgerEntry bare = flat(R"({
-    "experiment": "theorem2", "meta": {"hostname": "laptop"},
-    "metrics": {"worst_phase_cost": 3}
-  })");
+  const LedgerEntry bare =
+      flat(R"({"experiment": "theorem2", "meta": {"hostname": "laptop"},
+              "records": [)" +
+           rec("worst_phase_cost", "3", "steps", "exact") + "]}");
   EXPECT_EQ(bare.hostname, "laptop");
-  EXPECT_EQ(bare.metrics,
-            (std::map<std::string, double>{{"theorem2.worst_phase_cost", 3}}));
+  EXPECT_EQ(bare.records.size(), 1u);
+  EXPECT_EQ(bare.records.at("theorem2.worst_phase_cost"),
+            (Record{3, "steps", RecordClass::kExact}));
   const TrendReport r = compare_to_baseline(flat(kBaseline), bare);
   EXPECT_TRUE(r.stable());
   EXPECT_EQ(r.series, 1u);
-  EXPECT_EQ(r.missing.size(), 2u);  // theorem1's two metrics
+  EXPECT_EQ(r.missing.size(), 2u);  // theorem1's two exact records
+}
+
+TEST(BenchReport, WritesOneRecordPerNumberWithUnitAndClass) {
+  // Every number a bench reports is one {"name","value","unit","class"}
+  // record in call order, then the profiler's root spans as timing
+  // records; exact integers keep every digit, non-finite values are null.
+  const std::string path = ::testing::TempDir() + "BENCH_report_test.json";
+  const bool was_enabled = obs::Profiler::global().enabled();
+  {
+    std::string a0 = "bench", a1 = "--json", a2 = path;
+    char* argv[] = {a0.data(), a1.data(), a2.data()};
+    int argc = 3;
+    bench::Report report("report_test", &argc, argv);
+    report.metric("makespan", 6, "steps");
+    report.metric("checksum", std::uint64_t{847267859980345183}, "count");
+    report.metric("nan_ratio", std::nan(""), "ratio");
+    report.record("rss_kb", 640.0, "KiB", RecordClass::kMemory);
+    report.record("pps", HUGE_VAL, "1/s", RecordClass::kRate);
+  }
+  obs::Profiler::global().set_enabled(was_enabled);
+  std::stringstream text;
+  text << std::ifstream(path).rdbuf();
+  std::remove(path.c_str());
+  const auto doc = obs::json_parse(text.str());
+  ASSERT_TRUE(doc.has_value()) << text.str();
+  EXPECT_EQ(doc->find("metrics"), nullptr);
+  EXPECT_EQ(doc->find("timings"), nullptr);
+  std::vector<std::string> seen;
+  for (const obs::JsonValue& r : doc->find("records")->as_array()) {
+    seen.push_back(r.find("name")->as_string() + " " +
+                   r.find("unit")->as_string() + " " +
+                   r.find("class")->as_string());
+  }
+  ASSERT_GE(seen.size(), 5u);
+  seen.resize(5);  // the profiler's root spans, if any, follow
+  EXPECT_EQ(seen, (std::vector<std::string>{
+                      "makespan steps exact", "checksum count exact",
+                      "nan_ratio ratio exact", "rss_kb KiB memory",
+                      "pps 1/s rate"}));
+  for (const char* value : {R"("value":847267859980345183,)",
+                            R"("nan_ratio","value":null,)",
+                            R"("pps","value":null,)"}) {
+    EXPECT_NE(text.str().find(value), std::string::npos) << value;
+  }
 }
 
 TEST(TrendBaseline, RejectsUnrecognizedShape) {
@@ -413,7 +515,7 @@ TEST(TrendBaseline, RejectsUnrecognizedShape) {
 }
 
 TEST(TrendBaseline, DifferentComparisonKeyStillCompares) {
-  // The metrics are host-independent, so a baseline recorded on another
+  // Exact records are host-independent, so a baseline recorded on another
   // host, compiler and thread count still gates the current run.
   const LedgerEntry base = flat(kBaseline);
   LedgerEntry cur = base;
@@ -422,7 +524,7 @@ TEST(TrendBaseline, DifferentComparisonKeyStillCompares) {
   cur.effective_threads = 1;
   ASSERT_NE(comparison_key(cur), comparison_key(base));
   EXPECT_TRUE(compare_to_baseline(base, cur).stable());
-  cur.metrics["theorem2.worst_phase_cost"] = 5;
+  cur.records["theorem2.worst_phase_cost"].value = 5;
   const TrendReport r = compare_to_baseline(base, cur);
   EXPECT_EQ(r.series, 3u);
   EXPECT_EQ(r.metric_steps.size(), 1u);
@@ -431,12 +533,12 @@ TEST(TrendBaseline, DifferentComparisonKeyStillCompares) {
 
 TEST(TrendBaseline, BoundsViolationInCurrentFails) {
   // The floor/ceiling bracket is checked on the current run even when the
-  // baseline carries the same violation: metric equality is not enough.
-  const LedgerEntry bad = flat(R"({
-    "reports": {"oracle": {"metrics": {
-      "q16_peak_congestion": 10, "q16_congestion_floor": 5,
-      "q16_congestion_ceiling": 8}}}
-  })");
+  // baseline carries the same violation: exact equality is not enough.
+  const LedgerEntry bad = flat(
+      R"({"reports": {"oracle": {"records": [)" +
+      rec("q16_peak_congestion", "10", "count", "exact") + "," +
+      rec("q16_congestion_floor", "5", "count", "exact") + "," +
+      rec("q16_congestion_ceiling", "8", "count", "exact") + "]}}}");
   const TrendReport r = compare_to_baseline(bad, bad);
   EXPECT_TRUE(r.metric_steps.empty());
   ASSERT_EQ(r.bounds_violations.size(), 1u);

@@ -1,7 +1,7 @@
 // The Monte-Carlo campaign engine's determinism contract (sim/montecarlo.hpp):
 // campaign statistics are a pure function of (embedding, config) — never of
-// the pool's thread count, the reduction grain, or how the trial range is
-// partitioned across runs.  Plus unit coverage for the randomized schedule
+// the pool's thread count or how the trial range is partitioned across
+// runs.  Plus unit coverage for the randomized schedule
 // generator and the failure-envelope interpolation.
 #include <gtest/gtest.h>
 
@@ -29,7 +29,6 @@ CampaignConfig small_config() {
   cfg.schedule.transient_fraction = 0.5;
   cfg.recovery.timeout = 4;
   cfg.recovery.max_retries = 4;
-  cfg.grain = 5;
   return cfg;
 }
 
@@ -82,19 +81,6 @@ TEST(MonteCarloCampaign, Q10CliDefaultsDigestIsPinned) {
   const CampaignStats stats = MonteCarloDriver(emb).run(cfg);
   EXPECT_EQ(stats.trials, 1000u);
   EXPECT_EQ(stats.digest, 0x3f73a5571ef0e3b5ull);
-}
-
-TEST(MonteCarloCampaign, GrainDoesNotChangeTheDigest) {
-  const auto emb = theorem1_cycle_embedding(6);
-  CampaignConfig cfg = small_config();
-  cfg.recovery.threshold = emb.width() - 1;
-  const CampaignStats base = run_at(emb, cfg, 8);
-  for (std::size_t grain : {std::size_t{1}, std::size_t{3}, std::size_t{64}}) {
-    CampaignConfig c = cfg;
-    c.grain = grain;
-    expect_same_stats(base, run_at(emb, c, 8),
-                      "grain=" + std::to_string(grain));
-  }
 }
 
 TEST(MonteCarloCampaign, PartitionedTrialRangeMergesToTheWholeCampaign) {

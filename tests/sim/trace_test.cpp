@@ -307,29 +307,6 @@ TEST(FaultTraceInterleaving, RecoveryStreamMixesDropsFaultsAndRetransmits) {
   EXPECT_GT(rec.max_generation(), 0u);  // waves reuse wave-local ids
 }
 
-TEST(Metrics, RegistryRoundTrip) {
-  // The registry holds span timings only: repeated spans accumulate, the
-  // "timings" block carries them, and reset drops them.
-  obs::MetricsRegistry reg;
-  reg.record_span("span", 0.5);
-  reg.record_span("span", 0.25);
-  reg.record_span("other", 1.0);
-  const auto spans = reg.timings();
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[1].name, "span");
-  EXPECT_EQ(spans[1].seconds, 0.75);
-  EXPECT_EQ(spans[1].count, 2u);
-  obs::JsonWriter w;
-  w.begin_object();
-  reg.write_timings(w);
-  w.end_object();
-  EXPECT_NE(w.str().find("\"span\":{\"seconds\":0.75,\"count\":2}"),
-            std::string::npos)
-      << w.str();
-  reg.reset();
-  EXPECT_TRUE(reg.timings().empty());
-}
-
 TEST(Metrics, UtilizationProfileDownsamplesButKeepsExactMean) {
   obs::UtilizationProfile p;
   double sum = 0;

@@ -1,12 +1,11 @@
-// Shared driver of the offline trace analyzer, used by both the standalone
-// `trace_query` binary and the `hyperpath_cli analyze` subcommand (one
-// parser, one output format — the binary is just a thin main()).
+// Driver of the offline trace analyzer, the `hyperpath_cli analyze`
+// subcommand.
 //
 //   <trace.jsonl>                    JSONL trace (obs::JsonlFileSink format)
 //   --json [FILE]                    machine-readable summary
-//                                    (default SUMMARY_trace_query.json)
+//                                    (default SUMMARY_analyze.json)
 //   --heatmap [FILE]                 queue-depth heatmap CSV, step × dim
-//                                    (default HEATMAP_trace_query.csv)
+//                                    (default HEATMAP_analyze.csv)
 //   --blame [K]                      slowest-packet blame report (default 5)
 //   --dims N                         host dimension override (else taken
 //                                    from the trace's meta header line)
@@ -278,7 +277,7 @@ inline bool write_summary_json(
     const std::vector<obs::FixedHistogram>& by_path) {
   obs::JsonWriter w;
   w.begin_object();
-  w.field("experiment", "trace_query");
+  w.field("experiment", "analyze");
   w.key("params").begin_object();
   w.field("trace_file", opt.trace_path);
   w.field("dims", dims);
@@ -452,7 +451,7 @@ inline int run_analyze(int argc, char** argv) {
       return 2;
     }
     if (opt.heatmap_path.empty()) {
-      opt.heatmap_path = "HEATMAP_trace_query.csv";
+      opt.heatmap_path = "HEATMAP_analyze.csv";
     }
     if (!write_heatmap_csv(opt.heatmap_path, rec, dims, a.makespan)) {
       return 1;
@@ -461,7 +460,7 @@ inline int run_analyze(int argc, char** argv) {
   }
 
   if (opt.json) {
-    if (opt.json_path.empty()) opt.json_path = "SUMMARY_trace_query.json";
+    if (opt.json_path.empty()) opt.json_path = "SUMMARY_analyze.json";
     if (!write_summary_json(opt.json_path, opt, rec, a, dims, by_path)) {
       return 1;
     }

@@ -6,10 +6,11 @@
 //
 // --history additionally appends the run to the cross-run performance
 // ledger (default bench/history/BENCH_HISTORY.jsonl): one JSONL line with
-// the run's provenance and effective thread count plus every report metric
-// flattened to "<bench>.<metric>".  tools/bench_trend reads that ledger for
-// median-based drift detection; the provenance and thread stamps keep it
-// from ever comparing series run under different configurations.
+// the run's provenance and effective thread count plus every report record
+// named "<bench>.<record>" with its unit and class.  tools/bench_trend
+// reads that ledger for median-based drift detection; the provenance and
+// thread stamps keep it from ever comparing series run under different
+// configurations.
 //
 // Each bench runs as `bench_<name> --json BENCH_<name>.json
 // --benchmark_filter=NONE` (tables only, no google-benchmark timings — the
@@ -223,7 +224,7 @@ int main(int argc, char** argv) {
               out_path.string().c_str(), reports.size(), names.size());
 
   // Ledger append: flatten the suite document just written into one
-  // "<bench>.<metric>" line; its provenance and thread count let
+  // "<bench>.<record>" line; its provenance and thread count let
   // bench_trend group comparable runs and refuse the rest.
   if (history && failures == 0) {
     const auto suite = hyperpath::obs::json_parse(w.str());
@@ -248,8 +249,8 @@ int main(int argc, char** argv) {
     }
     ledger << lw.str() << "\n";
     ledger.close();
-    std::printf("bench_runner: ledger +1 run (%zu metrics) -> %s\n",
-                entry.metrics.size(), history_path.string().c_str());
+    std::printf("bench_runner: ledger +1 run (%zu records) -> %s\n",
+                entry.records.size(), history_path.string().c_str());
   } else if (history) {
     std::fprintf(stderr,
                  "bench_runner: %d bench failure(s); ledger entry skipped\n",

@@ -9,33 +9,36 @@
 // groups the newest run with its predecessors sharing the same comparison
 // key (host | compiler | flags | threads — series run under different
 // configurations are never compared), and runs
-// median-based step detection over every "<bench>.<metric>" series plus
+// median-based step detection over every "<bench>.<record>" series plus
 // the analytic floor/ceiling bracket check on the newest run (see
-// obs/trend.hpp).  --expect-stable turns an unstable report — or a ledger
+// obs/trend.hpp).  It also prints the newest run's `rate` records with
+// their units.  --expect-stable turns an unstable report — or a ledger
 // too thin to analyze (< 2 comparable runs) — into exit 1.
 //
 // Baseline mode flattens BASELINE and CURRENT, each a BENCH_SUITE.json or
-// a single BENCH_<name>.json report, and checks every metric series both
+// a single BENCH_<name>.json report, and checks every exact series both
 // carry (obs::compare_to_baseline).  At --metric-tol 0, the default, any
 // change in either direction is a regression: a changed deterministic
-// metric is a behavioral change.  Series on one side only are listed as
+// output is a behavioral change.  Series on one side only are listed as
 // missing/new; the bounds check runs on CURRENT.  It prints a table of
 // everything that is not unchanged plus one machine-readable verdict line,
 //
 //   BENCH_COMPARE: PASS|FAIL regressions=N compared=M missing=K new=J
 //
-// where regressions counts metric changes and bounds violations, and exits
+// where regressions counts exact changes and bounds violations, and exits
 // 1 on any, which is how CI gates every push against
 // bench/baselines/BENCH_SUITE.json.
 //
-// In both modes metric steps and bounds violations gate; timing deltas
-// past --timing-tol are printed but never gate, because wall-clock noise
-// is not a behavioral change.  Exit 2 is a usage or load error.
+// In both modes exact steps and bounds violations gate; timing, memory and
+// rate deltas past --timing-tol are printed but never gate, because
+// machine noise is not a behavioral change.  Exit 2 is a usage or load
+// error.
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -64,17 +67,18 @@ void usage(const char* argv0) {
       "  --history FILE   ledger to analyze (default "
       "bench/history/BENCH_HISTORY.jsonl)\n"
       "  --window N       newest comparable runs to analyze (default 8)\n"
-      "  --metric-tol X   relative step tolerance for metrics (default 0)\n"
-      "  --timing-tol X   relative step tolerance for timings, never "
-      "gating\n"
-      "                   (default 0.30)\n"
-      "  --expect-stable  exit nonzero on any metric step, bounds violation\n"
+      "  --metric-tol X   relative step tolerance for exact records "
+      "(default 0)\n"
+      "  --timing-tol X   relative step tolerance for timing, memory and "
+      "rate\n"
+      "                   records, never gating (default 0.30)\n"
+      "  --expect-stable  exit nonzero on any exact step, bounds violation\n"
       "                   or a ledger with fewer than 2 comparable runs\n"
       "  --json [FILE]    machine-readable report (default "
       "TREND_REPORT.json)\n"
       "  --baseline FILE  diff suite or report CURRENT against FILE; exit 1 "
       "on a\n"
-      "                   metric change or bounds violation\n",
+      "                   exact change or bounds violation\n",
       argv0, argv0);
 }
 
@@ -84,6 +88,8 @@ void write_findings(hyperpath::obs::JsonWriter& w,
   for (const TrendFinding& f : findings) {
     w.begin_object();
     w.field("name", f.name);
+    w.field("unit", f.unit);
+    w.field("class", hyperpath::obs::record_class_name(f.cls));
     w.field("split", static_cast<std::uint64_t>(f.split));
     w.field("median_before", f.median_before);
     w.field("median_after", f.median_after);
@@ -97,20 +103,21 @@ void print_findings(const char* label,
                     const std::vector<TrendFinding>& findings) {
   std::printf("%s: %zu\n", label, findings.size());
   for (const TrendFinding& f : findings) {
-    std::printf("  %-48s median %g -> %g (%+.1f%%) at run %zu of window\n",
+    std::printf("  %-48s median %g -> %g %s (%+.1f%%) at run %zu of "
+                "window\n",
                 f.name.c_str(), f.median_before, f.median_after,
-                f.rel_change * 100, f.split);
+                f.unit.c_str(), f.rel_change * 100, f.split);
   }
 }
 
-// "<bench>.<metric>" as one row of the baseline table.
+// "<bench>.<record>" as one row of the baseline table.
 void print_row(const std::string& name, double baseline, double current,
-               double rel, const char* verdict) {
+               double rel, const std::string& verdict) {
   const std::size_t dot = name.find('.');
   std::printf("%-14s %-36s %14.6g %14.6g %8.2f%%  %s\n",
               name.substr(0, dot).c_str(),
               dot == std::string::npos ? "" : name.c_str() + dot + 1,
-              baseline, current, 100.0 * rel, verdict);
+              baseline, current, 100.0 * rel, verdict.c_str());
 }
 
 std::optional<LedgerEntry> load_suite(const std::string& path) {
@@ -145,14 +152,15 @@ int run_baseline(const std::string& baseline_path,
               "REGRESSION");
   }
   for (const std::string& name : r.missing) {
-    print_row(name, base->metrics.at(name), 0, 0, "missing");
+    print_row(name, base->records.at(name).value, 0, 0, "missing");
   }
   for (const std::string& name : r.added) {
-    print_row(name, 0, cur->metrics.at(name), 0, "new");
+    print_row(name, 0, cur->records.at(name).value, 0, "new");
   }
   for (const TrendFinding& f : r.timing_steps) {
     print_row(f.name, f.median_before, f.median_after, f.rel_change,
-              "timing (informational)");
+              hyperpath::obs::record_class_name(f.cls) + (" " + f.unit) +
+                  " (informational)");
   }
   for (const std::string& v : r.bounds_violations) {
     std::printf("bounds violation: %s\n", v.c_str());
@@ -257,38 +265,33 @@ int main(int argc, char** argv) {
               history_path.c_str());
   std::printf("comparison key: %s\n",
               report.key.empty() ? "(empty ledger)" : report.key.c_str());
-  std::printf("analyzed: %zu run(s), %zu metric series (window %zu)\n",
+  std::printf("analyzed: %zu run(s), %zu exact series (window %zu)\n",
               report.runs, report.series, options.window);
   for (const std::string& key : report.skipped_keys) {
     std::printf("skipped incomparable key: %s\n", key.c_str());
   }
-  print_findings("metric steps (gating)", report.metric_steps);
-  print_findings("timing steps (informational)", report.timing_steps);
+  print_findings("exact steps (gating)", report.metric_steps);
+  print_findings("timing/memory/rate steps (informational)",
+                 report.timing_steps);
   std::printf("bounds violations: %zu\n", report.bounds_violations.size());
   for (const std::string& v : report.bounds_violations) {
     std::printf("  %s\n", v.c_str());
   }
 
-  // Throughput of the newest comparable run: "pps_*" spans carry simulated
-  // packet-steps/second (SimResult::packet_steps_per_sec recorded by the
-  // benches) rather than seconds — surfaced here so the ledger answers
-  // "how fast is the simulator today" without opening the suite JSON.
-  std::vector<std::pair<std::string, double>> throughput;
-  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-    if (hyperpath::obs::comparison_key(*it) != report.key) continue;
-    for (const auto& [name, value] : it->timings) {
-      const std::size_t dot = name.find('.');
-      if (dot != std::string::npos &&
-          name.compare(dot + 1, 4, "pps_") == 0) {
-        throughput.emplace_back(name, value);
-      }
+  // Rates of the newest run, the one that picked the comparison key
+  // (simulator packet-steps/s, oracle paths/s), so the ledger answers "how
+  // fast is it today" without opening the suite JSON.
+  std::map<std::string, hyperpath::obs::Record> rates;
+  if (!entries.empty()) {
+    for (const auto& [name, r] : entries.back().records) {
+      if (r.cls == hyperpath::obs::RecordClass::kRate) rates[name] = r;
     }
-    break;
   }
-  if (!throughput.empty()) {
-    std::printf("throughput (newest run):\n");
-    for (const auto& [name, value] : throughput) {
-      std::printf("  %-48s %12.0f packet-steps/s\n", name.c_str(), value);
+  if (!rates.empty()) {
+    std::printf("rates (newest run):\n");
+    for (const auto& [name, r] : rates) {
+      std::printf("  %-48s %14.6g %s\n", name.c_str(), r.value,
+                  r.unit.c_str());
     }
   }
 
@@ -313,9 +316,13 @@ int main(int argc, char** argv) {
     w.key("skipped_keys").begin_array();
     for (const std::string& k : report.skipped_keys) w.value(k);
     w.end_array();
-    w.key("throughput").begin_object();
-    for (const auto& [name, value] : throughput) w.field(name, value);
-    w.end_object();
+    w.key("rates").begin_array();
+    for (const auto& [name, r] : rates) {
+      hyperpath::obs::write_record(w, name,
+                                   hyperpath::obs::json_number(r.value),
+                                   r.unit, r.cls);
+    }
+    w.end_array();
     w.end_object();
     std::ofstream out(json_path);
     out << w.str() << "\n";
@@ -331,7 +338,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (!report.stable()) {
-      std::fprintf(stderr, "bench_trend: UNSTABLE — %zu metric step(s), %zu "
+      std::fprintf(stderr, "bench_trend: UNSTABLE — %zu exact step(s), %zu "
                            "bounds violation(s)\n",
                    report.metric_steps.size(),
                    report.bounds_violations.size());

@@ -47,12 +47,13 @@
 // a {"kind":"meta",...} header recording the host dimension), prints a
 // per-dimension link-utilization summary plus the latency histogram, and
 // with --json writes a machine-readable {experiment, params, metrics,
-// timings} record.  The construction-phase profiler runs throughout and a
+// records} document, `records` holding the profiler's root spans as timing
+// records.  The construction-phase profiler runs throughout and a
 // chrome://tracing span timeline lands in CHROME_TRACE_<kind>.json (or
 // --chrome FILE); load it at chrome://tracing or ui.perfetto.dev.
 //
-// The analyze subcommand (same driver as the standalone trace_query
-// binary, see tools/analyze_driver.hpp) consumes such a trace offline:
+// The analyze subcommand (tools/analyze_driver.hpp) consumes such a trace
+// offline:
 // flight-record reassembly, latency percentiles, critical path, blame
 // report, queue-depth heatmap CSV and a JSON summary that reproduces the
 // SimResult makespan/delivery counts from the trace alone.
@@ -817,7 +818,9 @@ void write_trace_json(const std::string& path, const char* kind,
   w.key("latency");
   r.latency.write_json(w);
   w.end_object();
-  obs::MetricsRegistry::global().write_timings(w);
+  w.key("records").begin_array();
+  obs::write_root_span_records(w, obs::Profiler::global());
+  w.end_array();
   w.end_object();
 
   FILE* f = std::fopen(path.c_str(), "w");
@@ -862,10 +865,9 @@ void trace_help(std::FILE* out) {
       "  --chrome FILE        chrome://tracing span timeline\n"
       "  --threads N          global thread-pool size\n"
       "\n"
-      "Feed the trace to `analyze` (or the standalone trace_query binary)\n"
-      "for per-packet flight records, latency percentiles per bundle path,\n"
-      "the makespan-critical blocking chain, a blame report and a\n"
-      "queue-depth heatmap:\n"
+      "Feed the trace to `analyze` for per-packet flight records, latency\n"
+      "percentiles per bundle path, the makespan-critical blocking chain, a\n"
+      "blame report and a queue-depth heatmap:\n"
       "\n"
       "  hyperpath_cli trace cycle 8 --trace t.jsonl\n"
       "  hyperpath_cli analyze t.jsonl --blame 5 --heatmap q.csv --json "
