@@ -37,7 +37,7 @@ void print_table(bench::Report& report) {
         dim1 = std::max(dim1, cong[q.edge_id(v, 1)]);
       }
       HP_PROFILE_SPAN("simulate");
-      const auto r = measure_phase_cost(emb, 1);
+      const auto r = measure_phase_cost(emb.multipath(), 1);
       worst_congestion = std::max(worst_congestion, emb.edge_congestion());
       t.row(n, emb.host().dims(), emb.num_copies(), emb.dilation(),
             emb.edge_congestion(), dim1, r.makespan);

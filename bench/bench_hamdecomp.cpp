@@ -34,7 +34,7 @@ void print_table(bench::Report& report) {
       return multicopy_directed_cycles(n);
     }();
     HP_PROFILE_SPAN("simulate");
-    const auto r = measure_phase_cost(emb, 1);
+    const auto r = measure_phase_cost(emb.multipath(), 1);
     worst_congestion = std::max(worst_congestion, emb.edge_congestion());
     worst_cost = std::max(worst_cost, r.makespan);
     t.row(n, d.cycles.size(), d.matching.size(), emb.num_copies(),

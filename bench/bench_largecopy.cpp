@@ -74,7 +74,7 @@ void print_table(bench::Report& report) {
       t.row("multipath (Thm 1)", multi.guest().num_nodes(), multi.load(), m,
             s_multi, "yes (3-step paths)");
       t.row("multicopy (Lem 1)", kcopy.guest().num_nodes(), "n", m,
-            measure_phase_cost(kcopy, m).makespan, "no");
+            measure_phase_cost(kcopy.multipath(), m).makespan, "no");
       t.row("large-copy (Cor 3)", large.guest().num_nodes(), large.load(), m,
             s_large, "no");
     }

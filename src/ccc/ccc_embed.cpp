@@ -97,31 +97,20 @@ CccEmbedSpec ccc_multicopy_spec(int n, int k) {
   return s;
 }
 
-namespace {
-
-/// Builds the copy (node map + single-edge paths) for one spec over the
-/// given CCC digraph.
-void append_copy(KCopyEmbedding& emb, const Digraph& ccc,
-                 const LevelColumnLayout& lay, const CccEmbedSpec& spec) {
-  std::vector<Node> eta(ccc.num_nodes());
-  for (Node v = 0; v < ccc.num_nodes(); ++v) {
+void set_spec_copy(KCopyEmbedding& emb, int copy, const LevelColumnLayout& lay,
+                   const CccEmbedSpec& spec) {
+  std::vector<Node> eta(emb.guest().num_nodes());
+  for (Node v = 0; v < eta.size(); ++v) {
     eta[v] = spec.map_vertex(lay.level_of(v), lay.column_of(v));
   }
-  std::vector<HostPath> paths(ccc.num_edges());
-  for (std::size_t e = 0; e < ccc.num_edges(); ++e) {
-    const Edge& ge = ccc.edge(e);
-    paths[e] = {eta[ge.from], eta[ge.to]};
-  }
-  emb.add_copy(std::move(eta), std::move(paths));
+  emb.set_direct_copy(copy, eta);
 }
-
-}  // namespace
 
 KCopyEmbedding ccc_single_embedding(int n) {
   const CccEmbedSpec spec = ccc_single_spec(n);
   const LevelColumnLayout lay = ccc_layout(n);
-  KCopyEmbedding emb(ccc_directed(n), n + spec.r);
-  append_copy(emb, emb.guest(), lay, spec);
+  KCopyEmbedding emb(ccc_directed(n), n + spec.r, 1);
+  set_spec_copy(emb, 0, lay, spec);
   return emb;
 }
 
@@ -172,7 +161,7 @@ KCopyEmbedding ccc_single_embedding_general(int n) {
   for (int l = 0; l < n; ++l) wbar.push_back(l);
 
   const LevelColumnLayout lay = ccc_layout(n);
-  KCopyEmbedding emb(ccc_directed(n), n + r);
+  KCopyEmbedding emb(ccc_directed(n), n + r, 1);
 
   std::vector<Node> eta(emb.guest().num_nodes());
   for (Node v = 0; v < eta.size(); ++v) {
@@ -182,23 +171,22 @@ KCopyEmbedding ccc_single_embedding_general(int n) {
     eta[v] = addr;
   }
 
-  std::vector<HostPath> paths(emb.guest().num_edges());
+  emb.set_node_map(0, eta);
   for (std::size_t e = 0; e < emb.guest().num_edges(); ++e) {
     const Edge& ge = emb.guest().edge(e);
     const Node a = eta[ge.from];
     const Node b = eta[ge.to];
     const int dist = popcount(a ^ b);
     if (dist == 1) {
-      paths[e] = {a, b};
+      emb.set_path(0, e, {a, b});
     } else {
       // The odd-n seam (level n−1 → 0 straight edges): route through the
       // signature that flips the lower-indexed differing window bit first.
       HP_CHECK(dist == 2, "unexpected long edge");
       const Dim d = count_trailing_zeros(a ^ b);
-      paths[e] = {a, flip_bit(a, d), b};
+      emb.set_path(0, e, {a, flip_bit(a, d), b});
     }
   }
-  emb.add_copy(std::move(eta), std::move(paths));
   emb.verify_or_throw();
   return emb;
 }
@@ -207,9 +195,9 @@ KCopyEmbedding ccc_multicopy_embedding(int n) {
   HP_PROFILE_SPAN("construct/ccc_multicopy");
   const LevelColumnLayout lay = ccc_layout(n);
   const int r = floor_log2(static_cast<std::uint64_t>(n));
-  KCopyEmbedding emb(ccc_directed(n), n + r);
+  KCopyEmbedding emb(ccc_directed(n), n + r, n);
   for (int k = 0; k < n; ++k) {
-    append_copy(emb, emb.guest(), lay, ccc_multicopy_spec(n, k));
+    set_spec_copy(emb, k, lay, ccc_multicopy_spec(n, k));
   }
   return emb;
 }
@@ -219,9 +207,9 @@ KCopyEmbedding ccc_multicopy_embedding_undirected(int n) {
   HP_CHECK(n >= 3, "undirected CCC needs n >= 3");
   const LevelColumnLayout lay = ccc_layout(n);
   const int r = floor_log2(static_cast<std::uint64_t>(n));
-  KCopyEmbedding emb(ccc_symmetric(n), n + r);
+  KCopyEmbedding emb(ccc_symmetric(n), n + r, n);
   for (int k = 0; k < n; ++k) {
-    append_copy(emb, emb.guest(), lay, ccc_multicopy_spec(n, k));
+    set_spec_copy(emb, k, lay, ccc_multicopy_spec(n, k));
   }
   return emb;
 }
@@ -229,11 +217,8 @@ KCopyEmbedding ccc_multicopy_embedding_undirected(int n) {
 GraphEmbedding to_graph_embedding(const KCopyEmbedding& emb, int copy) {
   HP_CHECK(copy >= 0 && copy < emb.num_copies(), "copy index out of range");
   GraphEmbedding out(emb.guest(), emb.host().to_digraph());
-  std::vector<Node> eta(emb.guest().num_nodes());
-  for (Node v = 0; v < emb.guest().num_nodes(); ++v) {
-    eta[v] = emb.host_of(copy, v);
-  }
-  out.set_node_map(std::move(eta));
+  const std::span<const Node> eta = emb.node_map(copy);
+  out.set_node_map({eta.begin(), eta.end()});
   for (std::size_t e = 0; e < emb.guest().num_edges(); ++e) {
     out.set_path(e, emb.path(copy, e));
   }

@@ -53,6 +53,11 @@ CccEmbedSpec ccc_single_spec(int n);
 /// Theorem 3's spec for copy k (0 ≤ k < n).
 CccEmbedSpec ccc_multicopy_spec(int n, int k);
 
+/// Writes `spec`'s dilation-1 map of emb.guest() (a CCC laid out by `lay`)
+/// as copy `copy` of `emb`.
+void set_spec_copy(KCopyEmbedding& emb, int copy, const LevelColumnLayout& lay,
+                   const CccEmbedSpec& spec);
+
 /// Lemma 4: the n-stage directed CCC in Q_{n+log n}, dilation 1 (n = 2^r).
 KCopyEmbedding ccc_single_embedding(int n);
 

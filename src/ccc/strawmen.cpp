@@ -7,30 +7,11 @@
 
 namespace hyperpath {
 
-namespace {
-
-void append_spec_copy(KCopyEmbedding& emb, const LevelColumnLayout& lay,
-                      const CccEmbedSpec& spec) {
-  const Digraph& ccc = emb.guest();
-  std::vector<Node> eta(ccc.num_nodes());
-  for (Node v = 0; v < ccc.num_nodes(); ++v) {
-    eta[v] = spec.map_vertex(lay.level_of(v), lay.column_of(v));
-  }
-  std::vector<HostPath> paths(ccc.num_edges());
-  for (std::size_t e = 0; e < ccc.num_edges(); ++e) {
-    const Edge& ge = ccc.edge(e);
-    paths[e] = {eta[ge.from], eta[ge.to]};
-  }
-  emb.add_copy(std::move(eta), std::move(paths));
-}
-
-}  // namespace
-
 KCopyEmbedding ccc_multicopy_same_windows(int n) {
   const CccEmbedSpec spec = ccc_single_spec(n);
   const LevelColumnLayout lay = ccc_layout(n);
-  KCopyEmbedding emb(ccc_directed(n), n + spec.r);
-  for (int k = 0; k < n; ++k) append_spec_copy(emb, lay, spec);
+  KCopyEmbedding emb(ccc_directed(n), n + spec.r, n);
+  for (int k = 0; k < n; ++k) set_spec_copy(emb, k, lay, spec);
   emb.verify_or_throw();
   return emb;
 }
@@ -42,7 +23,7 @@ KCopyEmbedding ccc_multicopy_disjoint_windows(int n) {
   const int total = n + r;
   const int copies = total / r;  // pairwise-disjoint windows that fit
   const LevelColumnLayout lay = ccc_layout(n);
-  KCopyEmbedding emb(ccc_directed(n), total);
+  KCopyEmbedding emb(ccc_directed(n), total, copies);
   for (int i = 0; i < copies; ++i) {
     CccEmbedSpec s;
     s.n = n;
@@ -57,7 +38,7 @@ KCopyEmbedding ccc_multicopy_disjoint_windows(int n) {
       s.ham.push_back(bit_reverse(gray_node_at(r, l), r));
     }
     s.verify_or_throw();
-    append_spec_copy(emb, lay, s);
+    set_spec_copy(emb, i, lay, s);
   }
   emb.verify_or_throw();
   return emb;

@@ -157,7 +157,6 @@ std::vector<Packet> theorem1_schedule_packets(const MultiPathEmbedding& emb,
       Packet& pk = packets.emplace_back();
       pk.route.assign(route.begin(), route.end());
       pk.release = j == w ? 2 : 0;
-      pk.tag = static_cast<std::uint32_t>(e);
     }
   }
   return packets;

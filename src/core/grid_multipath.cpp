@@ -136,13 +136,12 @@ KCopyEmbedding multicopy_torus(const GridSpec& spec) {
   const int total = offset[0] + bits[0];
   HP_CHECK(total <= 24, "torus too large");
 
-  KCopyEmbedding emb(grid_graph_directed(spec), total);
+  KCopyEmbedding emb(grid_graph_directed(spec), total, copies);
   const Node n_guest = spec.num_nodes();
-  // Copies are independent: build each copy's η and paths in parallel
-  // (one copy per task), then append serially in copy order so the
-  // embedding's copy indices never depend on the schedule.
+  // Copies are independent: build each copy's η in parallel (one copy per
+  // task), then write the copies serially in copy order, so the store's
+  // layout never depends on the schedule.
   std::vector<std::vector<Node>> etas(copies);
-  std::vector<std::vector<HostPath>> copy_paths(copies);
   par::parallel_for(
       0, static_cast<std::size_t>(copies), /*grain=*/1,
       [&](std::size_t lo, std::size_t hi) {
@@ -161,18 +160,10 @@ KCopyEmbedding multicopy_torus(const GridSpec& spec) {
             for (int a = 0; a < k; ++a) addr |= seq[a][coords[a]] << offset[a];
             eta[v] = addr;
           }
-          std::vector<HostPath> paths(emb.guest().num_edges());
-          for (std::size_t e = 0; e < emb.guest().num_edges(); ++e) {
-            const Edge& ge = emb.guest().edge(e);
-            paths[e] = {eta[ge.from], eta[ge.to]};
-          }
           etas[c] = std::move(eta);
-          copy_paths[c] = std::move(paths);
         }
       });
-  for (int c = 0; c < copies; ++c) {
-    emb.add_copy(std::move(etas[c]), std::move(copy_paths[c]));
-  }
+  for (int c = 0; c < copies; ++c) emb.set_direct_copy(c, etas[c]);
   emb.verify_or_throw(/*expected_congestion=*/1);
   return emb;
 }

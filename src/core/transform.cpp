@@ -35,7 +35,7 @@ MultiPathEmbedding theorem4_transform(const KCopyEmbedding& copies) {
   // Bundles.  We re-enumerate X(G)'s edges exactly as the product was
   // built, looking each up in the digraph to write its bundle.
   const auto write_row_bundle = [&](std::size_t xe, Node i,
-                                    const HostPath& copy_path) {
+                                    PathView copy_path) {
     // Path lives in the low n bits; detours flip high bits n + k.
     emb.begin_bundle(xe);
     const Node row_base = i << n;
@@ -48,7 +48,7 @@ MultiPathEmbedding theorem4_transform(const KCopyEmbedding& copies) {
     }
   };
   const auto write_col_bundle = [&](std::size_t xe, Node j,
-                                    const HostPath& copy_path) {
+                                    PathView copy_path) {
     // Path lives in the high n bits; detours flip low bits k.
     emb.begin_bundle(xe);
     for (int k = 0; k < n; ++k) {
@@ -64,7 +64,7 @@ MultiPathEmbedding theorem4_transform(const KCopyEmbedding& copies) {
   for (Node line = 0; line < big; ++line) {
     const int k = static_cast<int>(moment(line) % static_cast<Node>(n));
     for (std::size_t e = 0; e < g.num_edges(); ++e) {
-      const HostPath& p = copies.path(k, e);
+      const PathView p = copies.path(k, e);
       // Row `line`: X edge from ⟨line, p.front()⟩ to ⟨line, p.back()⟩.
       {
         const std::size_t xe = x.find_edge((line << n) | p.front(),
@@ -91,16 +91,13 @@ MultiPathEmbedding theorem4_transform(const KCopyEmbedding& copies) {
 KCopyEmbedding repeat_copies(const KCopyEmbedding& emb, int target) {
   HP_CHECK(emb.num_copies() >= 1, "need at least one copy to repeat");
   HP_CHECK(target >= emb.num_copies(), "target below current copy count");
-  KCopyEmbedding out(emb.guest(), emb.host().dims());
+  KCopyEmbedding out(emb.guest(), emb.host().dims(), target);
   for (int k = 0; k < target; ++k) {
     const int src = k % emb.num_copies();
-    const auto span = emb.node_map(src);
-    std::vector<Node> eta(span.begin(), span.end());
-    std::vector<HostPath> paths(emb.guest().num_edges());
+    out.set_node_map(k, emb.node_map(src));
     for (std::size_t e = 0; e < emb.guest().num_edges(); ++e) {
-      paths[e] = emb.path(src, e);
+      out.set_path(k, e, emb.path(src, e));
     }
-    out.add_copy(std::move(eta), std::move(paths));
   }
   return out;
 }

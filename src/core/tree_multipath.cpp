@@ -8,7 +8,6 @@
 #include "core/transform.hpp"
 #include "graph/builders.hpp"
 #include "obs/profile.hpp"
-#include "par/task_pool.hpp"
 
 namespace hyperpath {
 
@@ -22,38 +21,22 @@ KCopyEmbedding butterfly_multicopy_embedding(int m) {
   const KCopyEmbedding ccc = ccc_multicopy_embedding_undirected(m);
   const GraphEmbedding bfly = butterfly_into_ccc_symmetric(m);
 
-  KCopyEmbedding out(bfly.guest(), m + r);
-  // Copies compose independently from the shared CCC/butterfly maps: build
-  // each into its pre-sized slot in parallel, append serially in copy order.
-  std::vector<std::vector<Node>> etas(m);
-  std::vector<std::vector<HostPath>> copy_paths(m);
-  par::parallel_for(
-      0, static_cast<std::size_t>(m), /*grain=*/1,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t k = lo; k < hi; ++k) {
-          const int ki = static_cast<int>(k);
-          // Compose: butterfly vertex → CCC vertex (identity) → hypercube
-          // node; butterfly edge → CCC path (≤ 2 hops) → hypercube path
-          // (same length, every CCC edge maps to a single hypercube edge in
-          // copy k).
-          std::vector<Node> eta(bfly.guest().num_nodes());
-          for (Node v = 0; v < eta.size(); ++v) {
-            eta[v] = ccc.host_of(ki, bfly.host_of(v));
-          }
-          std::vector<HostPath> paths(bfly.guest().num_edges());
-          for (std::size_t e = 0; e < bfly.guest().num_edges(); ++e) {
-            const auto& mid = bfly.path(e);  // CCC node sequence
-            HostPath p;
-            p.reserve(mid.size());
-            for (Node cv : mid) p.push_back(ccc.host_of(ki, cv));
-            paths[e] = std::move(p);
-          }
-          etas[k] = std::move(eta);
-          copy_paths[k] = std::move(paths);
-        }
-      });
+  // Compose, copy by copy: butterfly vertex → CCC vertex (identity) →
+  // hypercube node; butterfly edge → CCC path (≤ 2 hops) → hypercube path
+  // (same length, every CCC edge maps to a single hypercube edge in copy k).
+  KCopyEmbedding out(bfly.guest(), m + r, m);
+  std::vector<Node> eta(bfly.guest().num_nodes());
+  HostPath p;
   for (int k = 0; k < m; ++k) {
-    out.add_copy(std::move(etas[k]), std::move(copy_paths[k]));
+    for (Node v = 0; v < eta.size(); ++v) {
+      eta[v] = ccc.host_of(k, bfly.host_of(v));
+    }
+    out.set_node_map(k, eta);
+    for (std::size_t e = 0; e < bfly.guest().num_edges(); ++e) {
+      p.clear();
+      for (Node cv : bfly.path(e)) p.push_back(ccc.host_of(k, cv));
+      out.set_path(k, e, p);
+    }
   }
   return out;
 }

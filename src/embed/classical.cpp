@@ -89,19 +89,13 @@ MultiPathEmbedding spanning_binomial_tree_embedding(int n) {
 KCopyEmbedding multicopy_directed_cycles(int n) {
   const DirectedCycleFamily fam(n);
   const std::uint64_t len = pow2(n);
-  KCopyEmbedding emb(directed_cycle(static_cast<Node>(len)), n);
+  KCopyEmbedding emb(directed_cycle(static_cast<Node>(len)), n,
+                     fam.num_cycles());
+  // Copy c maps guest node j to the j-th node of directed cycle c; each
+  // guest edge (j, j+1) maps to the single hypercube edge between their
+  // images (dilation 1).
   for (int c = 0; c < fam.num_cycles(); ++c) {
-    const std::vector<Node> seq = fam.sequence(c, 0);
-    // Copy c maps guest node j to the j-th node of directed cycle c; each
-    // guest edge (j, j+1) maps to the single hypercube edge between their
-    // images (dilation 1).
-    std::vector<HostPath> paths(len);
-    const Digraph& g = emb.guest();
-    for (std::size_t e = 0; e < g.num_edges(); ++e) {
-      const Edge& ge = g.edge(e);
-      paths[e] = {seq[ge.from], seq[ge.to]};
-    }
-    emb.add_copy(seq, std::move(paths));
+    emb.set_direct_copy(c, fam.sequence(c, 0));
   }
   return emb;
 }

@@ -43,6 +43,13 @@ void MultiPathEmbedding::set_node_map(std::vector<Node> eta) {
   eta_ = std::move(eta);
 }
 
+void MultiPathEmbedding::set_node_map(std::size_t first,
+                                      std::span<const Node> eta) {
+  HP_CHECK(first <= eta_.size() && eta.size() <= eta_.size() - first,
+           "node map slice out of range");
+  std::copy(eta.begin(), eta.end(), eta_.begin() + first);
+}
+
 void MultiPathEmbedding::reserve(std::size_t paths, std::size_t nodes) {
   offset_.reserve(offset_.size() + paths);
   nodes_.reserve(nodes_.size() + nodes);
@@ -71,9 +78,9 @@ void MultiPathEmbedding::add_path(std::span<const Node> nodes) {
 }
 
 void MultiPathEmbedding::set_paths(std::size_t edge_id,
-                                   const std::vector<HostPath>& bundle) {
+                                   std::initializer_list<HostPath> bundle) {
   HP_CHECK(edge_id < bundle_.size(), "edge id out of range");
-  HP_CHECK(!bundle.empty(), "bundle must contain at least one path");
+  HP_CHECK(bundle.size() != 0, "bundle must contain at least one path");
   begin_bundle(edge_id);
   for (const HostPath& p : bundle) add_path(p);
 }
@@ -223,94 +230,85 @@ void MultiPathEmbedding::verify_or_throw(int expected_width,
 // KCopyEmbedding
 // ---------------------------------------------------------------------------
 
-KCopyEmbedding::KCopyEmbedding(Digraph guest, int host_dims)
-    : guest_(std::move(guest)), host_(host_dims) {}
+namespace {
 
-void KCopyEmbedding::add_copy(std::vector<Node> eta,
-                              std::vector<HostPath> paths) {
+/// The copy-major disjoint union of `copies` copies of g.  Every id is
+/// checked to fit 32 bits before the builder allocates.
+Digraph disjoint_union(const Digraph& g, int copies) {
+  HP_CHECK(copies >= 1, "k-copy embedding needs at least one copy");
+  const std::uint64_t k = static_cast<std::uint64_t>(copies);
+  HP_CHECK(k * g.num_nodes() <= 0xffffffffull &&
+               k * g.num_edges() <= 0xffffffffull,
+           "k-copy union ids overflow 32 bits");
+  DigraphBuilder b(static_cast<Node>(k * g.num_nodes()));
+  for (Node base = 0; base < b.num_nodes(); base += g.num_nodes()) {
+    for (const Edge& e : g.edges()) b.add_edge(base + e.from, base + e.to);
+  }
+  return std::move(b).build();
+}
+
+}  // namespace
+
+KCopyEmbedding::KCopyEmbedding(Digraph guest, int host_dims, int copies)
+    : guest_(std::move(guest)),
+      copies_(copies),
+      union_(disjoint_union(guest_, copies), host_dims) {
+  const std::size_t paths = union_.guest().num_edges();
+  union_.reserve(paths, 2 * paths);  // dilation-1 copies fit exactly
+}
+
+std::size_t KCopyEmbedding::union_edge(int copy, std::size_t edge_id) const {
+  HP_CHECK(copy >= 0 && copy < copies_, "copy index out of range");
+  HP_CHECK(edge_id < guest_.num_edges(), "edge id out of range");
+  return static_cast<std::size_t>(copy) * guest_.num_edges() + edge_id;
+}
+
+void KCopyEmbedding::set_node_map(int copy, std::span<const Node> eta) {
+  HP_CHECK(copy >= 0 && copy < copies_, "copy index out of range");
   HP_CHECK(eta.size() == guest_.num_nodes(), "copy node map size mismatch");
-  HP_CHECK(paths.size() == guest_.num_edges(), "copy path count mismatch");
-  copies_.push_back(Copy{std::move(eta), std::move(paths)});
+  union_.set_node_map(static_cast<std::size_t>(copy) * guest_.num_nodes(),
+                      eta);
 }
 
-int KCopyEmbedding::dilation() const {
-  std::size_t mx = 0;
-  for (const Copy& c : copies_) {
-    for (const HostPath& p : c.paths) mx = std::max(mx, p.size() - 1);
+void KCopyEmbedding::set_path(int copy, std::size_t edge_id,
+                              std::span<const Node> nodes) {
+  union_.begin_bundle(union_edge(copy, edge_id));
+  union_.add_path(nodes);
+}
+
+void KCopyEmbedding::set_direct_copy(int copy, std::span<const Node> eta) {
+  set_node_map(copy, eta);
+  for (std::size_t e = 0; e < guest_.num_edges(); ++e) {
+    const Edge& ge = guest_.edge(e);
+    set_path(copy, e, {eta[ge.from], eta[ge.to]});
   }
-  return static_cast<int>(mx);
-}
-
-KCopyEmbedding::Metrics KCopyEmbedding::metrics() const {
-  Metrics m;
-  const std::size_t nlinks = host_.num_directed_edges();
-  m.congestion_per_link.reserve(nlinks);
-  m.congestion_per_link.assign(nlinks, 0);
-  if (copies_.empty()) return m;
-
-  const int workers = par::current_pool().threads();
-  std::vector<SweepShard> shard(workers);
-  par::parallel_for_chunks(
-      0, copies_.size(), /*grain=*/1,
-      [&](std::size_t, std::size_t lo, std::size_t hi, int w) {
-        SweepShard& sh = shard[w];
-        if (sh.cong.empty()) sh.cong.assign(nlinks, 0);
-        for (std::size_t c = lo; c < hi; ++c) {
-          for (const HostPath& p : copies_[c].paths) {
-            sh.max_dilation = std::max(sh.max_dilation, p.size() - 1);
-            for (std::size_t i = 0; i + 1 < p.size(); ++i) {
-              ++sh.cong[host_.edge_id(p[i], p[i + 1])];
-            }
-          }
-        }
-      });
-
-  std::size_t max_dilation = 0;
-  for (int w = 0; w < workers; ++w) {
-    max_dilation = std::max(max_dilation, shard[w].max_dilation);
-    if (shard[w].cong.empty()) continue;
-    for (std::size_t l = 0; l < nlinks; ++l) {
-      m.congestion_per_link[l] += shard[w].cong[l];
-    }
-  }
-  m.dilation = static_cast<int>(max_dilation);
-  m.edge_congestion =
-      m.congestion_per_link.empty()
-          ? 0
-          : static_cast<int>(*std::max_element(m.congestion_per_link.begin(),
-                                               m.congestion_per_link.end()));
-  return m;
-}
-
-std::vector<std::uint32_t> KCopyEmbedding::congestion_per_link() const {
-  return metrics().congestion_per_link;
-}
-
-int KCopyEmbedding::edge_congestion() const {
-  return metrics().edge_congestion;
 }
 
 void KCopyEmbedding::verify_or_throw(int expected_congestion) const {
+  const Hypercube& host = union_.host();
   // One copy per task: copies are independent, and the pool's
   // lowest-chunk error selection keeps the thrown error the serial scan's.
   par::parallel_for_chunks(
-      0, copies_.size(), /*grain=*/1,
+      0, static_cast<std::size_t>(copies_), /*grain=*/1,
       [&](std::size_t, std::size_t lo, std::size_t hi, int) {
         for (std::size_t ci = lo; ci < hi; ++ci) {
-          const Copy& c = copies_[ci];
-          std::vector<bool> hit(host_.num_nodes(), false);
-          for (Node h : c.eta) {
-            HP_CHECK(host_.contains(h), "copy node map entry invalid");
+          const int c = static_cast<int>(ci);
+          const std::span<const Node> eta = node_map(c);
+          std::vector<bool> hit(host.num_nodes(), false);
+          for (Node h : eta) {
+            HP_CHECK(host.contains(h), "copy node map entry invalid");
             HP_CHECK(!hit[h], "copy node map is not one-to-one");
             hit[h] = true;
           }
           for (std::size_t e = 0; e < guest_.num_edges(); ++e) {
             const Edge& ge = guest_.edge(e);
-            const HostPath& p = c.paths[e];
-            HP_CHECK(is_valid_path(host_, p),
+            const BundleView bundle = union_.paths(union_edge(c, e));
+            HP_CHECK(!bundle.empty(), "copy edge has no path");
+            const PathView p = bundle.front();
+            HP_CHECK(is_valid_path(host, p),
                      "copy path is not a hypercube walk");
-            HP_CHECK(p.front() == c.eta[ge.from], "copy path start mismatch");
-            HP_CHECK(p.back() == c.eta[ge.to], "copy path end mismatch");
+            HP_CHECK(p.front() == eta[ge.from], "copy path start mismatch");
+            HP_CHECK(p.back() == eta[ge.to], "copy path end mismatch");
           }
         }
       });

@@ -23,7 +23,9 @@
 // push_node() per path — with no per-path heap object; edges may be written
 // in any order, and rewriting an edge starts a new range (the old nodes stay
 // behind as unused space).  Readers get a BundleView of PathViews
-// (std::span<const Node>) into the store.
+// (std::span<const Node>) into the store.  A KCopyEmbedding has no store of
+// its own: its k copies are one width-1 MultiPathEmbedding of the guest's
+// k-fold disjoint union, written copy by copy into this same flat array.
 #pragma once
 
 #include <algorithm>
@@ -141,6 +143,9 @@ class MultiPathEmbedding {
   /// Sets η.  eta.size() must equal guest().num_nodes().
   void set_node_map(std::vector<Node> eta);
 
+  /// Sets η of guest nodes [first, first + eta.size()).
+  void set_node_map(std::size_t first, std::span<const Node> eta);
+
   Node host_of(Node guest_node) const { return eta_[guest_node]; }
   std::span<const Node> node_map() const { return eta_; }
 
@@ -170,7 +175,7 @@ class MultiPathEmbedding {
   }
 
   /// Writes guest edge `edge_id`'s whole bundle from owning paths.
-  void set_paths(std::size_t edge_id, const std::vector<HostPath>& bundle);
+  void set_paths(std::size_t edge_id, std::initializer_list<HostPath> bundle);
 
   BundleView paths(std::size_t edge_id) const {
     const PathRange r = bundle_[edge_id];
@@ -238,44 +243,67 @@ class MultiPathEmbedding {
 };
 
 /// A k-copy embedding (Section 3): k one-to-one node maps of the same guest
-/// into Q_n, each edge mapped to a single path per copy.  The congestion of
-/// a host edge is summed over all copies.
+/// into Q_n, each edge mapped to a single path per copy, with the
+/// congestion of a host edge summed over all copies.  That is a width-1
+/// embedding of the guest's k-fold disjoint union, and it is stored as one:
+/// copy c of guest node v is union node c·|V| + v, and copy c of guest edge
+/// e is union edge c·|E| + e (Digraph's (from, to) edge order makes the
+/// copy-major node ids give exactly that edge numbering).  multipath() is
+/// the union, for every reader of a MultiPathEmbedding: its metrics are the
+/// summed k-copy ones, and its phase_packets order is (copy, edge, packet).
 class KCopyEmbedding {
  public:
-  KCopyEmbedding(Digraph guest, int host_dims);
+  /// Declares `copies` ≥ 1 copies, each with an unset node map and no
+  /// paths.  Throws "k-copy union ids overflow" before allocating anything
+  /// when copies·|V| or copies·|E| does not fit a 32-bit id.
+  KCopyEmbedding(Digraph guest, int host_dims, int copies);
 
   const Digraph& guest() const { return guest_; }
-  const Hypercube& host() const { return host_; }
-  int num_copies() const { return static_cast<int>(copies_.size()); }
+  const Hypercube& host() const { return union_.host(); }
+  int num_copies() const { return copies_; }
+  const MultiPathEmbedding& multipath() const { return union_; }
 
-  /// Appends a copy: a one-to-one node map plus one path per guest edge
-  /// (paths[e] corresponds to guest().edge(e)).
-  void add_copy(std::vector<Node> eta, std::vector<HostPath> paths);
+  // --- writing copies (copy < num_copies(); a rewrite replaces) -----------
+
+  /// Sets copy `copy`'s node map; eta.size() must equal guest().num_nodes().
+  void set_node_map(int copy, std::span<const Node> eta);
+
+  /// Sets copy `copy`'s path for guest edge `edge_id`.
+  void set_path(int copy, std::size_t edge_id, std::span<const Node> nodes);
+  void set_path(int copy, std::size_t edge_id,
+                std::initializer_list<Node> nodes) {
+    set_path(copy, edge_id, std::span<const Node>(nodes.begin(), nodes.size()));
+  }
+
+  /// Sets copy `copy`'s node map and routes every guest edge (u, v) on the
+  /// single host link η(u) → η(v): a dilation-1 copy (verify_or_throw
+  /// rejects an edge whose images are not adjacent).
+  void set_direct_copy(int copy, std::span<const Node> eta);
+
+  // --- reading copies (unchecked, like MultiPathEmbedding's readers) ------
 
   Node host_of(int copy, Node guest_node) const {
-    return copies_[copy].eta[guest_node];
+    return node_map(copy)[guest_node];
   }
-  std::span<const Node> node_map(int copy) const { return copies_[copy].eta; }
-  const HostPath& path(int copy, std::size_t edge_id) const {
-    return copies_[copy].paths[edge_id];
+  std::span<const Node> node_map(int copy) const {
+    return union_.node_map().subspan(
+        static_cast<std::size_t>(copy) * guest_.num_nodes(),
+        guest_.num_nodes());
+  }
+  /// Copy `copy`'s path of guest edge `edge_id`, which must be written.
+  PathView path(int copy, std::size_t edge_id) const {
+    return union_.paths(static_cast<std::size_t>(copy) * guest_.num_edges() +
+                        edge_id).front();
   }
 
-  int dilation() const;
+  int dilation() const { return union_.dilation(); }
 
-  /// Edge-congestion summed across copies, per host directed edge.
-  /// Sharded over copies on the par::TaskPool with per-worker scratch
-  /// merged in fixed order (bit-identical for every thread count).
-  std::vector<std::uint32_t> congestion_per_link() const;
-  int edge_congestion() const;
-
-  /// Dilation + edge-congestion (+ the per-link vector) in one sharded
-  /// sweep over the copies instead of one re-walk per metric.
-  struct Metrics {
-    int dilation = 0;
-    int edge_congestion = 0;
-    std::vector<std::uint32_t> congestion_per_link;
-  };
-  Metrics metrics() const;
+  /// Edge-congestion summed across copies, per host directed edge: the
+  /// union's sharded, thread-count-independent congestion sweep.
+  std::vector<std::uint32_t> congestion_per_link() const {
+    return union_.congestion_per_link();
+  }
+  int edge_congestion() const { return union_.congestion(); }
 
   /// Checks: every copy's η is one-to-one, every path valid with correct
   /// endpoints.  If expected_congestion ≥ 0, also checks
@@ -285,13 +313,12 @@ class KCopyEmbedding {
   void verify_or_throw(int expected_congestion = -1) const;
 
  private:
-  struct Copy {
-    std::vector<Node> eta;
-    std::vector<HostPath> paths;
-  };
+  /// The union edge of copy `copy`'s guest edge `edge_id`, range-checked.
+  std::size_t union_edge(int copy, std::size_t edge_id) const;
+
   Digraph guest_;
-  Hypercube host_;
-  std::vector<Copy> copies_;
+  int copies_;
+  MultiPathEmbedding union_;
 };
 
 }  // namespace hyperpath

@@ -174,7 +174,8 @@ MultiPathEmbedding compose_multipath(const MultiPathEmbedding& outer,
       bundle = std::move(kept);
       HP_CHECK(!bundle.empty(), "no disjoint composed path survived");
     }
-    out.set_paths(e, std::move(bundle));
+    out.begin_bundle(e);
+    for (const HostPath& p : bundle) out.add_path(p);
   }
   // Load is inherited from the inner embedding (Theorem 5's CBT → X has
   // load up to 3 by design), so the composition does not impose the

@@ -20,20 +20,15 @@
 namespace hyperpath {
 
 /// The packets of one phase: p per guest edge, packet j of an edge routed on
-/// bundle path (j mod w) with the bundle sorted by increasing length.
+/// bundle path (j mod w) with the bundle sorted by increasing length.  For a
+/// k-copy embedding pass KCopyEmbedding::multipath(): p packets per guest
+/// edge per copy, in (copy, edge, packet) order.
 std::vector<Packet> phase_packets(const MultiPathEmbedding& emb, int p);
-
-/// The packets of one phase across all copies of a k-copy embedding: p per
-/// guest edge *per copy*, each on its copy's single path.
-std::vector<Packet> phase_packets(const KCopyEmbedding& emb, int p);
 
 /// Runs one phase and returns the measured result (makespan = p-packet
 /// cost of this schedule).  An optional trace sink receives the simulator's
 /// step-level events.
 SimResult measure_phase_cost(const MultiPathEmbedding& emb, int p,
-                             Arbitration policy = Arbitration::kFifo,
-                             obs::TraceSink* sink = nullptr);
-SimResult measure_phase_cost(const KCopyEmbedding& emb, int p,
                              Arbitration policy = Arbitration::kFifo,
                              obs::TraceSink* sink = nullptr);
 

@@ -84,7 +84,7 @@ TEST(MulticopyTorus, MixedSides) {
 
 TEST(MulticopyTorus, PhaseCostOne) {
   const auto emb = multicopy_torus(GridSpec{{8, 8}, true});
-  EXPECT_EQ(measure_phase_cost(emb, 1).makespan, 1);
+  EXPECT_EQ(measure_phase_cost(emb.multipath(), 1).makespan, 1);
 }
 
 TEST(MulticopyTorus, Rejections) {

@@ -1,6 +1,7 @@
 #include "embed/embedding.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <functional>
 #include <string>
@@ -185,20 +186,27 @@ TEST(MultiPathEmbedding, CheckedPathOffsetAcceptsU32MaxAndRejectsPast) {
   EXPECT_THROW(checked_path_offset(std::uint64_t{1} << 40), Error);
 }
 
+/// Writes copy `c` of `emb` from η and one owning path per guest edge.
+void write_copy(KCopyEmbedding& emb, int c, const std::vector<Node>& eta,
+                const std::vector<HostPath>& paths) {
+  emb.set_node_map(c, eta);
+  for (std::size_t e = 0; e < paths.size(); ++e) emb.set_path(c, e, paths[e]);
+}
+
 TEST(KCopyEmbedding, TwoCopiesCongestionSums) {
   // Guest: directed 4-cycle.  Two copies along the two orientations of the
   // same host cycle share links in opposite directions only, so congestion
   // stays 1; a duplicated copy forces congestion 2.
   const Digraph guest = directed_cycle(4);
-  KCopyEmbedding emb(guest, 2);
+  KCopyEmbedding emb(guest, 2, 2);
   const std::vector<Node> eta{0b00, 0b01, 0b11, 0b10};
   std::vector<HostPath> paths(4);
   for (std::size_t e = 0; e < 4; ++e) {
     const Edge& ge = guest.edge(e);
     paths[e] = {eta[ge.from], eta[ge.to]};
   }
-  emb.add_copy(eta, paths);
-  emb.add_copy(eta, paths);  // identical copy: every link doubly used
+  write_copy(emb, 0, eta, paths);
+  write_copy(emb, 1, eta, paths);  // identical copy: every link doubly used
   EXPECT_EQ(emb.num_copies(), 2);
   EXPECT_EQ(emb.dilation(), 1);
   EXPECT_EQ(emb.edge_congestion(), 2);
@@ -208,25 +216,26 @@ TEST(KCopyEmbedding, TwoCopiesCongestionSums) {
 
 TEST(KCopyEmbedding, VerifyCatchesNonInjectiveCopy) {
   const Digraph guest = directed_cycle(4);
-  KCopyEmbedding emb(guest, 2);
+  KCopyEmbedding emb(guest, 2, 1);
   std::vector<Node> eta{0, 0, 3, 2};
   std::vector<HostPath> paths(4, HostPath{0, 1});
-  emb.add_copy(eta, paths);
+  write_copy(emb, 0, eta, paths);
   EXPECT_THROW(emb.verify_or_throw(), Error);
 }
 
-// A valid one-copy embedding of the directed 4-cycle into Q_2, for the
-// error-path tests to corrupt one aspect at a time.
-KCopyEmbedding one_good_copy() {
+// The directed 4-cycle into Q_2 with `copies` copies declared and a valid
+// copy 0 written, for the error-path tests to corrupt one aspect at a time
+// in the copies after it.
+KCopyEmbedding one_good_copy(int copies) {
   const Digraph guest = directed_cycle(4);
-  KCopyEmbedding emb(guest, 2);
+  KCopyEmbedding emb(guest, 2, copies);
   const std::vector<Node> eta{0b00, 0b01, 0b11, 0b10};
   std::vector<HostPath> paths(4);
   for (std::size_t e = 0; e < 4; ++e) {
     const Edge& ge = guest.edge(e);
     paths[e] = {eta[ge.from], eta[ge.to]};
   }
-  emb.add_copy(eta, paths);
+  write_copy(emb, 0, eta, paths);
   return emb;
 }
 
@@ -240,26 +249,26 @@ std::string verify_error(const KCopyEmbedding& emb) {
 }
 
 TEST(KCopyEmbedding, VerifyReportsDuplicateEtaEntries) {
-  auto emb = one_good_copy();
+  auto emb = one_good_copy(2);
   std::vector<Node> eta{0b00, 0b01, 0b01, 0b10};  // 0b01 twice
   std::vector<HostPath> paths(4, HostPath{0b00, 0b01});
-  emb.add_copy(eta, paths);
+  write_copy(emb, 1, eta, paths);
   EXPECT_NE(verify_error(emb).find("copy node map is not one-to-one"),
             std::string::npos);
 }
 
 TEST(KCopyEmbedding, VerifyReportsOutOfRangeEta) {
-  auto emb = one_good_copy();
+  auto emb = one_good_copy(2);
   std::vector<Node> eta{0b00, 0b01, 0b11, 0b100};  // 4 ∉ Q_2
   std::vector<HostPath> paths(4, HostPath{0b00, 0b01});
-  emb.add_copy(eta, paths);
+  write_copy(emb, 1, eta, paths);
   EXPECT_NE(verify_error(emb).find("copy node map entry invalid"),
             std::string::npos);
 }
 
 TEST(KCopyEmbedding, VerifyReportsWrongPathEndpoints) {
   {
-    auto emb = one_good_copy();
+    auto emb = one_good_copy(2);
     std::vector<Node> eta{0b00, 0b01, 0b11, 0b10};
     std::vector<HostPath> paths(4);
     for (std::size_t e = 0; e < 4; ++e) {
@@ -267,12 +276,12 @@ TEST(KCopyEmbedding, VerifyReportsWrongPathEndpoints) {
       paths[e] = {eta[ge.from], eta[ge.to]};
     }
     paths[0] = {0b01, 0b11};  // starts at η(1), not η(0)
-    emb.add_copy(eta, paths);
+    write_copy(emb, 1, eta, paths);
     EXPECT_NE(verify_error(emb).find("copy path start mismatch"),
               std::string::npos);
   }
   {
-    auto emb = one_good_copy();
+    auto emb = one_good_copy(2);
     std::vector<Node> eta{0b00, 0b01, 0b11, 0b10};
     std::vector<HostPath> paths(4);
     for (std::size_t e = 0; e < 4; ++e) {
@@ -280,14 +289,14 @@ TEST(KCopyEmbedding, VerifyReportsWrongPathEndpoints) {
       paths[e] = {eta[ge.from], eta[ge.to]};
     }
     paths[0] = {0b00, 0b10};  // valid walk, ends at η(3) instead of η(1)
-    emb.add_copy(eta, paths);
+    write_copy(emb, 1, eta, paths);
     EXPECT_NE(verify_error(emb).find("copy path end mismatch"),
               std::string::npos);
   }
 }
 
 TEST(KCopyEmbedding, VerifyReportsNonAdjacentHop) {
-  auto emb = one_good_copy();
+  auto emb = one_good_copy(2);
   std::vector<Node> eta{0b00, 0b01, 0b11, 0b10};
   std::vector<HostPath> paths(4);
   for (std::size_t e = 0; e < 4; ++e) {
@@ -295,7 +304,7 @@ TEST(KCopyEmbedding, VerifyReportsNonAdjacentHop) {
     paths[e] = {eta[ge.from], eta[ge.to]};
   }
   paths[0] = {0b00, 0b11};  // flips two bits at once
-  emb.add_copy(eta, paths);
+  write_copy(emb, 1, eta, paths);
   EXPECT_NE(verify_error(emb).find("copy path is not a hypercube walk"),
             std::string::npos);
 }
@@ -303,7 +312,7 @@ TEST(KCopyEmbedding, VerifyReportsNonAdjacentHop) {
 TEST(KCopyEmbedding, VerifyErrorIsFirstFailingCopy) {
   // Corrupt copies 1 and 2 differently: the thrown error must always be
   // copy 1's, regardless of how the copies shard across pool workers.
-  auto emb = one_good_copy();
+  auto emb = one_good_copy(3);
   std::vector<Node> eta{0b00, 0b01, 0b11, 0b10};
   std::vector<HostPath> paths(4);
   for (std::size_t e = 0; e < 4; ++e) {
@@ -312,12 +321,101 @@ TEST(KCopyEmbedding, VerifyErrorIsFirstFailingCopy) {
   }
   auto bad_walk = paths;
   bad_walk[0] = {0b00, 0b11};
-  emb.add_copy(eta, bad_walk);  // copy 1: invalid walk
+  write_copy(emb, 1, eta, bad_walk);  // copy 1: invalid walk
   auto bad_eta = eta;
   bad_eta[3] = 0b100;
-  emb.add_copy(bad_eta, paths);  // copy 2: η out of range
+  write_copy(emb, 2, bad_eta, paths);  // copy 2: η out of range
   EXPECT_NE(verify_error(emb).find("copy path is not a hypercube walk"),
             std::string::npos);
+}
+
+TEST(KCopyEmbedding, UnionIdOverflowThrowsBeforeAllocating) {
+  // 2^30 copies of a 4-node guest need 2^32 union node ids, and 2^29
+  // copies of the 8-edge symmetric 4-cycle need 2^32 union edge ids: the
+  // constructor refuses both before it builds anything of the union.
+  rusage before{};
+  getrusage(RUSAGE_SELF, &before);
+  EXPECT_NE(error_of([] { KCopyEmbedding(directed_cycle(4), 2, 1 << 30); })
+                .find("k-copy union ids overflow"),
+            std::string::npos);
+  EXPECT_NE(error_of([] { KCopyEmbedding(symmetric_cycle(4), 2, 1 << 29); })
+                .find("k-copy union ids overflow"),
+            std::string::npos);
+  rusage after{};
+  getrusage(RUSAGE_SELF, &after);
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 16 * 1024);  // KiB
+  EXPECT_NE(error_of([] { KCopyEmbedding(directed_cycle(4), 2, 0); })
+                .find("at least one copy"),
+            std::string::npos);
+}
+
+TEST(KCopyEmbedding, UnwrittenCopyFailsVerify) {
+  auto emb = one_good_copy(2);  // copy 1 declared, never written
+  EXPECT_NE(verify_error(emb).find("copy node map entry invalid"),
+            std::string::npos);
+  // A node map alone is not a copy: every guest edge needs its path.
+  emb.set_node_map(1, std::vector<Node>{0b00, 0b01, 0b11, 0b10});
+  EXPECT_NE(verify_error(emb).find("copy edge has no path"),
+            std::string::npos);
+}
+
+TEST(KCopyEmbedding, WritingPastDeclaredCopyCountThrows) {
+  auto emb = one_good_copy(1);
+  const std::vector<Node> eta{0b00, 0b01, 0b11, 0b10};
+  for (const int c : {1, -1}) {
+    EXPECT_NE(error_of([&] { emb.set_node_map(c, eta); })
+                  .find("copy index out of range"),
+              std::string::npos);
+    EXPECT_NE(error_of([&] { emb.set_path(c, 0, {0b00, 0b01}); })
+                  .find("copy index out of range"),
+              std::string::npos);
+    EXPECT_NE(error_of([&] { emb.set_direct_copy(c, eta); })
+                  .find("copy index out of range"),
+              std::string::npos);
+  }
+  // Edge 4 of copy 0 would be union edge 4 — copy 1's edge 0 — if unchecked.
+  EXPECT_NE(error_of([&] { emb.set_path(0, 4, {0b00, 0b01}); })
+                .find("edge id out of range"),
+            std::string::npos);
+  EXPECT_NE(error_of([&] { emb.set_node_map(0, std::vector<Node>{0, 1}); })
+                .find("copy node map size mismatch"),
+            std::string::npos);
+  EXPECT_EQ(emb.num_copies(), 1);
+  EXPECT_NO_THROW(emb.verify_or_throw());
+}
+
+TEST(KCopyEmbedding, NodeMapAndHostOfReadCopySlice) {
+  // Three copies of the directed 4-cycle around Q_2: two share the
+  // orientation (congestion 2), the third runs the other way.
+  const std::vector<std::vector<Node>> etas = {{0b00, 0b01, 0b11, 0b10},
+                                               {0b01, 0b11, 0b10, 0b00},
+                                               {0b00, 0b10, 0b11, 0b01}};
+  const Digraph guest = directed_cycle(4);
+  KCopyEmbedding emb(guest, 2, 3);
+  for (int c = 0; c < 3; ++c) emb.set_direct_copy(c, etas[c]);
+  ASSERT_NO_THROW(emb.verify_or_throw(2));
+  EXPECT_EQ(emb.edge_congestion(), 2);
+
+  const MultiPathEmbedding& u = emb.multipath();
+  ASSERT_EQ(u.guest().num_nodes(), 12u);
+  ASSERT_EQ(u.guest().num_edges(), 12u);
+  EXPECT_EQ(u.width(), 1);
+  for (int c = 0; c < 3; ++c) {
+    const auto slice = emb.node_map(c);
+    EXPECT_EQ(std::vector<Node>(slice.begin(), slice.end()), etas[c]);
+    for (Node v = 0; v < 4; ++v) {
+      EXPECT_EQ(emb.host_of(c, v), etas[c][v]);
+      EXPECT_EQ(u.host_of(4 * c + v), etas[c][v]);
+    }
+    for (std::size_t e = 0; e < 4; ++e) {
+      const Edge& ge = guest.edge(e);
+      EXPECT_EQ(u.guest().edge(4 * c + e),
+                (Edge{4 * static_cast<Node>(c) + ge.from,
+                      4 * static_cast<Node>(c) + ge.to}));
+      EXPECT_EQ(HostPath(emb.path(c, e)),
+                (HostPath{etas[c][ge.from], etas[c][ge.to]}));
+    }
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 // materialized side cannot exist.
 #include <gtest/gtest.h>
 
+#include "ccc/ccc_embed.hpp"
 #include "core/algebraic_oracle.hpp"
 #include "core/cycle_multipath.hpp"
 #include "core/grid_multipath.hpp"
@@ -115,6 +116,35 @@ TEST(OracleEquiv, SampleDigestMatchesAcrossBackends) {
   EXPECT_EQ(a.paths_checked, b.paths_checked);
   EXPECT_EQ(a.hops_checked, b.hops_checked);
   EXPECT_EQ(a.node_digest, b.node_digest);
+}
+
+/// A k-copy embedding's union behind a MaterializedOracle: entry c·|E| + e
+/// of all_guest_edges is copy c's guest edge e, and the oracle replays that
+/// copy's path node for node.
+void expect_kcopy_replay(const KCopyEmbedding& emb) {
+  const MaterializedOracle mat(emb.multipath());
+  const std::vector<OracleEdge> edges = all_guest_edges(mat);
+  const Digraph& g = emb.guest();
+  ASSERT_EQ(edges.size(), g.num_edges() * emb.num_copies());
+  for (int c = 0; c < emb.num_copies(); ++c) {
+    const OracleId base = static_cast<OracleId>(c) * g.num_nodes();
+    for (std::size_t e = 0; e < g.num_edges(); ++e) {
+      const OracleEdge& oe = edges[c * g.num_edges() + e];
+      ASSERT_EQ(oe, (OracleEdge{base + g.edge(e).from, base + g.edge(e).to}))
+          << "copy " << c << " edge " << e;
+      ASSERT_EQ(mat.width(oe), 1);
+      ASSERT_EQ(mat.path_vec(oe, 0), HostPath(emb.path(c, e)))
+          << "copy " << c << " edge " << e;
+    }
+  }
+}
+
+TEST(OracleEquiv, KCopyUnionCcc8) {
+  expect_kcopy_replay(ccc_multicopy_embedding(8));
+}
+
+TEST(OracleEquiv, KCopyUnionTorus8x8) {
+  expect_kcopy_replay(multicopy_torus(GridSpec{{8, 8}, true}));
 }
 
 }  // namespace

@@ -879,8 +879,8 @@ void trace_help(std::FILE* out) {
 /// counts `packets` routes), runs one phase of `emb` at `p` packets per
 /// guest edge, then prints the summary and writes the chrome and JSON
 /// outputs.
-template <typename Embedding>
-int run_trace(TraceOptions& opt, const char* kind, const Embedding& emb, int p,
+int run_trace(TraceOptions& opt, const char* kind,
+              const MultiPathEmbedding& emb, int p,
               std::uint64_t packets,
               const std::vector<std::pair<std::string, double>>& params) {
   if (opt.trace_path.empty()) {
@@ -1006,7 +1006,7 @@ int cmd_trace(int argc, char** argv) {
       HP_PROFILE_SPAN("construct");
       return ccc_multicopy_embedding(n);
     }();
-    return run_trace(opt, "ccc", emb, p,
+    return run_trace(opt, "ccc", emb.multipath(), p,
                      static_cast<std::uint64_t>(emb.guest().num_edges()) * p *
                          emb.num_copies(),
                      {{"n", static_cast<double>(n)},
