@@ -86,13 +86,33 @@ struct Theorem1Core {
     return index < 2 * k ? 3 : 1;
   }
 
-  /// Streams bundle path `index` of guest edge (from, from+1 mod 2^n):
-  /// Theorem 1's detours cross a free dimension of the opposite field
-  /// (paths 0..2k−1, in field order), the direct edge rides last.
+  /// Streams bundle path `index` of guest edge (from, from+1 mod 2^n).
   template <typename Emit>
   void path(std::uint64_t from, int index, Emit&& emit) const {
+    path_between(eta(from), eta((from + 1) & (num_nodes - 1)), index, emit);
+  }
+
+  /// Appends the whole bundle of guest edge (from, from+1 mod 2^n), each
+  /// node mapped through `map`, to `nodes`, and each path's end to `ends`
+  /// (PathOracle::append_bundle): η of both endpoints computed once.
+  template <typename Map>
+  void bundle(std::uint64_t from, Map&& map, std::vector<Node>& nodes,
+              std::vector<std::size_t>& ends) const {
     const Node a = eta(from);
     const Node b = eta((from + 1) & (num_nodes - 1));
+    const auto emit = [&](Node v) { nodes.push_back(map(v)); };
+    for (int i = 0; i < width(); ++i) {
+      path_between(a, b, i, emit);
+      ends.push_back(nodes.size());
+    }
+  }
+
+  /// Streams bundle path `index` between the endpoint images a = η(from)
+  /// and b = η(from+1): Theorem 1's detours cross a free dimension of the
+  /// opposite field (paths 0..2k−1, in field order), the direct edge rides
+  /// last.
+  template <typename Emit>
+  void path_between(Node a, Node b, int index, Emit&& emit) const {
     if (index == 2 * k) {  // the direct path
       emit(a);
       emit(b);
@@ -262,6 +282,16 @@ class GridOracle final : public PathOracle {
       void operator()(Node v) const { sink.push(fixed | (v << off)); }
     };
     axes_[a].path(cf[a], index, FieldEmit{sink, fixed, off});
+  }
+
+  void append_bundle(const OracleEdge& edge, std::vector<Node>& nodes,
+                     std::vector<std::size_t>& ends) const override {
+    const Coords cf = coords(edge.from);
+    const int a = edge_axis(edge, cf);
+    const Node fixed = eta_except(cf, a);
+    const int off = offset_[a];
+    axes_[a].bundle(
+        cf[a], [&](Node v) { return fixed | (v << off); }, nodes, ends);
   }
 
   const char* family() const override { return "grid"; }

@@ -112,9 +112,14 @@ int MultiPathEmbedding::width() const {
 }
 
 EmbeddingMetrics MultiPathEmbedding::metrics() const {
-  EmbeddingMetrics m;
-  m.load = load();
+  const int observed_load = load();
+  EmbeddingMetrics m = sweep_bundles();
+  m.load = observed_load;
+  return m;
+}
 
+EmbeddingMetrics MultiPathEmbedding::sweep_bundles() const {
+  EmbeddingMetrics m;
   const std::size_t nedges = bundle_.size();
   const std::size_t nlinks = host_.num_directed_edges();
   m.congestion_per_link.reserve(nlinks);
@@ -161,10 +166,12 @@ EmbeddingMetrics MultiPathEmbedding::metrics() const {
 }
 
 std::vector<std::uint32_t> MultiPathEmbedding::congestion_per_link() const {
-  return metrics().congestion_per_link;
+  return sweep_bundles().congestion_per_link;
 }
 
-int MultiPathEmbedding::congestion() const { return metrics().congestion; }
+int MultiPathEmbedding::congestion() const {
+  return sweep_bundles().congestion;
+}
 
 double MultiPathEmbedding::expansion() const {
   const std::uint64_t need = pow2(ceil_log2(guest_.num_nodes()));

@@ -226,6 +226,10 @@ class MultiPathEmbedding {
   void verify_or_throw(int expected_width = -1, int expected_load = -1) const;
 
  private:
+  /// The sharded sweep over the bundles behind metrics(): every metric but
+  /// load, which needs the node map instead.
+  EmbeddingMetrics sweep_bundles() const;
+
   /// A guest edge's paths: [first, last) in offset_ order.
   struct PathRange {
     std::uint32_t first = 0;

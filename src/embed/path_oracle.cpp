@@ -16,11 +16,28 @@ HostPath PathOracle::path_vec(const OracleEdge& edge, int index) const {
   return out;
 }
 
-std::vector<HostPath> PathOracle::bundle(const OracleEdge& edge) const {
+void PathOracle::append_bundle(const OracleEdge& edge,
+                               std::vector<Node>& nodes,
+                               std::vector<std::size_t>& ends) const {
   const int w = width(edge);
+  VectorSink sink(nodes);
+  for (int i = 0; i < w; ++i) {
+    path(edge, i, sink);
+    ends.push_back(nodes.size());
+  }
+}
+
+std::vector<HostPath> PathOracle::bundle(const OracleEdge& edge) const {
+  std::vector<Node> nodes;
+  std::vector<std::size_t> ends;
+  append_bundle(edge, nodes, ends);
   std::vector<HostPath> out;
-  out.reserve(w);
-  for (int i = 0; i < w; ++i) out.push_back(path_vec(edge, i));
+  out.reserve(ends.size());
+  std::size_t begin = 0;
+  for (const std::size_t end : ends) {
+    out.emplace_back(nodes.begin() + begin, nodes.begin() + end);
+    begin = end;
+  }
   return out;
 }
 

@@ -19,6 +19,8 @@
 // Consumers that only need per-route streams (RoutePlan compilation, the
 // recovery engine's next-surviving-path probe, the sampling verifier
 // below) take a PathOracle so they run identically on either backend.
+// A consumer that wants every path of an edge (the oracle phase's
+// compile) asks once with append_bundle, which decodes the edge once.
 //
 // Width discipline: guest ids and edge counts are 64-bit (OracleId).  A
 // large-copy guest has ⌊n/2⌋·2^{n+1} nodes and a dense directed-link id
@@ -33,6 +35,7 @@
 // Digraph stores them — so (node, slot) walks agree across backends.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -111,6 +114,17 @@ class PathOracle {
   virtual void path(const OracleEdge& edge, int index,
                     NodeSink& sink) const = 0;
 
+  /// The whole bundle of `edge` in one query: appends paths 0 .. w−1, each
+  /// as path() streams it, to `nodes`, and after each path the new size of
+  /// `nodes` to `ends`.  Path i is nodes[ends[i−1], ends[i]) of the
+  /// appended part, and its hop count is its node count minus one.  The
+  /// default runs width() and then path() per index; the grid backend (the
+  /// Q_24 oracle phase's) overrides it to decode the edge's coordinates and
+  /// compute η once.  Throws what width() throws for a pair that is no
+  /// guest edge.
+  virtual void append_bundle(const OracleEdge& edge, std::vector<Node>& nodes,
+                             std::vector<std::size_t>& ends) const;
+
   /// Family tag for reports ("theorem1", "grid", "largecopy",
   /// "materialized").
   virtual const char* family() const = 0;
@@ -118,6 +132,7 @@ class PathOracle {
   // --- convenience (materializing; tests and small-n callers) -------------
 
   HostPath path_vec(const OracleEdge& edge, int index) const;
+  /// append_bundle() split into one HostPath per path.
   std::vector<HostPath> bundle(const OracleEdge& edge) const;
 };
 

@@ -1,10 +1,10 @@
 #include "sim/oracle_sim.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "base/error.hpp"
 #include "obs/profile.hpp"
+#include "sim/phase.hpp"
 #include "sim/store_forward.hpp"
 
 namespace hyperpath {
@@ -21,20 +21,25 @@ void add_oracle_route(const PathOracle& oracle, const OracleEdge& edge,
 
 namespace {
 
-/// Edge e's bundle indices stable-sorted by path length into `order` —
-/// packet j of the edge rides path order[j mod width] — and each path's
-/// hop count into `hops`.
-void slot_order(const PathOracle& oracle, const OracleEdge& e,
-                std::vector<std::uint32_t>& hops, std::vector<int>& order) {
-  const int w = oracle.width(e);
-  HP_CHECK(w > 0, "demanded guest edge has an empty bundle");
-  hops.resize(w);
-  for (int i = 0; i < w; ++i) hops[i] = oracle.path_hops(e, i);
-  order.resize(w);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](int a, int b) { return hops[a] < hops[b]; });
-}
+/// One demanded edge's bundle, fetched by one oracle query into buffers
+/// reused across edges, and its slot order (phase.hpp).
+struct EdgeBundle {
+  std::vector<Node> nodes;
+  std::vector<std::size_t> ends;
+  std::vector<std::uint32_t> order;
+
+  void load(const PathOracle& oracle, const OracleEdge& e) {
+    nodes.clear();
+    ends.clear();
+    oracle.append_bundle(e, nodes, ends);
+    HP_CHECK(!ends.empty(), "demanded guest edge has an empty bundle");
+    slot_order(ends.size(), [&](std::uint32_t i) { return size(i); }, order);
+  }
+
+  std::size_t begin(std::uint32_t i) const { return i == 0 ? 0 : ends[i - 1]; }
+  /// Path i's node count: its hops plus one.
+  std::size_t size(std::uint32_t i) const { return ends[i] - begin(i); }
+};
 
 }  // namespace
 
@@ -45,34 +50,33 @@ void compile_oracle_phase(const PathOracle& oracle,
   const int dims = oracle.host_dims();
   const int p = packets_per_edge;
   HP_CHECK(p > 0, "packets_per_edge must be positive");
-  std::vector<std::uint32_t> hops;
-  std::vector<int> order;
-  // The stored hops and nodes are reserved exactly: grown by doubling, the
-  // buffers' chains of reallocations would raise the peak RSS of repeated
+  EdgeBundle bundle;
+  // The stored hops are reserved exactly: grown by doubling, the id
+  // buffer's chain of reallocations would raise the peak RSS of repeated
   // phases (hpbench oracle_phase_q24).
   std::uint64_t stored_hops = 0;
-  std::uint64_t stored_routes = 0;
   for (const OracleEdge& e : edges) {
-    slot_order(oracle, e, hops, order);
-    const int slots = std::min<int>(p, static_cast<int>(order.size()));
-    for (int s = 0; s < slots; ++s) stored_hops += hops[order[s]];
-    stored_routes += slots;
+    bundle.load(oracle, e);
+    const std::size_t slots = std::min<std::size_t>(p, bundle.order.size());
+    for (std::size_t s = 0; s < slots; ++s) {
+      // A node-free path is add_route_unlinked's error, not a hop count.
+      const std::size_t n = bundle.size(bundle.order[s]);
+      if (n > 0) stored_hops += n - 1;
+    }
   }
   glinks.reserve(glinks.size() + stored_hops);
   plan.reserve(plan.num_routes() + edges.size() * static_cast<std::size_t>(p),
                0);
-  plan.route_nodes.reserve(plan.route_nodes.size() + stored_hops +
-                           stored_routes);
-  VectorSink sink(plan.route_nodes);
   for (const OracleEdge& e : edges) {
-    slot_order(oracle, e, hops, order);
-    const int w = static_cast<int>(order.size());
+    bundle.load(oracle, e);
+    const std::size_t w = bundle.order.size();
     const std::uint32_t first = plan.num_routes();
     for (int j = 0; j < p; ++j) {
-      if (j < w) {  // first packet on slot j: stream its path, once
-        plan.begin_route(0);
-        oracle.path(e, order[j], sink);
-        plan.end_route_unlinked(dims, glinks, "oracle route invalid");
+      if (static_cast<std::size_t>(j) < w) {  // slot j's first packet
+        const std::uint32_t i = bundle.order[j];
+        plan.add_route_unlinked(
+            {bundle.nodes.data() + bundle.begin(i), bundle.size(i)}, 0, dims,
+            glinks, "oracle route invalid");
       } else {  // later packets ride the slot's compiled hops
         plan.repeat_route(first + static_cast<std::uint32_t>(j % w), 0);
       }
@@ -115,12 +119,12 @@ OraclePhaseResult run_oracle_phase(const PathOracle& oracle,
   const std::uint64_t num_links = plan.global_link.size();
   result.unique_links = num_links;
   result.compiled_bytes =
-      plan.route_nodes.size() * sizeof(Node) +
       plan.route_offsets.size() * sizeof(std::uint32_t) +
       plan.link_of_hop.size() * sizeof(std::uint32_t) +
       plan.route_len.size() * sizeof(std::uint32_t) +
       plan.release.size() * sizeof(std::uint32_t) +
       plan.global_link.size() * sizeof(std::uint64_t) + plan.dim_of.size() +
+      plan.host_order.size() * sizeof(std::uint32_t) +
       num_links * simcore::LinkFifoArena::kBytesPerLink +
       num_routes * (simcore::LinkFifoArena::kBytesPerPacket +
                     sizeof(std::uint32_t));  // arena next + hop cursor

@@ -9,18 +9,22 @@
 //
 // run_oracle_phase replaces all of that with streaming compilation:
 //
-//   1. compile_oracle_phase streams each demanded guest edge's bundle
-//      paths from the oracle into a RoutePlan (no HostPath, no Packet, no
-//      bundle vector); end_route_unlinked records each hop's 64-bit
-//      *global* link id u·n + dim on the side.  An edge's p packets ride
-//      its w bundle paths round-robin, so only its min(p, w) distinct
-//      paths are streamed and stored; each further packet is a
-//      RoutePlan::repeat_route onto its slot's hop segment.
+//   1. compile_oracle_phase asks the oracle once per demanded guest edge
+//      for its whole bundle (PathOracle::append_bundle, into flat buffers
+//      reused across edges: no HostPath, no Packet, no bundle vector), and
+//      add_route_unlinked validates each stored path in place and records
+//      each hop's 64-bit *global* link id u·n + dim on the side.  An
+//      edge's p packets ride its w bundle paths round-robin, so only its
+//      min(p, w) distinct paths are stored, as hops only; each further
+//      packet is a RoutePlan::repeat_route onto its slot's hop segment.  A
+//      first pass over the same queries sizes the id buffer exactly.
 //   2. RoutePlan::compact_links radix-sorts the stored global ids (tagged
-//      with their hop index) and rewrites each hop to its rank among the
-//      distinct ids — a plan-local 32-bit link id.  The arena is sized by
-//      the number of *distinct links the traffic touches*, not by the
-//      host: memory is proportional to the active packet set, and hosts
+//      with their hop index) and numbers the distinct ids in order of
+//      first use — a plan-local 32-bit link id.  Routes are compiled in
+//      packet order, so the sweep and the arrival pass, which follow packet
+//      ids, touch the link queues almost in arena order.  The arena is
+//      sized by the number of *distinct links the traffic touches*, not by
+//      the host: memory is proportional to the active packet set, and hosts
 //      past the n = 27 dense-id ceiling work unchanged.  The per-hop id
 //      buffer is freed before the sweep, and the peak static link load is
 //      counted per route over the compact ids.
@@ -28,11 +32,11 @@
 //      store-and-forward simulation runs — steps the compact plan to
 //      completion under FIFO arbitration.
 //
-// Packet-per-edge scheduling matches phase_packets: the bundle indices
-// are stable-sorted by increasing path length and packet j of an edge
-// rides order[j mod width].  On a host small enough for both pipelines,
-// makespan / transmissions / congestion agree with the materialized path
-// (tests/property/oracle_sample_test.cpp).
+// Packet-per-edge scheduling matches phase_packets: both take the slot
+// order of phase.hpp (bundle indices stable-sorted by increasing path
+// length), and packet j of an edge rides order[j mod width].  On a host
+// small enough for both pipelines, makespan / transmissions / congestion
+// agree with the materialized path (tests/property/oracle_sample_test.cpp).
 #pragma once
 
 #include <cstdint>

@@ -13,11 +13,34 @@
 // it in tests and benches.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
 #include "embed/embedding.hpp"
 #include "sim/packet.hpp"
 #include "sim/store_forward.hpp"
 
 namespace hyperpath {
+
+/// The slot order of one guest edge's bundle of `width` paths: the path
+/// indices stable-sorted by length, so packet j of the edge rides path
+/// order[j mod width] and packet 0 the shortest.  `length(i)` is path i's
+/// node (or hop) count.  The one packet-to-path rule of phase_packets and
+/// compile_oracle_phase (oracle_sim.hpp).  An insertion sort into the
+/// caller's reused buffer: a bundle is a handful of paths, and the sort
+/// allocates nothing.
+template <typename Length>
+void slot_order(std::size_t width, Length&& length,
+                std::vector<std::uint32_t>& order) {
+  order.resize(width);
+  for (std::uint32_t i = 0; i < width; ++i) {
+    const auto len = length(i);
+    std::uint32_t j = i;
+    for (; j > 0 && length(order[j - 1]) > len; --j) order[j] = order[j - 1];
+    order[j] = i;
+  }
+}
 
 /// The packets of one phase: p per guest edge, packet j of an edge routed on
 /// bundle path (j mod w) with the bundle sorted by increasing length.  For a

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
+#include <utility>
 
 #include "base/bits.hpp"
 #include "base/error.hpp"
@@ -40,12 +42,12 @@ void RoutePlan::clear() {
   release.clear();
   global_link.clear();
   dim_of.clear();
+  host_order.clear();
   compact_ = false;
   stored_hops_ = 0;
 }
 
 void RoutePlan::reserve(std::size_t routes, std::size_t total_nodes) {
-  route_nodes.reserve(total_nodes);
   route_offsets.reserve(routes);
   link_of_hop.reserve(total_nodes);  // hops < nodes; one reserve covers both
   route_len.reserve(routes);
@@ -61,7 +63,6 @@ void RoutePlan::add_route(const Hypercube& host, const HostPath& route,
 
 void RoutePlan::append_route(const Hypercube& host, const HostPath& route,
                              std::uint32_t release_step) {
-  route_nodes.insert(route_nodes.end(), route.begin(), route.end());
   for (std::size_t h = 0; h + 1 < route.size(); ++h) {
     link_of_hop.push_back(
         static_cast<std::uint32_t>(host.edge_id(route[h], route[h + 1])));
@@ -87,7 +88,7 @@ void RoutePlan::repeat_route(std::uint32_t src, std::uint32_t release_step) {
 }
 
 void RoutePlan::begin_route(std::uint32_t release_step) {
-  stream_start_ = route_nodes.size();
+  route_nodes.clear();
   stream_release_ = release_step;
 }
 
@@ -98,19 +99,26 @@ void RoutePlan::push_nodes(std::span<const Node> vs) {
 void RoutePlan::end_route_unlinked(int dims,
                                    std::vector<std::uint64_t>& glinks,
                                    const char* invalid_msg) {
-  const std::size_t len = route_nodes.size() - stream_start_;
+  add_route_unlinked(route_nodes, stream_release_, dims, glinks, invalid_msg);
+  route_nodes.clear();
+}
+
+void RoutePlan::add_route_unlinked(std::span<const Node> route,
+                                   std::uint32_t release_step, int dims,
+                                   std::vector<std::uint64_t>& glinks,
+                                   const char* invalid_msg) {
+  const std::size_t len = route.size();
   HP_CHECK(len >= 1, invalid_msg);
-  const Node* nodes = route_nodes.data() + stream_start_;
   const std::uint64_t num_nodes = pow2(dims);
-  HP_CHECK(nodes[0] < num_nodes, invalid_msg);
+  HP_CHECK(route[0] < num_nodes, invalid_msg);
   for (std::size_t h = 0; h + 1 < len; ++h) {
-    const Node diff = nodes[h] ^ nodes[h + 1];
-    HP_CHECK(nodes[h + 1] < num_nodes && std::popcount(diff) == 1,
+    const Node diff = route[h] ^ route[h + 1];
+    HP_CHECK(route[h + 1] < num_nodes && std::popcount(diff) == 1,
              invalid_msg);
-    glinks.push_back(static_cast<std::uint64_t>(nodes[h]) * dims +
+    glinks.push_back(static_cast<std::uint64_t>(route[h]) * dims +
                      std::countr_zero(diff));
   }
-  append_stored(len - 1, stream_release_);
+  append_stored(len - 1, release_step);
 }
 
 void RoutePlan::compact_links(std::vector<std::uint64_t> glinks, int dims) {
@@ -119,8 +127,8 @@ void RoutePlan::compact_links(std::vector<std::uint64_t> glinks, int dims) {
   HP_CHECK(dims >= 1 && dims <= 32, "compact_links: dims outside [1, 32]");
   const std::size_t num_hops = glinks.size();
   // Key = (global id << hop_bits) | hop.  Sorting on the id bits alone
-  // with a stable LSD radix sort keeps equal ids in hop order, so the
-  // keys come out fully sorted — the order std::sort of the ids gave.
+  // with a stable LSD radix sort keeps equal ids in hop order, so each
+  // id's run of keys starts with its first use.
   const std::uint64_t id_limit = static_cast<std::uint64_t>(dims) * pow2(dims);
   const int key_bits = std::bit_width(id_limit - 1);
   const int hop_bits = std::bit_width(num_hops > 0 ? num_hops - 1 : 0);
@@ -142,7 +150,15 @@ void RoutePlan::compact_links(std::vector<std::uint64_t> glinks, int dims) {
     }
     glinks[h] = (g << hop_bits) | h;
   }
-  std::vector<std::uint64_t> scratch(num_hops);
+  // Both buffers also hold the hop bitmap below: 2·⌈hops/64⌉ words, more
+  // than the hop count only for a single hop.  Every scratch slot is
+  // written before it is read, so the scratch is not zero-filled.
+  const std::size_t words = (num_hops + 63) / 64;
+  const std::size_t buffer = std::max(num_hops, 2 * words);
+  glinks.resize(buffer);
+  const auto scratch = std::make_unique_for_overwrite<std::uint64_t[]>(buffer);
+  std::uint64_t* keys = glinks.data();
+  std::uint64_t* spare = scratch.get();
   for (int d = 0; d < passes; ++d) {
     std::size_t* const offset = count.data() + d * kBuckets;
     const int shift = hop_bits + d * kDigitBits;
@@ -152,29 +168,65 @@ void RoutePlan::compact_links(std::vector<std::uint64_t> glinks, int dims) {
       offset[b] = sum;
       sum += c;
     }
-    for (const std::uint64_t key : glinks) {
-      scratch[offset[(key >> shift) & (kBuckets - 1)]++] = key;
+    for (std::size_t i = 0; i < num_hops; ++i) {
+      const std::uint64_t key = keys[i];
+      spare[offset[(key >> shift) & (kBuckets - 1)]++] = key;
     }
-    glinks.swap(scratch);
+    std::swap(keys, spare);
   }
-  scratch = {};
 
-  // One scan of the sorted keys: ranks, the per-hop scatter, dimensions.
-  global_link.clear();
-  dim_of.clear();
-  link_of_hop.resize(num_hops);
+  // First-use ids without a second sort.  A link's run of sorted keys
+  // starts with its first hop, so one scan marks every run's first hop in
+  // a bitmap over the hops; a link's compact id is the number of marked
+  // hops before its first one.  The bitmap and its per-word prefix counts
+  // live in the buffer the sorted keys left.
+  std::uint64_t* const first_use = spare;
+  std::uint64_t* const marked_before = spare + words;
+  std::fill_n(first_use, words, 0);
+  std::uint32_t links = 0;
   std::uint64_t prev = ~std::uint64_t{0};
-  for (const std::uint64_t key : glinks) {
-    const std::uint64_t g = key >> hop_bits;
-    if (g != prev) {
+  for (std::size_t i = 0; i < num_hops; ++i) {
+    const std::uint64_t key = keys[i];
+    if ((key >> hop_bits) != prev) {
+      prev = key >> hop_bits;
+      const std::uint64_t h = key & hop_mask;
+      first_use[h >> 6] |= std::uint64_t{1} << (h & 63);
+      ++links;
+    }
+  }
+  std::uint64_t marked = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    marked_before[w] = marked;
+    marked += std::popcount(first_use[w]);
+  }
+
+  // A second sorted scan fills the plan's own vectors, so a reused plan
+  // keeps their capacity: each run's compact id, host id and dimension,
+  // its slot in host_order (runs come in host id order), and the
+  // link_of_hop entry of each of its hops.
+  link_of_hop.resize(num_hops);
+  global_link.resize(links);
+  dim_of.resize(links);
+  host_order.resize(links);
+  std::uint32_t rank = 0;
+  std::uint32_t id = kNil;
+  prev = ~std::uint64_t{0};
+  for (std::size_t i = 0; i < num_hops; ++i) {
+    const std::uint64_t key = keys[i];
+    const std::uint64_t h = key & hop_mask;
+    if ((key >> hop_bits) != prev) {
+      prev = key >> hop_bits;
+      const std::uint64_t below =
+          first_use[h >> 6] & ((std::uint64_t{1} << (h & 63)) - 1);
+      id = static_cast<std::uint32_t>(marked_before[h >> 6] +
+                                      std::popcount(below));
+      global_link[id] = prev;
       // A global id is tail·dims + dim, so the dimension survives
       // renumbering.
-      global_link.push_back(g);
-      dim_of.push_back(static_cast<std::uint8_t>(g % dims));
-      prev = g;
+      dim_of[id] = static_cast<std::uint8_t>(prev % dims);
+      host_order[rank++] = id;
     }
-    link_of_hop[key & hop_mask] =
-        static_cast<std::uint32_t>(global_link.size() - 1);
+    link_of_hop[h] = id;
   }
   compact_ = true;
 }

@@ -221,18 +221,25 @@ std::uint32_t checked_release(int release);
 ///     link_of_hop[route_offsets[r] ... route_offsets[r] + route_len[r])
 /// — its hop segment.  route_offsets, route_len and release are parallel
 /// 32-bit arrays, one entry per route.  Segments may be shared
-/// (repeat_route), so route_nodes and link_of_hop hold each stored
-/// segment once, and the plan counts its stored hops itself.  After
-/// compilation the step kernel reads only these flat arrays — it never
-/// touches a Packet and never recomputes Hypercube::edge_id.
+/// (repeat_route), so link_of_hop holds each stored segment once, and the
+/// plan counts its stored hops itself.  A plan stores no route nodes: the
+/// step kernel reads only these flat arrays — it never touches a Packet
+/// and never recomputes Hypercube::edge_id.  route_nodes is only the
+/// staging buffer of the route being streamed (begin_route ..
+/// end_route_unlinked) and is empty between routes.
 ///
 /// A plan's link ids are in one of two spaces:
 ///   * dense (compile/rebuild) — host ids tail·n + dim, narrowed to 32 bits,
 ///     which holds up to n = 27 (n·2^n < 2^32); compile() checks it.  The
 ///     dimension of link l is l mod n.
-///   * compact (compact_links) — the rank of the host id among the distinct
-///     links the plan's routes touch.  global_link maps a compact id back to
-///     its 64-bit host id and dim_of gives its dimension, so per-link state
+///   * compact (compact_links) — the distinct links the plan's routes touch,
+///     numbered in order of first use: the first stored hop's link is 0,
+///     the next hop on a link not seen yet 1, and so on.  Routes are stored
+///     in packet order, so the kernel's queue accesses, which follow packet
+///     ids, walk the arena almost sequentially.  global_link maps a compact
+///     id back to its 64-bit host id, dim_of gives its dimension, and
+///     host_order lists the compact ids by ascending host id (the binary
+///     search of a faulted run's host-to-plan lookup).  Per-link state
 ///     scales with the traffic, not the host, and hosts past n = 27 work.
 /// The space is internal to a run: run_plan maps ids at its boundary, so
 /// trace events, fault schedules and PacketFates speak host ids in both.
@@ -261,31 +268,43 @@ class RoutePlan {
 
   /// Streaming construction — PathOracle consumers and the recovery waves
   /// compile routes with no HostPath temporary: begin_route(), the route's
-  /// nodes appended to route_nodes (push_nodes() per slice), then
-  /// end_route_unlinked(dims, glinks), which validates the walk within
-  /// Q_dims and appends each hop's 64-bit host id (tail·dims + dim) to
-  /// `glinks`, but leaves link_of_hop empty until compact_links(glinks)
-  /// fills it.  Do not mix unlinked routes with add_route ones in one plan.
+  /// nodes appended to the route_nodes staging buffer (push_nodes() per
+  /// slice, or a NodeSink on route_nodes), then end_route_unlinked(dims,
+  /// glinks), which validates the walk within Q_dims, appends each hop's
+  /// 64-bit host id (tail·dims + dim) to `glinks` and empties route_nodes,
+  /// but leaves link_of_hop empty until compact_links(glinks) fills it.  Do
+  /// not mix unlinked routes with add_route ones in one plan.
   void begin_route(std::uint32_t release_step);
   void push_nodes(std::span<const Node> vs);
   void end_route_unlinked(int dims, std::vector<std::uint64_t>& glinks,
                           const char* invalid_msg = "packet route invalid");
 
+  /// end_route_unlinked's validation and link ids for a route whose nodes
+  /// the caller already holds contiguously (the oracle phase's bundle
+  /// buffer): no staging copy, and route_nodes is left untouched.
+  void add_route_unlinked(std::span<const Node> route,
+                          std::uint32_t release_step, int dims,
+                          std::vector<std::uint64_t>& glinks,
+                          const char* invalid_msg = "packet route invalid");
+
   /// Appends a route on route `src`'s (already validated) hop segment,
-  /// released at `release_step`.  Stores no nodes and no hops, so it adds
-  /// nothing to glinks either.  Requires src < num_routes().
+  /// released at `release_step`.  Stores no hops, so it adds nothing to
+  /// glinks either.  Requires src < num_routes().
   void repeat_route(std::uint32_t src, std::uint32_t release_step);
 
   /// Makes an unlinked plan compact.  `glinks` holds each stored hop's
-  /// 64-bit host id (tail·dims + dim) in hop order; the sorted distinct ids
-  /// become global_link, each hop's rank among them its link_of_hop entry,
-  /// and dim_of their dimensions.
+  /// 64-bit host id (tail·dims + dim) in hop order; the distinct ids, in
+  /// order of first use, become global_link, each hop's index among them
+  /// its link_of_hop entry, dim_of their dimensions, and host_order their
+  /// indices by ascending host id.
   ///
   /// Taken by value so a caller done with the ids can move them in: the
   /// buffer is reused in place as (id << hop_bits) | hop keys, LSD
-  /// radix-sorted on the id bits with one scratch buffer, and both are
-  /// freed on return.  Every id must be below dims·2^dims, and the id bits
-  /// plus the hop-index bits must fit 64; both are checked.
+  /// radix-sorted on the id bits with one uninitialized scratch buffer, and
+  /// both are freed on return.  The first-use renumbering of the sorted
+  /// keys runs in the plan's own vectors, whose capacity a reused plan
+  /// keeps.  Every id must be below dims·2^dims, and the id bits plus the
+  /// hop-index bits must fit 64; both are checked.
   void compact_links(std::vector<std::uint64_t> glinks, int dims);
 
   /// True once compact_links ran, until the next clear() — also for a
@@ -296,13 +315,14 @@ class RoutePlan {
     return static_cast<std::uint32_t>(route_len.size());
   }
 
-  std::vector<Node> route_nodes;            // stored segments' node sequences
+  std::vector<Node> route_nodes;            // the open streamed route's nodes
   std::vector<std::uint32_t> route_offsets; // per route: its segment's start
   std::vector<std::uint32_t> link_of_hop;   // plan link id per stored hop
   std::vector<std::uint32_t> route_len;     // hops per route
   std::vector<std::uint32_t> release;       // earliest step a route may move
   std::vector<std::uint64_t> global_link;   // compact id -> host link id
   std::vector<std::uint8_t> dim_of;         // compact id -> dimension
+  std::vector<std::uint32_t> host_order;    // compact ids by host id
 
  private:
   /// Appends the record of a route whose hops were just stored last.
@@ -313,7 +333,6 @@ class RoutePlan {
 
   bool compact_ = false;              // link ids are compact (see above)
   std::uint64_t stored_hops_ = 0;     // size of the stored segments
-  std::size_t stream_start_ = 0;      // route_nodes index of the open route
   std::uint32_t stream_release_ = 0;  // release step of the open route
 };
 

@@ -30,9 +30,11 @@
 // (route_len[id] - hop[id]) instead of chasing Packet::route.  A link space
 // maps a plan link id to its dimension and to its host id: DenseLinks is
 // the identity on host ids (dimension link mod n); CompactLinks reads a
-// compact plan's dim_of and global_link tables.  Events carry host ids, so
-// a trace never depends on the space.  The caller picks both once per run,
-// so the loop body carries no per-hop branch on either.
+// compact plan's dim_of and global_link tables, whose ids follow the first
+// use of each link in hop order, and finds a host id's plan id through the
+// plan's host_order permutation.  Events carry host ids, so a trace never
+// depends on the space.  The caller picks both once per run, so the loop
+// body carries no per-hop branch on either.
 //
 // Prefetch: each iteration asks for the queue record of the link
 // kPrefetchDistance entries further down the worklist (a link on the
@@ -108,20 +110,23 @@ struct DenseLinks {
   }
 };
 
-/// Compact link space (RoutePlan::compact_links): plan id l is host link
-/// global_link[l], and global_link is sorted.
+/// Compact link space (RoutePlan::compact_links): plan ids are numbered in
+/// order of first use, plan id l is host link global_link[l], and
+/// host_order lists the plan ids by ascending host id.
 struct CompactLinks {
   const std::uint8_t* dim_of;
   std::span<const std::uint64_t> global_link;
+  std::span<const std::uint32_t> host_order;
   std::uint64_t size() const { return global_link.size(); }
   std::uint64_t dim(std::uint64_t link) const { return dim_of[link]; }
   std::uint64_t host(std::uint64_t link) const { return global_link[link]; }
-  /// Plan id of host link `g` by binary search; kNil when no route uses it.
+  /// Plan id of host link `g` by binary search over host_order; kNil when
+  /// no route uses it.
   std::uint32_t find(std::uint64_t g) const {
-    const auto it = std::ranges::lower_bound(global_link, g);
-    return it != global_link.end() && *it == g
-               ? static_cast<std::uint32_t>(it - global_link.begin())
-               : kNil;
+    const auto it = std::ranges::lower_bound(
+        host_order, g, {},
+        [this](std::uint32_t id) { return global_link[id]; });
+    return it != host_order.end() && global_link[*it] == g ? *it : kNil;
   }
 };
 

@@ -131,9 +131,8 @@ SimResult run_plan_in(const simcore::RoutePlan& plan, int dims, Links links,
 
     // Scheduled faults and repairs fire first, before any movement.  Each
     // host link whose state changed is announced (kFault/kRepair), then
-    // resolves to its plan id and enters or leaves `dead`, kept in plan
-    // (= host) id order; a dead link no route uses has no plan id and no
-    // effect.
+    // resolves to its plan id and enters or leaves `dead`, kept in plan id
+    // order; a dead link no route uses has no plan id and no effect.
     if constexpr (Faulted) {
       for (const std::uint64_t g : timeline->advance_to(step)) {
         const bool now_dead = timeline->link_dead(g);
@@ -168,10 +167,10 @@ SimResult run_plan_in(const simcore::RoutePlan& plan, int dims, Links links,
     }
 
     // Truncation: every packet waiting on a currently-dead link is lost at
-    // the break point, in host id order so the emitted kDrop order is
-    // canonical.  clear_link leaves the emptied link's worklist entry
-    // stale; this step's sweep compacts it away before any further enqueue
-    // can run.
+    // the break point; the step's kDrop events reach the sink in canonical
+    // (host link) order whatever the plan's link space.  clear_link leaves
+    // the emptied link's worklist entry stale; this step's sweep compacts
+    // it away before any further enqueue can run.
     if constexpr (Faulted) {
       for (const std::uint32_t link : dead) {
         if (arena.empty(link)) continue;
@@ -299,7 +298,9 @@ SimResult run_plan(const simcore::RoutePlan& plan, int dims,
   }
   if (plan.compact()) {
     return run_plan_in<Traced, Faulted>(
-        plan, dims, simcore::CompactLinks{plan.dim_of.data(), plan.global_link},
+        plan, dims,
+        simcore::CompactLinks{plan.dim_of.data(), plan.global_link,
+                              plan.host_order},
         policy, max_steps, sink, schedule, announce_faults, fault_out);
   }
   return run_plan_in<Traced, Faulted>(

@@ -7,6 +7,10 @@
 // materialized side cannot exist.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "base/error.hpp"
 #include "ccc/ccc_embed.hpp"
 #include "core/algebraic_oracle.hpp"
 #include "core/cycle_multipath.hpp"
@@ -116,6 +120,87 @@ TEST(OracleEquiv, SampleDigestMatchesAcrossBackends) {
   EXPECT_EQ(a.paths_checked, b.paths_checked);
   EXPECT_EQ(a.hops_checked, b.hops_checked);
   EXPECT_EQ(a.node_digest, b.node_digest);
+}
+
+/// The one-query bundle (append_bundle) must be the per-path queries
+/// joined: for each edge, one end per path, path i node for node what
+/// path() streams, its length what path_hops() declares, appended after
+/// whatever the buffers already hold; bundle() must split it the same way.
+/// A pair that is no guest edge is rejected before anything is appended.
+void expect_bundle_query(const PathOracle& oracle,
+                         const std::vector<OracleEdge>& edges) {
+  ASSERT_FALSE(edges.empty());
+  std::vector<Node> nodes = {7, 7, 7};  // earlier contents stay put
+  std::vector<std::size_t> ends = {3};
+  for (const OracleEdge& e : edges) {
+    const std::size_t start = nodes.size();
+    const std::size_t first_end = ends.size();
+    oracle.append_bundle(e, nodes, ends);
+    const int w = oracle.width(e);
+    ASSERT_EQ(ends.size() - first_end, static_cast<std::size_t>(w));
+    const std::vector<HostPath> split = oracle.bundle(e);
+    ASSERT_EQ(split.size(), static_cast<std::size_t>(w));
+    std::size_t begin = start;
+    for (int i = 0; i < w; ++i) {
+      SCOPED_TRACE("edge (" + std::to_string(e.from) + ", " +
+                   std::to_string(e.to) + ") path " + std::to_string(i));
+      const std::size_t end = ends[first_end + i];
+      ASSERT_LT(begin, end);
+      const HostPath got(nodes.begin() + begin, nodes.begin() + end);
+      ASSERT_EQ(got, oracle.path_vec(e, i));
+      ASSERT_EQ(got.size() - 1, oracle.path_hops(e, i));
+      ASSERT_EQ(split[i], got);
+      begin = end;
+    }
+    ASSERT_EQ(begin, nodes.size());
+  }
+  EXPECT_EQ(nodes[0], 7u);
+  EXPECT_EQ(ends[0], 3u);
+
+  // (from, from) is no edge of any of these guests.
+  const std::size_t before_nodes = nodes.size();
+  const std::size_t before_ends = ends.size();
+  const OracleEdge loop{edges.front().from, edges.front().from};
+  EXPECT_THROW(oracle.append_bundle(loop, nodes, ends), Error);
+  EXPECT_THROW(oracle.bundle(loop), Error);
+  EXPECT_EQ(nodes.size(), before_nodes);
+  EXPECT_EQ(ends.size(), before_ends);
+}
+
+TEST(OracleEquiv, BundleQueryTheorem1) {
+  for (const int n : {4, 8, 11}) {
+    SCOPED_TRACE(n);
+    const auto alg = algebraic_theorem1_oracle(n);
+    expect_bundle_query(*alg, all_guest_edges(*alg));
+  }
+}
+
+TEST(OracleEquiv, BundleQueryTorus) {
+  const auto small = algebraic_grid_oracle(GridSpec{{256, 16}, true});
+  expect_bundle_query(*small, all_guest_edges(*small));
+  // The Q_24 torus of the oracle phase, on a sample.
+  const auto q24 = algebraic_grid_oracle(GridSpec{{256, 256, 256}, true});
+  expect_bundle_query(*q24, sample_guest_edges(*q24, 2000, 7));
+}
+
+TEST(OracleEquiv, BundleQueryGridNonWrap) {
+  const auto alg = algebraic_grid_oracle(GridSpec{{10, 17}, false});
+  expect_bundle_query(*alg, all_guest_edges(*alg));
+}
+
+TEST(OracleEquiv, BundleQueryLargecopy) {
+  const auto alg = algebraic_largecopy_oracle(6);
+  expect_bundle_query(*alg, all_guest_edges(*alg));
+}
+
+TEST(OracleEquiv, BundleQueryMaterialized) {
+  const MultiPathEmbedding cycle = theorem1_cycle_embedding(8);
+  const MaterializedOracle cycle_mat(cycle);
+  expect_bundle_query(cycle_mat, all_guest_edges(cycle_mat));
+  const MultiPathEmbedding grid =
+      grid_multipath_embedding(GridSpec{{10, 17}, false});
+  const MaterializedOracle grid_mat(grid);
+  expect_bundle_query(grid_mat, all_guest_edges(grid_mat));
 }
 
 /// A k-copy embedding's union behind a MaterializedOracle: entry c·|E| + e

@@ -52,8 +52,9 @@ TEST(OracleSample, Q30Torus) {
 /// Streaming compilation must produce byte-for-byte the plan that
 /// RoutePlan::compile builds from materialized phase packets, up to the
 /// compact renumbering: each hop's compact id maps back through
-/// global_link to the dense id compile() gave it.  Neither plan repeats a
-/// route, so both store every packet's nodes, back to back.
+/// global_link to the dense id compile() gave it, and the compact ids
+/// follow the dense ids' first use.  Neither plan repeats a route, so both
+/// store every packet's hops, back to back, and neither stores a node.
 TEST(OracleSample, RoutePlanStreamingMatchesCompile) {
   const MultiPathEmbedding emb = theorem1_cycle_embedding(8);
   const Hypercube& host = emb.host();
@@ -69,21 +70,24 @@ TEST(OracleSample, RoutePlanStreamingMatchesCompile) {
   }
   streamed.compact_links(std::move(glinks), host.dims());
   ASSERT_TRUE(streamed.compact());
-  std::vector<Node> all_nodes;
-  for (const Packet& p : packets) {
-    all_nodes.insert(all_nodes.end(), p.route.begin(), p.route.end());
-  }
-  EXPECT_EQ(streamed.route_nodes, all_nodes);
-  EXPECT_EQ(compiled.route_nodes, all_nodes);
+  EXPECT_TRUE(streamed.route_nodes.empty());
+  EXPECT_TRUE(compiled.route_nodes.empty());
   EXPECT_EQ(streamed.route_offsets, compiled.route_offsets);
   EXPECT_EQ(streamed.route_len, compiled.route_len);
   EXPECT_EQ(streamed.release, compiled.release);
   ASSERT_EQ(streamed.link_of_hop.size(), compiled.link_of_hop.size());
+  std::vector<std::uint64_t> first_use;  // dense ids in order of first use
+  std::vector<bool> seen(host.num_directed_edges(), false);
   for (std::size_t h = 0; h < compiled.link_of_hop.size(); ++h) {
-    ASSERT_EQ(streamed.global_link[streamed.link_of_hop[h]],
-              compiled.link_of_hop[h])
+    const std::uint32_t dense = compiled.link_of_hop[h];
+    ASSERT_EQ(streamed.global_link[streamed.link_of_hop[h]], dense)
         << "hop " << h;
+    if (!seen[dense]) {
+      seen[dense] = true;
+      first_use.push_back(dense);
+    }
   }
+  EXPECT_EQ(streamed.global_link, first_use);
 }
 
 /// end_route_unlinked validates the walk and emits host link ids but
@@ -94,10 +98,15 @@ TEST(OracleSample, RoutePlanUnlinkedOffsets) {
   simcore::RoutePlan plan;
   std::vector<std::uint64_t> glinks;
   plan.begin_route(0);
-  plan.push_nodes(std::vector<Node>{0, 1, 3});
+  plan.push_nodes(std::vector<Node>{0, 1});
+  plan.push_nodes(std::vector<Node>{3});
+  // The open route's nodes are staged in route_nodes until its end.
+  EXPECT_EQ(plan.route_nodes, (std::vector<Node>{0, 1, 3}));
   plan.end_route_unlinked(4, glinks);
+  EXPECT_TRUE(plan.route_nodes.empty());
   plan.begin_route(2);
   plan.push_nodes(std::vector<Node>{7, 5});
+  EXPECT_EQ(plan.route_nodes, (std::vector<Node>{7, 5}));
   plan.end_route_unlinked(4, glinks);
   const std::vector<std::uint64_t> want = {host.edge_id(Node{0}, Node{1}),
                                             host.edge_id(Node{1}, Node{3}),
@@ -107,7 +116,7 @@ TEST(OracleSample, RoutePlanUnlinkedOffsets) {
   EXPECT_EQ(plan.route_offsets, (std::vector<std::uint32_t>{0, 2}));
   EXPECT_EQ(plan.route_len, (std::vector<std::uint32_t>{2, 1}));
   EXPECT_EQ(plan.release, (std::vector<std::uint32_t>{0, 2}));
-  EXPECT_EQ(plan.route_nodes, (std::vector<Node>{0, 1, 3, 7, 5}));
+  EXPECT_TRUE(plan.route_nodes.empty());
   EXPECT_TRUE(plan.link_of_hop.empty());
 }
 
@@ -172,8 +181,12 @@ void expect_compile_once_matches_per_packet(const PathOracle& oracle) {
 
     once.compact_links(std::move(once_links), dims);
     per_packet.compact_links(std::move(per_packet_links), dims);
+    EXPECT_TRUE(once.route_nodes.empty());
+    // A repeat rides hops its slot's first packet used first, so both
+    // plans number the links in the same first-use order.
     EXPECT_EQ(once.global_link, per_packet.global_link);
     EXPECT_EQ(once.dim_of, per_packet.dim_of);
+    EXPECT_EQ(once.host_order, per_packet.host_order);
     // Same compact ids, so each route's hop sequence of host ids is equal
     // when its compact ids are.
     for (std::uint32_t r = 0; r < once.num_routes(); ++r) {
@@ -206,7 +219,9 @@ void expect_compile_once_matches_per_packet(const PathOracle& oracle) {
     EXPECT_EQ(phase.max_queue, want.max_queue);
     EXPECT_EQ(phase.dim_transmissions, want.dim_transmissions);
     EXPECT_EQ(phase.unique_links, per_packet.global_link.size());
-    EXPECT_EQ(phase.route_nodes, per_packet.route_nodes.size());
+    // Every packet's hops plus one: the nodes a per-packet store would hold.
+    EXPECT_EQ(phase.route_nodes,
+              per_packet.num_routes() + per_packet.link_of_hop.size());
   }
 }
 

@@ -327,6 +327,110 @@ TEST(LinkSpaceEquiv, CompactPlanMatchesDenseTracedAndFaulted) {
   }
 }
 
+/// A Theorem-1 phase laid out as the oracle phase compiles it: p = w + 2
+/// packets per guest edge in phase_packets order, staggered releases.
+/// The dense plan compiles every packet's route; the compact plan streams
+/// an edge's first w packets and makes each later one a repeat_route onto
+/// its slot, so links are numbered in first use over shared segments.
+struct SharedPhase {
+  std::vector<Packet> packets;
+  simcore::RoutePlan dense;
+  simcore::RoutePlan compact;
+};
+
+SharedPhase shared_phase(const MultiPathEmbedding& emb, Rng& rng) {
+  const Hypercube& q = emb.host();
+  const std::size_t w = emb.paths(0).size();
+  const std::size_t p = w + 2;
+  SharedPhase out;
+  out.packets = phase_packets(emb, static_cast<int>(p));
+  for (Packet& pk : out.packets) pk.release = static_cast<int>(rng.below(4));
+  out.dense = simcore::RoutePlan::compile(q, out.packets);
+  std::vector<std::uint64_t> glinks;
+  for (std::size_t k = 0; k < out.packets.size(); ++k) {
+    const auto release = static_cast<std::uint32_t>(out.packets[k].release);
+    const std::size_t j = k % p;
+    if (j >= w) {
+      out.compact.repeat_route(static_cast<std::uint32_t>(k - j + j % w),
+                               release);
+    } else {
+      out.compact.begin_route(release);
+      out.compact.push_nodes(out.packets[k].route);
+      out.compact.end_route_unlinked(q.dims(), glinks);
+    }
+  }
+  out.compact.compact_links(std::move(glinks), q.dims());
+  return out;
+}
+
+void expect_same_sim_fields(const SimResult& a, const SimResult& b) {
+  expect_same_result(a, b);
+  EXPECT_EQ(a.link_visits, b.link_visits);
+}
+
+/// Compact first-use plan against the dense per-packet plan of the same
+/// phase, both policies: fault-free results field for field, and under a
+/// timed fault schedule the fates and the JSONL trace byte for byte.
+void expect_first_use_runs_like_dense(const MultiPathEmbedding& emb,
+                                      std::uint64_t seed) {
+  Rng rng(seed);
+  const int dims = emb.host().dims();
+  const SharedPhase phase = shared_phase(emb, rng);
+  ASSERT_TRUE(phase.compact.compact());
+  ASSERT_LT(phase.compact.link_of_hop.size(), phase.dense.link_of_hop.size());
+  ASSERT_FALSE(std::is_sorted(phase.compact.global_link.begin(),
+                              phase.compact.global_link.end()));
+
+  // Random link and node faults, plus a transient one on a link the phase
+  // loads, so some packets are really lost.
+  FaultSchedule schedule = random_schedule(dims, rng);
+  const std::uint64_t busy =
+      phase.dense.link_of_hop[rng.below(phase.dense.link_of_hop.size())];
+  const Node tail = static_cast<Node>(busy / dims);
+  schedule.transient_link(1, 4, tail, tail ^ (Node{1} << (busy % dims)));
+
+  for (const Arbitration policy :
+       {Arbitration::kFifo, Arbitration::kFarthestFirst}) {
+    SCOPED_TRACE("policy " + std::to_string(static_cast<int>(policy)));
+    const SimResult want = run_plan<false, false>(
+        phase.dense, dims, policy, 1 << 22, nullptr, nullptr, false, nullptr);
+    const SimResult got = run_plan<false, false>(
+        phase.compact, dims, policy, 1 << 22, nullptr, nullptr, false,
+        nullptr);
+    expect_same_sim_fields(got, want);
+
+    const std::string tag = std::to_string(dims) + "_" + std::to_string(seed);
+    const std::string dense_path =
+        ::testing::TempDir() + "first_use_dense_" + tag + ".jsonl";
+    const std::string compact_path =
+        ::testing::TempDir() + "first_use_compact_" + tag + ".jsonl";
+    const FaultRunResult want_faulted =
+        traced_faulted_run(phase.dense, dims, schedule, policy, dense_path);
+    const FaultRunResult got_faulted =
+        traced_faulted_run(phase.compact, dims, schedule, policy,
+                           compact_path);
+    EXPECT_GT(want_faulted.lost, 0u);
+    expect_same_fault_result(got_faulted, want_faulted);
+    EXPECT_EQ(got_faulted.sim.link_visits, want_faulted.sim.link_visits);
+    const std::string dense_trace = read_file(dense_path);
+    EXPECT_FALSE(dense_trace.empty());
+    EXPECT_TRUE(read_file(compact_path) == dense_trace)
+        << "JSONL traces differ";
+    std::remove(dense_path.c_str());
+    std::remove(compact_path.c_str());
+  }
+}
+
+TEST_P(SimcoreEquiv, CompactFirstUseMatchesDenseQ8) {
+  static const MultiPathEmbedding emb = theorem1_cycle_embedding(8);
+  expect_first_use_runs_like_dense(emb, GetParam());
+}
+
+TEST_P(SimcoreEquiv, CompactFirstUseMatchesDenseQ10) {
+  static const MultiPathEmbedding emb = theorem1_cycle_embedding(10);
+  expect_first_use_runs_like_dense(emb, GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, SimcoreEquiv,
                          ::testing::Values(11u, 12u, 13u, 14u, 15u, 16u, 17u,
                                            18u, 19u, 20u));

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <numeric>
 #include <set>
 #include <string>
@@ -199,14 +200,12 @@ TEST(RoutePlan, CompileLaysOutHopsNodesAndReleases) {
   ASSERT_EQ(plan.num_routes(), packets.size());
   ASSERT_EQ(plan.route_offsets.size(), packets.size());
   std::size_t total_hops = 0;
-  std::vector<Node> all_nodes;
   for (std::uint32_t r = 0; r < plan.num_routes(); ++r) {
     const HostPath& route = packets[r].route;
     ASSERT_EQ(plan.route_len[r], route.size() - 1) << "route " << r;
     EXPECT_EQ(plan.release[r], static_cast<std::uint32_t>(packets[r].release));
     // Without repeats the segments are back to back.
     EXPECT_EQ(plan.route_offsets[r], total_hops) << "route " << r;
-    all_nodes.insert(all_nodes.end(), route.begin(), route.end());
     // Each hop's dense link id is exactly Hypercube::edge_id — the kernel
     // never recomputes it, so compile must get every one right.
     for (std::uint32_t h = 0; h < plan.route_len[r]; ++h) {
@@ -217,7 +216,12 @@ TEST(RoutePlan, CompileLaysOutHopsNodesAndReleases) {
     total_hops += plan.route_len[r];
   }
   EXPECT_EQ(plan.link_of_hop.size(), total_hops);
-  EXPECT_EQ(plan.route_nodes, all_nodes);
+  // A plan stores hops, never nodes: route_nodes stays the (empty)
+  // staging buffer of streamed routes.
+  EXPECT_TRUE(plan.route_nodes.empty());
+  EXPECT_FALSE(plan.compact());
+  EXPECT_TRUE(plan.global_link.empty());
+  EXPECT_TRUE(plan.host_order.empty());
 }
 
 TEST(RoutePlan, EmptyPacketSetCompilesToEmptyPlan) {
@@ -311,17 +315,36 @@ TEST(RoutePlan, CompactPlanRunsLikeDense) {
     }
   }
   EXPECT_EQ(glinks, edge_ids);
+  EXPECT_TRUE(plan.route_nodes.empty());  // staging only, between routes
   const std::set<std::uint64_t> distinct(glinks.begin(), glinks.end());
   EXPECT_LT(distinct.size(), glinks.size());  // routes share links
   plan.compact_links(glinks, dims);
   ASSERT_TRUE(plan.compact());
   EXPECT_EQ(plan.global_link.size(), distinct.size());
   ASSERT_EQ(plan.link_of_hop.size(), glinks.size());
-  EXPECT_TRUE(std::is_sorted(plan.global_link.begin(), plan.global_link.end()));
+  // Ids follow first use: hop h opens a new id exactly when its link was
+  // not used by an earlier hop, and then it is the next id.
+  std::uint32_t next_id = 0;
+  std::set<std::uint64_t> seen;
   for (std::size_t h = 0; h < glinks.size(); ++h) {
     EXPECT_EQ(plan.global_link[plan.link_of_hop[h]], glinks[h]);
     EXPECT_EQ(plan.dim_of[plan.link_of_hop[h]], glinks[h] % dims);
+    if (seen.insert(glinks[h]).second) {
+      EXPECT_EQ(plan.link_of_hop[h], next_id++) << "hop " << h;
+    } else {
+      EXPECT_LT(plan.link_of_hop[h], next_id) << "hop " << h;
+    }
   }
+  EXPECT_FALSE(std::is_sorted(plan.global_link.begin(),
+                              plan.global_link.end()));
+  // host_order is the permutation that sorts global_link.
+  ASSERT_EQ(plan.host_order.size(), distinct.size());
+  std::vector<std::uint64_t> by_host;
+  for (const std::uint32_t id : plan.host_order) {
+    by_host.push_back(plan.global_link[id]);
+  }
+  EXPECT_EQ(by_host,
+            std::vector<std::uint64_t>(distinct.begin(), distinct.end()));
 
   const SimResult dense = StoreForwardSim(dims).run(packets);
   const SimResult compact = run_plan<false, false>(
@@ -393,38 +416,39 @@ TEST(RunPlan, FaultedRunRejectsScheduleOfAnotherDimension) {
                Error);
 }
 
-/// What compact_links must produce, computed the way it used to be: sort
-/// and deduplicate the ids, then one lower_bound per hop.
+/// What compact_links must produce, computed the plain way: a map from
+/// host id to compact id, filled in hop order, so ids follow first use;
+/// host_order is the map's values in key order.
 struct CompactReference {
   std::vector<std::uint64_t> global_link;
   std::vector<std::uint32_t> link_of_hop;
   std::vector<std::uint8_t> dim_of;
+  std::vector<std::uint32_t> host_order;
 };
 
 CompactReference compact_reference(const std::vector<std::uint64_t>& glinks,
                                    int dims) {
   CompactReference ref;
-  std::vector<std::uint64_t> sorted = glinks;
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  ref.global_link = sorted;
+  std::map<std::uint64_t, std::uint32_t> id_of;
   for (const std::uint64_t g : glinks) {
-    ref.link_of_hop.push_back(static_cast<std::uint32_t>(
-        std::lower_bound(sorted.begin(), sorted.end(), g) - sorted.begin()));
+    const auto [it, fresh] = id_of.try_emplace(
+        g, static_cast<std::uint32_t>(ref.global_link.size()));
+    if (fresh) {
+      ref.global_link.push_back(g);
+      ref.dim_of.push_back(static_cast<std::uint8_t>(g % dims));
+    }
+    ref.link_of_hop.push_back(it->second);
   }
-  for (const std::uint64_t g : sorted) {
-    ref.dim_of.push_back(static_cast<std::uint8_t>(g % dims));
-  }
+  for (const auto& [g, id] : id_of) ref.host_order.push_back(id);
   return ref;
 }
 
-/// An unlinked plan of `routes` routes with `hops` stored hops in all
-/// (compact_links reads only the stored-hop count; the last route takes
+/// Appends to `plan` `routes` unlinked routes with `hops` stored hops in
+/// all (compact_links reads only the stored-hop count; the last route takes
 /// the remainder, and empty routes are allowed).  Each route is a 0-1-0
 /// walk, valid in any Q_dims; its own host ids are discarded.
-simcore::RoutePlan unlinked_plan(std::size_t hops, std::size_t routes,
-                                 Rng& rng) {
-  simcore::RoutePlan plan;
+void stream_walks(simcore::RoutePlan& plan, std::size_t hops,
+                  std::size_t routes, Rng& rng) {
   std::vector<std::uint64_t> discarded;
   std::size_t left = hops;
   for (std::size_t r = 0; r < routes; ++r) {
@@ -436,11 +460,18 @@ simcore::RoutePlan unlinked_plan(std::size_t hops, std::size_t routes,
     plan.push_nodes(walk);
     plan.end_route_unlinked(1, discarded);
   }
+}
+
+simcore::RoutePlan unlinked_plan(std::size_t hops, std::size_t routes,
+                                 Rng& rng) {
+  simcore::RoutePlan plan;
+  stream_walks(plan, hops, routes, rng);
   return plan;
 }
 
 TEST(RoutePlan, CompactLinksRadixMatchesSortReference) {
   Rng rng(2024);
+  simcore::RoutePlan reused;
   for (const int dims : {1, 8, 24, 30}) {
     const std::uint64_t limit = static_cast<std::uint64_t>(dims) << dims;
     std::vector<std::uint64_t> few = {0, limit - 1, limit / 2, 1 % limit,
@@ -466,6 +497,16 @@ TEST(RoutePlan, CompactLinksRadixMatchesSortReference) {
       EXPECT_EQ(plan.global_link, ref.global_link);
       EXPECT_EQ(plan.link_of_hop, ref.link_of_hop);
       EXPECT_EQ(plan.dim_of, ref.dim_of);
+      EXPECT_EQ(plan.host_order, ref.host_order);
+      // A cleared plan that keeps the previous case's capacity (the
+      // StepScratch path of the recovery waves) renumbers the same way.
+      reused.clear();
+      stream_walks(reused, glinks.size(), 3, rng);
+      reused.compact_links(glinks, dims);
+      EXPECT_EQ(reused.global_link, ref.global_link);
+      EXPECT_EQ(reused.link_of_hop, ref.link_of_hop);
+      EXPECT_EQ(reused.dim_of, ref.dim_of);
+      EXPECT_EQ(reused.host_order, ref.host_order);
     }
   }
 }
@@ -648,17 +689,20 @@ TEST(RoutePlan, RepeatRouteSharesSegmentsAndStoresNothing) {
     ASSERT_EQ(shared.num_routes(), w.packets.size());
     EXPECT_EQ(shared.route_len, per_packet.route_len);
     EXPECT_EQ(shared.release, per_packet.release);
+    // A repeat rides links its source route used first, so both plans
+    // number the links in the same first-use order.
     EXPECT_EQ(shared.global_link, per_packet.global_link);
     EXPECT_EQ(shared.dim_of, per_packet.dim_of);
-    // Only the first `width` packets of an edge store nodes and hops.
-    std::size_t stored_nodes = 0;
+    EXPECT_EQ(shared.host_order, per_packet.host_order);
+    // Only the first `width` packets of an edge store hops, and no plan
+    // stores nodes.
     std::size_t stored_hops = 0;
     for (std::size_t k = 0; k < w.packets.size(); ++k) {
       if (static_cast<int>(k % kPerEdge) >= BundleWorkload::kWidth) continue;
-      stored_nodes += w.packets[k].route.size();
       stored_hops += w.packets[k].route.size() - 1;
     }
-    EXPECT_EQ(shared.route_nodes.size(), stored_nodes);
+    EXPECT_TRUE(shared.route_nodes.empty());
+    EXPECT_TRUE(per_packet.route_nodes.empty());
     EXPECT_EQ(shared.link_of_hop.size(), stored_hops);
     EXPECT_LT(stored_hops, per_packet.link_of_hop.size());
     for (std::uint32_t r = 0; r < shared.num_routes(); ++r) {
