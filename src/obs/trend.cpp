@@ -246,7 +246,8 @@ std::optional<TrendFinding> detect_step(const std::string& name,
 }
 
 TrendReport analyze_trend(const std::vector<LedgerEntry>& entries,
-                          const TrendOptions& options) {
+                          const TrendOptions& options,
+                          const LedgerEntry* baseline) {
   TrendReport report;
   if (entries.empty()) return report;
 
@@ -288,6 +289,20 @@ TrendReport analyze_trend(const std::vector<LedgerEntry>& entries,
                 options);
     }
     report.bounds_violations = check_bounds(group.back()->records);
+  }
+  if (baseline != nullptr) {
+    const auto intended = [&](const TrendFinding& f) {
+      const auto it = baseline->records.find(f.name);
+      return it != baseline->records.end() && is_exact(it->second) &&
+             it->second.value == f.median_after &&
+             group[f.split - 1]->git_sha != group[f.split]->git_sha;
+    };
+    auto& steps = report.metric_steps;
+    const auto accepted = std::stable_partition(
+        steps.begin(), steps.end(),
+        [&](const TrendFinding& f) { return !intended(f); });
+    report.accepted_steps.assign(accepted, steps.end());
+    steps.erase(accepted, steps.end());
   }
   return report;
 }

@@ -20,6 +20,10 @@
 //     run, and any "*_in_bounds" record must equal 1.  This keeps the
 //     analytic floor/ceiling argument attached to the trend gate.
 //
+// A step the committed baseline already records (the newer value equals
+// it, and a commit lies between the two sides) is an intended one:
+// analyze_trend lists it as accepted, not gating.
+//
 // compare_to_baseline applies the same detector to two runs, a committed
 // baseline suite and the current one, with the same gate.  Its comparison
 // key is not enforced: the exact records are host-independent.
@@ -106,6 +110,9 @@ struct TrendReport {
   std::size_t runs = 0;     // entries analyzed (<= window)
   std::size_t series = 0;   // exact series examined
   std::vector<TrendFinding> metric_steps;  // exact records: gating
+  /// analyze_trend with a baseline only: exact steps the baseline accepts
+  /// (see there).  Not gating.
+  std::vector<TrendFinding> accepted_steps;
   std::vector<TrendFinding> timing_steps;  // every other class: not gating
   std::vector<std::string> bounds_violations;
   /// Comparison keys present in the ledger but excluded from this
@@ -125,8 +132,17 @@ struct TrendReport {
 /// Analyzes the ledger (entries in append order; the newest entry picks
 /// the comparison key).  Records absent from some runs of the window are
 /// skipped — suites grow, and a missing series is not a step.
+///
+/// An intended step is one the committed baseline (`baseline`, when
+/// given) already records: an exact step whose newer median equals the
+/// baseline's exact record of the same name, and whose two sides were
+/// built from different commits (the runs either side of the split carry
+/// different git shas), moves from metric_steps to accepted_steps.  The
+/// baseline edit is the acceptance; two runs of one build never accept a
+/// step, so nondeterminism still gates.
 TrendReport analyze_trend(const std::vector<LedgerEntry>& entries,
-                          const TrendOptions& options = {});
+                          const TrendOptions& options = {},
+                          const LedgerEntry* baseline = nullptr);
 
 /// Checks `current` against `baseline` series by series, through
 /// detect_step on the two values: every exact series both carry

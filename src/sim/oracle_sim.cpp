@@ -43,30 +43,18 @@ struct EdgeBundle {
 
 }  // namespace
 
-void compile_oracle_phase(const PathOracle& oracle,
-                          std::span<const OracleEdge> edges,
-                          int packets_per_edge, simcore::RoutePlan& plan,
-                          std::vector<std::uint64_t>& glinks) {
+std::span<std::uint64_t> compile_oracle_phase(
+    const PathOracle& oracle, std::span<const OracleEdge> edges,
+    int packets_per_edge, simcore::RoutePlan& plan,
+    ScratchPool& pool) {
   const int dims = oracle.host_dims();
   const int p = packets_per_edge;
   HP_CHECK(p > 0, "packets_per_edge must be positive");
   EdgeBundle bundle;
-  // The stored hops are reserved exactly: grown by doubling, the id
-  // buffer's chain of reallocations would raise the peak RSS of repeated
-  // phases (hpbench oracle_phase_q24).
-  std::uint64_t stored_hops = 0;
-  for (const OracleEdge& e : edges) {
-    bundle.load(oracle, e);
-    const std::size_t slots = std::min<std::size_t>(p, bundle.order.size());
-    for (std::size_t s = 0; s < slots; ++s) {
-      // A node-free path is add_route_unlinked's error, not a hop count.
-      const std::size_t n = bundle.size(bundle.order[s]);
-      if (n > 0) stored_hops += n - 1;
-    }
-  }
-  glinks.reserve(glinks.size() + stored_hops);
-  plan.reserve(plan.num_routes() + edges.size() * static_cast<std::size_t>(p),
-               0);
+  plan.clear();
+  plan.reserve(edges.size() * static_cast<std::size_t>(p), 0);
+  pool.begin();
+  std::span<std::uint64_t> ids;
   for (const OracleEdge& e : edges) {
     bundle.load(oracle, e);
     const std::size_t w = bundle.order.size();
@@ -76,12 +64,13 @@ void compile_oracle_phase(const PathOracle& oracle,
         const std::uint32_t i = bundle.order[j];
         plan.add_route_unlinked(
             {bundle.nodes.data() + bundle.begin(i), bundle.size(i)}, 0, dims,
-            glinks, "oracle route invalid");
+            pool, ids, "oracle route invalid");
       } else {  // later packets ride the slot's compiled hops
         plan.repeat_route(first + static_cast<std::uint32_t>(j % w), 0);
       }
     }
   }
+  return pool.resize(ids, plan.stored_hops());
 }
 
 OraclePhaseResult run_oracle_phase(const PathOracle& oracle,
@@ -89,28 +78,42 @@ OraclePhaseResult run_oracle_phase(const PathOracle& oracle,
                                    const OraclePhaseSpec& spec) {
   HP_PROFILE_SPAN("sim/oracle_phase");
   const int dims = oracle.host_dims();
+  const std::uint32_t p = spec.packets_per_edge;
 
   OraclePhaseResult result;
 
-  simcore::RoutePlan plan;
+  // The plan and the pool stay in the thread's scratch for its next phase.
+  simcore::StepScratch& scratch = simcore::step_scratch();
+  simcore::RoutePlan& plan = scratch.plan;
   {
-    std::vector<std::uint64_t> glinks;  // global link id per stored hop
+    std::span<std::uint64_t> ids;  // global link id per stored hop
     {
       HP_PROFILE_SPAN("compile");
-      compile_oracle_phase(oracle, edges, spec.packets_per_edge, plan, glinks);
+      ids = compile_oracle_phase(oracle, edges, spec.packets_per_edge, plan,
+                                 scratch.pool);
     }
     HP_PROFILE_SPAN("renumber");
-    plan.compact_links(std::move(glinks), dims);
-    // Peak static load, counted per route: a shared segment counts once
-    // for each packet that rides it.
-    std::vector<std::uint32_t> load(plan.global_link.size(), 0);
+    plan.compact_links(scratch.pool, ids, dims);
+    // Peak static load.  Packet j of an edge of width w rides slot j mod w,
+    // so slot s's stored segment carries ⌈(p − s)/w⌉ packets, and counts
+    // once with that weight.
+    scratch.pool.begin();
+    const std::span<std::uint32_t> load =
+        scratch.pool.make<std::uint32_t>(plan.global_link.size());
+    std::ranges::fill(load, 0);
     std::uint32_t peak = 0;
-    for (std::uint32_t r = 0; r < plan.num_routes(); ++r) {
-      const std::uint32_t* hop =
-          plan.link_of_hop.data() + plan.route_offsets[r];
-      for (std::uint32_t h = 0; h < plan.route_len[r]; ++h) {
-        peak = std::max(peak, ++load[hop[h]]);
+    std::uint32_t first = 0;  // the edge's first route
+    for (const OracleEdge& e : edges) {
+      const auto w = static_cast<std::uint32_t>(oracle.width(e));
+      for (std::uint32_t s = 0; s < w && s < p; ++s) {
+        const std::uint32_t riders = (p - s + w - 1) / w;
+        const std::uint32_t* hop =
+            plan.link_of_hop.data() + plan.route_offsets[first + s];
+        for (std::uint32_t h = 0; h < plan.route_len[first + s]; ++h) {
+          peak = std::max(peak, load[hop[h]] += riders);
+        }
       }
+      first += p;
     }
     result.peak_congestion = peak;
   }
@@ -140,9 +143,6 @@ OraclePhaseResult run_oracle_phase(const PathOracle& oracle,
   result.dim_transmissions = std::move(r.dim_transmissions);
   // Each packet's route has one node more than it has hops.
   result.route_nodes = num_routes + r.total_transmissions;
-  // Hand the phase-sized kernel state back rather than pin it in this
-  // thread's scratch after the phase is over.
-  simcore::step_scratch() = simcore::StepScratch{};
   return result;
 }
 

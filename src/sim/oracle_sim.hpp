@@ -13,24 +13,25 @@
 //      for its whole bundle (PathOracle::append_bundle, into flat buffers
 //      reused across edges: no HostPath, no Packet, no bundle vector), and
 //      add_route_unlinked validates each stored path in place and records
-//      each hop's 64-bit *global* link id u·n + dim on the side.  An
-//      edge's p packets ride its w bundle paths round-robin, so only its
-//      min(p, w) distinct paths are stored, as hops only; each further
-//      packet is a RoutePlan::repeat_route onto its slot's hop segment.  A
-//      first pass over the same queries sizes the id buffer exactly.
+//      each hop's 64-bit *global* link id u·n + dim in the thread's
+//      ScratchPool.  An edge's p packets ride its w bundle paths
+//      round-robin, so only its min(p, w) distinct paths are stored, as
+//      hops only; each further packet is a RoutePlan::repeat_route onto
+//      its slot's hop segment.
 //   2. RoutePlan::compact_links radix-sorts the stored global ids (tagged
-//      with their hop index) and numbers the distinct ids in order of
-//      first use — a plan-local 32-bit link id.  Routes are compiled in
-//      packet order, so the sweep and the arrival pass, which follow packet
-//      ids, touch the link queues almost in arena order.  The arena is
-//      sized by the number of *distinct links the traffic touches*, not by
-//      the host: memory is proportional to the active packet set, and hosts
-//      past the n = 27 dense-id ceiling work unchanged.  The per-hop id
-//      buffer is freed before the sweep, and the peak static link load is
-//      counted per route over the compact ids.
+//      with their hop index) through the buffer's spare half and numbers
+//      the distinct ids in order of first use — a plan-local 32-bit link
+//      id.  Routes are compiled in packet order, so the sweep and the
+//      arrival pass, which follow packet ids, touch the link queues almost
+//      in arena order.  The arena is sized by the number of *distinct
+//      links the traffic touches*, not by the host: memory is proportional
+//      to the active packet set, and hosts past the n = 27 dense-id ceiling
+//      work unchanged.  The peak static link load is counted once per
+//      stored segment, weighted by the packets that ride it.
 //   3. run_plan (store_forward.hpp) — the kernel every serial
 //      store-and-forward simulation runs — steps the compact plan to
-//      completion under FIFO arbitration.
+//      completion under FIFO arbitration.  The plan and the pool stay in
+//      the thread's StepScratch: a next phase no larger allocates nothing.
 //
 // Packet-per-edge scheduling matches phase_packets: both take the slot
 // order of phase.hpp (bundle indices stable-sorted by increasing path
@@ -67,23 +68,23 @@ struct OraclePhaseResult {
 
 /// Streams path `path_index` of `edge` from the oracle into `plan` as one
 /// unlinked route (simcore::RoutePlan streaming API), appending each hop's
-/// 64-bit global link id (tail·dims + dim) to `glinks` — the input of
-/// RoutePlan::compact_links.
+/// 64-bit global link id (tail·dims + dim) to `glinks` — the ids that
+/// RoutePlan::compact_links renumbers.
 void add_oracle_route(const PathOracle& oracle, const OracleEdge& edge,
                       int path_index, std::uint32_t release_step,
                       simcore::RoutePlan& plan,
                       std::vector<std::uint64_t>& glinks);
 
-/// Step 1 of run_oracle_phase: appends `packets_per_edge` unlinked routes
-/// per demanded guest edge to `plan`, in phase_packets order, and each
-/// stored hop's global link id to `glinks`.  Each distinct bundle path is
-/// streamed and stored once per edge; packet j ≥ w repeats route
-/// first + j mod w.  Route for route, the plan rides the hops that
+/// Step 1 of run_oracle_phase: refills `plan` with `packets_per_edge`
+/// unlinked routes per demanded guest edge, in phase_packets order, and
+/// returns each stored hop's global link id, in `pool`.  Each distinct
+/// bundle path is streamed and stored once per edge; packet j ≥ w repeats
+/// route first + j mod w.  Route for route, the plan rides the hops that
 /// add_oracle_route per packet would give.
-void compile_oracle_phase(const PathOracle& oracle,
-                          std::span<const OracleEdge> edges,
-                          int packets_per_edge, simcore::RoutePlan& plan,
-                          std::vector<std::uint64_t>& glinks);
+std::span<std::uint64_t> compile_oracle_phase(
+    const PathOracle& oracle, std::span<const OracleEdge> edges,
+    int packets_per_edge, simcore::RoutePlan& plan,
+    ScratchPool& pool);
 
 /// Compiles `spec.packets_per_edge` packets per demanded guest edge from
 /// the oracle's bundles and runs the FIFO phase sweep to completion.

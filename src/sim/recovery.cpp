@@ -6,7 +6,6 @@
 #include "base/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
-#include "sim/oracle_sim.hpp"
 #include "sim/simcore.hpp"
 #include "sim/store_forward.hpp"
 
@@ -79,9 +78,9 @@ RecoveryResult run_recovery(const PathOracle& oracle,
   }
   result.fragments_sent = frags.size();
 
-  simcore::RoutePlan& plan = simcore::step_scratch().plan;
-  std::vector<std::uint64_t> glinks;  // host link id per hop of the wave
-  HostPath probed;  // the bundle path the retransmit probe last streamed
+  simcore::StepScratch& scratch = simcore::step_scratch();
+  simcore::RoutePlan& plan = scratch.plan;
+  HostPath probed;  // the bundle path last streamed: a fragment or a probe
   VectorSink probed_sink(probed);
   const auto run_wave =
       sink != nullptr ? run_plan<true, true> : run_plan<false, true>;
@@ -121,20 +120,25 @@ RecoveryResult run_recovery(const PathOracle& oracle,
     {
       HP_PROFILE_SPAN("compile");
       plan.clear();
+      scratch.pool.begin();
+      std::span<std::uint64_t> ids;  // host link id per hop of the wave
       for (const Frag& fg : frags) {
-        const std::size_t first = glinks.size();
-        add_oracle_route(oracle, edges[fg.message], fg.path_idx,
-                         static_cast<std::uint32_t>(fg.release), plan, glinks);
+        const std::uint64_t first = plan.stored_hops();
+        probed.clear();
+        oracle.path(edges[fg.message], fg.path_idx, probed_sink);
+        plan.add_route_unlinked(probed, static_cast<std::uint32_t>(fg.release),
+                                dims, scratch.pool, ids,
+                                "oracle route invalid");
         // A later wave carries only retransmissions: announce each with
         // the first link of its new route.
         if (rtrace.enabled() && result.waves > 0) {
           rtrace.record(
               {fg.release, TraceEventKind::kRetransmit, fg.message,
-               glinks.size() > first ? glinks[first] : TraceEvent::kNoLink,
+               plan.stored_hops() > first ? ids[first] : TraceEvent::kNoLink,
                static_cast<std::uint64_t>(fg.attempts)});
         }
       }
-      plan.compact_links(std::move(glinks), dims);
+      plan.compact_links(scratch.pool, ids, dims);
     }
     rtrace.end_step();
 

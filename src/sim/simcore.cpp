@@ -11,12 +11,10 @@
 
 namespace hyperpath::simcore {
 
-LinkFifoArena::LinkFifoArena(std::uint64_t num_links, std::size_t num_packets)
-    : queues_(num_links), next_(num_packets, kNil) {}
-
-void LinkFifoArena::reset(std::uint64_t num_links, std::size_t num_packets) {
-  queues_.assign(num_links, Queue{});
-  next_.assign(num_packets, kNil);
+void LinkFifoArena::reset(ScratchPool& pool, std::uint64_t num_links,
+                          std::size_t num_packets) {
+  queues_ = pool.make<Queue>(num_links).data();  // empty queues
+  next_ = pool.make<std::uint32_t>(num_packets).data();
 }
 
 std::uint32_t checked_hop_offset(std::uint64_t hops_total) {
@@ -99,33 +97,50 @@ void RoutePlan::push_nodes(std::span<const Node> vs) {
 void RoutePlan::end_route_unlinked(int dims,
                                    std::vector<std::uint64_t>& glinks,
                                    const char* invalid_msg) {
-  add_route_unlinked(route_nodes, stream_release_, dims, glinks, invalid_msg);
+  HP_CHECK(!route_nodes.empty(), invalid_msg);
+  const std::size_t at = glinks.size();
+  glinks.resize(at + route_nodes.size() - 1);
+  store_unlinked(route_nodes, stream_release_, dims, glinks.data() + at,
+                 invalid_msg);
   route_nodes.clear();
 }
 
 void RoutePlan::add_route_unlinked(std::span<const Node> route,
                                    std::uint32_t release_step, int dims,
-                                   std::vector<std::uint64_t>& glinks,
+                                   ScratchPool& pool,
+                                   std::span<std::uint64_t>& ids,
                                    const char* invalid_msg) {
+  HP_CHECK(!route.empty(), invalid_msg);
+  const std::uint64_t need = stored_hops_ + (route.size() - 1);
+  if (need > ids.size()) {
+    ids = pool.resize(ids, std::max<std::size_t>(need, 2 * ids.size()));
+  }
+  store_unlinked(route, release_step, dims, ids.data() + stored_hops_,
+                 invalid_msg);
+}
+
+void RoutePlan::store_unlinked(std::span<const Node> route,
+                               std::uint32_t release_step, int dims,
+                               std::uint64_t* ids, const char* invalid_msg) {
   const std::size_t len = route.size();
-  HP_CHECK(len >= 1, invalid_msg);
   const std::uint64_t num_nodes = pow2(dims);
   HP_CHECK(route[0] < num_nodes, invalid_msg);
   for (std::size_t h = 0; h + 1 < len; ++h) {
     const Node diff = route[h] ^ route[h + 1];
     HP_CHECK(route[h + 1] < num_nodes && std::popcount(diff) == 1,
              invalid_msg);
-    glinks.push_back(static_cast<std::uint64_t>(route[h]) * dims +
-                     std::countr_zero(diff));
+    ids[h] = static_cast<std::uint64_t>(route[h]) * dims +
+             std::countr_zero(diff);
   }
   append_stored(len - 1, release_step);
 }
 
-void RoutePlan::compact_links(std::vector<std::uint64_t> glinks, int dims) {
-  HP_CHECK(link_of_hop.empty() && glinks.size() == stored_hops_,
+void RoutePlan::compact_links(ScratchPool& pool,
+                              std::span<std::uint64_t> ids, int dims) {
+  const std::size_t num_hops = stored_hops_;
+  HP_CHECK(link_of_hop.empty() && ids.size() >= num_hops,
            "compact_links needs an unlinked plan and one global id per hop");
   HP_CHECK(dims >= 1 && dims <= 32, "compact_links: dims outside [1, 32]");
-  const std::size_t num_hops = glinks.size();
   // Key = (global id << hop_bits) | hop.  Sorting on the id bits alone
   // with a stable LSD radix sort keeps equal ids in hop order, so each
   // id's run of keys starts with its first use.
@@ -141,24 +156,22 @@ void RoutePlan::compact_links(std::vector<std::uint64_t> glinks, int dims) {
   const int passes = (key_bits + kDigitBits - 1) / kDigitBits;
   // Every pass's digit histogram, filled by the packing scan.
   std::vector<std::size_t> count(static_cast<std::size_t>(passes) * kBuckets);
+  // Both halves also hold the hop bitmap below: 2·⌈hops/64⌉ words, more
+  // than the hop count only for a single hop.  The spare half is written
+  // before it is read, in every slot.
+  const std::size_t words = (num_hops + 63) / 64;
+  const std::size_t half = std::max(num_hops, 2 * words);
+  std::uint64_t* keys = pool.resize(ids, 2 * half).data();
+  std::uint64_t* spare = keys + half;
   for (std::size_t h = 0; h < num_hops; ++h) {
-    const std::uint64_t g = glinks[h];
+    const std::uint64_t g = keys[h];
     HP_CHECK(g < id_limit,
              "compact_links: global link id not below dims*2^dims");
     for (int d = 0; d < passes; ++d) {
       ++count[d * kBuckets + ((g >> (d * kDigitBits)) & (kBuckets - 1))];
     }
-    glinks[h] = (g << hop_bits) | h;
+    keys[h] = (g << hop_bits) | h;
   }
-  // Both buffers also hold the hop bitmap below: 2·⌈hops/64⌉ words, more
-  // than the hop count only for a single hop.  Every scratch slot is
-  // written before it is read, so the scratch is not zero-filled.
-  const std::size_t words = (num_hops + 63) / 64;
-  const std::size_t buffer = std::max(num_hops, 2 * words);
-  glinks.resize(buffer);
-  const auto scratch = std::make_unique_for_overwrite<std::uint64_t[]>(buffer);
-  std::uint64_t* keys = glinks.data();
-  std::uint64_t* spare = scratch.get();
   for (int d = 0; d < passes; ++d) {
     std::size_t* const offset = count.data() + d * kBuckets;
     const int shift = hop_bits + d * kDigitBits;

@@ -25,14 +25,16 @@
 //   * RoutePlan — the structure-of-arrays route compilation the step
 //     kernels run on, in a dense or compact link-id space.
 //
-//   * StepScratch — thread-local run state that keeps vector capacity
-//     across the thousands of short runs of a Monte-Carlo campaign.
+//   * StepScratch — thread-local run state that keeps its capacity across
+//     runs, and its ScratchPool, which a run's short-lived arrays take in
+//     turn (compile ids, then the arena).
 //
 // Memory: the arena is 4·(packets + 3·links) bytes — one 12-byte record per
 // link (no padding, no alignas: a 16-byte record would add a third to the
 // per-link state) plus one 32-bit word per packet — ~12 MiB for a dense
-// Q_16 plan, allocated once per run and reused across every step.  A
-// compact plan sizes it by the links its traffic touches.
+// Q_16 plan, taken from the pool, so a run no larger than an earlier one on
+// its thread faults in no fresh pages.  A compact plan sizes it by the
+// links its traffic touches.
 //
 // Width discipline: queue depths are uniformly std::uint32_t inside the
 // core (a queue can never hold more packets than the 32-bit packet ids that
@@ -56,6 +58,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/scratch_pool.hpp"
 #include "graph/hypercube.hpp"
 
 namespace hyperpath {
@@ -88,12 +91,16 @@ class LinkFifoArena {
   static constexpr std::size_t kBytesPerLink = sizeof(Queue);
   static constexpr std::size_t kBytesPerPacket = sizeof(std::uint32_t);
 
-  LinkFifoArena(std::uint64_t num_links, std::size_t num_packets);
+  /// The pool room an arena of this size takes.
+  static std::size_t pool_bytes(std::uint64_t links, std::size_t packets) {
+    return ScratchPool::bytes<Queue>(links) +
+           ScratchPool::bytes<std::uint32_t>(packets);
+  }
 
-  /// Re-dimensions and empties the arena without releasing capacity — the
-  /// run-scoped scratch reuse path (StepScratch) for workloads that run
-  /// thousands of short simulations (recovery waves, Monte-Carlo trials).
-  void reset(std::uint64_t num_links, std::size_t num_packets);
+  /// Empties and re-dimensions the arena in `pool`.  The per-packet links
+  /// are left unset: push_back writes a packet's before anything reads it.
+  void reset(ScratchPool& pool, std::uint64_t num_links,
+             std::size_t num_packets);
 
   bool empty(std::uint64_t link) const { return queues_[link].head == kNil; }
   std::uint32_t depth(std::uint64_t link) const { return queues_[link].depth; }
@@ -102,7 +109,7 @@ class LinkFifoArena {
   /// loops call it kPrefetchDistance iterations ahead of their random link
   /// accesses (step_kernel.hpp); it never changes the arena's contents.
   void prefetch(std::uint64_t link) const {
-    __builtin_prefetch(queues_.data() + link, 1);
+    __builtin_prefetch(queues_ + link, 1);
   }
 
   /// Appends packet `id` to `link`'s queue.  When the queue was empty the
@@ -180,8 +187,8 @@ class LinkFifoArena {
   void clear_link(std::uint64_t link) { queues_[link] = Queue{}; }
 
  private:
-  std::vector<Queue> queues_;         // per link
-  std::vector<std::uint32_t> next_;   // per packet; intrusive successor
+  Queue* queues_ = nullptr;           // per link, in the pool
+  std::uint32_t* next_ = nullptr;     // per packet; intrusive successor
 };
 
 /// One bit per directed link (the wormhole simulator's held-route set).
@@ -266,25 +273,25 @@ class RoutePlan {
                  std::uint32_t release_step,
                  const char* invalid_msg = "packet route invalid");
 
-  /// Streaming construction — PathOracle consumers and the recovery waves
-  /// compile routes with no HostPath temporary: begin_route(), the route's
-  /// nodes appended to the route_nodes staging buffer (push_nodes() per
-  /// slice, or a NodeSink on route_nodes), then end_route_unlinked(dims,
-  /// glinks), which validates the walk within Q_dims, appends each hop's
-  /// 64-bit host id (tail·dims + dim) to `glinks` and empties route_nodes,
-  /// but leaves link_of_hop empty until compact_links(glinks) fills it.  Do
-  /// not mix unlinked routes with add_route ones in one plan.
+  /// Streaming construction — PathOracle consumers compile routes with no
+  /// HostPath temporary: begin_route(), the route's nodes appended to the
+  /// route_nodes staging buffer (push_nodes() per slice, or a NodeSink on
+  /// route_nodes), then end_route_unlinked(dims, glinks), which validates
+  /// the walk within Q_dims, appends each hop's 64-bit host id
+  /// (tail·dims + dim) to `glinks` and empties route_nodes, but leaves
+  /// link_of_hop empty until compact_links fills it.  Do not mix unlinked
+  /// routes with add_route ones in one plan.
   void begin_route(std::uint32_t release_step);
   void push_nodes(std::span<const Node> vs);
   void end_route_unlinked(int dims, std::vector<std::uint64_t>& glinks,
                           const char* invalid_msg = "packet route invalid");
 
-  /// end_route_unlinked's validation and link ids for a route whose nodes
-  /// the caller already holds contiguously (the oracle phase's bundle
-  /// buffer): no staging copy, and route_nodes is left untouched.
+  /// end_route_unlinked for a route the caller holds contiguously, with no
+  /// staging copy; its hops' host ids go to ids[stored hop], and `ids`,
+  /// the first array in `pool`, doubles when they do not fit.
   void add_route_unlinked(std::span<const Node> route,
                           std::uint32_t release_step, int dims,
-                          std::vector<std::uint64_t>& glinks,
+                          ScratchPool& pool, std::span<std::uint64_t>& ids,
                           const char* invalid_msg = "packet route invalid");
 
   /// Appends a route on route `src`'s (already validated) hop segment,
@@ -292,20 +299,20 @@ class RoutePlan {
   /// glinks either.  Requires src < num_routes().
   void repeat_route(std::uint32_t src, std::uint32_t release_step);
 
-  /// Makes an unlinked plan compact.  `glinks` holds each stored hop's
-  /// 64-bit host id (tail·dims + dim) in hop order; the distinct ids, in
-  /// order of first use, become global_link, each hop's index among them
-  /// its link_of_hop entry, dim_of their dimensions, and host_order their
-  /// indices by ascending host id.
+  /// Makes an unlinked plan compact.  `ids` (add_route_unlinked's) holds
+  /// each stored hop's 64-bit host id (tail·dims + dim) in hop order; the
+  /// distinct ids, in order of first use, become global_link, each hop's
+  /// index among them its link_of_hop entry, dim_of their dimensions, and
+  /// host_order their indices by ascending host id.
   ///
-  /// Taken by value so a caller done with the ids can move them in: the
-  /// buffer is reused in place as (id << hop_bits) | hop keys, LSD
-  /// radix-sorted on the id bits with one uninitialized scratch buffer, and
-  /// both are freed on return.  The first-use renumbering of the sorted
+  /// `ids` grows in `pool` to twice the hop count, its ids become
+  /// (id << hop_bits) | hop keys in place, LSD radix-sorted on the id bits
+  /// through the spare half.  The first-use renumbering of the sorted
   /// keys runs in the plan's own vectors, whose capacity a reused plan
   /// keeps.  Every id must be below dims·2^dims, and the id bits plus the
   /// hop-index bits must fit 64; both are checked.
-  void compact_links(std::vector<std::uint64_t> glinks, int dims);
+  void compact_links(ScratchPool& pool, std::span<std::uint64_t> ids,
+                     int dims);
 
   /// True once compact_links ran, until the next clear() — also for a
   /// plan without hops, whose compact link space is empty.
@@ -314,6 +321,7 @@ class RoutePlan {
   std::uint32_t num_routes() const {
     return static_cast<std::uint32_t>(route_len.size());
   }
+  std::uint64_t stored_hops() const { return stored_hops_; }
 
   std::vector<Node> route_nodes;            // the open streamed route's nodes
   std::vector<std::uint32_t> route_offsets; // per route: its segment's start
@@ -330,26 +338,31 @@ class RoutePlan {
   /// add_route() after its validity check.
   void append_route(const Hypercube& host, const HostPath& route,
                     std::uint32_t release_step);
+  /// Validates a nonempty unlinked route and stores it, its ids at `ids`.
+  void store_unlinked(std::span<const Node> route, std::uint32_t release_step,
+                      int dims, std::uint64_t* ids, const char* invalid_msg);
 
   bool compact_ = false;              // link ids are compact (see above)
   std::uint64_t stored_hops_ = 0;     // size of the stored segments
   std::uint32_t stream_release_ = 0;  // release step of the open route
 };
 
-/// Thread-local, run-scoped scratch arena for the serial step path.  The
+/// Thread-local, run-scoped scratch for the serial step path.  The
 /// Monte-Carlo campaign engine and the recovery wave loop run thousands of
-/// short simulations on the same pool thread; everything here keeps its
-/// capacity across runs, and correctness never depends on leftover
-/// contents.
+/// short simulations on the same pool thread, and a sweep reruns one large
+/// oracle phase; everything here keeps its capacity across runs (nothing is
+/// handed back), and correctness never depends on leftover contents.
 struct StepScratch {
   RoutePlan plan;
-  LinkFifoArena arena{0, 0};
+  /// Hop ids and the radix spare while a plan compiles, then the oracle
+  /// phase's load counters, then the arena and hop cursors of run_plan.
+  ScratchPool pool;
+  LinkFifoArena arena;                // in `pool` while run_plan steps
   std::vector<std::uint32_t> active;  // serial active-link worklist
   std::vector<std::uint32_t> moved;   // packets that advanced this step
   /// One bit per packet, all-zero between sweeps: the counting-sort mask
   /// step_kernel.hpp's sort_moved uses to order dense arrival batches.
   std::vector<std::uint64_t> moved_mask;
-  std::vector<std::uint32_t> hop;     // per-route current hop index
   /// Deferred releases as (release step, route id), sorted ascending; a
   /// cursor walks it as steps advance.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pending;

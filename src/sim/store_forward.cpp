@@ -38,12 +38,17 @@ SimResult run_plan_in(const simcore::RoutePlan& plan, int dims, Links links,
   const std::uint64_t num_links = links.size();
   obs::StepTrace trace(sink);
 
+  std::uint32_t* hop;  // per-route hop cursor, beside the arena in the pool
   {
     HP_PROFILE_SPAN("setup");
-    scratch.arena.reset(num_links, num_routes);
+    scratch.pool.begin(
+        simcore::LinkFifoArena::pool_bytes(num_links, num_routes) +
+        ScratchPool::bytes<std::uint32_t>(num_routes));
+    scratch.arena.reset(scratch.pool, num_links, num_routes);
+    hop = scratch.pool.make<std::uint32_t>(num_routes).data();
+    std::fill_n(hop, num_routes, 0);
     scratch.pending.clear();
     scratch.dead.clear();
-    scratch.hop.assign(num_routes, 0);
     scratch.moved_mask.assign((num_routes + 63) / 64, 0);
     scratch.active.clear();
     if constexpr (Traced) scratch.highwater.assign(num_links, 0);
@@ -53,7 +58,6 @@ SimResult run_plan_in(const simcore::RoutePlan& plan, int dims, Links links,
   std::vector<std::uint32_t>& active = scratch.active;
   auto& pending = scratch.pending;
   std::vector<std::uint32_t>& dead = scratch.dead;
-  std::uint32_t* const hop = scratch.hop.data();
   const std::uint32_t* const route_len = plan.route_len.data();
   const std::uint32_t* const route_off = plan.route_offsets.data();
   const std::uint32_t* const link_of_hop = plan.link_of_hop.data();

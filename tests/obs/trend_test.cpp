@@ -2,9 +2,9 @@
 // detection, comparison-key grouping (series run at different thread
 // counts are never compared; the committed ledger's older rows group with
 // new ones), analytic-bounds checks, LedgerEntry round-trips through
-// JSONL with their units, and the baseline diff: unchanged suites pass,
-// perturbed exact records regress, timing/memory/rate records never gate,
-// and suite/report shape handling.
+// JSONL with their units, steps the committed baseline accepts, and the
+// baseline diff: unchanged suites pass, perturbed exact records regress,
+// timing/memory/rate records never gate, and suite/report shape handling.
 #include "obs/trend.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/error.hpp"
@@ -163,6 +164,51 @@ TEST(AnalyzeTrend, MetricStepGatesTheReport) {
   EXPECT_EQ(r.metric_steps[0].name, "simcore.makespan");
   EXPECT_NEAR(r.metric_steps[0].rel_change, 0.12, 1e-9);
   EXPECT_FALSE(r.stable());
+}
+
+/// A ledger of "b.m" values, one row per (git sha, value) pair.
+std::vector<LedgerEntry> ledger_of(
+    const std::vector<std::pair<std::string, double>>& rows) {
+  std::vector<LedgerEntry> ledger;
+  for (const auto& [sha, v] : rows) {
+    ledger.push_back(entry({{"b.m", v}, {"b.steady", 3}}));
+    ledger.back().git_sha = sha;
+  }
+  return ledger;
+}
+
+TEST(AnalyzeTrend, BaselineAcceptsAnIntendedStep) {
+  // A commit moved b.m from 10 to 20, and the committed baseline says 20.
+  const auto ledger =
+      ledger_of({{"a", 10}, {"a", 10}, {"b", 10}, {"c", 20}, {"d", 20}});
+  const LedgerEntry baseline = entry({{"b.m", 20}, {"b.steady", 3}});
+  EXPECT_FALSE(analyze_trend(ledger).stable());
+  const TrendReport r = analyze_trend(ledger, {}, &baseline);
+  EXPECT_TRUE(r.metric_steps.empty());
+  ASSERT_EQ(r.accepted_steps.size(), 1u);
+  EXPECT_EQ(r.accepted_steps[0].name, "b.m");
+  EXPECT_EQ(r.accepted_steps[0].median_after, 20);
+  EXPECT_TRUE(r.stable());
+}
+
+TEST(AnalyzeTrend, BaselineAcceptsNoOtherStep) {
+  const LedgerEntry baseline = entry({{"b.m", 20}});
+  // The series stepped somewhere the baseline does not record.
+  const TrendReport elsewhere = analyze_trend(
+      ledger_of({{"a", 10}, {"a", 10}, {"b", 30}, {"c", 30}}), {}, &baseline);
+  ASSERT_EQ(elsewhere.metric_steps.size(), 1u);
+  EXPECT_TRUE(elsewhere.accepted_steps.empty());
+  EXPECT_FALSE(elsewhere.stable());
+  // Two runs of one build that disagree are nondeterminism, even when the
+  // newer one matches the baseline.
+  const TrendReport same_build =
+      analyze_trend(ledger_of({{"a", 10}, {"a", 20}}), {}, &baseline);
+  ASSERT_EQ(same_build.metric_steps.size(), 1u);
+  EXPECT_FALSE(same_build.stable());
+  // A record the baseline lacks is never accepted.
+  const LedgerEntry other = entry({{"b.other", 20}});
+  EXPECT_FALSE(
+      analyze_trend(ledger_of({{"a", 10}, {"b", 20}}), {}, &other).stable());
 }
 
 TEST(AnalyzeTrend, TimingStepsAreInformationalOnly) {

@@ -22,6 +22,7 @@
 #include "sim/recovery.hpp"
 #include "sim/simcore.hpp"
 #include "sim/store_forward.hpp"
+#include "support/compact_links.hpp"
 
 namespace hyperpath {
 namespace {
@@ -68,7 +69,7 @@ TEST(OracleSample, RoutePlanStreamingMatchesCompile) {
     streamed.push_nodes(p.route);
     streamed.end_route_unlinked(host.dims(), glinks);
   }
-  streamed.compact_links(std::move(glinks), host.dims());
+  compact_links(streamed, glinks, host.dims());
   ASSERT_TRUE(streamed.compact());
   EXPECT_TRUE(streamed.route_nodes.empty());
   EXPECT_TRUE(compiled.route_nodes.empty());
@@ -147,8 +148,11 @@ void expect_compile_once_matches_per_packet(const PathOracle& oracle) {
     if (p < 1) continue;
     SCOPED_TRACE(std::string(oracle.family()) + " p=" + std::to_string(p));
     simcore::RoutePlan once;
-    std::vector<std::uint64_t> once_links;
-    compile_oracle_phase(oracle, edges, p, once, once_links);
+    ScratchPool pool;
+    const std::span<std::uint64_t> ids =
+        compile_oracle_phase(oracle, edges, p, once, pool);
+    ASSERT_EQ(ids.size(), once.stored_hops());
+    std::vector<std::uint64_t> once_links(ids.begin(), ids.end());
 
     simcore::RoutePlan per_packet;
     std::vector<std::uint64_t> per_packet_links;
@@ -179,8 +183,8 @@ void expect_compile_once_matches_per_packet(const PathOracle& oracle) {
       want_peak = std::max<std::uint64_t>(want_peak, run);
     }
 
-    once.compact_links(std::move(once_links), dims);
-    per_packet.compact_links(std::move(per_packet_links), dims);
+    compact_links(once, once_links, dims);
+    compact_links(per_packet, per_packet_links, dims);
     EXPECT_TRUE(once.route_nodes.empty());
     // A repeat rides hops its slot's first packet used first, so both
     // plans number the links in the same first-use order.

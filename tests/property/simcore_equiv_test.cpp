@@ -27,6 +27,7 @@
 #include "sim/store_forward.hpp"
 #include "sim/workloads.hpp"
 #include "sim/wormhole.hpp"
+#include "support/compact_links.hpp"
 #include "support/reference_sim.hpp"
 
 namespace hyperpath {
@@ -219,7 +220,7 @@ simcore::RoutePlan compact_plan(const Hypercube& q,
     plan.push_nodes(p.route);
     plan.end_route_unlinked(q.dims(), glinks);
   }
-  plan.compact_links(std::move(glinks), q.dims());
+  compact_links(plan, glinks, q.dims());
   return plan;
 }
 
@@ -359,7 +360,7 @@ SharedPhase shared_phase(const MultiPathEmbedding& emb, Rng& rng) {
       out.compact.end_route_unlinked(q.dims(), glinks);
     }
   }
-  out.compact.compact_links(std::move(glinks), q.dims());
+  compact_links(out.compact, glinks, q.dims());
   return out;
 }
 

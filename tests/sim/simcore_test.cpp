@@ -22,6 +22,7 @@
 #include "sim/step_kernel.hpp"
 #include "sim/store_forward.hpp"
 #include "sim/workloads.hpp"
+#include "support/compact_links.hpp"
 #include "support/reference_sim.hpp"
 
 namespace hyperpath {
@@ -31,8 +32,20 @@ using simcore::kNil;
 using simcore::LinkBitmap;
 using simcore::LinkFifoArena;
 
+/// An arena on a pool of its own, as run_plan sets one up.
+struct PooledArena {
+  ScratchPool pool;
+  LinkFifoArena arena;
+
+  PooledArena(std::uint64_t links, std::size_t packets) {
+    pool.begin(LinkFifoArena::pool_bytes(links, packets));
+    arena.reset(pool, links, packets);
+  }
+};
+
 TEST(LinkFifoArena, FifoOrderAndWorklistRegistration) {
-  LinkFifoArena arena(8, 16);
+  PooledArena pooled(8, 16);
+  LinkFifoArena& arena = pooled.arena;
   std::vector<std::uint32_t> work;
   EXPECT_TRUE(arena.empty(3));
 
@@ -59,7 +72,8 @@ TEST(LinkFifoArena, FifoOrderAndWorklistRegistration) {
 }
 
 TEST(LinkFifoArena, PopMaxPrefersEarliestOnTies) {
-  LinkFifoArena arena(4, 8);
+  PooledArena pooled(4, 8);
+  LinkFifoArena& arena = pooled.arena;
   std::vector<std::uint32_t> work;
   // keys: id 0 -> 2, id 1 -> 5, id 2 -> 5, id 3 -> 1
   const std::vector<int> key = {2, 5, 5, 1};
@@ -79,7 +93,8 @@ TEST(LinkFifoArena, PopMaxPrefersEarliestOnTies) {
 }
 
 TEST(LinkFifoArena, ClearLinkEmptiesInConstantTime) {
-  LinkFifoArena arena(4, 8);
+  PooledArena pooled(4, 8);
+  LinkFifoArena& arena = pooled.arena;
   std::vector<std::uint32_t> work;
   for (std::uint32_t id = 0; id < 5; ++id) arena.push_back(2, id, work);
   arena.clear_link(2);
@@ -318,7 +333,7 @@ TEST(RoutePlan, CompactPlanRunsLikeDense) {
   EXPECT_TRUE(plan.route_nodes.empty());  // staging only, between routes
   const std::set<std::uint64_t> distinct(glinks.begin(), glinks.end());
   EXPECT_LT(distinct.size(), glinks.size());  // routes share links
-  plan.compact_links(glinks, dims);
+  compact_links(plan, glinks, dims);
   ASSERT_TRUE(plan.compact());
   EXPECT_EQ(plan.global_link.size(), distinct.size());
   ASSERT_EQ(plan.link_of_hop.size(), glinks.size());
@@ -381,7 +396,7 @@ TEST(RoutePlan, HopFreeCompactPlanRunsInZeroStepsAtQ24) {
   plan.push_nodes(std::vector<Node>{5});
   std::vector<std::uint64_t> glinks;
   plan.end_route_unlinked(24, glinks);
-  plan.compact_links(std::move(glinks), 24);
+  compact_links(plan, glinks, 24);
   ASSERT_TRUE(plan.compact());
   EXPECT_TRUE(plan.global_link.empty());
   const SimResult r = run_plan<false, false>(
@@ -493,7 +508,7 @@ TEST(RoutePlan, CompactLinksRadixMatchesSortReference) {
                    std::to_string(glinks.size()));
       simcore::RoutePlan plan = unlinked_plan(glinks.size(), 7, rng);
       const CompactReference ref = compact_reference(glinks, dims);
-      plan.compact_links(glinks, dims);
+      compact_links(plan, glinks, dims);
       EXPECT_EQ(plan.global_link, ref.global_link);
       EXPECT_EQ(plan.link_of_hop, ref.link_of_hop);
       EXPECT_EQ(plan.dim_of, ref.dim_of);
@@ -502,7 +517,7 @@ TEST(RoutePlan, CompactLinksRadixMatchesSortReference) {
       // StepScratch path of the recovery waves) renumbers the same way.
       reused.clear();
       stream_walks(reused, glinks.size(), 3, rng);
-      reused.compact_links(glinks, dims);
+      compact_links(reused, glinks, dims);
       EXPECT_EQ(reused.global_link, ref.global_link);
       EXPECT_EQ(reused.link_of_hop, ref.link_of_hop);
       EXPECT_EQ(reused.dim_of, ref.dim_of);
@@ -516,11 +531,11 @@ TEST(RoutePlan, CompactLinksRejectsIdsPastTheHostAndBadDims) {
   const int dims = 8;
   const std::uint64_t limit = std::uint64_t{dims} << dims;
   simcore::RoutePlan plan = unlinked_plan(3, 2, rng);
-  EXPECT_THROW(plan.compact_links({0, limit, 1}, dims), Error);
+  EXPECT_THROW(compact_links(plan, {0, limit, 1}, dims), Error);
   simcore::RoutePlan edge = unlinked_plan(1, 1, rng);
-  EXPECT_NO_THROW(edge.compact_links({limit - 1}, dims));
+  EXPECT_NO_THROW(compact_links(edge, {limit - 1}, dims));
   simcore::RoutePlan no_dims = unlinked_plan(1, 1, rng);
-  EXPECT_THROW(no_dims.compact_links({0}, 0), Error);
+  EXPECT_THROW(compact_links(no_dims, {0}, 0), Error);
 }
 
 TEST(RoutePlan, CheckedHopOffsetAcceptsU32MaxAndRejectsPast) {
@@ -648,7 +663,7 @@ simcore::RoutePlan bundle_plan(const BundleWorkload& w, int per_edge,
       plan.add_route(q, p.route, release);
     }
   }
-  if (compact) plan.compact_links(std::move(glinks), BundleWorkload::kDims);
+  if (compact) compact_links(plan, glinks, BundleWorkload::kDims);
   return plan;
 }
 
@@ -825,7 +840,7 @@ void compact_plan(const Hypercube& q, const std::vector<Packet>& packets,
     plan.push_nodes(p.route);
     plan.end_route_unlinked(q.dims(), glinks);
   }
-  plan.compact_links(std::move(glinks), q.dims());
+  compact_links(plan, glinks, q.dims());
 }
 
 TEST(StepKernel, PrefetchLookaheadEdgesMatchReference) {
@@ -902,7 +917,8 @@ TEST(ActiveSetProperty, ClearLinkStaleEntriesCompactInExactlyOneSweep) {
   constexpr std::uint64_t kLinks = 48;
   constexpr std::uint32_t kPackets = 192;
   for (int trial = 0; trial < 20; ++trial) {
-    simcore::LinkFifoArena arena(kLinks, kPackets);
+    PooledArena pooled(kLinks, kPackets);
+    LinkFifoArena& arena = pooled.arena;
     std::vector<std::uint32_t> worklist;
     std::vector<std::uint32_t> free_ids(kPackets);
     std::iota(free_ids.begin(), free_ids.end(), 0u);

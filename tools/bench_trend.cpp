@@ -12,8 +12,11 @@
 // median-based step detection over every "<bench>.<record>" series plus
 // the analytic floor/ceiling bracket check on the newest run (see
 // obs/trend.hpp).  It also prints the newest run's `rate` records with
-// their units.  --expect-stable turns an unstable report — or a ledger
-// too thin to analyze (< 2 comparable runs) — into exit 1.
+// their units.  An exact step to the value the committed baseline
+// (bench/baselines/BENCH_SUITE.json, when it exists) records, across a
+// change of git sha, is listed as accepted and does not gate: the baseline
+// edit is the acceptance record.  --expect-stable turns an unstable report
+// — or a ledger too thin to analyze (< 2 comparable runs) — into exit 1.
 //
 // Baseline mode flattens BASELINE and CURRENT, each a BENCH_SUITE.json or
 // a single BENCH_<name>.json report, and checks every exact series both
@@ -52,6 +55,9 @@
 
 namespace {
 
+/// The committed baseline whose records accept an intended exact step.
+constexpr const char* kBaselinePath = "bench/baselines/BENCH_SUITE.json";
+
 using hyperpath::obs::LedgerEntry;
 using hyperpath::obs::TrendFinding;
 using hyperpath::obs::TrendOptions;
@@ -72,8 +78,9 @@ void usage(const char* argv0) {
       "  --timing-tol X   relative step tolerance for timing, memory and "
       "rate\n"
       "                   records, never gating (default 0.30)\n"
-      "  --expect-stable  exit nonzero on any exact step, bounds violation\n"
-      "                   or a ledger with fewer than 2 comparable runs\n"
+      "  --expect-stable  exit nonzero on any exact step the baseline does\n"
+      "                   not accept, bounds violation or a ledger with\n"
+      "                   fewer than 2 comparable runs\n"
       "  --json [FILE]    machine-readable report (default "
       "TREND_REPORT.json)\n"
       "  --baseline FILE  diff suite or report CURRENT against FILE; exit 1 "
@@ -259,7 +266,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  const TrendReport report = hyperpath::obs::analyze_trend(entries, options);
+  std::optional<LedgerEntry> baseline;
+  if (std::ifstream(kBaselinePath).good()) {
+    baseline = load_suite(kBaselinePath);
+    if (!baseline) return 2;
+  }
+  const TrendReport report = hyperpath::obs::analyze_trend(
+      entries, options, baseline ? &*baseline : nullptr);
 
   std::printf("ledger: %zu run(s) in %s\n", entries.size(),
               history_path.c_str());
@@ -271,6 +284,10 @@ int main(int argc, char** argv) {
     std::printf("skipped incomparable key: %s\n", key.c_str());
   }
   print_findings("exact steps (gating)", report.metric_steps);
+  if (baseline) {
+    print_findings("exact steps accepted by the baseline",
+                   report.accepted_steps);
+  }
   print_findings("timing/memory/rate steps (informational)",
                  report.timing_steps);
   std::printf("bounds violations: %zu\n", report.bounds_violations.size());
@@ -308,6 +325,8 @@ int main(int argc, char** argv) {
     w.field("stable", report.stable());
     w.key("metric_steps");
     write_findings(w, report.metric_steps);
+    w.key("accepted_steps");
+    write_findings(w, report.accepted_steps);
     w.key("timing_steps");
     write_findings(w, report.timing_steps);
     w.key("bounds_violations").begin_array();
