@@ -1,8 +1,8 @@
 // Deterministic pseudo-random number generation.
 //
-// Every randomized component in the library (the Hamiltonian-decomposition
-// solver's Pósa rotations, random permutation workloads, fault injection)
-// takes an explicit 64-bit seed so that tests and benchmarks are exactly
+// Every randomized component (random permutation workloads, fault
+// injection, and the Pósa rotations of the Hamiltonian-decomposition search
+// that generates the decomposition tables) takes an explicit 64-bit seed so that tests and benchmarks are exactly
 // reproducible.  We implement xoshiro256** seeded via splitmix64 rather than
 // using std::mt19937 so that the stream is identical across standard-library
 // implementations.

@@ -348,7 +348,9 @@ class GridOracle final : public PathOracle {
 class LargecopyOracle final : public PathOracle {
  public:
   explicit LargecopyOracle(int n) : n_(n) {
-    HP_CHECK(n >= 2 && n <= 15, "large-copy oracle needs 2 <= n <= 15");
+    HP_CHECK(n >= 2 && n <= kMaxDecompositionDims,
+             "large-copy oracle needs 2 <= n <= " +
+                 std::to_string(kMaxDecompositionDims));
     const DirectedCycleFamily fam(n);
     cycle_len_ = pow2(n);
     for (int c = 0; c < fam.num_cycles(); ++c) {

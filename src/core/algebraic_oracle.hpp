@@ -61,8 +61,8 @@ std::unique_ptr<PathOracle> algebraic_grid_oracle(const GridSpec& spec);
 
 /// Closed-form Lemma-1 large-copy oracle: the ⌊n/2⌋·2 directed
 /// Hamiltonian cycles of Q_n traversed back to back, width 1.  Guest ids
-/// are 64-bit (the guest has 2⌊n/2⌋·2^n nodes).  Requires 2 ≤ n ≤ 15
-/// (the decomposition table range).
+/// are 64-bit (the guest has 2⌊n/2⌋·2^n nodes).  Requires
+/// 2 ≤ n ≤ kMaxDecompositionDims (15, the decomposition range).
 std::unique_ptr<PathOracle> algebraic_largecopy_oracle(int n);
 
 }  // namespace hyperpath

@@ -7,7 +7,6 @@
 
 #include "base/bits.hpp"
 #include "base/error.hpp"
-#include "hamdecomp/solver.hpp"
 #include "hamdecomp/tables.hpp"
 
 namespace hyperpath {
@@ -135,20 +134,26 @@ HamDecomposition build_decomposition(int n) {
     d.matching.emplace_back(0, 1);
     return d;
   }
+  if (n == 2) {
+    HamDecomposition d;
+    d.dims = 2;
+    d.cycles.push_back({0b00, 0b01, 0b11, 0b10});
+    return d;
+  }
   if (n % 2 == 1) {
     return splice_odd_decomposition(hamiltonian_decomposition(n - 1));
   }
-  if (auto tabled = table_decomposition(n)) {
-    return *std::move(tabled);
-  }
-  // Deterministic fallback: fixed seed per dimension.
-  return solve_even_decomposition(n, /*seed=*/0xC0FFEEull + n);
+  auto tabled = table_decomposition(n);
+  HP_CHECK(tabled.has_value(), "no table for Q_" + std::to_string(n));
+  return *std::move(tabled);
 }
 
 }  // namespace
 
 const HamDecomposition& hamiltonian_decomposition(int n) {
-  HP_CHECK(n >= 1 && n <= 15, "hamiltonian_decomposition supports n in [1,15]");
+  HP_CHECK(n >= 1 && n <= kMaxDecompositionDims,
+           "hamiltonian_decomposition supports n in [1, " +
+               std::to_string(kMaxDecompositionDims) + "]");
   // recursive_mutex: building an odd dimension recurses into n-1.
   static std::recursive_mutex mu;
   static std::map<int, HamDecomposition> cache;

@@ -7,9 +7,10 @@
 //
 // The paper cites [3] for existence; we make the result *constructive*:
 //
-//   * even dimensions come from verified precomputed tables (generated by
-//     the in-repo solver, see solver.hpp and tools/) with a runtime solver
-//     fallback for dimensions beyond the tables;
+//   * Q_2 is its one 4-cycle; even dimensions 4–14 come from verified
+//     precomputed tables (tables.hpp), generated offline by the search in
+//     tools/hamdecomp_solver/.  The library runs no search: a dimension
+//     without a table is an error;
 //   * odd dimensions are spliced from the even decomposition one dimension
 //     down: Q_{2k+1} = Q_{2k} × K_2; each cycle appears once per half, one
 //     edge is removed from each half's copy at vertex-disjoint positions and
@@ -44,10 +45,14 @@ struct HamDecomposition {
   void verify_or_throw() const;
 };
 
+/// The largest n hamiltonian_decomposition() serves: Q_14 is the largest
+/// table, and Q_15 is spliced from it.
+inline constexpr int kMaxDecompositionDims = 15;
+
 /// The Hamiltonian decomposition of Q_n.  Deterministic: identical output on
-/// every call and every run (tables where available; the solver fallback is
-/// seeded deterministically).  Results are cached per dimension.
-/// n in [1, 15] (even dims 4–14 come from tables; odd dims are spliced).
+/// every call and every run (literals for n = 1, 2; tables for even n 4–14;
+/// odd n is spliced).  Results are cached per dimension.
+/// n in [1, kMaxDecompositionDims].
 const HamDecomposition& hamiltonian_decomposition(int n);
 
 /// Splices the decomposition of Q_{2k+1} from that of Q_{2k} (exposed for

@@ -1,11 +1,12 @@
 // Precomputed Hamiltonian decompositions of even hypercubes.
 //
 // The implementation file tables.cpp is *generated* by the
-// gen_hamdecomp_tables tool (see tools/): it runs the solver once per
-// dimension and stores each Hamiltonian cycle as its transition-dimension
-// string (character 'a' + d for a step across dimension d, starting from
-// node 0).  Tables keep the library deterministic and fast at runtime; every
-// table entry is re-verified by hamiltonian_decomposition() before use.
+// gen_hamdecomp_tables tool (tools/, with the search in
+// tools/hamdecomp_solver/): it solves each dimension once and stores each
+// Hamiltonian cycle as its transition-dimension string (character 'a' + d
+// for a step across dimension d, starting from node 0).  The tables are the
+// library's only source of even-dimensional decompositions; every entry is
+// re-verified by hamiltonian_decomposition() before use.
 #pragma once
 
 #include <optional>
@@ -17,9 +18,6 @@ namespace hyperpath {
 
 /// The table entry for Q_dims (even dims only), or nullopt if not tabled.
 std::optional<HamDecomposition> table_decomposition(int dims);
-
-/// Encodes a cycle's transition string (for the generator tool).
-std::string encode_cycle_transitions(const std::vector<Node>& cycle);
 
 /// Decodes a transition string starting at node `start` into the closed node
 /// sequence.

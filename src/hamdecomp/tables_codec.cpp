@@ -6,19 +6,6 @@
 
 namespace hyperpath {
 
-std::string encode_cycle_transitions(const std::vector<Node>& cycle) {
-  HP_CHECK(!cycle.empty(), "empty cycle");
-  std::string s;
-  s.reserve(cycle.size());
-  for (std::size_t i = 0; i < cycle.size(); ++i) {
-    const Node a = cycle[i];
-    const Node b = cycle[(i + 1) % cycle.size()];
-    HP_CHECK(is_pow2(a ^ b), "cycle step is not a hypercube edge");
-    s.push_back(static_cast<char>('a' + count_trailing_zeros(a ^ b)));
-  }
-  return s;
-}
-
 std::vector<Node> decode_cycle_transitions(const std::string& transitions,
                                            Node start) {
   std::vector<Node> cycle;

@@ -18,8 +18,15 @@ TEST(HamDecomposition, Q1IsJustTheMatching) {
 TEST(HamDecomposition, Q2IsOneCycle) {
   const auto& d = hamiltonian_decomposition(2);
   ASSERT_EQ(d.cycles.size(), 1u);
-  EXPECT_EQ(d.cycles[0].size(), 4u);
+  EXPECT_EQ(d.cycles[0], (std::vector<Node>{0, 1, 3, 2}));
   EXPECT_TRUE(d.matching.empty());
+}
+
+// Q_15 is spliced from the largest table (Q_14); past it there is no
+// decomposition to serve, and the library runs no search.
+TEST(HamDecomposition, RejectsDimsOutsideTheServedRange) {
+  EXPECT_THROW(hamiltonian_decomposition(0), Error);
+  EXPECT_THROW(hamiltonian_decomposition(kMaxDecompositionDims + 1), Error);
 }
 
 // Alspach–Bermond–Sotteau: Q_{2k} → k Hamiltonian cycles; Q_{2k+1} → k

@@ -1,4 +1,4 @@
-#include "hamdecomp/solver.hpp"
+#include "hamdecomp_solver/solver.hpp"
 
 #include <gtest/gtest.h>
 

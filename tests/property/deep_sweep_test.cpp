@@ -9,8 +9,8 @@
 #include "base/moment.hpp"
 #include "base/rng.hpp"
 #include "ccc/ccc_embed.hpp"
-#include "hamdecomp/solver.hpp"
 #include "hamdecomp/tables.hpp"
+#include "hamdecomp_solver/solver.hpp"
 
 namespace hyperpath {
 namespace {

@@ -190,7 +190,8 @@ int cmd_route(int argc, char** argv) {
     oracle = algebraic_theorem1_oracle(n);
   } else if (fam == "largecopy") {
     int n = 0;
-    if (!parse_number("route largecopy <n>", argv[i++], 2, 15, n)) {
+    if (!parse_number("route largecopy <n>", argv[i++], 2,
+                      kMaxDecompositionDims, n)) {
       return usage();
     }
     oracle = algebraic_largecopy_oracle(n);
@@ -1074,7 +1075,9 @@ int main(int argc, char** argv) {
                  : usage();
     }
     if (cmd == "decomp" && argc >= 3) {
-      return dims_arg("decomp <n>") ? cmd_decomp(n) : usage();
+      return parse_number("decomp <n>", argv[2], 1, kMaxDecompositionDims, n)
+                 ? cmd_decomp(n)
+                 : usage();
     }
     if (cmd == "moments" && argc >= 3) {
       return dims_arg("moments <n>") ? cmd_moments(n) : usage();
