@@ -1,34 +1,36 @@
 #include "obs/critical_path.hpp"
 
 #include <algorithm>
+#include <tuple>
+#include <utility>
 
 namespace hyperpath::obs {
 
 TransmitIndex::TransmitIndex(const FlightRecorder& rec) {
-  by_link_.resize(rec.links().size());
   const auto& records = rec.records();
   for (std::size_t f = 0; f < records.size(); ++f) {
     const FlightRecord& r = records[f];
     for (std::uint32_t h = 0; h < r.hops.size(); ++h) {
-      const HopSpan& hop = r.hops[h];
-      if (hop.link >= by_link_.size()) by_link_.resize(hop.link + 1);
-      by_link_[hop.link].push_back({hop.transmit_step, h, f});
+      entries_.push_back({r.hops[h].link, r.hops[h].transmit_step, h, f});
     }
   }
-  for (auto& timeline : by_link_) {
-    std::sort(timeline.begin(), timeline.end(),
-              [](const Entry& a, const Entry& b) { return a.step < b.step; });
-  }
+  std::sort(entries_.begin(), entries_.end(),
+            [](const Entry& a, const Entry& b) {
+              return std::tie(a.link, a.step, a.flight, a.hop) <
+                     std::tie(b.link, b.step, b.flight, b.hop);
+            });
 }
 
 TransmitIndex::Ref TransmitIndex::at(std::uint64_t link,
                                      std::int32_t step) const {
-  if (link >= by_link_.size()) return {};
-  const auto& timeline = by_link_[link];
   const auto it = std::lower_bound(
-      timeline.begin(), timeline.end(), step,
-      [](const Entry& e, std::int32_t s) { return e.step < s; });
-  if (it == timeline.end() || it->step != step) return {};
+      entries_.begin(), entries_.end(), std::pair{link, step},
+      [](const Entry& e, const std::pair<std::uint64_t, std::int32_t>& key) {
+        return std::pair{e.link, e.step} < key;
+      });
+  if (it == entries_.end() || it->link != link || it->step != step) {
+    return {};
+  }
   return {it->flight, it->hop};
 }
 
@@ -151,50 +153,52 @@ namespace {
 /// values the sweep recorded.  Returns the number of disagreements.
 std::uint64_t validate_depths(const FlightRecorder& rec) {
   struct Diff {
+    std::uint64_t link;
     std::int32_t step;
     std::int32_t delta;
   };
   struct Query {
+    std::uint64_t link;
     std::int32_t step;
     std::uint32_t expect;
   };
-  std::vector<std::vector<Diff>> diffs(rec.links().size());
-  std::vector<std::vector<Query>> queries(rec.links().size());
+  std::vector<Diff> diffs;
+  std::vector<Query> queries;
   for (const FlightRecord& r : rec.records()) {
     for (const HopSpan& h : r.hops) {
       // Present in the queue at every sweep from enqueue to transmit.
-      diffs[h.link].push_back({h.enqueue_step, +1});
-      diffs[h.link].push_back({h.transmit_step + 1, -1});
-      queries[h.link].push_back({h.transmit_step, h.depth_seen});
+      diffs.push_back({h.link, h.enqueue_step, +1});
+      diffs.push_back({h.link, h.transmit_step + 1, -1});
+      queries.push_back({h.link, h.transmit_step, h.depth_seen});
     }
     if (r.dropped() && r.pending_enqueue_step >= 0 &&
         r.drop_link != TraceEvent::kNoLink &&
-        r.drop_link < diffs.size()) {
+        r.pending_enqueue_step < r.end_step) {
       // Waiting on the dead link until the drop pass removed it, which
       // runs *before* the sweep of the drop step.
-      if (r.pending_enqueue_step < r.end_step) {
-        diffs[r.drop_link].push_back({r.pending_enqueue_step, +1});
-        diffs[r.drop_link].push_back({r.end_step, -1});
-      }
+      diffs.push_back({r.drop_link, r.pending_enqueue_step, +1});
+      diffs.push_back({r.drop_link, r.end_step, -1});
     }
   }
+  const auto by_link_step = [](const auto& a, const auto& b) {
+    return std::pair{a.link, a.step} < std::pair{b.link, b.step};
+  };
+  std::sort(diffs.begin(), diffs.end(), by_link_step);
+  std::sort(queries.begin(), queries.end(), by_link_step);
 
+  // One pass per link over its diffs and queries, both in step order.
   std::uint64_t mismatches = 0;
-  for (std::size_t l = 0; l < diffs.size(); ++l) {
-    auto& d = diffs[l];
-    auto& q = queries[l];
-    if (q.empty() && d.empty()) continue;
-    std::sort(d.begin(), d.end(),
-              [](const Diff& a, const Diff& b) { return a.step < b.step; });
-    std::sort(q.begin(), q.end(), [](const Query& a, const Query& b) {
-      return a.step < b.step;
-    });
+  std::size_t di = 0;
+  for (std::size_t qi = 0; qi < queries.size();) {
+    const std::uint64_t link = queries[qi].link;
+    while (di < diffs.size() && diffs[di].link < link) ++di;
     std::int64_t depth = 0;
     std::uint32_t peak_at_sweeps = 0;
-    std::size_t di = 0;
-    for (const Query& query : q) {
-      while (di < d.size() && d[di].step <= query.step) {
-        depth += d[di].delta;
+    for (; qi < queries.size() && queries[qi].link == link; ++qi) {
+      const Query& query = queries[qi];
+      while (di < diffs.size() && diffs[di].link == link &&
+             diffs[di].step <= query.step) {
+        depth += diffs[di].delta;
         ++di;
       }
       if (depth != static_cast<std::int64_t>(query.expect)) ++mismatches;
@@ -203,10 +207,8 @@ std::uint64_t validate_depths(const FlightRecorder& rec) {
     }
     // The link's recorded high-water mark is the max depth over its
     // sweeps, and every sweep of a nonempty queue transmits.
-    if (l < rec.links().size() &&
-        peak_at_sweeps != rec.links()[l].peak_queue) {
-      ++mismatches;
-    }
+    const LinkUse* use = rec.link_use(link);
+    if (use != nullptr && peak_at_sweeps != use->peak_queue) ++mismatches;
   }
   return mismatches;
 }

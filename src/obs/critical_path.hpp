@@ -48,13 +48,15 @@ class TransmitIndex {
 
  private:
   struct Entry {
+    std::uint64_t link;
     std::int32_t step;
     std::uint32_t hop;
     std::size_t flight;
   };
-  // Indexed by dense link id; each timeline sorted by step (unique: one
-  // transmit per link per step).
-  std::vector<std::vector<Entry>> by_link_;
+  // Every hop's transmit, sorted by (link, step): one transmit per link
+  // per step, so at() is one binary search.  Sized by the hops, not the
+  // host's link count.
+  std::vector<Entry> entries_;
 };
 
 /// One node of the causal chain: `flight` transmitted (or was dropped) on

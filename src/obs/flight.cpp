@@ -38,9 +38,37 @@ FlightRecord& FlightRecorder::open_flight(std::uint32_t packet,
   return records_.back();
 }
 
+std::size_t FlightRecorder::find_slot(std::uint64_t link) const {
+  const std::size_t mask = slot_.size() - 1;
+  // Fibonacci hashing: host ids u·n + dim are far from uniform.
+  std::size_t s = static_cast<std::size_t>(
+                      (link * 0x9E3779B97F4A7C15ull) >> 32) &
+                  mask;
+  for (;; s = (s + 1) & mask) {
+    const std::uint32_t i = slot_[s];
+    if (i == 0 || links_[i - 1].link == link) return s;
+  }
+}
+
 LinkUse& FlightRecorder::link_slot(std::uint64_t link) {
-  if (link >= links_.size()) links_.resize(link + 1);
-  return links_[link];
+  if (2 * (links_.size() + 1) > slot_.size()) {
+    slot_.assign(std::max<std::size_t>(64, 2 * slot_.size()), 0);
+    for (std::uint32_t i = 0; i < links_.size(); ++i) {
+      slot_[find_slot(links_[i].link)] = i + 1;
+    }
+  }
+  std::uint32_t& i = slot_[find_slot(link)];
+  if (i == 0) {
+    links_.push_back({.link = link});
+    i = static_cast<std::uint32_t>(links_.size());
+  }
+  return links_[i - 1];
+}
+
+const LinkUse* FlightRecorder::link_use(std::uint64_t link) const {
+  if (slot_.empty()) return nullptr;
+  const std::uint32_t i = slot_[find_slot(link)];
+  return i == 0 ? nullptr : &links_[i - 1];
 }
 
 std::size_t FlightRecorder::flight_of(std::uint32_t packet) const {
@@ -226,10 +254,11 @@ std::uint64_t FlightRecorder::peak_congestion() const {
 std::uint64_t FlightRecorder::peak_congestion_link() const {
   const std::uint64_t peak = peak_congestion();
   if (peak == 0) return TraceEvent::kNoLink;
-  for (std::size_t l = 0; l < links_.size(); ++l) {
-    if (links_[l].transmissions == peak) return l;
+  std::uint64_t link = TraceEvent::kNoLink;  // the smallest id at the peak
+  for (const LinkUse& lu : links_) {
+    if (lu.transmissions == peak) link = std::min(link, lu.link);
   }
-  return TraceEvent::kNoLink;
+  return link;
 }
 
 bool trace_event_from_json(const JsonValue& v, TraceEvent* out, bool* is_meta,

@@ -121,8 +121,9 @@ struct LinkFaultEvent {
   bool repaired = false;
 };
 
-/// Aggregate use of one directed link, indexed by dense link id.
+/// Aggregate use of one directed link.
 struct LinkUse {
+  std::uint64_t link = TraceEvent::kNoLink;  // host link id
   std::uint64_t transmissions = 0;
   /// Last kQueueDepth high-water value (the link's peak queue depth).
   std::uint32_t peak_queue = 0;
@@ -155,9 +156,12 @@ class FlightRecorder final : public TraceSink {
   const std::vector<LinkFaultEvent>& fault_events() const {
     return fault_events_;
   }
-  /// Per-link aggregates, indexed by dense directed-link id (grown on
-  /// demand; links beyond the largest id seen are absent).
+  /// Per-link aggregates of every link a kTransmit or kQueueDepth event
+  /// named, in order of first appearance.  Sized by the links the trace
+  /// touches, not by the host, so a Q_24 trace fits.
   const std::vector<LinkUse>& links() const { return links_; }
+  /// The links() entry of host link `link`; nullptr if no event named it.
+  const LinkUse* link_use(std::uint64_t link) const;
 
   // Run-level reconstruction — these must match the originating SimResult.
 
@@ -195,6 +199,8 @@ class FlightRecorder final : public TraceSink {
   void note_inconsistency(const TraceEvent& e, const char* what);
   FlightRecord& open_flight(std::uint32_t packet, std::int32_t release_step);
   LinkUse& link_slot(std::uint64_t link);
+  /// Index into slot_ holding `link`, or of the empty slot it would take.
+  std::size_t find_slot(std::uint64_t link) const;
 
   // Per packet id: index of its open (non-terminal) record, npos if none.
   std::vector<std::size_t> open_;
@@ -213,6 +219,9 @@ class FlightRecorder final : public TraceSink {
   std::vector<RetransmitEvent> retransmits_;
   std::vector<LinkFaultEvent> fault_events_;
   std::vector<LinkUse> links_;
+  // Open-addressing index of links_ by host id: each slot holds a links_
+  // index + 1 (0 = empty); linear probing, at most half full.
+  std::vector<std::uint32_t> slot_;
 
   int last_step_ = -1;
   std::uint64_t events_seen_ = 0;

@@ -6,7 +6,6 @@
 
 #include "base/bits.hpp"
 #include "base/error.hpp"
-#include "sim/phase.hpp"
 
 namespace hyperpath {
 
@@ -143,38 +142,6 @@ std::vector<BundleDelivery> deliver_phase(const FaultSet& faults,
   for (std::size_t e = 0; e < emb.guest().num_edges(); ++e) {
     out.push_back(deliver_over_bundle(faults, emb.paths(e)));
   }
-  return out;
-}
-
-DegradedResult run_phase_with_faults(const FaultSet& faults,
-                                     const MultiPathEmbedding& emb, int p,
-                                     obs::TraceSink* sink) {
-  DegradedResult out;
-  obs::StepTrace trace(sink);
-  std::vector<Packet> survivors;
-  std::uint32_t id = 0;
-  for (Packet& pk : phase_packets(emb, p)) {
-    if (faults.path_alive(pk.route)) {
-      survivors.push_back(std::move(pk));
-    } else {
-      ++out.dropped;
-      if (trace.enabled()) {
-        std::uint64_t dead_link = obs::TraceEvent::kNoLink;
-        for (std::size_t i = 0; i + 1 < pk.route.size(); ++i) {
-          if (faults.link_dead(pk.route[i], pk.route[i + 1])) {
-            dead_link = emb.host().edge_id(pk.route[i], pk.route[i + 1]);
-            break;
-          }
-        }
-        trace.record({0, obs::TraceEventKind::kDrop, id, dead_link, 0});
-      }
-    }
-    ++id;
-  }
-  trace.finish();
-  out.delivered = survivors.size();
-  StoreForwardSim sim(emb.host().dims());
-  out.sim = sim.run(survivors, Arbitration::kFifo, 1 << 22, sink);
   return out;
 }
 

@@ -15,11 +15,11 @@
 //     (permanent and transient, links and nodes) that arrive mid-simulation.
 //     Every replay applies events through the one FaultSet::apply: a
 //     snapshot (FaultSchedule::state_at), the parser's repair check, and
-//     FaultTimeline, which is a FaultSet plus an event cursor.  The
-//     store-and-forward simulators advance a timeline step by step
-//     (run_with_faults), truncating in-flight packets at the break point;
-//     the recovery engine (recovery.hpp) adds sender-side failover onto the
-//     surviving paths of each bundle.
+//     FaultTimeline, which is a FaultSet plus an event cursor.  A faulted
+//     run_plan (store_forward.hpp) advances a timeline step by step,
+//     truncating in-flight packets at the break point; the recovery engine
+//     (recovery.hpp) adds sender-side failover onto the surviving paths of
+//     each bundle.
 #pragma once
 
 #include <span>
@@ -29,8 +29,6 @@
 
 #include "base/rng.hpp"
 #include "embed/embedding.hpp"
-#include "obs/trace.hpp"
-#include "sim/packet.hpp"
 
 namespace hyperpath {
 
@@ -123,28 +121,6 @@ BundleDelivery deliver_over_bundle(const FaultSet& faults,
 /// paths.  Used to measure fault tolerance of width-w embeddings.
 std::vector<BundleDelivery> deliver_phase(const FaultSet& faults,
                                           const MultiPathEmbedding& emb);
-
-/// Outcome of a degraded-mode phase: packets whose route crosses a dead
-/// link are dropped at the break point; the rest complete normally.
-struct DegradedResult {
-  SimResult sim;             // makespan/utilization of the surviving traffic
-  std::size_t delivered = 0;
-  std::size_t dropped = 0;
-};
-
-/// Runs one p-packet phase of the embedding *through* the fault set on the
-/// store-and-forward simulator: dead-path packets are dropped (they never
-/// enter the network — the sender's route computation sees the break), the
-/// others are simulated.  This is the latency picture of a degraded
-/// machine, complementing the static deliver_phase counts.
-///
-/// With a sink attached, each dropped packet emits one kDrop event at step
-/// 0 (packet = its index in the original phase packet list, link = the
-/// first dead link of its route) before the surviving traffic's simulator
-/// trace; packet ids inside the simulator trace index the survivor list.
-DegradedResult run_phase_with_faults(const FaultSet& faults,
-                                     const MultiPathEmbedding& emb, int p,
-                                     obs::TraceSink* sink = nullptr);
 
 // ---------------------------------------------------------------------------
 // Timed fault schedules

@@ -134,15 +134,15 @@ OraclePhaseResult run_oracle_phase(const PathOracle& oracle,
   // Fault-free, so every route completes, zero-hop ones included.
   result.delivered = num_routes;
 
-  SimResult r = run_plan<false, false>(plan, dims, Arbitration::kFifo,
-                                       spec.max_steps, nullptr, nullptr, false,
-                                       nullptr);
-  result.makespan = r.makespan;
-  result.total_transmissions = r.total_transmissions;
-  result.max_queue = static_cast<std::uint32_t>(r.max_queue);
-  result.dim_transmissions = std::move(r.dim_transmissions);
+  constexpr int kMaxSteps = 1 << 22;  // StoreForwardSim::run's default
+  static_cast<SimResult&>(result) =
+      spec.sink != nullptr
+          ? run_plan<true, false>(plan, dims, spec.policy, kMaxSteps,
+                                  spec.sink, nullptr, false, nullptr)
+          : run_plan<false, false>(plan, dims, spec.policy, kMaxSteps,
+                                   nullptr, nullptr, false, nullptr);
   // Each packet's route has one node more than it has hops.
-  result.route_nodes = num_routes + r.total_transmissions;
+  result.route_nodes = num_routes + result.total_transmissions;
   return result;
 }
 

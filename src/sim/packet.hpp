@@ -92,11 +92,12 @@ struct SimResult {
   }
 };
 
-/// Outcome of a run under a timed fault schedule (run_with_faults): the
-/// usual SimResult for the traffic that moved, plus the per-packet fates.
+/// Outcome of a run under a timed fault schedule (a faulted run_plan,
+/// store_forward.hpp): the usual SimResult for the traffic that moved, plus
+/// the per-packet fates.
 struct FaultRunResult {
   SimResult sim;
-  std::vector<PacketFate> fates;  // parallel to the input packet list
+  std::vector<PacketFate> fates;  // parallel to the plan's routes
   std::size_t delivered = 0;
   std::size_t lost = 0;
 };

@@ -1,7 +1,9 @@
 #include "sim/phase.hpp"
 
 #include "base/error.hpp"
+#include "embed/path_oracle.hpp"
 #include "obs/profile.hpp"
+#include "sim/oracle_sim.hpp"
 
 namespace hyperpath {
 
@@ -27,8 +29,10 @@ std::vector<Packet> phase_packets(const MultiPathEmbedding& emb, int p) {
 
 SimResult measure_phase_cost(const MultiPathEmbedding& emb, int p,
                              Arbitration policy, obs::TraceSink* sink) {
-  StoreForwardSim sim(emb.host().dims());
-  return sim.run(phase_packets(emb, p), policy, 1 << 22, sink);
+  const MaterializedOracle oracle(emb);
+  return run_oracle_phase(oracle, all_guest_edges(oracle),
+                          {.packets_per_edge = p, .policy = policy,
+                           .sink = sink});
 }
 
 }  // namespace hyperpath

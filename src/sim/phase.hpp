@@ -6,7 +6,12 @@
 // generated per guest edge — assigned round-robin over the edge's path
 // bundle (bundle sorted by path length, so direct paths absorb the extra
 // packets exactly as in Theorem 1's schedule) — and run through the
-// store-and-forward simulator.
+// store-and-forward simulator.  measure_phase_cost is the oracle phase
+// (oracle_sim.hpp) over MaterializedOracle(emb): it builds no Packet and
+// no dense plan.  phase_packets builds the same traffic as an explicit
+// Packet list for the StoreForwardSim step-loop benches (bench_simcore,
+// bench_parallel_sim, hpbench's mat_phase_q16), and it is the reference
+// that the oracle phase is tested against.
 //
 // The measured makespan is an *achievable* cost (an upper bound attained by
 // a concrete oblivious schedule); the theorems' claims are checked against
@@ -42,15 +47,17 @@ void slot_order(std::size_t width, Length&& length,
   }
 }
 
-/// The packets of one phase: p per guest edge, packet j of an edge routed on
-/// bundle path (j mod w) with the bundle sorted by increasing length.  For a
-/// k-copy embedding pass KCopyEmbedding::multipath(): p packets per guest
-/// edge per copy, in (copy, edge, packet) order.
+/// The packets of one phase as a Packet list: p per guest edge, packet j of
+/// an edge routed on slot j mod w, in (edge, packet) order — the traffic
+/// measure_phase_cost runs, for StoreForwardSim callers.  For a k-copy
+/// embedding pass KCopyEmbedding::multipath(): p packets per guest edge
+/// per copy, in (copy, edge, packet) order.
 std::vector<Packet> phase_packets(const MultiPathEmbedding& emb, int p);
 
 /// Runs one phase and returns the measured result (makespan = p-packet
-/// cost of this schedule).  An optional trace sink receives the simulator's
-/// step-level events.
+/// cost of this schedule): run_oracle_phase over MaterializedOracle(emb)
+/// and every guest edge in id order.  An optional trace sink receives the
+/// simulator's step-level events.  elapsed_seconds is left 0.
 SimResult measure_phase_cost(const MultiPathEmbedding& emb, int p,
                              Arbitration policy = Arbitration::kFifo,
                              obs::TraceSink* sink = nullptr);

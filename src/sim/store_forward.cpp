@@ -329,14 +329,11 @@ template SimResult run_plan<true, true>(const simcore::RoutePlan&, int,
                                         const FaultSchedule*, bool,
                                         FaultRunResult*);
 
-namespace {
+StoreForwardSim::StoreForwardSim(int dims) : host_(dims) {}
 
-/// plan.rebuild + run_plan, timed: the body of StoreForwardSim's two runs.
-SimResult run_packets(const Hypercube& host,
-                      const std::vector<Packet>& packets, Arbitration policy,
-                      int max_steps, obs::TraceSink* sink,
-                      const FaultSchedule* schedule,
-                      FaultRunResult* fault_out) {
+SimResult StoreForwardSim::run(const std::vector<Packet>& packets,
+                               Arbitration policy, int max_steps,
+                               obs::TraceSink* sink) const {
   const auto t0 = std::chrono::steady_clock::now();
   SimResult result;
   {
@@ -344,40 +341,20 @@ SimResult run_packets(const Hypercube& host,
     simcore::RoutePlan& plan = simcore::step_scratch().plan;
     {
       HP_PROFILE_SPAN("setup");
-      plan.rebuild(host, packets);  // validates; keeps capacity across runs
+      plan.rebuild(host_, packets);  // validates; keeps capacity across runs
     }
-    // [traced][faulted]
-    static constexpr decltype(&run_plan<false, false>) kRun[2][2] = {
-        {run_plan<false, false>, run_plan<false, true>},
-        {run_plan<true, false>, run_plan<true, true>}};
-    result = kRun[sink != nullptr][schedule != nullptr](
-        plan, host.dims(), policy, max_steps, sink, schedule, true,
-        fault_out);
+    result = sink != nullptr
+                 ? run_plan<true, false>(plan, host_.dims(), policy,
+                                         max_steps, sink, nullptr, false,
+                                         nullptr)
+                 : run_plan<false, false>(plan, host_.dims(), policy,
+                                          max_steps, nullptr, nullptr, false,
+                                          nullptr);
   }
   result.elapsed_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   return result;
-}
-
-}  // namespace
-
-StoreForwardSim::StoreForwardSim(int dims) : host_(dims) {}
-
-SimResult StoreForwardSim::run(const std::vector<Packet>& packets,
-                               Arbitration policy, int max_steps,
-                               obs::TraceSink* sink) const {
-  return run_packets(host_, packets, policy, max_steps, sink, nullptr,
-                     nullptr);
-}
-
-FaultRunResult StoreForwardSim::run_with_faults(
-    const std::vector<Packet>& packets, const FaultSchedule& schedule,
-    Arbitration policy, int max_steps, obs::TraceSink* sink) const {
-  FaultRunResult out;
-  out.sim = run_packets(host_, packets, policy, max_steps, sink, &schedule,
-                        &out);
-  return out;
 }
 
 }  // namespace hyperpath

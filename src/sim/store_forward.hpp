@@ -12,12 +12,13 @@
 // stalls, queue high-water marks, arrivals); with a null sink no event is
 // ever constructed.
 //
-// run_with_faults replays a timed FaultSchedule during the run: at the start
-// of each step the schedule's events for that step fire (kFault/kRepair
-// trace events), and every packet waiting on a currently-dead link is
-// truncated at the break point (kDrop, value = hops completed).  The
-// per-packet outcome is reported in FaultRunResult::fates; the recovery
-// engine (recovery.hpp) builds sender-side retransmission on top.
+// A faulted run_plan replays a timed FaultSchedule during the run: at the
+// start of each step the schedule's events for that step fire
+// (kFault/kRepair trace events), and every packet waiting on a
+// currently-dead link is truncated at the break point (kDrop, value = hops
+// completed).  The per-packet outcome is reported in FaultRunResult::fates;
+// the recovery engine (recovery.hpp) builds sender-side retransmission on
+// top.
 #pragma once
 
 #include "obs/trace.hpp"
@@ -67,17 +68,6 @@ class StoreForwardSim {
                 Arbitration policy = Arbitration::kFifo,
                 int max_steps = 1 << 22,
                 obs::TraceSink* sink = nullptr) const;
-
-  /// Runs the packet set while replaying `schedule`.  Packets that reach a
-  /// dead link are truncated there (they stop participating); the rest run
-  /// to completion.  The simulation ends when every packet is delivered or
-  /// lost — schedule events after that point do not execute.  A traced
-  /// run announces every fault and repair (kFault/kRepair).
-  FaultRunResult run_with_faults(const std::vector<Packet>& packets,
-                                 const FaultSchedule& schedule,
-                                 Arbitration policy = Arbitration::kFifo,
-                                 int max_steps = 1 << 22,
-                                 obs::TraceSink* sink = nullptr) const;
 
  private:
   Hypercube host_;

@@ -23,6 +23,7 @@
 #include "sim/store_forward.hpp"
 #include "sim/workloads.hpp"
 #include "sim/wormhole.hpp"
+#include "support/faulted_run.hpp"
 
 namespace hyperpath {
 namespace {
@@ -245,8 +246,8 @@ TEST(FlightCompleteness, FaultReplayRun) {
   schedule.link_down(1, 5, q.neighbor(5, 2));
   schedule.transient_link(0, 1, 9, q.neighbor(9, 1));
   FlightRecorder rec;
-  const auto fr = StoreForwardSim(n).run_with_faults(
-      packets, schedule, Arbitration::kFifo, 1 << 22, &rec);
+  const auto fr = run_with_faults(n, packets, schedule, Arbitration::kFifo,
+                                  1 << 22, &rec);
   const auto a = obs::analyze_flights(rec);
   EXPECT_EQ(a.makespan, fr.sim.makespan);
   EXPECT_EQ(a.delivered, fr.delivered);

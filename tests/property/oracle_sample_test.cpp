@@ -12,10 +12,17 @@
 #include <string>
 
 #include "base/error.hpp"
+#include "base/rng.hpp"
+#include "ccc/ccc_embed.hpp"
 #include "core/algebraic_oracle.hpp"
 #include "core/cycle_multipath.hpp"
 #include "core/grid_multipath.hpp"
 #include "core/lower_bounds.hpp"
+#include "core/tree_multipath.hpp"
+#include "graph/builders.hpp"
+#include "obs/critical_path.hpp"
+#include "obs/flight.hpp"
+#include "obs/trace.hpp"
 #include "sim/faults.hpp"
 #include "sim/oracle_sim.hpp"
 #include "sim/phase.hpp"
@@ -26,6 +33,9 @@
 
 namespace hyperpath {
 namespace {
+
+using obs::RingBufferSink;
+using obs::TraceEvent;
 
 TEST(OracleSample, Q20Torus) {
   const auto oracle = algebraic_grid_oracle(GridSpec{{1024, 1024}, true});
@@ -266,8 +276,7 @@ std::vector<std::uint64_t> expect_phase_pipelines_agree(
   const SimResult classic = sim.run(phase_packets(emb, p));
   EXPECT_EQ(from_alg.makespan, classic.makespan);
   EXPECT_EQ(from_alg.total_transmissions, classic.total_transmissions);
-  EXPECT_EQ(from_alg.max_queue,
-            static_cast<std::uint32_t>(classic.max_queue));
+  EXPECT_EQ(from_alg.max_queue, classic.max_queue);
   EXPECT_EQ(from_alg.dim_transmissions, classic.dim_transmissions);
   EXPECT_EQ(from_alg.delivered,
             static_cast<std::uint64_t>(edges.size()) * p);
@@ -286,6 +295,70 @@ TEST(OracleSample, PhaseSimMatchesMaterializedPipeline) {
   ASSERT_EQ(dim_tx.size(), 9u);
   EXPECT_NE(*std::min_element(dim_tx.begin(), dim_tx.end()),
             *std::max_element(dim_tx.begin(), dim_tx.end()));
+}
+
+/// measure_phase_cost is the oracle phase over a MaterializedOracle.  It
+/// must reproduce the Packet pipeline it replaced — phase_packets run
+/// through StoreForwardSim's dense plan — field for field and event for
+/// event, under both policies, at one packet per edge, one per path, and
+/// one more than the paths.
+void expect_phase_cost_matches_packet_run(const MultiPathEmbedding& emb) {
+  const int w = emb.width();
+  for (const Arbitration policy :
+       {Arbitration::kFifo, Arbitration::kFarthestFirst}) {
+    for (const int p : {1, w, w + 1}) {
+      SCOPED_TRACE("p=" + std::to_string(p) + " policy=" +
+                   std::to_string(static_cast<int>(policy)));
+      RingBufferSink got_ring;
+      RingBufferSink want_ring;
+      const SimResult got = measure_phase_cost(emb, p, policy, &got_ring);
+      const SimResult want = StoreForwardSim(emb.host().dims())
+                                 .run(phase_packets(emb, p), policy, 1 << 22,
+                                      &want_ring);
+      EXPECT_EQ(got.makespan, want.makespan);
+      EXPECT_EQ(got.total_transmissions, want.total_transmissions);
+      EXPECT_EQ(got.max_queue, want.max_queue);
+      EXPECT_EQ(got.link_visits, want.link_visits);
+      EXPECT_EQ(got.dim_transmissions, want.dim_transmissions);
+      EXPECT_EQ(got.latency, want.latency);
+      EXPECT_EQ(got.utilization, want.utilization);
+      ASSERT_EQ(want_ring.dropped(), 0u) << "ring too small";
+      ASSERT_EQ(got_ring.total(), want_ring.total());
+      const std::vector<TraceEvent> a = got_ring.events();
+      const std::vector<TraceEvent> b = want_ring.events();
+      const auto [ga, gb] = std::mismatch(a.begin(), a.end(), b.begin());
+      EXPECT_EQ(ga, a.end()) << "first differing event: " << (ga - a.begin());
+    }
+  }
+}
+
+TEST(OracleSample, PhaseCostMatchesPacketRunEventForEvent) {
+  {
+    SCOPED_TRACE("theorem1 n=8");
+    expect_phase_cost_matches_packet_run(theorem1_cycle_embedding(8));
+  }
+  {
+    SCOPED_TRACE("theorem2 n=8");
+    expect_phase_cost_matches_packet_run(theorem2_cycle_embedding(8));
+  }
+  {
+    SCOPED_TRACE("ccc multicopy n=8");
+    expect_phase_cost_matches_packet_run(
+        ccc_multicopy_embedding(8).multipath());
+  }
+  {
+    SCOPED_TRACE("12x20 grid");
+    expect_phase_cost_matches_packet_run(
+        grid_multipath_embedding(GridSpec{{12, 20}, false}));
+  }
+  {
+    SCOPED_TRACE("arbitrary tree m=4");
+    Rng rng(77);
+    std::vector<Node> parent;
+    const Digraph tree = random_binary_tree(60, rng, &parent);
+    expect_phase_cost_matches_packet_run(
+        arbitrary_tree_multipath(tree, parent, 4));
+  }
 }
 
 /// A phase with no demanded edges moves nothing: the empty compact plan
@@ -316,6 +389,44 @@ TEST(OracleSample, Q24PhaseRespectsCongestionFloor) {
   // links per hop of demand, where the dense Q_24 link array alone would
   // hold 400M entries.
   EXPECT_LE(r.unique_links, static_cast<std::uint64_t>(edges.size()) * 8 * 4);
+}
+
+/// The oracle phase's sink on a compact, oracle-fed plan over a host that
+/// can never be materialized: the traced Q_24 run equals the untraced one
+/// field for field, and its flight records are consistent and explain the
+/// makespan.  Packet ids are route ids; a repeated route is its own packet.
+TEST(OracleSample, Q24TracedPhaseMatchesUntracedAndExplainsMakespan) {
+  const auto oracle = algebraic_grid_oracle(GridSpec{{256, 256, 256}, true});
+  const std::vector<OracleEdge> edges = sample_guest_edges(*oracle, 300, 7);
+  OraclePhaseSpec spec;
+  spec.packets_per_edge = 8;  // > width 5: repeats share hop segments
+  const OraclePhaseResult plain = run_oracle_phase(*oracle, edges, spec);
+  obs::FlightRecorder rec;
+  spec.sink = &rec;
+  const OraclePhaseResult traced = run_oracle_phase(*oracle, edges, spec);
+
+  EXPECT_EQ(traced.makespan, plain.makespan);
+  EXPECT_EQ(traced.total_transmissions, plain.total_transmissions);
+  EXPECT_EQ(traced.max_queue, plain.max_queue);
+  EXPECT_EQ(traced.link_visits, plain.link_visits);
+  EXPECT_EQ(traced.dim_transmissions, plain.dim_transmissions);
+  EXPECT_EQ(traced.latency, plain.latency);
+  EXPECT_EQ(traced.utilization, plain.utilization);
+  EXPECT_EQ(traced.delivered, plain.delivered);
+  EXPECT_EQ(traced.peak_congestion, plain.peak_congestion);
+  EXPECT_EQ(traced.unique_links, plain.unique_links);
+  EXPECT_EQ(traced.route_nodes, plain.route_nodes);
+  EXPECT_EQ(traced.compiled_bytes, plain.compiled_bytes);
+
+  EXPECT_EQ(rec.inconsistencies(), 0u) << rec.first_inconsistency();
+  EXPECT_EQ(rec.makespan(), plain.makespan);
+  EXPECT_EQ(rec.delivered(), plain.delivered);
+  EXPECT_EQ(rec.transmissions(), plain.total_transmissions);
+  EXPECT_EQ(rec.links().size(), plain.unique_links);
+  const obs::CriticalPath chain = obs::extract_critical_path(
+      rec, obs::TransmitIndex(rec), obs::makespan_terminal(rec));
+  EXPECT_EQ(chain.length(), plain.makespan);
+  EXPECT_EQ(obs::analyze_flights(rec).depth_mismatches, 0u);
 }
 
 /// Oracle-backed recovery must be bit-identical to the embedding overload

@@ -28,6 +28,7 @@
 #include "sim/workloads.hpp"
 #include "sim/wormhole.hpp"
 #include "support/compact_links.hpp"
+#include "support/faulted_run.hpp"
 #include "support/reference_sim.hpp"
 
 namespace hyperpath {
@@ -137,8 +138,8 @@ TEST_P(SimcoreEquiv, SerialMatchesReferenceUnderFaults) {
   const auto sched = random_schedule(dims, rng);
   for (auto policy : {Arbitration::kFifo, Arbitration::kFarthestFirst}) {
     RingBufferSink flat_sink, ref_sink;
-    const auto flat = StoreForwardSim(dims).run_with_faults(
-        packets, sched, policy, 1 << 22, &flat_sink);
+    const auto flat = run_with_faults(dims, packets, sched, policy, 1 << 22,
+                                      &flat_sink);
     const auto ref = RefStoreForwardSim(dims).run_with_faults(
         packets, sched, policy, 1 << 22, &ref_sink);
     expect_same_fault_result(flat, ref);
@@ -170,14 +171,14 @@ TEST_P(SimcoreEquiv, ParallelMatchesSerialUnderFaults) {
   const auto packets = random_packets(dims, 150, rng, 4);
   const auto sched = random_schedule(dims, rng);
   RingBufferSink ser_sink;
-  const auto ser = StoreForwardSim(dims).run_with_faults(
-      packets, sched, Arbitration::kFifo, 1 << 22, &ser_sink);
+  const auto ser = run_with_faults(dims, packets, sched, Arbitration::kFifo,
+                                   1 << 22, &ser_sink);
   for (int threads : {1, 2, 3, 4, 5, 7, 8}) {
     par::TaskPool pool(threads);
     const par::PoolScope scope(pool);
     RingBufferSink par_sink;
-    const auto par = StoreForwardSim(dims).run_with_faults(
-        packets, sched, Arbitration::kFifo, 1 << 22, &par_sink);
+    const auto par = run_with_faults(dims, packets, sched, Arbitration::kFifo,
+                                     1 << 22, &par_sink);
     expect_same_fault_result(par, ser);
     expect_same_trace(par_sink, ser_sink);
     // Even the active-set accounting agrees (stale entries included).

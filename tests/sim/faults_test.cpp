@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "base/error.hpp"
-#include "core/cycle_multipath.hpp"
 #include "embed/classical.hpp"
 #include "sim/ida.hpp"
 
@@ -59,38 +58,6 @@ TEST(Bundle, PhaseDeliveryOverEmbedding) {
   // Width-1: exactly the two guest edges (one per direction... the guest is
   // a one-directional cycle, so exactly one edge dies).
   EXPECT_EQ(dead_edges, 1);
-}
-
-TEST(DegradedPhase, NoFaultsDeliversEverything) {
-  const auto emb = gray_code_cycle_embedding(4);
-  FaultSet none(4);
-  const auto r = run_phase_with_faults(none, emb, 2);
-  EXPECT_EQ(r.dropped, 0u);
-  EXPECT_EQ(r.delivered, emb.guest().num_edges() * 2);
-  EXPECT_EQ(r.sim.makespan, 2);
-}
-
-TEST(DegradedPhase, DropsExactlyDeadPathPackets) {
-  const auto emb = gray_code_cycle_embedding(4);
-  FaultSet f(4);
-  f.kill_link(emb.host_of(0), emb.host_of(1));
-  const auto r = run_phase_with_faults(f, emb, 3);
-  // Width-1: the one guest edge whose single path crosses the dead link
-  // loses all 3 packets (the reverse direction is not a guest edge).
-  EXPECT_EQ(r.dropped, 3u);
-  EXPECT_EQ(r.delivered, (emb.guest().num_edges() - 1) * 3);
-}
-
-TEST(DegradedPhase, MultipathKeepsLatencyUnderFaults) {
-  // Theorem 1 under faults: the surviving paths still deliver most traffic
-  // at near-nominal cost.
-  const auto emb = theorem1_cycle_embedding(8);
-  Rng rng(15);
-  const auto f = FaultSet::random(8, 16, rng);
-  const auto r = run_phase_with_faults(f, emb, 4);
-  EXPECT_EQ(r.delivered + r.dropped, emb.guest().num_edges() * 4);
-  EXPECT_GT(r.delivered, r.dropped * 10);  // overwhelmingly delivered
-  EXPECT_LE(r.sim.makespan, 4);            // no worse than nominal
 }
 
 TEST(Integration, IdaOverFaultyBundleRecovers) {

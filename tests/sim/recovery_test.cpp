@@ -17,9 +17,9 @@
 #include "embed/classical.hpp"
 #include "obs/trace.hpp"
 #include "par/task_pool.hpp"
-#include "sim/phase.hpp"
 #include "sim/store_forward.hpp"
 #include "sim/workloads.hpp"
+#include "support/faulted_run.hpp"
 
 namespace hyperpath {
 namespace {
@@ -367,10 +367,9 @@ TEST(FaultTimeline, DeltaIsTheStateDifferenceAcrossEachAdvance) {
 TEST(RunWithFaults, EmptyScheduleMatchesPlainRun) {
   const int dims = 5;
   const auto packets = random_workload(dims, 200, 21);
-  StoreForwardSim sim(dims);
   const FaultSchedule empty(dims);
-  const auto plain = sim.run(packets);
-  const auto faulty = sim.run_with_faults(packets, empty);
+  const auto plain = StoreForwardSim(dims).run(packets);
+  const auto faulty = run_with_faults(dims, packets, empty);
   expect_identical(plain, faulty.sim);
   EXPECT_EQ(faulty.lost, 0u);
   EXPECT_EQ(faulty.delivered, packets.size());
@@ -385,10 +384,9 @@ TEST(RunWithFaults, TruncatesInFlightPacketAtTheBreak) {
   packets.push_back({{0b000, 0b001, 0b011, 0b111}, 0, 0});
   FaultSchedule s(3);
   s.link_down(1, 0b001, 0b011);
-  StoreForwardSim sim(3);
   RingBufferSink sink;
-  const auto r = sim.run_with_faults(packets, s, Arbitration::kFifo, 1 << 22,
-                                     &sink);
+  const auto r =
+      run_with_faults(3, packets, s, Arbitration::kFifo, 1 << 22, &sink);
   EXPECT_EQ(r.lost, 1u);
   EXPECT_EQ(r.delivered, 0u);
   ASSERT_EQ(r.fates.size(), 1u);
@@ -408,10 +406,9 @@ TEST(RunWithFaults, RepairedLinkCarriesTrafficAgain) {
   packets.push_back({{0b000, 0b001, 0b011, 0b111}, 6, 0});
   FaultSchedule s(3);
   s.transient_link(1, 5, 0b001, 0b011);
-  StoreForwardSim sim(3);
   RingBufferSink sink;
-  const auto r = sim.run_with_faults(packets, s, Arbitration::kFifo, 1 << 22,
-                                     &sink);
+  const auto r =
+      run_with_faults(3, packets, s, Arbitration::kFifo, 1 << 22, &sink);
   EXPECT_EQ(r.delivered, 1u);
   EXPECT_EQ(r.lost, 0u);
   EXPECT_EQ(sink.total(TraceEventKind::kFault), 2u);
@@ -424,8 +421,7 @@ TEST(RunWithFaults, NodeFaultTruncatesTrafficThroughIt) {
   const auto packets = random_workload(dims, 150, 5);
   FaultSchedule s(dims);
   s.node_down(0, 0b0110);
-  StoreForwardSim sim(dims);
-  const auto r = sim.run_with_faults(packets, s);
+  const auto r = run_with_faults(dims, packets, s);
   EXPECT_EQ(r.delivered + r.lost, packets.size());
   EXPECT_GT(r.lost, 0u);
   for (std::size_t i = 0; i < packets.size(); ++i) {
@@ -452,16 +448,15 @@ TEST(RunWithFaults, SerialAndParallelAreBitIdentical) {
   }
   s.transient_node(2, 9, 0b010101);
 
-  StoreForwardSim serial(dims);
   RingBufferSink serial_sink;
-  const auto a = serial.run_with_faults(packets, s, Arbitration::kFifo,
-                                        1 << 22, &serial_sink);
+  const auto a = run_with_faults(dims, packets, s, Arbitration::kFifo,
+                                 1 << 22, &serial_sink);
   for (int threads : {1, 2, 5}) {
     par::TaskPool pool(threads);
     const par::PoolScope scope(pool);
     RingBufferSink par_sink;
-    const auto b = StoreForwardSim(dims).run_with_faults(
-        packets, s, Arbitration::kFifo, 1 << 22, &par_sink);
+    const auto b = run_with_faults(dims, packets, s, Arbitration::kFifo,
+                                   1 << 22, &par_sink);
     expect_identical(a, b);
     ASSERT_EQ(serial_sink.total(), par_sink.total());
     EXPECT_EQ(serial_sink.events(), par_sink.events());
@@ -677,49 +672,6 @@ TEST(Recovery, AnySubThresholdScheduleDeliversEverythingBothTransports) {
     EXPECT_TRUE(m.complete);
     EXPECT_LE(m.retransmissions, w * cfg.max_retries);
   }
-}
-
-// ---------------------------------------------------------------------------
-// kDrop trace path of the static run_phase_with_faults (satellite)
-
-TEST(DegradedPhaseTrace, DropEventsComeFirstWithOriginalIds) {
-  const auto emb = gray_code_cycle_embedding(4);
-  FaultSet f(4);
-  f.kill_link(emb.host_of(0), emb.host_of(1));
-  RingBufferSink sink;
-  const auto r = run_phase_with_faults(f, emb, 2, &sink);
-  EXPECT_EQ(r.dropped, 2u);
-  const auto events = sink.events();
-  ASSERT_GT(events.size(), 2u);
-
-  // The kDrop events are flushed before the simulator trace begins, and
-  // carry the dead link plus the packet's index in the *original* phase
-  // packet list.
-  const auto phase = phase_packets(emb, 2);
-  const Hypercube q(4);
-  const std::uint64_t dead = q.edge_id(emb.host_of(0), emb.host_of(1));
-  std::size_t drops_seen = 0;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    if (events[i].kind != TraceEventKind::kDrop) continue;
-    EXPECT_EQ(i, drops_seen) << "kDrop must precede the simulator trace";
-    ++drops_seen;
-    EXPECT_EQ(events[i].step, 0);
-    EXPECT_EQ(events[i].link, dead);
-    // The dropped id indexes the original phase packet list, and that
-    // packet's route really crosses the dead link.
-    ASSERT_LT(events[i].packet, phase.size());
-    EXPECT_FALSE(f.path_alive(phase[events[i].packet].route));
-  }
-  EXPECT_EQ(drops_seen, 2u);
-
-  // Packet ids inside the simulator trace index the survivor list: every
-  // arriving id must be < survivors, and survivors = delivered count.
-  for (const TraceEvent& e : events) {
-    if (e.kind == TraceEventKind::kArrive) {
-      EXPECT_LT(e.packet, r.delivered);
-    }
-  }
-  EXPECT_EQ(sink.total(TraceEventKind::kArrive), r.delivered);
 }
 
 }  // namespace

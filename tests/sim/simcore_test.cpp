@@ -23,6 +23,7 @@
 #include "sim/store_forward.hpp"
 #include "sim/workloads.hpp"
 #include "support/compact_links.hpp"
+#include "support/faulted_run.hpp"
 #include "support/reference_sim.hpp"
 
 namespace hyperpath {
@@ -195,7 +196,7 @@ TEST(ActiveSetRegression, DroppedQueuesLeaveNoLingeringCost) {
   FaultSchedule sched(dims);
   sched.link_down(2, 0, q.neighbor(0, 0));
 
-  const auto r = StoreForwardSim(dims).run_with_faults(packets, sched);
+  const auto r = run_with_faults(dims, packets, sched);
   EXPECT_EQ(r.lost, static_cast<std::size_t>(pile) - 2);  // 2 escaped first
   // Visits: the pile link for steps 0..2 (the step-2 entry is the stale
   // one the drop pass emptied), the two escaped packets' second hops, and
@@ -377,8 +378,7 @@ TEST(RoutePlan, CompactPlanRunsLikeDense) {
   // drops the packets queued on it, at the same host link and step.
   FaultSchedule schedule(dims);
   schedule.link_down(0, 7, 15);
-  const FaultRunResult want =
-      StoreForwardSim(dims).run_with_faults(packets, schedule);
+  const FaultRunResult want = run_with_faults(dims, packets, schedule);
   FaultRunResult got;
   got.sim = run_plan<false, true>(plan, dims, Arbitration::kFifo, 1 << 22,
                                   nullptr, &schedule, false, &got);

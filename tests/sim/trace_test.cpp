@@ -23,6 +23,7 @@
 #include "sim/store_forward.hpp"
 #include "sim/workloads.hpp"
 #include "sim/wormhole.hpp"
+#include "support/faulted_run.hpp"
 #include "support/reference_sim.hpp"
 
 namespace hyperpath {
@@ -229,8 +230,8 @@ TEST(FaultTraceInterleaving, FaultRepairAndDropShareAStep) {
   schedule.link_down(1, 1, 3);
   schedule.transient_link(0, 1, 4, q.neighbor(4, 0));
   RingBufferSink sink;
-  const auto fr = StoreForwardSim(dims).run_with_faults(
-      ps, schedule, Arbitration::kFifo, 1 << 22, &sink);
+  const auto fr = run_with_faults(dims, ps, schedule, Arbitration::kFifo,
+                                  1 << 22, &sink);
   EXPECT_EQ(fr.delivered, 0u);
   EXPECT_EQ(fr.lost, 1u);
 

@@ -10,7 +10,8 @@
 //   --dims N                         host dimension override (else taken
 //                                    from the trace's meta header line)
 //   --packets-per-edge P --width W   phase-workload grouping: adds latency
-//                                    percentiles per bundle-path index
+//                                    percentiles per slot (paths ranked
+//                                    by length)
 //   --expect-makespan M              verify the reconstruction against the
 //   --expect-delivered D             originating SimResult; mismatch → exit 1
 //
@@ -62,7 +63,7 @@ inline void analyze_usage(std::FILE* out) {
       "header)\n"
       "  --packets-per-edge P --width W\n"
       "                           phase grouping: latency percentiles per "
-      "bundle-path index\n"
+      "slot (paths ranked by length)\n"
       "  --expect-makespan M      fail unless the reconstructed makespan == "
       "M\n"
       "  --expect-delivered D     fail unless the reconstructed deliveries "
@@ -150,11 +151,14 @@ inline std::string describe_link(std::uint64_t link, int dims) {
   return s;
 }
 
-/// Latency histograms grouped by bundle-path index.  Phase workloads number
-/// packets edge-major (id = edge * p + j) and assign packet j to bundle
-/// path j mod w (sim/phase.hpp), so the path index is recoverable from the
-/// id alone when all bundles share one width — true for the paper's
-/// constructions.
+/// Latency histograms grouped by slot (paths ranked by length).  Phase
+/// workloads number packets edge-major (id = edge * p + j) and put packet j
+/// on slot j mod w, where slot s is the bundle's s-th shortest path
+/// (slot_order, sim/phase.hpp) — so Theorem 1's direct path, bundle index
+/// 2k, is slot 0.  The slot is recoverable from the id alone when all
+/// bundles share one width, true for the paper's constructions.  The JSON
+/// keeps its `latency_by_path_index` / `path_index` keys; the index is the
+/// slot.
 inline std::vector<obs::FixedHistogram> latency_by_path_index(
     const obs::FlightRecorder& rec, int packets_per_edge, int width) {
   std::vector<obs::FixedHistogram> out(

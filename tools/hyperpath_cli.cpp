@@ -867,8 +867,8 @@ void trace_help(std::FILE* out) {
       "  --threads N          global thread-pool size\n"
       "\n"
       "Feed the trace to `analyze` for per-packet flight records, latency\n"
-      "percentiles per bundle path, the makespan-critical blocking chain, a\n"
-      "blame report and a queue-depth heatmap:\n"
+      "percentiles per slot (paths ranked by length), the makespan-critical\n"
+      "blocking chain, a blame report and a queue-depth heatmap:\n"
       "\n"
       "  hyperpath_cli trace cycle 8 --trace t.jsonl\n"
       "  hyperpath_cli analyze t.jsonl --blame 5 --heatmap q.csv --json "
